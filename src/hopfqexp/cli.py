@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable
 
 from .hopf import GrouplikeSet, HopfAlgebraData, OrderSearchExhausted, element_order
 from .hopf import s2_order as _s2_order
@@ -76,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    payload = dumps(doc) if args.format == "json" else text
+def _emit(args, make_doc: Callable[[], dict], text: str) -> None:
+    """Write text, or the JSON document that make_doc builds on demand."""
+    payload = dumps(make_doc()) if args.format == "json" else text
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -86,11 +88,19 @@ def _emit(args, doc: dict, text: str) -> None:
 
 
 def _resolve_bound(args) -> int | None:
-    bound = getattr(args, "bound", None)
-    if bound is not None:
-        return bound
-    env = os.environ.get("HOPFQEXP_BOUND")
-    return int(env) if env else None
+    """The --bound value, else HOPFQEXP_BOUND; a positive integer or None."""
+    raw = getattr(args, "bound", None)
+    if raw is None:
+        raw = os.environ.get("HOPFQEXP_BOUND") or None
+    if raw is None:
+        return None
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise SchemaError(f"the search bound must be a positive integer, got {raw!r}")
+    return bound
 
 
 def _load_algebra(args, check: bool = True) -> HopfAlgebraData:
@@ -115,7 +125,7 @@ def _cmd_validate(args) -> int:
         text = f"{H.name}: INVALID\n" + "".join(f"  {v}\n" for v in violations)
     else:
         text = f"{H.name}: valid Hopf algebra (dim {H.dim})\n"
-    _emit(args, doc, text)
+    _emit(args, lambda: doc, text)
     return EXIT_BAD_INPUT if violations else EXIT_OK
 
 
@@ -136,7 +146,7 @@ def _cmd_qexp(args) -> int:
             f"  route            {rep.route}"
             f"{' (cross-checked)' if rep.cross_checked else ''}\n"
             f"  min poly deg     {rep.min_poly_u.degree}\n")
-    _emit(args, doc, text)
+    _emit(args, lambda: doc, text)
     return EXIT_OK
 
 
@@ -144,7 +154,7 @@ def _cmd_exponent(args) -> int:
     rep = _qexp_report(args)
     doc = {"schema": SCHEMA, "kind": "exponent-report", "name": rep.algebra,
            "exponent": rep.exponent, "qexp": rep.qexp}
-    _emit(args, doc, f"{rep.algebra}: exponent {rep.exponent}\n")
+    _emit(args, lambda: doc, f"{rep.algebra}: exponent {rep.exponent}\n")
     return EXIT_OK
 
 
@@ -153,7 +163,7 @@ def _cmd_s2_order(args) -> int:
     order = _s2_order(H)
     doc = {"schema": SCHEMA, "kind": "s2-order-report", "name": H.name,
            "s2_order": order}
-    _emit(args, doc, f"{H.name}: s2_order {order}\n")
+    _emit(args, lambda: doc, f"{H.name}: s2_order {order}\n")
     return EXIT_OK
 
 
@@ -162,7 +172,7 @@ def _cmd_grouplikes(args) -> int:
     if H.grouplike_vectors is None:
         doc = {"schema": SCHEMA, "kind": "grouplike-report", "name": H.name,
                "grouplikes": None}
-        _emit(args, doc, f"{H.name}: no grouplike data attached\n")
+        _emit(args, lambda: doc, f"{H.name}: no grouplike data attached\n")
         return EXIT_OK
     gset = GrouplikeSet.build(H, H.grouplike_vectors)
     orders = [element_order(g) for g in gset.elements]
@@ -170,7 +180,7 @@ def _cmd_grouplikes(args) -> int:
            "count": len(gset), "orders": orders, "exponent": gset.exponent()}
     text = (f"{H.name}: {len(gset)} grouplikes, orders {orders}, "
             f"exponent {gset.exponent()}\n")
-    _emit(args, doc, text)
+    _emit(args, lambda: doc, text)
     return EXIT_OK
 
 
@@ -179,10 +189,9 @@ def _cmd_double(args) -> int:
 
     H = _load_algebra(args)
     qt = drinfeld_double(H)
-    doc = algebra_to_dict(qt.algebra, r_matrix=qt.R)
     text = (f"D({H.name}): dim {qt.algebra.dim}, conductor "
             f"{qt.algebra.conductor}; use --format json for the full data\n")
-    _emit(args, doc, text)
+    _emit(args, lambda: algebra_to_dict(qt.algebra, r_matrix=qt.R), text)
     return EXIT_OK
 
 
@@ -205,7 +214,7 @@ def _cmd_twist_check(args) -> int:
     else:
         text = (f"{T.parent.name}: NOT a twist\n"
                 + "".join(f"  {d}\n" for d in details))
-    _emit(args, doc, text)
+    _emit(args, lambda: doc, text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -220,20 +229,19 @@ def _cmd_twist_apply(args) -> int:
         return EXIT_CHECK_FAILED
     verified = make_twist(T.parent, T.J, T.J_inv)
     twisted = twist_hopf(verified)
-    doc = algebra_to_dict(twisted)
     text = (f"{twisted.name}: dim {twisted.dim}, conductor "
             f"{twisted.conductor}; use --format json for the full data\n")
-    _emit(args, doc, text)
+    _emit(args, lambda: algebra_to_dict(twisted), text)
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
     if not getattr(args, "preset", None) and not getattr(args, "input", None):
         doc = {"schema": SCHEMA, "kind": "preset-list", "presets": list(ZOO)}
-        _emit(args, doc, "".join(f"{name}\n" for name in ZOO))
+        _emit(args, lambda: doc, "".join(f"{name}\n" for name in ZOO))
         return EXIT_OK
     H = _load_algebra(args)
-    _emit(args, algebra_to_dict(H),
+    _emit(args, lambda: algebra_to_dict(H),
           f"{H.name}: dim {H.dim}, conductor {H.conductor}\n")
     return EXIT_OK
 
@@ -245,7 +253,7 @@ def _cmd_suite(args) -> int:
            "max_dim": args.max_dim, "passed": all_ok,
            "items": [{"label": i.label, "passed": i.passed, "detail": i.detail}
                      for i in items]}
-    _emit(args, doc, format_suite(items))
+    _emit(args, lambda: doc, format_suite(items))
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, SpanSolver
 from .scalars import CyclotomicNumber, as_scalar, lift_conductor
 
 
@@ -832,79 +832,34 @@ class GrouplikeSet:
 
 # -- Hopf subalgebra closure ----------------------------------------------------
 
-class EchelonSpace:
-    """Gauss-Jordan reduced spanning set with coordinate extraction."""
-
-    def __init__(self, ambient_dim: int, conductor: int):
-        self.ambient_dim = ambient_dim
-        self.conductor = conductor
-        self.rows: list[tuple[int, list[CyclotomicNumber]]] = []
-
-    def reduce(self, vec: Sequence[CyclotomicNumber]) -> list[CyclotomicNumber]:
-        vec = list(vec)
-        for pos, row in self.rows:
-            c = vec[pos]
-            if not c.is_zero():
-                for i, x in enumerate(row):
-                    if not x.is_zero():
-                        vec[i] = vec[i] - c * x
-        return vec
-
-    def insert(self, vec: Sequence[CyclotomicNumber]) -> bool:
-        red = self.reduce(vec)
-        pos = next((i for i, x in enumerate(red) if not x.is_zero()), None)
-        if pos is None:
-            return False
-        inv = red[pos].inverse()
-        new_row = [x * inv for x in red]
-        for p, row in self.rows:
-            c = row[pos]
-            if not c.is_zero():
-                for i, x in enumerate(new_row):
-                    if not x.is_zero():
-                        row[i] = row[i] - c * x
-        self.rows.append((pos, new_row))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def coordinates(self, vec: Sequence[CyclotomicNumber]) -> list[CyclotomicNumber] | None:
-        """Coordinates over the reduced basis, or None if outside the span."""
-        coords = [vec[pos] for pos, _ in self.rows]
-        recon = [CyclotomicNumber.zero(self.conductor)] * self.ambient_dim
-        for c, (_, row) in zip(coords, self.rows):
-            if not c.is_zero():
-                for i, x in enumerate(row):
-                    if not x.is_zero():
-                        recon[i] = recon[i] + c * x
-        if any(a != b for a, b in zip(recon, vec)):
-            return None
-        return coords
-
-
 def subalgebra_closure(H: HopfAlgebraData,
                        generators: Sequence[AlgebraElement]) -> HopfAlgebraData:
     """Smallest Hopf subalgebra containing the generators, as standalone data.
 
     Alternates linear closure passes under multiplication, both
     comultiplication legs, and the antipode until the dimension
-    stabilizes.
+    stabilizes.  The sub-basis is the unit followed by the independent
+    vectors in insertion order.
     """
     N = H.dim
-    space = EchelonSpace(N, H.conductor)
-    space.insert(list(H.unit))
+    space = SpanSolver(H.conductor)
+    basis: list[list[CyclotomicNumber]] = []
+
+    def insert(vec) -> bool:
+        if space.insert(vec) is not None:
+            return False
+        basis.append(list(vec))
+        return True
+
+    insert(list(H.unit))
     for g in generators:
         if g.parent is not H:
             raise ValueError("generator from a different algebra")
-        space.insert(list(g.coeffs))
+        insert(list(g.coeffs))
 
     changed = True
     while changed:
         changed = False
-        basis = [list(row) for _, row in space.rows]
         candidates: list[list[CyclotomicNumber]] = []
         for a in basis:
             sa = _sparse(a)
@@ -922,14 +877,13 @@ def subalgebra_closure(H: HopfAlgebraData,
             for vec in rights.values():
                 candidates.append(_dense(vec, N, H.conductor))
         for cand in candidates:
-            if space.insert(cand):
+            if insert(cand):
                 changed = True
 
-    basis = [list(row) for _, row in space.rows]
     d = len(basis)
 
     def coords(vec) -> list[CyclotomicNumber]:
-        c = space.coordinates(vec)
+        c = space.express(vec)
         if c is None:
             raise AssertionError("closure is not closed; this is a bug")
         return c
@@ -946,27 +900,20 @@ def subalgebra_closure(H: HopfAlgebraData,
     counit = [H.counit_dict(_sparse(v)) for v in basis]
     antipode_cols = [coords(H.antipode.apply(v)) for v in basis]
     comult = []
-    pivot_positions = [pos for pos, _ in space.rows]
     for a in range(d):
-        pairs = H.comul_dict(_sparse(basis[a]))
-        # coordinates in the sub-basis tensor square read off at pivot pairs
+        # Delta(b_a) = sum_ij c_ij e_i (x) e_j = sum_rs d_rs b_r (x) b_s: each
+        # row i of (c_ij) is sum_s y_is b_s, then each column s of (y_is) is
+        # sum_r d_rs b_r; the closure put every row and column in the span
+        rows: dict[int, SparseVec] = {}
+        for (i, j), c in H.comul_dict(_sparse(basis[a])).items():
+            _dadd(rows.setdefault(i, {}), j, c)
+        y = {i: coords(_dense(row, N, H.conductor)) for i, row in rows.items()}
         dd: SparsePairs = {}
-        for r, pr in enumerate(pivot_positions):
-            for s, ps in enumerate(pivot_positions):
-                c = pairs.get((pr, ps))
-                if c is not None and not c.is_zero():
+        for s in range(d):
+            column = _dense({i: yi[s] for i, yi in y.items()}, N, H.conductor)
+            for r, c in enumerate(coords(column)):
+                if not c.is_zero():
                     dd[(r, s)] = c
-        # verify the reconstruction: the closure guarantees containment
-        recon: SparsePairs = {}
-        for (r, s), c in dd.items():
-            for i, x in enumerate(basis[r]):
-                if x.is_zero():
-                    continue
-                for j, y in enumerate(basis[s]):
-                    if not y.is_zero():
-                        _dadd(recon, (i, j), c * x * y)
-        if recon != pairs:
-            raise AssertionError("comultiplication does not close; this is a bug")
         comult.append(dd)
 
     return HopfAlgebraData(

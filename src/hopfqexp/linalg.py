@@ -2,14 +2,17 @@
 
 Matrices are immutable-by-convention row-major grids of
 `CyclotomicNumber`s sharing one conductor.  Everything here is exact:
-Gaussian elimination needs no pivot strategy beyond "first nonzero".
+Gaussian elimination needs no pivot strategy beyond "first nonzero",
+and `SpanSolver` is the only elimination; inverses, linear solves,
+span closures and minimal polynomials all go through it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
-from .poly import ExactPolynomial, squarefree_part, root_of_unity_order  # noqa: F401  (re-exported)
+from .poly import ExactPolynomial, root_of_unity_order  # noqa: F401  (re-exported)
 from .scalars import CyclotomicNumber, as_scalar
 
 
@@ -175,57 +178,32 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(row) + ExactMatrix.identity(n, self.conductor).entries[i]
-               for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if pivot is None:
+        solver = SpanSolver(self.conductor)
+        for j in range(self.cols):
+            if solver.insert(self.column(j)) is not None:
                 raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [e * inv for e in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug], self.conductor)
+        # express(e_i) solves self x = e_i: it is column i of the inverse
+        unit_vectors = ExactMatrix.identity(self.rows, self.conductor).entries
+        return ExactMatrix([solver.express(e) for e in unit_vectors],
+                           self.conductor).transpose()
 
 
 def solve_linear_system(m: ExactMatrix, rhs: Sequence) -> list[CyclotomicNumber] | None:
     """One exact solution of m x = rhs, or None if the system is inconsistent.
 
-    For underdetermined consistent systems the free variables are set to
-    zero.
+    For underdetermined consistent systems the free variables (the
+    columns dependent on earlier ones) are set to zero.
     """
-    n, cols = m.rows, m.cols
-    if len(rhs) != n:
+    if len(rhs) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    zero = CyclotomicNumber.zero(m.conductor)
-    aug = [list(row) + [as_scalar(rhs[i], m.conductor)] for i, row in enumerate(m.entries)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(n):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if not aug[i][cols].is_zero():
-            return None
-    x = [zero] * cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][cols]
+    solver = SpanSolver(m.conductor)
+    independent = [j for j in range(m.cols) if solver.insert(m.column(j)) is None]
+    coeffs = solver.express([as_scalar(r, m.conductor) for r in rhs])
+    if coeffs is None:
+        return None
+    x = [CyclotomicNumber.zero(m.conductor)] * m.cols
+    for j, c in zip(independent, coeffs):
+        x[j] = c
     return x
 
 
@@ -287,32 +265,18 @@ class SpanSolver:
         return len(self.pivots)
 
 
-def solve_in_span(targets: Sequence[ExactMatrix], candidate: ExactMatrix):
-    """Express candidate in span(targets) or return None ("independent")."""
-    if not targets:
-        return None if not candidate.is_zero() else []
-    conductor = candidate.conductor
+def first_dependence(vectors: Iterable[Sequence], conductor: int) -> ExactPolynomial:
+    """The monic x^k - sum c_i x^i read off the first v_k = sum c_i v_i.
+
+    For a sequence v_i = A^i v this is the least monic f with f(A)v = 0;
+    the stream is consumed lazily and must end in a dependence.
+    """
     solver = SpanSolver(conductor)
-    for t in targets:
-        if (t.rows, t.cols) != (candidate.rows, candidate.cols):
-            raise ValueError("shape mismatch among span matrices")
-        solver.insert(t.vectorize())
-    coeffs = solver.express(candidate.vectorize())
-    if coeffs is None:
-        return None
-    return coeffs
-
-
-def _local_min_poly(a: ExactMatrix, v: list) -> ExactPolynomial:
-    """Least monic polynomial with f(a)v = 0, by a Krylov dependence."""
-    solver = SpanSolver(a.conductor)
-    w = list(v)
-    for _ in range(a.rows + 1):
-        coeffs = solver.insert(w)
+    for v in vectors:
+        coeffs = solver.insert(v)
         if coeffs is not None:
-            return ExactPolynomial([-c for c in coeffs] + [1], a.conductor)
-        w = a.apply(w)
-    raise AssertionError("no dependency up to the dimension bound")  # pragma: no cover
+            return ExactPolynomial([-c for c in coeffs] + [1], conductor)
+    raise AssertionError("the vector stream ended without a dependence")  # pragma: no cover
 
 
 def minimal_polynomial(a: ExactMatrix) -> ExactPolynomial:
@@ -343,7 +307,8 @@ def minimal_polynomial(a: ExactMatrix) -> ExactPolynomial:
                 w = [wi + c * vi for wi, vi in zip(w, v)]
         if all(x.is_zero() for x in w):
             continue
-        local = _local_min_poly(a, v)
+        krylov = accumulate(range(n), lambda x, _: a.apply(x), initial=v)
+        local = first_dependence(krylov, a.conductor)
         g = poly_gcd(m, local)
         m = (m * local) // g
         if m.degree == n:

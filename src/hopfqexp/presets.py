@@ -35,11 +35,10 @@ def _root_conductor(n: int) -> int:
 
 @dataclass
 class PresetDescriptor:
-    """What to build and, where known, what the invariants must be."""
+    """What to build: a preset kind and its parameters."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
 
 
 # -- group algebras -----------------------------------------------------------
@@ -602,14 +601,12 @@ def parse_preset_name(name: str) -> PresetDescriptor:
     if name == "trivial":
         return PresetDescriptor("trivial")
     if name == "sweedler":
-        return PresetDescriptor("sweedler", expected={"qexp": 2, "s2_order": 2})
+        return PresetDescriptor("sweedler")
     if name.startswith("group:"):
         rest = name[len("group:"):]
         if rest.startswith("builtin:"):
-            g = rest[len("builtin:"):]
-            exp = _builtin_exponent(g)
-            return PresetDescriptor("group_algebra", {"group": g},
-                                    expected={"qexp": exp, "exponent": exp})
+            return PresetDescriptor("group_algebra",
+                                    {"group": _builtin_group(rest[len("builtin:"):])})
         payload = json.loads(Path(rest).read_text())
         if isinstance(payload, dict):
             return PresetDescriptor("group_algebra", {
@@ -622,20 +619,16 @@ def parse_preset_name(name: str) -> PresetDescriptor:
         rest = name[len("dualgroup:"):]
         if rest.startswith("builtin:"):
             rest = rest[len("builtin:"):]
-        exp = _builtin_exponent(rest)
-        return PresetDescriptor("dual_group_algebra", {"group": rest},
-                                expected={"qexp": exp})
+        return PresetDescriptor("dual_group_algebra", {"group": _builtin_group(rest)})
     if name.startswith("taft:"):
         n = int(name[len("taft:"):])
-        return PresetDescriptor("taft", {"n": n}, expected={"qexp": n, "group_exponent": n})
+        return PresetDescriptor("taft", {"n": n})
     if name.startswith("uqb2:"):
         p = int(name[len("uqb2:"):])
-        return PresetDescriptor("uq_borel_sl2", {"p": p},
-                                expected={"qexp": p} if p == 3 else {})
+        return PresetDescriptor("uq_borel_sl2", {"p": p})
     if name.startswith("uqsl2:"):
         p = int(name[len("uqsl2:"):])
-        return PresetDescriptor("uq_sl2", {"p": p},
-                                expected={"qexp": p} if p == 3 else {})
+        return PresetDescriptor("uq_sl2", {"p": p})
     if name.startswith("tensor:"):
         parts = name[len("tensor:"):].split(",")
         if len(parts) < 2:
@@ -645,13 +638,10 @@ def parse_preset_name(name: str) -> PresetDescriptor:
     raise ValueError(f"unknown preset name: {name}")
 
 
-def _builtin_exponent(g: str) -> int:
-    if g in BUILTIN_GROUP_ORDERS:
-        return lcm(*BUILTIN_GROUP_ORDERS[g]) if len(BUILTIN_GROUP_ORDERS[g]) > 1 \
-            else BUILTIN_GROUP_ORDERS[g][0]
-    if g == "S3":
-        return 6
-    raise ValueError(f"unknown builtin group: {g}")
+def _builtin_group(g: str) -> str:
+    if g not in BUILTIN_GROUP_ORDERS and g != "S3":
+        raise ValueError(f"unknown builtin group: {g}")
+    return g
 
 
 def get_preset(name: str) -> HopfAlgebraData:

@@ -8,20 +8,17 @@ polynomial of u: the cheap default works with the N x N operators
 
 on H itself (a vanishing combination sum a_i T_i = 0 is equivalent to
 f(u) = 0 for f = sum a_i x^i), and the cross-check builds D(H) and
-takes the minimal polynomial of the regular representation of u.
+takes the first dependence among the powers of u in D(H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 
-from .double import (
-    QuasitriangularData,
-    drinfeld_double,
-    drinfeld_element,
-    regular_representation,
-)
+from .double import QuasitriangularData, drinfeld_double, drinfeld_element
 from .hopf import (
     AlgebraElement,
     HopfAlgebraData,
@@ -31,17 +28,10 @@ from .hopf import (
     s2_order,
     tensor_unit,
 )
-from .linalg import (
-    ExactMatrix,
-    ExactPolynomial,
-    SpanSolver,
-    default_order_bound,
-    minimal_polynomial,
-    root_of_unity_order,
-    squarefree_part,
-)
+from .linalg import ExactMatrix, ExactPolynomial, default_order_bound, first_dependence
+from .poly import root_of_unity_order, squarefree_part
 
-#: largest double dimension the regular-representation route will attempt
+#: largest double dimension the regular route will build
 REGULAR_ROUTE_ENVELOPE = 4096
 
 
@@ -71,45 +61,6 @@ class QexpReport:
             "route": self.route,
             "cross_checked": self.cross_checked,
         }
-
-
-def iterated_maps(H: HopfAlgebraData, n: int):
-    """(m_n, Delta_n): m_n = m(m_{n-1} (x) Id), Delta_n = (Delta_{n-1} (x) Id)Delta.
-
-    m_1 = Delta_1 = Id.  For n = 0 the conventions match T_0 = unit after
-    counit: m_0 embeds a scalar as a multiple of 1 and Delta_0 is the
-    counit.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        def m0(scalar):
-            return H.unit_element().scale(scalar)
-
-        def delta0(h: AlgebraElement):
-            return h.counit()
-
-        return m0, delta0
-
-    def m_n(t) -> AlgebraElement:
-        if n == 1:
-            return t if isinstance(t, AlgebraElement) else t.to_element()
-        if t.arity != n:
-            raise ValueError("arity mismatch")
-        while isinstance(t, TensorElement) and t.arity > 1:
-            t = t.multiply_legs(0)
-        return t
-
-    def delta_n(h: AlgebraElement):
-        if n == 1:
-            return h
-        t = h.comul()
-        t = TensorElement(H, 2, t.data)
-        while t.arity < n:
-            t = t.comult_leg(t.arity - 1)
-        return t
-
-    return m_n, delta_n
 
 
 def t_map(H: HopfAlgebraData, n: int) -> ExactMatrix:
@@ -167,17 +118,19 @@ def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
     f(u) = 0 holds exactly when sum a_i T_i = 0 with f = sum a_i x^i, so
     the first linear dependence is the minimal polynomial of u.
     """
-    solver = SpanSolver(H.conductor)
-    for n in range(H.dim * H.dim + 2):
-        coeffs = solver.insert(t_map(H, n).vectorize())
-        if coeffs is not None:
-            return ExactPolynomial([-c for c in coeffs] + [1], H.conductor)
-    raise AssertionError("no dependence among T_n up to dim^2")  # pragma: no cover
+    t_stream = (t_map(H, n).vectorize() for n in range(H.dim * H.dim + 2))
+    return first_dependence(t_stream, H.conductor)
 
 
 def u_min_poly_via_regular(H: HopfAlgebraData,
                            qt: QuasitriangularData | None = None) -> ExactPolynomial:
-    """Minimal polynomial of the regular representation of u in D(H)."""
+    """Minimal polynomial of u, from its powers in the double D(H).
+
+    It equals the minimal polynomial of the left-regular matrix of u,
+    since the left-regular representation of a unital algebra is
+    faithful.  The route goes through D(H) and u, so it stays an
+    independent check of the T-route.
+    """
     if H.dim * H.dim > REGULAR_ROUTE_ENVELOPE:
         raise ValueError(
             f"the double of {H.name} has dimension {H.dim * H.dim}, beyond the "
@@ -185,8 +138,7 @@ def u_min_poly_via_regular(H: HopfAlgebraData,
             "use the T-route instead")
     if qt is None:
         qt = drinfeld_double(H)
-    u = drinfeld_element(qt)
-    return minimal_polynomial(regular_representation(qt.algebra, u))
+    return element_minimal_polynomial(drinfeld_element(qt))
 
 
 def unipotency_index(min_poly_u: ExactPolynomial, qexp: int) -> int:
@@ -249,14 +201,8 @@ def element_minimal_polynomial(a: AlgebraElement) -> ExactPolynomial:
     faithful in a unital algebra).
     """
     H = a.parent
-    solver = SpanSolver(H.conductor)
-    power = H.unit_element()
-    for _ in range(H.dim + 1):
-        coeffs = solver.insert(list(power.coeffs))
-        if coeffs is not None:
-            return ExactPolynomial([-c for c in coeffs] + [1], H.conductor)
-        power = power * a
-    raise AssertionError("no dependence among element powers")  # pragma: no cover
+    powers = accumulate(repeat(a, H.dim), mul, initial=H.unit_element())
+    return first_dependence((p.coeffs for p in powers), H.conductor)
 
 
 def is_unipotent_element(a: AlgebraElement) -> bool:

@@ -58,7 +58,12 @@ class SuiteItem:
 
 
 class _Context:
-    """Shared caches so the suite builds each object once."""
+    """Shared caches so the suite builds each object once.
+
+    Reports, doubles and twisted algebras are keyed by the id of an
+    algebra or twist that this context itself keeps alive (a cached
+    preset or an entry of `twists`), so a key is never reused.
+    """
 
     def __init__(self, deep: bool, max_dim: int | None):
         self.deep = deep
@@ -66,6 +71,7 @@ class _Context:
         self._presets: dict = {}
         self._reports: dict = {}
         self._doubles: dict = {}
+        self._twisted: dict = {}
         self._twists: list | None = None
 
     def preset(self, name: str):
@@ -80,14 +86,19 @@ class _Context:
         return [n for n in ZOO if self.allowed(n)]
 
     def report(self, name: str):
-        if name not in self._reports:
-            self._reports[name] = quasi_exponent(self.preset(name))
-        return self._reports[name]
+        return self.report_of(self.preset(name))
 
     def double(self, name: str):
-        if name not in self._doubles:
-            self._doubles[name] = drinfeld_double(self.preset(name))
-        return self._doubles[name]
+        return self.double_of(self.preset(name))
+
+    def report_of(self, H):
+        return _memo(self._reports, H, quasi_exponent)
+
+    def double_of(self, H):
+        return _memo(self._doubles, H, drinfeld_double)
+
+    def twisted(self, tw):
+        return _memo(self._twisted, tw, twist_hopf)
 
     def twists(self):
         """(description, TwistData, double-or-None for Eq. (3) checks)."""
@@ -110,6 +121,12 @@ class _Context:
                                 cyclic_grouplike_twist(H, g, 3), False))
             self._twists = entries
         return self._twists
+
+
+def _memo(table: dict, obj, build):
+    if id(obj) not in table:
+        table[id(obj)] = build(obj)
+    return table[id(obj)]
 
 
 def run_suite(deep: bool = False, max_dim: int | None = None) -> list[SuiteItem]:
@@ -326,15 +343,15 @@ def _eq_4(ctx):
 def _thm_33(ctx):
     for desc, tw, check_u in ctx.twists():
         H = tw.parent
-        rep = quasi_exponent(H)
-        hj = twist_hopf(tw)
+        rep = ctx.report_of(H)
+        hj = ctx.twisted(tw)
         v = validate(hj)
         if v:
             return False, f"{desc}: twisted algebra invalid: {v[0]}"
         if quasi_exponent(hj).qexp != rep.qexp:
             return False, f"{desc}: qexp changed under twisting"
         if check_u:
-            qt = drinfeld_double(H)
+            qt = ctx.double_of(H)
             u = drinfeld_element(qt)
             uj = twisted_drinfeld_element(H, tw, qt)
             if u ** rep.qexp != uj ** rep.qexp:
@@ -345,8 +362,8 @@ def _thm_33(ctx):
 def _cor_35(ctx):
     for desc, tw, _ in ctx.twists():
         H = tw.parent
-        rep = quasi_exponent(H)
-        g = grouplike_from_twist(H, tw, s2_order(H))
+        rep = ctx.report_of(H)
+        g = grouplike_from_twist(H, tw, rep.s2_order)
         if rep.qexp % element_order(g) != 0:
             return False, f"{desc}: twist grouplike order does not divide qexp"
     return True, ""
@@ -425,8 +442,8 @@ def _cor_411(ctx):
         if "uq" not in desc:
             continue
         H = tw.parent
-        hj = twist_hopf(tw)
-        orders = [element_order(grouplike_from_twist(H, tw, s2_order(H)))]
+        hj = ctx.twisted(tw)
+        orders = [element_order(grouplike_from_twist(H, tw, ctx.report_of(H).s2_order))]
         for gv in H.grouplike_vectors:
             cand = AlgebraElement(hj, [hj.scalar(c) for c in gv])
             if is_grouplike(cand):

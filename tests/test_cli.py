@@ -85,6 +85,20 @@ def test_bound_env(capsys, monkeypatch):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["--bound", "-5"], None),
+    (["--bound", "0"], None),
+    ([], "abc"),
+])
+def test_bad_bound_exit_2(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("HOPFQEXP_BOUND", env)
+    code, out, err = run(capsys, "qexp", "--preset", "group:builtin:Z6", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "positive integer" in err
+
+
 def test_s2_order(capsys):
     code, out, _ = run(capsys, "s2-order", "--preset", "taft:4")
     assert code == 0 and "4" in out
@@ -105,6 +119,17 @@ def test_double_emits_r_matrix(capsys):
     doc = json.loads(out)
     assert doc["dim"] == 4
     assert "r_matrix" in doc
+
+
+def test_double_text_builds_no_document(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("text output must not build the JSON document")
+
+    monkeypatch.setattr("hopfqexp.cli.algebra_to_dict", refuse)
+    code, out, _ = run(capsys, "double", "--preset", "taft:3")
+    assert code == 0
+    assert out == ("D(Taft(3)): dim 81, conductor 3; "
+                   "use --format json for the full data\n")
 
 
 def test_double_output_round_trips(capsys, tmp_path):

@@ -125,17 +125,20 @@ def test_tensor_element_legs(preset_cache):
 
 
 def test_subalgebra_closure_group_part(preset_cache):
-    H = preset_cache("sweedler")
-    gens = [H.element(v) for v in H.grouplike_vectors]
-    sub = subalgebra_closure(H, gens)
-    assert sub.dim == 2
-    assert validate(sub) == []
+    for name, dim in (("sweedler", 2), ("uqb2:3", 3)):
+        H = preset_cache(name)
+        gens = [H.element(v) for v in H.grouplike_vectors]
+        sub = subalgebra_closure(H, gens)
+        assert sub.dim == dim, name
+        assert validate(sub) == [], name
 
 
 def test_subalgebra_closure_full(preset_cache):
-    H = preset_cache("sweedler")
-    sub = subalgebra_closure(H, [H.basis_element(k) for k in range(H.dim)])
-    assert sub.dim == H.dim
+    for name in ("sweedler", "uqb2:3"):
+        H = preset_cache(name)
+        sub = subalgebra_closure(H, [H.basis_element(k) for k in range(H.dim)])
+        assert sub.dim == H.dim, name
+        assert validate(sub) == [], name
 
 
 def test_all_preset_axioms_hold_with_witness_messages():

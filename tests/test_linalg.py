@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from hopfqexp.poly import (
     root_of_unity_order,
     squarefree_part,
 )
-from hopfqexp.scalars import CyclotomicNumber
+from hopfqexp.scalars import CyclotomicNumber, euler_phi
 
 
 def mat(rows, conductor=1):
@@ -81,6 +82,54 @@ def test_solve_linear_system():
     # inconsistent system
     sing = mat([[1, 1], [1, 1]])
     assert solve_linear_system(sing, [one, one + one]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3]), st.data())
+def test_elimination_core_on_random_matrices(conductor, data):
+    def scalars(n):
+        coords = st.lists(st.integers(min_value=-2, max_value=2),
+                          min_size=euler_phi(conductor), max_size=euler_phi(conductor))
+        return [CyclotomicNumber(conductor, c)
+                for c in data.draw(st.lists(coords, min_size=n, max_size=n))]
+
+    rows = data.draw(st.integers(min_value=1, max_value=5))
+    cols = data.draw(st.integers(min_value=1, max_value=5))
+    m = ExactMatrix([scalars(cols) for _ in range(rows)], conductor)
+    zero, one = CyclotomicNumber.zero(conductor), CyclotomicNumber.one(conductor)
+
+    # the dependent columns, each with a kernel vector as its certificate
+    solver = SpanSolver(conductor)
+    independent, dependent = [], []
+    for j in range(cols):
+        coeffs = solver.insert(m.column(j))
+        if coeffs is None:
+            independent.append(j)
+            continue
+        kernel = [zero] * cols
+        kernel[j] = one
+        for i, c in zip(independent, coeffs):
+            kernel[i] = -c
+        assert all(v.is_zero() for v in m.apply(kernel))
+        dependent.append(j)
+
+    if rows == cols and not dependent:
+        assert m @ m.inverse() == ExactMatrix.identity(rows, conductor)
+    elif rows == cols:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    if rows >= 2:
+        repeated = [m.column(j % cols) for j in range(rows - 1)] + [m.column(0)]
+        with pytest.raises(ValueError, match="singular"):
+            ExactMatrix.from_columns(repeated, conductor).inverse()
+
+    rhs = m.apply(scalars(cols))
+    x = solve_linear_system(m, rhs)
+    assert x is not None and m.apply(x) == rhs
+    assert all(x[j].is_zero() for j in dependent)
+
+    zero_row = ExactMatrix(m.entries + [[zero] * cols], conductor)
+    assert solve_linear_system(zero_row, rhs + [one]) is None
 
 
 def test_span_solver_reports_dependence():
