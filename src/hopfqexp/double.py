@@ -20,9 +20,10 @@ from .hopf import (
     HopfAlgebraData,
     TensorElement,
     TensorSquareElement,
-    _dadd,
-    _dense,
-    _sparse,
+    dadd,
+    dense,
+    element_minimal_polynomial,
+    sparse,
     tensor_unit,
 )
 from .linalg import ExactMatrix
@@ -56,20 +57,6 @@ class QuasitriangularData:
                     coeffs[j * N + i] = coeffs[j * N + i] + c * e
         return AlgebraElement(D, coeffs)
 
-    def iota_dual(self, dual_coeffs) -> AlgebraElement:
-        """Embed a functional sum(c_j f_j) as f (x) 1 in the double."""
-        D, H = self.algebra, self.source
-        N = H.dim
-        coeffs = [D.zero_scalar] * D.dim
-        for j, c in enumerate(dual_coeffs):
-            c = H.scalar(c)
-            if c.is_zero():
-                continue
-            for i, u in enumerate(H.unit):
-                if not u.is_zero():
-                    coeffs[j * N + i] = coeffs[j * N + i] + c * u
-        return AlgebraElement(D, coeffs)
-
 
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     N = H.dim
@@ -77,7 +64,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     cond = H.conductor
     one = H.one_scalar
     sinv = H.antipode_inv
-    sinv_cols = [_sparse(sinv.column(c)) for c in range(N)]
+    sinv_cols = [sparse(sinv.column(c)) for c in range(N)]
 
     # Delta3(e_i): triples (a, b, c) -> coeff
     delta3 = []
@@ -85,7 +72,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         d: dict[tuple[int, int, int], object] = {}
         for (a, b2), c1 in H.comult[i].items():
             for (b, c), c2 in H.comult[b2].items():
-                _dadd(d, (a, b, c), c1 * c2)
+                dadd(d, (a, b, c), c1 * c2)
         delta3.append(d)
 
     # cross[i][l]: (1 (x) h_i)(f_l (x) 1) as {(dual k1, primal k2): coeff}
@@ -114,7 +101,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
             for l in range(N):
                 dest = cross[i][l]
                 for s, v in rows[l].items():
-                    _dadd(dest, (s, b), gamma * v)
+                    dadd(dest, (s, b), gamma * v)
 
     # full multiplication: (f_j (x) e_i)(f_l (x) e_m)
     dm = H.dual_mult
@@ -137,7 +124,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                         for k1, c1 in dvec.items():
                             vc1 = v * c1
                             for k2, c2 in pvec.items():
-                                _dadd(out, k1 * N + k2, vc1 * c2)
+                                dadd(out, k1 * N + k2, vc1 * c2)
                     if out:
                         mult[(j * N + i, l * N + m)] = out
 
@@ -149,12 +136,12 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         for (a, b), vec in H.mult.items():
             cj = vec.get(j)
             if cj is not None:
-                _dadd(dual_pairs, (b, a), cj)
+                dadd(dual_pairs, (b, a), cj)
         for i in range(N):
             d: dict[tuple[int, int], object] = {}
             for (b, a), c1 in dual_pairs.items():
                 for (p, q), c2 in H.comult[i].items():
-                    _dadd(d, (b * N + p, a * N + q), c1 * c2)
+                    dadd(d, (b * N + p, a * N + q), c1 * c2)
             comult.append(d)
 
     unit = [H.counit[j] * H.unit[i] for j in range(N) for i in range(N)]
@@ -170,7 +157,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                     continue
                 xy = x * y
                 for k, c in vec.items():
-                    _dadd(out, k, xy * c)
+                    dadd(out, k, xy * c)
         return out
 
     s_cols = []
@@ -184,14 +171,14 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
             if c.is_zero():
                 continue
             for i, u in unit_sparse:
-                _dadd(fpart, l * N + i, c * u)
+                dadd(fpart, l * N + i, c * u)
         for i in range(N):
             hpart: dict[int, object] = {}
-            for p, c in _sparse(H.antipode.column(i)).items():
+            for p, c in sparse(H.antipode.column(i)).items():
                 for jj, e in eps_sparse:
-                    _dadd(hpart, jj * N + p, c * e)
+                    dadd(hpart, jj * N + p, c * e)
             img = raw_mul(hpart, fpart)
-            s_cols.append(_dense(img, ND, cond))
+            s_cols.append(dense(img, ND, cond))
     antipode = ExactMatrix.from_columns(s_cols, cond)
 
     D = HopfAlgebraData(
@@ -205,7 +192,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     for i in range(N):
         for j, e in eps_sparse:
             for p, u in unit_sparse:
-                _dadd(r_data, (j * N + i, i * N + p), e * u)
+                dadd(r_data, (j * N + i, i * N + p), e * u)
     R = TensorSquareElement(D, r_data)
     split = [(j, i) for j in range(N) for i in range(N)]
     return QuasitriangularData(algebra=D, R=R, basis_split=split, source=H)
@@ -254,24 +241,36 @@ def drinfeld_element(qt: QuasitriangularData) -> AlgebraElement:
 
 
 def u_inverse(qt: QuasitriangularData) -> AlgebraElement:
-    """The inverse of the Drinfeld element, from its regular representation."""
+    """The inverse of the Drinfeld element, from its minimal polynomial.
+
+    From u^d + c_(d-1) u^(d-1) + ... + c_1 u + c_0 = 0 with c_0 != 0,
+    u^-1 = -c_0^-1 (u^(d-1) + c_(d-1) u^(d-2) + ... + c_1).
+    """
     if "u_inv" not in qt._cache:
         D = qt.algebra
         u = drinfeld_element(qt)
-        lu = regular_representation(D, u)
-        qt._cache["u_inv"] = AlgebraElement(D, lu.inverse().apply(list(D.unit)))
+        c = element_minimal_polynomial(u).coeffs
+        if c[0].is_zero():
+            raise ValueError("the Drinfeld element is not invertible; the double is broken")
+        one = D.unit_element()
+        acc = one
+        for ci in reversed(c[1:-1]):
+            acc = acc * u + one.scale(ci)
+        qt._cache["u_inv"] = acc.scale(-c[0].inverse())
     return qt._cache["u_inv"]
 
 
 def verify_s2_conjugation(qt: QuasitriangularData,
                           u: AlgebraElement | None = None) -> bool:
-    """S^2(b) u = u b for every basis element b, with u invertible."""
+    """S^2(b) u = u b for every basis element b, with u invertible.
+
+    u is invertible exactly when its minimal polynomial has a nonzero
+    constant term.
+    """
     D = qt.algebra
     if u is None:
         u = drinfeld_element(qt)
-    try:
-        regular_representation(D, u).inverse()
-    except ValueError:
+    if element_minimal_polynomial(u).coeffs[0].is_zero():
         return False
     for b in range(D.dim):
         eb = D.basis_element(b)

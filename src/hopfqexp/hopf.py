@@ -11,10 +11,12 @@ combinations; nothing here is trusted without that check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ExactMatrix, SpanSolver
+from .linalg import ExactMatrix, ExactPolynomial, SpanSolver, first_dependence
 from .scalars import CyclotomicNumber, as_scalar, lift_conductor
 
 
@@ -26,7 +28,8 @@ SparseVec = dict[int, CyclotomicNumber]
 SparsePairs = dict[tuple[int, int], CyclotomicNumber]
 
 
-def _dadd(acc: dict, key, value) -> None:
+def dadd(acc: dict, key, value) -> None:
+    """acc[key] += value in a sparse dict; entries that reach zero are dropped."""
     cur = acc.get(key)
     if cur is None:
         if not value.is_zero():
@@ -39,7 +42,8 @@ def _dadd(acc: dict, key, value) -> None:
             acc[key] = s
 
 
-def _dense(vec: SparseVec, n: int, conductor: int) -> list[CyclotomicNumber]:
+def dense(vec: SparseVec, n: int, conductor: int) -> list[CyclotomicNumber]:
+    """The length-n coefficient list of a sparse vector."""
     zero = CyclotomicNumber.zero(conductor)
     out = [zero] * n
     for k, v in vec.items():
@@ -47,7 +51,8 @@ def _dense(vec: SparseVec, n: int, conductor: int) -> list[CyclotomicNumber]:
     return out
 
 
-def _sparse(vec: Sequence[CyclotomicNumber]) -> SparseVec:
+def sparse(vec: Sequence[CyclotomicNumber]) -> SparseVec:
+    """The nonzero entries of a coefficient list, by index."""
     return {i: v for i, v in enumerate(vec) if not v.is_zero()}
 
 
@@ -138,14 +143,14 @@ class HopfAlgebraData:
                 if xy.is_zero():
                     continue
                 for k, c in vec.items():
-                    _dadd(out, k, xy * c)
+                    dadd(out, k, xy * c)
         return out
 
     def comul_dict(self, a: SparseVec) -> SparsePairs:
         out: SparsePairs = {}
         for k, x in a.items():
             for pair, c in self.comult[k].items():
-                _dadd(out, pair, x * c)
+                dadd(out, pair, x * c)
         return out
 
     def counit_dict(self, a: SparseVec) -> CyclotomicNumber:
@@ -162,7 +167,7 @@ class HopfAlgebraData:
             for i in range(self.dim):
                 c = m.entries[i][j]
                 if not c.is_zero():
-                    _dadd(out, i, x * c)
+                    dadd(out, i, x * c)
         return out
 
     # -- cached derived structure ---------------------------------------------
@@ -192,10 +197,10 @@ class HopfAlgebraData:
 
     def left_mult_matrix(self, a: "AlgebraElement") -> ExactMatrix:
         cols = []
-        sp = _sparse(a.coeffs)
+        sp = sparse(a.coeffs)
         for k in range(self.dim):
             col = self.mul_dicts(sp, {k: self.one_scalar})
-            cols.append(_dense(col, self.dim, self.conductor))
+            cols.append(dense(col, self.dim, self.conductor))
         return ExactMatrix.from_columns(cols, self.conductor)
 
     # -- comparisons --------------------------------------------------------
@@ -232,7 +237,7 @@ class AlgebraElement:
             raise ValueError("elements live in different algebras")
 
     def sparse(self) -> SparseVec:
-        return _sparse(self.coeffs)
+        return sparse(self.coeffs)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -254,7 +259,7 @@ class AlgebraElement:
             self._check(other)
             prod = self.parent.mul_dicts(self.sparse(), other.sparse())
             return AlgebraElement(
-                self.parent, _dense(prod, self.parent.dim, self.parent.conductor))
+                self.parent, dense(prod, self.parent.dim, self.parent.conductor))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -337,7 +342,7 @@ class TensorElement:
         self._check(other)
         out = dict(self.data)
         for key, v in other.data.items():
-            _dadd(out, key, v)
+            dadd(out, key, v)
         return TensorElement(self.parent, self.arity, out)
 
     def __neg__(self) -> "TensorElement":
@@ -368,14 +373,14 @@ class TensorElement:
                     nxt = {}
                     for pkey, pc in partial.items():
                         for k, c in vec.items():
-                            _dadd(nxt, pkey + (k,), pc * c)
+                            dadd(nxt, pkey + (k,), pc * c)
                     partial = nxt
                     if not partial:
                         dead = True
                         break
                 if not dead:
                     for key, c in partial.items():
-                        _dadd(out, key, c)
+                        dadd(out, key, c)
         return TensorElement(H, self.arity, out)
 
     def apply_leg(self, leg: int, matrix: ExactMatrix) -> "TensorElement":
@@ -387,7 +392,7 @@ class TensorElement:
             for i in range(H.dim):
                 c = matrix.entries[i][j]
                 if not c.is_zero():
-                    _dadd(out, key[:leg] + (i,) + key[leg + 1:], v * c)
+                    dadd(out, key[:leg] + (i,) + key[leg + 1:], v * c)
         return TensorElement(H, self.arity, out)
 
     def comult_leg(self, leg: int) -> "TensorElement":
@@ -396,7 +401,7 @@ class TensorElement:
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
         for key, v in self.data.items():
             for (a, b), c in H.comult[key[leg]].items():
-                _dadd(out, key[:leg] + (a, b) + key[leg + 1:], v * c)
+                dadd(out, key[:leg] + (a, b) + key[leg + 1:], v * c)
         return TensorElement(H, self.arity + 1, out)
 
     def counit_leg(self, leg: int) -> "TensorElement | AlgebraElement | CyclotomicNumber":
@@ -406,12 +411,12 @@ class TensorElement:
         for key, v in self.data.items():
             e = H.counit[key[leg]]
             if not e.is_zero():
-                _dadd(out, key[:leg] + key[leg + 1:], v * e)
+                dadd(out, key[:leg] + key[leg + 1:], v * e)
         if self.arity == 1:
             return out.get((), H.zero_scalar)
         if self.arity == 2:
             vec = {k[0]: v for k, v in out.items()}
-            return AlgebraElement(H, _dense(vec, H.dim, H.conductor))
+            return AlgebraElement(H, dense(vec, H.dim, H.conductor))
         return TensorElement(H, self.arity - 1, out)
 
     def multiply_legs(self, leg: int) -> "TensorElement | AlgebraElement":
@@ -424,10 +429,10 @@ class TensorElement:
                 continue
             rest = key[:leg] + key[leg + 2:]
             for k, c in vec.items():
-                _dadd(out, rest[:leg] + (k,) + rest[leg:], v * c)
+                dadd(out, rest[:leg] + (k,) + rest[leg:], v * c)
         if self.arity == 2:
             vec1 = {k[0]: v for k, v in out.items()}
-            return AlgebraElement(H, _dense(vec1, H.dim, H.conductor))
+            return AlgebraElement(H, dense(vec1, H.dim, H.conductor))
         return TensorElement(H, self.arity - 1, out)
 
     def swap_legs(self, a: int, b: int) -> "TensorElement":
@@ -435,7 +440,7 @@ class TensorElement:
         for key, v in self.data.items():
             lst = list(key)
             lst[a], lst[b] = lst[b], lst[a]
-            _dadd(out, tuple(lst), v)
+            dadd(out, tuple(lst), v)
         return TensorElement(self.parent, self.arity, out)
 
     def embed(self, arity: int, positions: Sequence[int]) -> "TensorElement":
@@ -452,14 +457,8 @@ class TensorElement:
                 partial = [({**d, p: k}, c * u)
                            for d, c in partial for k, u in unit_support]
             for d, c in partial:
-                _dadd(out, tuple(d[p] for p in range(arity)), c)
+                dadd(out, tuple(d[p] for p in range(arity)), c)
         return TensorElement(H, arity, out)
-
-    def to_element(self) -> AlgebraElement:
-        if self.arity != 1:
-            raise ValueError("not an arity-1 tensor")
-        vec = {k[0]: v for k, v in self.data.items()}
-        return AlgebraElement(self.parent, _dense(vec, self.parent.dim, self.parent.conductor))
 
     def is_zero(self) -> bool:
         return not self.data
@@ -523,7 +522,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
     """
     violations: list[str] = []
     N = H.dim
-    one = _sparse(H.unit)
+    one = sparse(H.unit)
     unit_el = H.unit_element()
 
     def mul_basis(i, j):
@@ -559,9 +558,9 @@ def validate(H: HopfAlgebraData) -> list[str]:
         rhs: dict = {}
         for (a, b), c in H.comult[k].items():
             for (p, q), d in H.comult[a].items():
-                _dadd(lhs, (p, q, b), c * d)
+                dadd(lhs, (p, q, b), c * d)
             for (p, q), d in H.comult[b].items():
-                _dadd(rhs, (a, p, q), c * d)
+                dadd(rhs, (a, p, q), c * d)
         if lhs != rhs:
             violations.append(f"coassociativity fails at basis {k}")
             break
@@ -573,9 +572,9 @@ def validate(H: HopfAlgebraData) -> list[str]:
         for (a, b), c in H.comult[k].items():
             ea, eb = H.counit[a], H.counit[b]
             if not ea.is_zero():
-                _dadd(left, b, c * ea)
+                dadd(left, b, c * ea)
             if not eb.is_zero():
-                _dadd(right, a, c * eb)
+                dadd(right, a, c * eb)
         ek = {k: H.one_scalar}
         if left != ek or right != ek:
             violations.append(f"counit axiom fails at basis {k}")
@@ -613,10 +612,10 @@ def validate(H: HopfAlgebraData) -> list[str]:
         for (a, b), c in H.comult[k].items():
             sa = H.matrix_apply_dict(H.antipode, {a: H.one_scalar})
             for key, v in H.mul_dicts(sa, {b: H.one_scalar}).items():
-                _dadd(left_acc, key, c * v)
+                dadd(left_acc, key, c * v)
             sb = H.matrix_apply_dict(H.antipode, {b: H.one_scalar})
             for key, v in H.mul_dicts({a: H.one_scalar}, sb).items():
-                _dadd(right_acc, key, c * v)
+                dadd(right_acc, key, c * v)
         expected = {kk: H.counit[k] * u for kk, u in one.items()
                     if not (H.counit[k] * u).is_zero()}
         if left_acc != expected or right_acc != expected:
@@ -797,6 +796,18 @@ def element_order(g: AlgebraElement, bound: int | None = None) -> int:
     raise OrderSearchExhausted(f"order of the element exceeds the bound {bound}")
 
 
+def element_minimal_polynomial(a: AlgebraElement) -> ExactPolynomial:
+    """Minimal polynomial of an algebra element, from its power sequence.
+
+    The first linear dependence among 1, a, a^2, ... is the minimal
+    polynomial of a (equivalently of its left-regular matrix, which is
+    faithful in a unital algebra).
+    """
+    H = a.parent
+    powers = accumulate(repeat(a, H.dim), mul, initial=H.unit_element())
+    return first_dependence((p.coeffs for p in powers), H.conductor)
+
+
 @dataclass
 class GrouplikeSet:
     """A verified, multiplicatively closed set of grouplike elements."""
@@ -862,20 +873,20 @@ def subalgebra_closure(H: HopfAlgebraData,
         changed = False
         candidates: list[list[CyclotomicNumber]] = []
         for a in basis:
-            sa = _sparse(a)
+            sa = sparse(a)
             for b in basis:
-                candidates.append(_dense(H.mul_dicts(sa, _sparse(b)), N, H.conductor))
+                candidates.append(dense(H.mul_dicts(sa, sparse(b)), N, H.conductor))
             candidates.append(H.antipode.apply(a))
             pairs = H.comul_dict(sa)
             lefts: dict[int, SparseVec] = {}
             rights: dict[int, SparseVec] = {}
             for (i, j), c in pairs.items():
-                _dadd(lefts.setdefault(j, {}), i, c)
-                _dadd(rights.setdefault(i, {}), j, c)
+                dadd(lefts.setdefault(j, {}), i, c)
+                dadd(rights.setdefault(i, {}), j, c)
             for vec in lefts.values():
-                candidates.append(_dense(vec, N, H.conductor))
+                candidates.append(dense(vec, N, H.conductor))
             for vec in rights.values():
-                candidates.append(_dense(vec, N, H.conductor))
+                candidates.append(dense(vec, N, H.conductor))
         for cand in candidates:
             if insert(cand):
                 changed = True
@@ -890,14 +901,14 @@ def subalgebra_closure(H: HopfAlgebraData,
 
     mult = {}
     for a in range(d):
-        sa = _sparse(basis[a])
+        sa = sparse(basis[a])
         for b in range(d):
-            prod = _dense(H.mul_dicts(sa, _sparse(basis[b])), N, H.conductor)
-            vec = _sparse(coords(prod))
+            prod = dense(H.mul_dicts(sa, sparse(basis[b])), N, H.conductor)
+            vec = sparse(coords(prod))
             if vec:
                 mult[(a, b)] = vec
     unit = coords(list(H.unit))
-    counit = [H.counit_dict(_sparse(v)) for v in basis]
+    counit = [H.counit_dict(sparse(v)) for v in basis]
     antipode_cols = [coords(H.antipode.apply(v)) for v in basis]
     comult = []
     for a in range(d):
@@ -905,12 +916,12 @@ def subalgebra_closure(H: HopfAlgebraData,
         # row i of (c_ij) is sum_s y_is b_s, then each column s of (y_is) is
         # sum_r d_rs b_r; the closure put every row and column in the span
         rows: dict[int, SparseVec] = {}
-        for (i, j), c in H.comul_dict(_sparse(basis[a])).items():
-            _dadd(rows.setdefault(i, {}), j, c)
-        y = {i: coords(_dense(row, N, H.conductor)) for i, row in rows.items()}
+        for (i, j), c in H.comul_dict(sparse(basis[a])).items():
+            dadd(rows.setdefault(i, {}), j, c)
+        y = {i: coords(dense(row, N, H.conductor)) for i, row in rows.items()}
         dd: SparsePairs = {}
         for s in range(d):
-            column = _dense({i: yi[s] for i, yi in y.items()}, N, H.conductor)
+            column = dense({i: yi[s] for i, yi in y.items()}, N, H.conductor)
             for r, c in enumerate(coords(column)):
                 if not c.is_zero():
                     dd[(r, s)] = c

@@ -260,10 +260,6 @@ class SpanSolver:
         self.pivots.append((pos, pvec, pcombo))
         return None
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 def first_dependence(vectors: Iterable[Sequence], conductor: int) -> ExactPolynomial:
     """The monic x^k - sum c_i x^i read off the first v_k = sum c_i v_i.

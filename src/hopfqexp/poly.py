@@ -47,9 +47,6 @@ class ExactPolynomial:
             raise ValueError("zero polynomial has no degree")
         return len(self.coeffs) - 1
 
-    def leading(self) -> CyclotomicNumber:
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

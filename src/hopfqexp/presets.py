@@ -12,10 +12,19 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
-from .hopf import GrouplikeSet, HopfAlgebraData, dual, lift_algebra, tensor
+from .hopf import (
+    GrouplikeSet,
+    HopfAlgebraData,
+    TensorElement,
+    dadd,
+    dense,
+    dual,
+    lift_algebra,
+    tensor,
+)
 from .linalg import ExactMatrix
 from .scalars import CyclotomicNumber
 
@@ -168,7 +177,77 @@ def _prod_root(orders, a, g, conductor):
     return acc
 
 
-# -- Taft family ----------------------------------------------------------------
+# -- presets generated by grouplikes and skew-primitives -------------------------
+
+
+def _from_generators(name: str, conductor: int, labels: list[str], generators: dict,
+                     grouplikes: list[int], grading: list[int]) -> HopfAlgebraData:
+    """A Hopf algebra from the data of its generators.
+
+    Basis element 0 is the unit.  ``generators`` maps the basis index of
+    each generator x to (rmul, Delta(x), epsilon(x), S(x)), where rmul(k)
+    is e_k x as a sparse vector.  Every other basis element must be
+    reached from the unit by exact steps e_k = e_j x; then e_i e_k =
+    (e_i e_j) x, and since Delta and epsilon are algebra maps and S is an
+    anti-algebra map, Delta(e_k) = Delta(e_j) Delta(x), epsilon(e_k) =
+    epsilon(e_j) epsilon(x) and S(e_k) = S(x) S(e_j).
+    """
+    N = len(labels)
+    one = CyclotomicNumber.one(conductor)
+    mult = {(i, 0): {i: one} for i in range(N)}
+    for x, (rmul, _, _, _) in generators.items():
+        for k in range(N):
+            mult[(k, x)] = rmul(k)
+    # Delta, epsilon and S are filled in below, once the product is known
+    H = HopfAlgebraData(
+        name=name, dim=N, conductor=conductor, basis_labels=labels, mult=mult,
+        unit=[1] + [0] * (N - 1), comult=[{}] * N, counit=[0] * N,
+        antipode=ExactMatrix.identity(N, conductor),
+        grouplike_vectors=[[1 if k == g else 0 for k in range(N)] for g in grouplikes],
+        grading=grading,
+    )
+
+    step = {}
+    order = [0]  # breadth-first; the loop visits what it appends
+    for j in order:
+        for x in generators:
+            prod = H.mult.get((j, x), {})
+            if len(prod) == 1:
+                (k, c), = prod.items()
+                if c == one and k not in step and k != 0:
+                    step[k] = (j, x)
+                    order.append(k)
+    if len(order) < N:
+        raise ValueError(f"{name}: some basis element is not reached from the unit "
+                         "by exact generator steps")
+
+    for i in range(N):
+        for k in order[1:]:
+            j, x = step[k]
+            prod = H.mul_dicts(H.mult.get((i, j), {}), {x: one})
+            if prod:
+                H.mult[(i, k)] = prod
+
+    delta = {0: TensorElement(H, 2, {(0, 0): one})}
+    eps = {0: one}
+    anti = {0: {0: one}}
+    gens = {x: (TensorElement(H, 2, dx), H.scalar(ex), {k: H.scalar(v) for k, v in sx.items()})
+            for x, (_, dx, ex, sx) in generators.items()}
+    for k in order[1:]:
+        j, x = step[k]
+        dx, ex, sx = gens[x]
+        delta[k] = delta[j] * dx
+        eps[k] = eps[j] * ex
+        anti[k] = H.mul_dicts(sx, anti[j])
+    H.comult = [delta[k].data for k in range(N)]
+    H.counit = tuple(eps[k] for k in range(N))
+    H.antipode = ExactMatrix.from_columns(
+        [dense(anti[k], N, conductor) for k in range(N)], conductor)
+    return H
+
+
+def _power_label(symbol: str, e: int) -> str:
+    return "" if e == 0 else (symbol if e == 1 else f"{symbol}^{e}")
 
 
 def taft(n: int, name: str | None = None) -> HopfAlgebraData:
@@ -183,105 +262,30 @@ def taft(n: int, name: str | None = None) -> HopfAlgebraData:
     conductor = _root_conductor(n)
     q = _zeta(n)
     one = CyclotomicNumber.one(conductor)
+    g, x, g_inv = n, 1, (n - 1) * n
 
-    def idx(a, b):
-        return a * n + b
+    def rmul_g(k):
+        # g^a x^b g = q^-b g^(a+1) x^b
+        a, b = divmod(k, n)
+        return {(a + 1) % n * n + b: q ** (-b % n)}
 
-    def mono_mul(m1, m2):
-        # (g^a x^b)(g^c x^d) = q^{-bc} g^{a+c} x^{b+d}
-        (a, b), (c, d) = m1, m2
-        if b + d >= n:
-            return None
-        return q ** ((-b * c) % n), ((a + c) % n, b + d)
+    def rmul_x(k):
+        return {k + 1: one} if (k + 1) % n else {}
 
-    def elt_mul(d1, d2):
-        out = {}
-        for m1, c1 in d1.items():
-            for m2, c2 in d2.items():
-                r = mono_mul(m1, m2)
-                if r is None:
-                    continue
-                coeff, m = r
-                cur = out.get(m)
-                v = c1 * c2 * coeff
-                out[m] = v if cur is None else cur + v
-        return {m: c for m, c in out.items() if not c.is_zero()}
-
-    mult = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    r = mono_mul((a, b), (c, d))
-                    if r is not None:
-                        coeff, (e, f) = r
-                        mult[(idx(a, b), idx(c, d))] = {idx(e, f): coeff}
-
-    # Delta(g^a x^b) = (g tensor g)^a (x tensor g + 1 tensor x)^b
-    def tensor_mul(t1, t2):
-        out = {}
-        for (l1, r1), c1 in t1.items():
-            for (l2, r2), c2 in t2.items():
-                rl = mono_mul(l1, l2)
-                rr = mono_mul(r1, r2)
-                if rl is None or rr is None:
-                    continue
-                cl, ml = rl
-                cr, mr = rr
-                key = (ml, mr)
-                v = c1 * c2 * cl * cr
-                cur = out.get(key)
-                out[key] = v if cur is None else cur + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    dx = {((0, 1), (1, 0)): one, ((0, 0), (0, 1)): one}
-    comult = [None] * (n * n)
-    for a in range(n):
-        t = {((a, 0), (a, 0)): one}
-        for b in range(n):
-            comult[idx(a, b)] = {
-                (idx(*ml), idx(*mr)): c for (ml, mr), c in t.items()}
-            t = tensor_mul(t, dx)
-
-    unit = [one if k == 0 else 0 for k in range(n * n)]
-    counit = [one if b == 0 else 0 for a in range(n) for b in range(n)]
-
-    # S(g^a x^b) = (-x g^{-1})^b g^{-a}
-    s_factor = {(((n - 1) % n), 1): -(q ** ((-(n - 1)) % n))}
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            t = {((n - a) % n, 0): one}
-            for _ in range(b):
-                t = elt_mul(s_factor, t)
-            col = [CyclotomicNumber.zero(conductor)] * (n * n)
-            for (e, f), c in t.items():
-                col[idx(e, f)] = c
-            cols.append(col)
-    antipode = ExactMatrix.from_columns(cols, conductor)
-
-    labels = []
-    for a in range(n):
-        for b in range(n):
-            ga = "" if a == 0 else ("g" if a == 1 else f"g^{a}")
-            xb = "" if b == 0 else ("x" if b == 1 else f"x^{b}")
-            labels.append((ga + xb) or "1")
-    grouplikes = [[1 if k == idx(a, 0) else 0 for k in range(n * n)] for a in range(n)]
-    grading = [b for a in range(n) for b in range(n)]
-    return HopfAlgebraData(
-        name=name or f"Taft({n})", dim=n * n, conductor=conductor,
-        basis_labels=labels, mult=mult, unit=unit, comult=comult,
-        counit=counit, antipode=antipode,
-        grouplike_vectors=grouplikes, grading=grading,
-    )
+    generators = {
+        g: (rmul_g, {(g, g): one}, 1, {g_inv: one}),
+        # S(x) = -x g^-1 = -q g^(n-1) x
+        x: (rmul_x, {(x, g): one, (0, x): one}, 0, {g_inv + x: -q}),
+    }
+    labels = [_power_label("g", a) + _power_label("x", b) or "1"
+              for a in range(n) for b in range(n)]
+    return _from_generators(name or f"Taft({n})", conductor, labels, generators,
+                            [a * n for a in range(n)], [b for a in range(n) for b in range(n)])
 
 
 def sweedler() -> HopfAlgebraData:
     """The 4-dimensional Sweedler algebra (the Taft case n = 2)."""
     return taft(2, name="Sweedler")
-
-
-# -- small quantum groups ---------------------------------------------------------
 
 
 def _check_quantum_p(p: int) -> None:
@@ -296,98 +300,25 @@ def uq_borel_sl2(p: int) -> HopfAlgebraData:
     Delta(E) = E tensor K + 1 tensor E.  Basis E^a K^c at index a*p + c.
     """
     _check_quantum_p(p)
-    conductor = p
     q = _zeta(p)
-    one = CyclotomicNumber.one(conductor)
+    one = CyclotomicNumber.one(p)
+    E, K, K_inv = p, 1, p - 1
 
-    def idx(a, c):
-        return a * p + c
+    def rmul_e(k):
+        # E^a K^c E = q^2c E^(a+1) K^c
+        return {k + p: q ** (2 * (k % p) % p)} if k + p < p * p else {}
 
-    def mono_mul(m1, m2):
-        # (E^a K^c)(E^b K^d) = q^{2cb} E^{a+b} K^{c+d}
-        (a, c), (b, d) = m1, m2
-        if a + b >= p:
-            return None
-        return q ** ((2 * c * b) % p), (a + b, (c + d) % p)
+    def rmul_k(k):
+        return {k - k % p + (k + 1) % p: one}
 
-    def elt_mul(d1, d2):
-        out = {}
-        for m1, c1 in d1.items():
-            for m2, c2 in d2.items():
-                r = mono_mul(m1, m2)
-                if r is None:
-                    continue
-                coeff, m = r
-                v = c1 * c2 * coeff
-                cur = out.get(m)
-                out[m] = v if cur is None else cur + v
-        return {m: c for m, c in out.items() if not c.is_zero()}
-
-    mult = {}
-    for a in range(p):
-        for c in range(p):
-            for b in range(p):
-                for d in range(p):
-                    r = mono_mul((a, c), (b, d))
-                    if r is not None:
-                        coeff, (e, f) = r
-                        mult[(idx(a, c), idx(b, d))] = {idx(e, f): coeff}
-
-    def tensor_mul(t1, t2):
-        out = {}
-        for (l1, r1), c1 in t1.items():
-            for (l2, r2), c2 in t2.items():
-                rl = mono_mul(l1, l2)
-                rr = mono_mul(r1, r2)
-                if rl is None or rr is None:
-                    continue
-                cl, ml = rl
-                cr, mr = rr
-                key = (ml, mr)
-                v = c1 * c2 * cl * cr
-                cur = out.get(key)
-                out[key] = v if cur is None else cur + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    de = {((1, 0), (0, 1)): one, ((0, 0), (1, 0)): one}
-    comult = [None] * (p * p)
-    for c in range(p):
-        t = {((0, c), (0, c)): one}
-        for a in range(p):
-            comult[idx(a, c)] = {(idx(*ml), idx(*mr)): v for (ml, mr), v in t.items()}
-            t = tensor_mul(de, t)
-
-    unit = [one if k == 0 else 0 for k in range(p * p)]
-    counit = [one if a == 0 else 0 for a in range(p) for c in range(p)]
-
-    # S(E^a K^c) = K^{-c} (-E K^{-1})^a
-    s_factor = elt_mul({(1, 0): -one}, {(0, p - 1): one})
-    cols = []
-    for a in range(p):
-        for c in range(p):
-            t = {(0, (p - c) % p): one}
-            for _ in range(a):
-                t = elt_mul(t, s_factor)
-            col = [CyclotomicNumber.zero(conductor)] * (p * p)
-            for (e, f), v in t.items():
-                col[idx(e, f)] = v
-            cols.append(col)
-    antipode = ExactMatrix.from_columns(cols, conductor)
-
-    labels = []
-    for a in range(p):
-        for c in range(p):
-            ea = "" if a == 0 else ("E" if a == 1 else f"E^{a}")
-            kc = "" if c == 0 else ("K" if c == 1 else f"K^{c}")
-            labels.append((ea + kc) or "1")
-    grouplikes = [[1 if k == idx(0, c) else 0 for k in range(p * p)] for c in range(p)]
-    grading = [a for a in range(p) for c in range(p)]
-    return HopfAlgebraData(
-        name=f"uq_borel_sl2({p})", dim=p * p, conductor=conductor,
-        basis_labels=labels, mult=mult, unit=unit, comult=comult,
-        counit=counit, antipode=antipode,
-        grouplike_vectors=grouplikes, grading=grading,
-    )
+    generators = {
+        E: (rmul_e, {(E, K): one, (0, E): one}, 0, {E + K_inv: -one}),
+        K: (rmul_k, {(K, K): one}, 1, {K_inv: one}),
+    }
+    labels = [_power_label("E", a) + _power_label("K", c) or "1"
+              for a in range(p) for c in range(p)]
+    return _from_generators(f"uq_borel_sl2({p})", p, labels, generators,
+                            list(range(p)), [a for a in range(p) for c in range(p)])
 
 
 def uq_sl2(p: int) -> HopfAlgebraData:
@@ -399,152 +330,52 @@ def uq_sl2(p: int) -> HopfAlgebraData:
     PBW basis e^a f^b K^c at index (a*p + b)*p + c.
     """
     _check_quantum_p(p)
-    conductor = p
     q = _zeta(p)
-    one = CyclotomicNumber.one(conductor)
-    zero = CyclotomicNumber.zero(conductor)
+    one = CyclotomicNumber.one(p)
     lam = (q - q.inverse()).inverse()
-    N = p * p * p
+    e, f, K, K_inv = p * p, p, 1, p - 1
 
-    def idx(a, b, c):
-        return (a * p + b) * p + c
+    def mono(k):
+        return k // (p * p), k // p % p, k % p
 
-    def norm(d):
-        return {m: v for m, v in d.items() if not v.is_zero()}
+    def rmul_k(k):
+        return {k - k % p + (k + 1) % p: one}
 
-    def dadd(acc, m, v):
-        cur = acc.get(m)
-        acc[m] = v if cur is None else cur + v
+    def rmul_f(k):
+        # e^a f^b K^c f = q^-2c e^a f^(b+1) K^c
+        return {k + p: q ** (-2 * (k % p) % p)} if mono(k)[1] + 1 < p else {}
 
-    def rmul_k(d, times=1):
-        return {(a, b, (c + times) % p): v for (a, b, c), v in d.items()}
+    # f^b e in normal form, by f^b e = (f^(b-1) e) f - lam f^(b-1) K + lam f^(b-1) K^-1
+    fe = [{e: one}]
+    for b in range(1, p):
+        nxt = {}
+        for k, v in fe[-1].items():
+            for m, w in rmul_f(k).items():
+                dadd(nxt, m, v * w)
+        dadd(nxt, (b - 1) * p + K, -lam)
+        dadd(nxt, (b - 1) * p + K_inv, lam)
+        fe.append(nxt)
 
-    def rmul_f(d):
+    def rmul_e(k):
+        # e^a f^b K^c e = q^2c e^a (f^b e) K^c
+        a, b, c = mono(k)
         out = {}
-        for (a, b, c), v in d.items():
-            if b + 1 < p:
-                dadd(out, (a, b + 1, c), v * q ** ((-2 * c) % p))
-        return norm(out)
+        for m, w in fe[b].items():
+            a2, b2, c2 = mono(m)
+            if a + a2 < p:
+                dadd(out, ((a + a2) * p + b2) * p + (c2 + c) % p, q ** (2 * c % p) * w)
+        return out
 
-    # normal form of f^b e, by the recursion
-    # f^b e = (f^{b-1} e) f - lam * f^{b-1} K + lam * f^{b-1} K^{-1}
-    fe_cache: dict[int, dict] = {0: {(1, 0, 0): one}}
-
-    def nf_fe(b):
-        if b not in fe_cache:
-            prev = nf_fe(b - 1)
-            out = dict(rmul_f(prev))
-            dadd(out, (0, b - 1, 1), -lam)
-            dadd(out, (0, b - 1, p - 1), lam)
-            fe_cache[b] = norm(out)
-        return fe_cache[b]
-
-    def rmul_e(d):
-        out = {}
-        for (a, b, c), v in d.items():
-            scale = v * q ** ((2 * c) % p)
-            for (a2, b2, c2), w in nf_fe(b).items():
-                if a + a2 < p:
-                    dadd(out, (a + a2, b2, (c2 + c) % p), scale * w)
-        return norm(out)
-
-    def rmul_mono(d, mono):
-        a, b, c = mono
-        for _ in range(a):
-            d = rmul_e(d)
-        for _ in range(b):
-            d = rmul_f(d)
-        return rmul_k(d, c) if c else d
-
-    monos = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    mult = {}
-    for m1 in monos:
-        base = {m1: one}
-        for m2 in monos:
-            prod = rmul_mono(base, m2)
-            if prod:
-                mult[(idx(*m1), idx(*m2))] = {idx(*m): v for m, v in prod.items()}
-
-    def elt_mul(d1, d2):
-        out = {}
-        for m1, v1 in d1.items():
-            for m2, v2 in d2.items():
-                prod = rmul_mono({m1: v1}, m2)
-                for m, w in prod.items():
-                    dadd(out, m, w * v2)
-        return norm(out)
-
-    def tensor_mul(t1, t2):
-        out = {}
-        for (l1, r1), c1 in t1.items():
-            for (l2, r2), c2 in t2.items():
-                lp = rmul_mono({l1: one}, l2)
-                rp = rmul_mono({r1: one}, r2)
-                for ml, cl in lp.items():
-                    for mr, cr in rp.items():
-                        dadd(out, (ml, mr), c1 * c2 * cl * cr)
-        return norm(out)
-
-    d_e = {((1, 0, 0), (0, 0, 1)): one, ((0, 0, 0), (1, 0, 0)): one}
-    d_f = {((0, 1, 0), (0, 0, 0)): one, ((0, 0, p - 1), (0, 1, 0)): one}
-    de_pows = [{((0, 0, 0), (0, 0, 0)): one}]
-    for _ in range(p - 1):
-        de_pows.append(tensor_mul(de_pows[-1], d_e))
-    df_pows = [{((0, 0, 0), (0, 0, 0)): one}]
-    for _ in range(p - 1):
-        df_pows.append(tensor_mul(df_pows[-1], d_f))
-
-    comult = [None] * N
-    for a in range(p):
-        for b in range(p):
-            t_ab = tensor_mul(de_pows[a], df_pows[b])
-            for c in range(p):
-                t = {((l[0], l[1], (l[2] + c) % p), (r[0], r[1], (r[2] + c) % p)): v
-                     for (l, r), v in t_ab.items()}
-                comult[idx(a, b, c)] = {(idx(*ml), idx(*mr)): v
-                                        for (ml, mr), v in t.items()}
-
-    unit = [one if k == 0 else 0 for k in range(N)]
-    counit = [one if (a, b) == (0, 0) else 0
+    generators = {
+        e: (rmul_e, {(e, K): one, (0, e): one}, 0, {e + K_inv: -one}),
+        # S(f) = -Kf = -q^-2 f K
+        f: (rmul_f, {(f, 0): one, (K_inv, f): one}, 0, {f + K: -(q ** (-2 % p))}),
+        K: (rmul_k, {(K, K): one}, 1, {K_inv: one}),
+    }
+    labels = [_power_label("e", a) + _power_label("f", b) + _power_label("K", c) or "1"
               for a in range(p) for b in range(p) for c in range(p)]
-
-    # S(e^a f^b K^c) = K^{-c} (-Kf)^b (-e K^{-1})^a
-    s_e = norm({(1, 0, p - 1): -one})
-    s_f = norm({(0, 1, 1): -(q ** ((-2) % p))})  # -Kf = -q^{-2} f K
-    cols = []
-    for a in range(p):
-        s_e_pow_a = {(0, 0, 0): one}
-        for _ in range(a):
-            s_e_pow_a = elt_mul(s_e_pow_a, s_e)
-        for b in range(p):
-            t = {(0, 0, 0): one}
-            for _ in range(b):
-                t = elt_mul(t, s_f)
-            t = elt_mul(t, s_e_pow_a)
-            for c in range(p):
-                img = elt_mul({(0, 0, (p - c) % p): one}, t)
-                col = [zero] * N
-                for m, v in img.items():
-                    col[idx(*m)] = v
-                cols.append(col)
-    antipode = ExactMatrix.from_columns(cols, conductor)
-
-    labels = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                ea = "" if a == 0 else ("e" if a == 1 else f"e^{a}")
-                fb = "" if b == 0 else ("f" if b == 1 else f"f^{b}")
-                kc = "" if c == 0 else ("K" if c == 1 else f"K^{c}")
-                labels.append((ea + fb + kc) or "1")
-    grouplikes = [[1 if k == idx(0, 0, c) else 0 for k in range(N)] for c in range(p)]
-    grading = [a - b for a in range(p) for b in range(p) for c in range(p)]
-    return HopfAlgebraData(
-        name=f"uq_sl2({p})", dim=N, conductor=conductor,
-        basis_labels=labels, mult=mult, unit=unit, comult=comult,
-        counit=counit, antipode=antipode,
-        grouplike_vectors=grouplikes, grading=grading,
-    )
+    return _from_generators(f"uq_sl2({p})", p, labels, generators, list(range(p)),
+                            [a - b for a in range(p) for b in range(p) for c in range(p)])
 
 
 def trivial() -> HopfAlgebraData:
@@ -561,7 +392,33 @@ def trivial() -> HopfAlgebraData:
 # -- descriptors and the CLI name grammar --------------------------------------
 
 
+#: the largest dimension a preset may have; larger requests are rejected
+#: before any structure constant is computed
+MAX_PRESET_DIM = 512
+
+
+def _dimension(d: PresetDescriptor) -> int:
+    """The dimension of the preset d describes, without building it."""
+    kind, params = d.kind, d.parameters
+    if kind == "taft":
+        return params["n"] ** 2
+    if kind == "uq_borel_sl2":
+        return params["p"] ** 2
+    if kind == "uq_sl2":
+        return params["p"] ** 3
+    if kind == "tensor":
+        return prod(_dimension(sub) for sub in params["factors"])
+    if "table" in params:
+        return len(params["table"])
+    if "group" in params:
+        return prod(BUILTIN_GROUP_ORDERS.get(params["group"], [6]))  # S3: 6
+    return 4 if kind == "sweedler" else 1
+
+
 def make_preset(d: PresetDescriptor) -> HopfAlgebraData:
+    dim = _dimension(d)
+    if dim > MAX_PRESET_DIM:
+        raise ValueError(f"preset dimension {dim} exceeds the limit {MAX_PRESET_DIM}")
     kind = d.kind
     if kind == "trivial":
         return trivial()

@@ -14,9 +14,7 @@ takes the first dependence among the powers of u in D(H).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 from math import comb
-from operator import mul
 
 from .double import QuasitriangularData, drinfeld_double, drinfeld_element
 from .hopf import (
@@ -25,6 +23,7 @@ from .hopf import (
     OrderSearchExhausted,
     TensorElement,
     TensorSquareElement,
+    element_minimal_polynomial,
     s2_order,
     tensor_unit,
 )
@@ -191,18 +190,6 @@ def quasi_exponent(H: HopfAlgebraData, route: str = "t",
         route=route,
         cross_checked=cross_checked,
     )
-
-
-def element_minimal_polynomial(a: AlgebraElement) -> ExactPolynomial:
-    """Minimal polynomial of an algebra element, from its power sequence.
-
-    The first linear dependence among 1, a, a^2, ... is the minimal
-    polynomial of a (equivalently of its left-regular matrix, which is
-    faithful in a unital algebra).
-    """
-    H = a.parent
-    powers = accumulate(repeat(a, H.dim), mul, initial=H.unit_element())
-    return first_dependence((p.coeffs for p in powers), H.conductor)
 
 
 def is_unipotent_element(a: AlgebraElement) -> bool:

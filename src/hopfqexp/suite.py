@@ -19,7 +19,6 @@ from .double import (
 )
 from .hopf import (
     AlgebraElement,
-    GrouplikeSet,
     dual,
     element_order,
     is_grouplike,
@@ -33,7 +32,6 @@ from .qexp import (
     check_corollary_24,
     is_unipotent_element,
     quasi_exponent,
-    r_n,
     t_map,
     u_min_poly_via_regular,
     u_min_poly_via_t,

@@ -24,7 +24,6 @@ from .hopf import (
     TensorSquareElement,
     is_grouplike,
     lift_algebra,
-    s2_order,
     tensor_unit,
 )
 from .linalg import ExactMatrix, solve_linear_system
@@ -200,15 +199,6 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
 
 
 # -- bicharacter twists on abelian group algebras -----------------------------
-
-
-def _beta_table(orders, beta) -> dict:
-    chars = list(itertools.product(*[range(n) for n in orders]))
-    table = {}
-    for a in chars:
-        for b in chars:
-            table[(a, b)] = beta(a, b)
-    return table
 
 
 def build_bicharacter_element(orders, beta):

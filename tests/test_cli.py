@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopfqexp
 from hopfqexp.cli import main
 from hopfqexp.io import dumps, twist_to_dict, write_algebra
 from hopfqexp.presets import get_preset
@@ -211,3 +216,26 @@ def test_missing_source_exit_2(capsys):
     code, _, err = run(capsys, "qexp")
     assert code == 2
     assert "preset" in err
+
+
+@pytest.mark.parametrize("name", ["taft:1000", "uqsl2:11", "tensor:taft:20,taft:20"])
+def test_preset_over_size_limit_exit_2(capsys, name):
+    code, out, err = run(capsys, "qexp", "--preset", name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the limit 512" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["preset", "--preset", "uqsl2:3", "--format", "json"],
+    ["qexp", "--preset", "taft:4", "--format", "json"],
+])
+def test_stdout_independent_of_hash_seed(argv):
+    src = str(Path(hopfqexp.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "hopfqexp.cli", *argv],
+                              env=env, capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]

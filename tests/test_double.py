@@ -44,11 +44,19 @@ def test_r_inverse_is_two_sided(double_cache):
 
 
 def test_u_inverse(double_cache):
+    for name in ("sweedler", "group:builtin:S3"):
+        qt = double_cache(name)
+        u = drinfeld_element(qt)
+        uinv = u_inverse(qt)
+        one = qt.algebra.unit_element()
+        assert u * uinv == one and uinv * u == one, name
+
+
+def test_s2_conjugation_needs_invertible_u(double_cache):
+    # zero commutes with everything, so only the invertibility check fails
     qt = double_cache("sweedler")
-    u = drinfeld_element(qt)
-    uinv = u_inverse(qt)
-    one = qt.algebra.unit_element()
-    assert u * uinv == one and uinv * u == one
+    zero = qt.algebra.element([0] * qt.algebra.dim)
+    assert not verify_s2_conjugation(qt, zero)
 
 
 def test_u_counit_is_one(double_cache):

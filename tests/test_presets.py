@@ -1,10 +1,15 @@
 """The preset zoo: constructions, relations, and the name grammar."""
 
+import hashlib
+import json
+
 import pytest
 
 from hopfqexp.hopf import validate
+from hopfqexp.io import algebra_to_dict
 from hopfqexp.presets import (
     ZOO,
+    _from_generators,
     get_preset,
     group_algebra_from_table,
     parse_preset_name,
@@ -116,3 +121,40 @@ def test_taft_requires_n_at_least_two():
 
 def test_sweedler_is_taft_2(preset_cache):
     assert preset_cache("sweedler").same_structure(preset_cache("taft:2"))
+
+
+#: sha256 of the JSON document of each generated preset, as the hand-written
+#: builders produced it before the presets were derived from their generators
+PINNED_DIGESTS = {
+    "taft:2": "a485b20a60e179d3a6f942a63eacf560500642d26374bba7fdda32aaf70b1e2f",
+    "taft:3": "8ebe8e342fdb143524b3bea9de8dc35b26fd95e367f5c2938c6ab458baf02779",
+    "taft:4": "8ca7622ca94aadb05d8d950922bbc82fc5d1ddedf84f78d738675384ebe4c539",
+    "taft:5": "e0a78540fcb4b4c9c3e5a2863745b93838f52e93a61faa99eb541e00c0eeee6e",
+    "taft:6": "32bff9bea6bec8d6288cf4ff3a6a5b31cc762de2f27b98c4d5d866a786827c01",
+    "taft:7": "2a2ebdac20999c7662c29168c00169ff30d3e5d3023061102de1e0bcad009ca4",
+    "taft:8": "a11504216cf1f25a3f4e13a8882a83674b663ea5da3e322535d6e6c5c3dfe507",
+    "uqb2:3": "517f7990c735ec0fd28ebfc7e177509ab827cbac3eb1d7060b9bedd550e6ba1f",
+    "uqb2:5": "2ef9cd8c1ca51d6961777f8db146acd2c807759c40ae9e7f6221602409e86a0e",
+    "uqb2:7": "87d5b07ddbb27c22c557f5c3f2127c51c65d825d4be78d0e77429a445c9fc9d8",
+    "uqsl2:3": "a384ed5dd3f0bc5a2112a9ae834e8276c3edc8c943f1b2d6fb858c1fbcfbe7e4",
+    "uqsl2:5": "5ec0dc7a89dff473744470f37b7559c7b9168acf57665fc5e7b95d726379ff27",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_generated_preset_matches_pinned_digest(name):
+    # the sha256 of io.dumps(algebra_to_dict(H)), fed in chunks by the same
+    # encoder, so the 108 MB document of uqsl2:5 is never held as one string
+    digest = hashlib.sha256()
+    for chunk in json.JSONEncoder(indent=2).iterencode(algebra_to_dict(get_preset(name))):
+        digest.update(chunk.encode())
+    digest.update(b"\n")
+    assert digest.hexdigest() == PINNED_DIGESTS[name]
+
+
+def test_from_generators_rejects_unreached_basis():
+    # basis 1, a, b, ab of C[Z2 x Z2] with only a as a generator
+    one = CyclotomicNumber.one(1)
+    generators = {1: (lambda k: {k ^ 1: one}, {(1, 1): one}, 1, {1: one})}
+    with pytest.raises(ValueError):
+        _from_generators("Z2xZ2", 1, ["1", "a", "b", "ab"], generators, [0, 1], [0] * 4)
