@@ -103,7 +103,19 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                 for s, v in rows[l].items():
                     dadd(dest, (s, b), gamma * v)
 
-    # full multiplication: (f_j (x) e_i)(f_l (x) e_m)
+    # every stored coefficient is interned: one object per distinct value.
+    # products is keyed by the identity of its factors, which are interned
+    # values or structure constants of H, all alive until the build ends
+    canon: dict = {}
+    products: dict = {}
+
+    def intern(vec: dict) -> dict:
+        for k, c in vec.items():
+            vec[k] = canon.setdefault((c.num, c.den), c)
+        return vec
+
+    # full multiplication: (f_j (x) e_i)(f_l (x) e_m), with the dual products
+    # left[b] = sum_s v_(s,b) f_j f_s formed once per (i, l, j)
     dm = H.dual_mult
     mult: dict[tuple[int, int], dict[int, object]] = {}
     for i in range(N):
@@ -112,21 +124,28 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
             if not base:
                 continue
             for j in range(N):
+                left: dict[int, dict] = {}
+                for (s, b), v in base.items():
+                    for k1, c1 in dm.get((j, s), {}).items():
+                        dadd(left.setdefault(b, {}), k1, v * c1)
+                for lvec in left.values():
+                    intern(lvec)  # its values become factors in products
                 for m in range(N):
                     out: dict[int, object] = {}
-                    for (s, b), v in base.items():
-                        dvec = dm.get((j, s))
-                        if dvec is None:
-                            continue
+                    for b, lvec in left.items():
                         pvec = H.mult.get((b, m))
                         if pvec is None:
                             continue
-                        for k1, c1 in dvec.items():
-                            vc1 = v * c1
+                        for k1, c1 in lvec.items():
+                            row = k1 * N
                             for k2, c2 in pvec.items():
-                                dadd(out, k1 * N + k2, vc1 * c2)
+                                key = (id(c1), id(c2))
+                                p = products.get(key)
+                                if p is None:
+                                    p = products[key] = c1 * c2
+                                dadd(out, row + k2, p)
                     if out:
-                        mult[(j * N + i, l * N + m)] = out
+                        mult[(j * N + i, l * N + m)] = intern(out)
 
     # coalgebra structure: tensor-product coalgebra of H*cop and H
     comult = []
@@ -142,7 +161,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
             for (b, a), c1 in dual_pairs.items():
                 for (p, q), c2 in H.comult[i].items():
                     dadd(d, (b * N + p, a * N + q), c1 * c2)
-            comult.append(d)
+            comult.append(intern(d))
 
     unit = [H.counit[j] * H.unit[i] for j in range(N) for i in range(N)]
     counit = [H.unit[j] * H.counit[i] for j in range(N) for i in range(N)]
@@ -177,7 +196,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
             for p, c in sparse(H.antipode.column(i)).items():
                 for jj, e in eps_sparse:
                     dadd(hpart, jj * N + p, c * e)
-            img = raw_mul(hpart, fpart)
+            img = intern(raw_mul(hpart, fpart))
             s_cols.append(dense(img, ND, cond))
     antipode = ExactMatrix.from_columns(s_cols, cond)
 

@@ -25,15 +25,23 @@ class SchemaError(ValueError):
 def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorSquareElement | None = None) -> dict:
     n = H.dim
     zero = H.zero_scalar
+    memo: dict[tuple, list[str]] = {}
+
+    def fmt(c) -> list[str]:  # each distinct value is formatted once
+        key = (c.num, c.den)
+        if key not in memo:
+            memo[key] = scalar_to_json(c)
+        return list(memo[key])
+
     mult = []
     for (i, j) in sorted(H.mult):
         vec = H.mult[(i, j)]
-        dense = [scalar_to_json(vec.get(k, zero)) for k in range(n)]
+        dense = [fmt(vec.get(k, zero)) for k in range(n)]
         mult.append([i, j, dense])
     comult = []
     for k in range(n):
         for (i, j) in sorted(H.comult[k]):
-            comult.append([k, i, j, scalar_to_json(H.comult[k][(i, j)])])
+            comult.append([k, i, j, fmt(H.comult[k][(i, j)])])
     doc = {
         "schema": SCHEMA,
         "kind": "hopf-algebra",
@@ -41,19 +49,19 @@ def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorSquareElement | None = N
         "dim": n,
         "conductor": H.conductor,
         "basis_labels": list(H.basis_labels),
-        "unit": [scalar_to_json(v) for v in H.unit],
-        "counit": [scalar_to_json(v) for v in H.counit],
+        "unit": [fmt(v) for v in H.unit],
+        "counit": [fmt(v) for v in H.counit],
         "mult": mult,
         "comult": comult,
-        "antipode": [[scalar_to_json(e) for e in row] for row in H.antipode.entries],
+        "antipode": [[fmt(e) for e in row] for row in H.antipode.entries],
     }
     if H.grouplike_vectors is not None:
-        doc["grouplikes"] = [[scalar_to_json(v) for v in g] for g in H.grouplike_vectors]
+        doc["grouplikes"] = [[fmt(v) for v in g] for g in H.grouplike_vectors]
     if H.grading is not None:
         doc["grading"] = list(H.grading)
     if r_matrix is not None:
         m = r_matrix.coeff_matrix()
-        doc["r_matrix"] = [[scalar_to_json(e) for e in row] for row in m.entries]
+        doc["r_matrix"] = [[fmt(e) for e in row] for row in m.entries]
     return doc
 
 
@@ -74,8 +82,14 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
         name = str(_field(doc, "name"))
         labels = list(_field(doc, "basis_labels"))
 
+        memo: dict[tuple, object] = {}
+
         def sc(data):
-            return scalar_from_json(data, cond)
+            # one object per distinct coordinate list, as in a built double
+            key = tuple(data)
+            if key not in memo:
+                memo[key] = scalar_from_json(data, cond)
+            return memo[key]
 
         unit = [sc(v) for v in _field(doc, "unit")]
         counit = [sc(v) for v in _field(doc, "counit")]
@@ -84,6 +98,8 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
             mult[(int(i), int(j))] = {k: sc(v) for k, v in enumerate(dense)}
         comult = [dict() for _ in range(n)]
         for k, i, j, coeff in _field(doc, "comult"):
+            if not 0 <= int(k) < n:
+                raise IndexError(f"comult index {k} out of range")
             comult[int(k)][(int(i), int(j))] = sc(coeff)
         antipode = ExactMatrix([[sc(e) for e in row]
                                 for row in _field(doc, "antipode")], cond)

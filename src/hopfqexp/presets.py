@@ -81,8 +81,9 @@ def _abelian_data(orders):
 def group_algebra_from_table(table, labels=None, name="C[G]") -> HopfAlgebraData:
     """The Hopf algebra C[G] from a Cayley table (checked to be a group)."""
     n = len(table)
-    if any(len(row) != n for row in table):
-        raise ValueError("Cayley table must be square")
+    if any(not isinstance(row, (list, tuple)) or len(row) != n
+           or not all(type(x) is int and 0 <= x < n for x in row) for row in table):
+        raise ValueError("Cayley table must be square, with entries in range(n)")
     if labels is None:
         labels = [f"g{i}" for i in range(n)]
     ident = next((e for e in range(n)
@@ -465,13 +466,16 @@ def parse_preset_name(name: str) -> PresetDescriptor:
             return PresetDescriptor("group_algebra",
                                     {"group": _builtin_group(rest[len("builtin:"):])})
         payload = json.loads(Path(rest).read_text())
-        if isinstance(payload, dict):
-            return PresetDescriptor("group_algebra", {
-                "table": payload["table"],
-                "labels": payload.get("labels"),
-                "name": payload.get("name", "C[G]"),
-            })
-        return PresetDescriptor("group_algebra", {"table": payload})
+        spec = payload if isinstance(payload, dict) else {"table": payload}
+        if not isinstance(spec.get("table"), list):
+            raise ValueError(f"group file {rest} holds no 'table' list")
+        if spec.get("labels") is not None and not isinstance(spec["labels"], list):
+            raise ValueError(f"the 'labels' of group file {rest} are not a list")
+        return PresetDescriptor("group_algebra", {
+            "table": spec["table"],
+            "labels": spec.get("labels"),
+            "name": spec.get("name", "C[G]"),
+        })
     if name.startswith("dualgroup:"):
         rest = name[len("dualgroup:"):]
         if rest.startswith("builtin:"):

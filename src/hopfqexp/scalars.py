@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Fraction
 
@@ -29,6 +29,7 @@ class ConductorMismatch(ValueError):
     """Raised when two scalars live in different cyclotomic fields."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Euler's totient of a positive integer."""
     if m < 1:
@@ -137,15 +138,6 @@ def _power_vector(m: int, e: int) -> tuple[int, ...]:
     return tuple(_reduce_vector([0] + prev, m, phi))
 
 
-def _vec_gcd(nums: Iterable[int], den: int) -> int:
-    g = den
-    for n in nums:
-        g = gcd(g, n)
-        if g == 1:
-            return 1
-    return g
-
-
 class CyclotomicNumber:
     """An exact element of Q(zeta_m) in canonical power-basis form."""
 
@@ -161,35 +153,30 @@ class CyclotomicNumber:
         den = 1
         for f in fracs:
             den = den * f.denominator // gcd(den, f.denominator)
-        num = tuple(int(f * den) for f in fracs)
-        self.conductor = conductor
-        self.num, self.den = _normalize(num, den)
-
-    @classmethod
-    def _raw(cls, conductor: int, num: tuple[int, ...], den: int) -> "CyclotomicNumber":
-        obj = object.__new__(cls)
-        obj.conductor = conductor
-        obj.num, obj.den = _normalize(num, den)
-        return obj
+        num = [int(f * den) for f in fracs]
+        g = gcd(den, *num)
+        self.conductor, self.num, self.den = conductor, tuple(x // g for x in num), den // g
 
     @classmethod
     def rational(cls, value: RationalLike, conductor: int = 1) -> "CyclotomicNumber":
         f = Fraction(value)
         phi = euler_phi(conductor)
         num = (f.numerator,) + (0,) * (phi - 1)
-        return cls._raw(conductor, num, f.denominator)
+        return _canonical(conductor, num, f.denominator)
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CyclotomicNumber":
-        return cls._raw(m, _power_vector(m, power), 1)
+        return _canonical(m, _power_vector(m, power), 1)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CyclotomicNumber":
-        return cls.rational(0, conductor)
+        """The zero of Q(zeta_conductor), one shared object per conductor."""
+        return _constant(conductor, 0)
 
     @classmethod
     def one(cls, conductor: int = 1) -> "CyclotomicNumber":
-        return cls.rational(1, conductor)
+        """The one of Q(zeta_conductor), one shared object per conductor."""
+        return _constant(conductor, 1)
 
     # -- predicates ------------------------------------------------------
 
@@ -214,11 +201,10 @@ class CyclotomicNumber:
     # -- coercion --------------------------------------------------------
 
     def _coerce(self, other) -> "CyclotomicNumber | None":
+        # an operand of self's own field is taken by the callers' fast paths
         if isinstance(other, CyclotomicNumber):
-            if other.conductor == self.conductor:
-                return other
             if other.is_rational():
-                return CyclotomicNumber._raw(
+                return _canonical(
                     self.conductor,
                     (other.num[0],) + (0,) * (len(self.num) - 1),
                     other.den,
@@ -230,7 +216,7 @@ class CyclotomicNumber:
             )
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return CyclotomicNumber._raw(
+            return _canonical(
                 self.conductor, (f.numerator,) + (0,) * (len(self.num) - 1), f.denominator
             )
         return None
@@ -238,46 +224,55 @@ class CyclotomicNumber:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.conductor != self.conductor:  # self rational, o genuine
-            return o + self
-        a, b = self, o
-        if a.den == b.den:
-            return CyclotomicNumber._raw(
-                a.conductor, tuple(x + y for x, y in zip(a.num, b.num)), a.den
-            )
-        return CyclotomicNumber._raw(
-            a.conductor,
-            tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num)),
-            a.den * b.den,
-        )
+        if type(other) is CyclotomicNumber and other.conductor == self.conductor:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            if o.conductor != self.conductor:  # self rational, o genuine
+                return o + self
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            num = (a[0] + b[0],) if len(a) == 1 else tuple(x + y for x, y in zip(a, b))
+        else:
+            num = ((a[0] * db + b[0] * da,) if len(a) == 1
+                   else tuple(x * db + y * da for x, y in zip(a, b)))
+            da *= db
+        return _canonical(self.conductor, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber._raw(self.conductor, tuple(-x for x in self.num), self.den)
+        return _canonical(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (CyclotomicNumber, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.conductor != self.conductor:
-            return o * self
+        if type(other) is CyclotomicNumber and other.conductor == self.conductor:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            if o.conductor != self.conductor:
+                return o * self
         a, b = self.num, o.num
         phi = len(a)
         if phi == 1:
-            return CyclotomicNumber._raw(self.conductor, (a[0] * b[0],), self.den * o.den)
+            return _canonical(self.conductor, (a[0] * b[0],), self.den * o.den)
+        if not any(b[1:]):  # o rational: scale the coordinates
+            r = b[0]
+            return _canonical(self.conductor, tuple(x * r for x in a), self.den * o.den)
+        if not any(a[1:]):
+            r = a[0]
+            return _canonical(self.conductor, tuple(r * y for y in b), self.den * o.den)
         prod = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
@@ -285,7 +280,7 @@ class CyclotomicNumber:
                     if y:
                         prod[i + j] += x * y
         red = _reduce_vector(prod, self.conductor, phi)
-        return CyclotomicNumber._raw(self.conductor, tuple(red), self.den * o.den)
+        return _canonical(self.conductor, tuple(red), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -293,7 +288,7 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
-            return CyclotomicNumber._raw(
+            return _canonical(
                 self.conductor,
                 (self.den if self.num[0] > 0 else -self.den,) + (0,) * (len(self.num) - 1),
                 abs(self.num[0]),
@@ -309,12 +304,11 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.conductor, inv[:phi])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.conductor != self.conductor:
-            return (o.inverse()) * self
-        return self * o.inverse()
+        if isinstance(other, CyclotomicNumber):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -334,14 +328,13 @@ class CyclotomicNumber:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is CyclotomicNumber:
+            if other.conductor == self.conductor:
+                return self.num == other.num and self.den == other.den
+            return (self.is_rational() and other.is_rational()
+                    and self.as_fraction() == other.as_fraction())
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.as_fraction() == Fraction(other)
-        if isinstance(other, CyclotomicNumber):
-            if self.conductor == other.conductor:
-                return self.num == other.num and self.den == other.den
-            if self.is_rational() and other.is_rational():
-                return self.as_fraction() == other.as_fraction()
-            return False
         return NotImplemented
 
     def __hash__(self):
@@ -355,17 +348,22 @@ class CyclotomicNumber:
         return f"Cyc(m={self.conductor}, {list(self.coeffs)})"
 
 
-def _normalize(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        num, den = tuple(-x for x in num), -den
+def _canonical(conductor: int, num: tuple[int, ...], den: int) -> CyclotomicNumber:
+    # num over a positive den, in lowest terms.
     if den != 1:
-        g = _vec_gcd(num, den)
+        g = gcd(den, *num)
         if g > 1:
             num = tuple(x // g for x in num)
             den //= g
-    return num, den
+    obj = object.__new__(CyclotomicNumber)
+    obj.conductor, obj.num, obj.den = conductor, num, den
+    return obj
+
+
+@lru_cache(maxsize=None)
+def _constant(conductor: int, value: int) -> CyclotomicNumber:
+    # scalars are never mutated, so one object per (conductor, value) is shared
+    return CyclotomicNumber.rational(value, conductor)
 
 
 def _frac_poly_half_egcd(a: list[Fraction], b: list[Fraction]):
@@ -434,7 +432,7 @@ def lift_conductor(a: CyclotomicNumber, target: int) -> CyclotomicNumber:
             for j in range(phi):
                 if vec[j]:
                     acc[j] += c * vec[j]
-    return CyclotomicNumber._raw(target, tuple(acc), a.den)
+    return _canonical(target, tuple(acc), a.den)
 
 
 def as_scalar(value, conductor: int) -> CyclotomicNumber:

@@ -226,9 +226,43 @@ def test_preset_over_size_limit_exit_2(capsys, name):
     assert err.startswith("error:") and "exceeds the limit 512" in err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["mult"].append([7, 0, doc["mult"][0][2]]),
+    lambda doc: doc["mult"][0][2].append(["0"]),
+    lambda doc: doc["comult"].append([0, 9, 0, ["1"]]),
+    lambda doc: doc["comult"].append([-1, 0, 0, ["1"]]),
+], ids=["mult-key", "mult-coordinate", "comult-pair", "comult-index"])
+def test_out_of_range_index_exit_2(capsys, tmp_path, corrupt):
+    path = tmp_path / "bad.json"
+    write_algebra(get_preset("sweedler"), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(dumps(doc))
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("payload", ['{"foo": 1}', '{"table": 3}', '[[0, 1], [1, 5]]',
+                                     '{"table": [[0]], "labels": 5}', '[[0, 1.0], [1.0, 0]]',
+                                     '[[0, true], [true, 0]]', '{"table": [[0]], "labels": null}'])
+def test_malformed_group_file_exit_2(capsys, tmp_path, payload):
+    path = tmp_path / "group.json"
+    path.write_text(payload)
+    code, out, err = run(capsys, "preset", "--preset", f"group:{path}")
+    if payload.endswith("null}"):  # null labels mean the default ones
+        assert code == 0 and out.startswith("C[G]: dim 1")
+        return
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["preset", "--preset", "uqsl2:3", "--format", "json"],
     ["qexp", "--preset", "taft:4", "--format", "json"],
+    ["double", "--preset", "taft:3", "--format", "json"],
 ])
 def test_stdout_independent_of_hash_seed(argv):
     src = str(Path(hopfqexp.__file__).resolve().parent.parent)

@@ -92,3 +92,9 @@ def test_r_normalization(double_cache):
     qt = double_cache("group:builtin:Z3")
     val = qt.R.counit_leg(0).counit()
     assert val == 1
+
+
+def test_double_coefficients_are_interned(double_cache):
+    D = double_cache("taft:3").algebra
+    coeffs = [c for vec in D.mult.values() for c in vec.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))

@@ -1,6 +1,7 @@
 """Exact cyclotomic scalar arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hopfqexp.scalars import (
     ConductorMismatch,
     CyclotomicNumber,
     as_scalar,
+    cyclotomic_int_coeffs,
     euler_phi,
     format_rational,
     lift_conductor,
@@ -101,3 +103,45 @@ def test_inverse_of_one_minus_zeta():
     z = CyclotomicNumber.zeta(5)
     a = CyclotomicNumber.one(5) - z
     assert a * a.inverse() == CyclotomicNumber.one(5)
+
+
+def operands(m):
+    """Elements of Q(zeta_m) with denominators, rationals among them."""
+    phi = euler_phi(m)
+    genuine = st.lists(st.integers(min_value=-20, max_value=20), min_size=phi, max_size=phi)
+    rational = st.integers(min_value=-20, max_value=20).map(lambda c: [c] + [0] * (phi - 1))
+    return st.tuples(st.one_of(genuine, rational), st.sampled_from([1, 1, 2, 3, 12])).map(
+        lambda t: CyclotomicNumber(m, [Fraction(c, t[1]) for c in t[0]]))
+
+
+def reference_product(a, b):
+    """a*b as a Fraction polynomial product reduced mod the cyclotomic polynomial."""
+    cyc = cyclotomic_int_coeffs(a.conductor)
+    phi = len(cyc) - 1
+    prod = [Fraction(0)] * (2 * phi - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, phi - 1, -1):
+        c = prod[k]
+        for i, d in enumerate(cyc):
+            prod[k - phi + i] -= c * d
+    return tuple(prod[:phi])
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([1, 3, 4, 5, 8]).flatmap(lambda m: st.tuples(operands(m), operands(m))))
+def test_arithmetic_matches_polynomial_reference(pair):
+    a, b = pair
+    product, total = a * b, a + b
+    assert product.coeffs == reference_product(a, b)
+    assert total.coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    for r in (product, total, -a):  # canonical: positive denominator coprime to the content
+        assert r.den > 0 and gcd(r.den, *r.num) == 1
+
+
+def test_constants_are_shared():
+    for m in (1, 3, 8):
+        assert CyclotomicNumber.zero(m) is CyclotomicNumber.zero(m)
+        assert CyclotomicNumber.one(m) is CyclotomicNumber.one(m)
+        assert CyclotomicNumber.zero(m).is_zero() and CyclotomicNumber.one(m) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from hopfqexp.hopf import (
     GrouplikeSet,
+    _generators,
     HopfAlgebraData,
     TensorElement,
     dual,
@@ -48,6 +49,47 @@ def test_corrupted_comult_fails_validate():
         basis_labels=H.basis_labels, mult=H.mult, unit=list(H.unit),
         comult=comult, counit=list(H.counit), antipode=H.antipode)
     assert validate(corrupt)
+
+
+def _with_comult(H, comult):
+    return HopfAlgebraData(
+        name=H.name, dim=H.dim, conductor=H.conductor,
+        basis_labels=H.basis_labels, mult=H.mult, unit=list(H.unit),
+        comult=comult, counit=list(H.counit), antipode=H.antipode)
+
+
+def test_multiplicativity_check_is_certified(double_cache, preset_cache):
+    # D(Sweedler): one comult entry of a basis element outside the generating set
+    D = double_cache("sweedler").algebra
+    gens = _generators(D)
+    assert gens is not None and len(gens) < D.dim
+    k = next(k for k in range(1, D.dim) if k not in gens)
+    comult = [dict(d) for d in D.comult]
+    pair, c = next(iter(comult[k].items()))
+    comult[k][pair] = c + c
+    assert validate(_with_comult(D, comult))
+    # C[Z2xZ2] with basis 1, a, b, ab and the coalgebra moved along the
+    # bijection theta: b -> b + 2(1 - a), ab -> ab + 2(a - 1), which fixes
+    # 1 and a and commutes with left multiplication by a.  Coassociativity,
+    # the counit and Delta(1) still hold, and Delta(a y) = Delta(a)Delta(y)
+    # for every y, so only a generating set that reaches b sees the failure.
+    H = preset_cache("group:builtin:Z2xZ2")
+    t = H.scalar(2)
+    rows = [list(r) for r in ExactMatrix.identity(4, 1).entries]
+    rows[0][2], rows[1][2], rows[0][3], rows[1][3] = t, -t, -t, t
+    theta = ExactMatrix(rows, 1)
+    moved = [TensorElement(H, 2, d).apply_leg(0, theta).apply_leg(1, theta)
+             for d in H.comult]
+    back = theta.inverse()
+    comult = []
+    for k in range(4):
+        acc = TensorElement(H, 2, {})
+        for j in range(4):
+            acc = acc + moved[j].scale(back.entries[j][k])
+        comult.append(acc.data)
+    violations = validate(_with_comult(H, comult))
+    assert "comultiplication is not multiplicative at (2,2)" in violations
+    assert not any("coassociativity" in v or "counit" in v for v in violations)
 
 
 def test_dual_validates_and_is_involutive(preset_cache):
