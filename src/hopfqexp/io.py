@@ -157,7 +157,10 @@ def twist_from_dict(doc: dict, algebra: HopfAlgebraData | None = None,
         if isinstance(spec, str):
             from .presets import get_preset
 
-            algebra = get_preset(spec)
+            try:
+                algebra = get_preset(spec)
+            except ValueError as exc:
+                raise SchemaError(str(exc)) from exc
         else:
             algebra = algebra_from_dict(spec)
     cond = algebra.conductor

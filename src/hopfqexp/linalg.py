@@ -172,9 +172,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, conductor={self.conductor})"
 
-    def vectorize(self) -> list[CyclotomicNumber]:
-        return [e for row in self.entries for e in row]
-
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")

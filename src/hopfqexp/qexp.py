@@ -9,6 +9,15 @@ polynomial of u: the cheap default works with the N x N operators
 on H itself (a vanishing combination sum a_i T_i = 0 is equivalent to
 f(u) = 0 for f = sum a_i x^i), and the cross-check builds D(H) and
 takes the first dependence among the powers of u in D(H).
+
+The T-route keeps T_n as sparse columns, built by the recursion
+T_{n+1}(h) = h_1 S^-2(T_n(h_2)), and takes the first dependence g
+among the N-long projections P(T_n) = sum_k (k+1) T_n(e_k).  The
+candidate is certified exactly: if sum g_i T_i = 0 on every column,
+then g(u) = 0, so the minimal polynomial of u divides g, and it cannot
+have a smaller degree than g, because its own relation survives the
+projection; both are monic, so they are equal.  If the check fails,
+the first dependence among the unprojected T_n decides.
 """
 
 from __future__ import annotations
@@ -21,10 +30,14 @@ from .hopf import (
     AlgebraElement,
     HopfAlgebraData,
     OrderSearchExhausted,
+    SparseVec,
     TensorElement,
     TensorSquareElement,
+    dadd,
+    dense,
     element_minimal_polynomial,
     s2_order,
+    sparse,
     tensor_unit,
 )
 from .linalg import ExactMatrix, ExactPolynomial, default_order_bound, first_dependence
@@ -63,62 +76,93 @@ class QexpReport:
 
 
 def t_map(H: HopfAlgebraData, n: int) -> ExactMatrix:
-    """The matrix of T_n; T_0: h -> eps(h) 1, T_1 = Id, and
-    T_{n+1} = m (T_n (x) S^{-2n}) Delta."""
+    """The matrix of T_n = m_n (Id (x) S^-2 (x) ... (x) S^(-2n+2)) Delta_n.
+
+    T_0: h -> eps(h) 1 and T_1 = Id.  A dense view of the sparse columns
+    that `_t_columns` builds with T_{n+1}(h) = h_1 S^-2(T_n(h_2)); the
+    T-route itself never forms this matrix, and certifies its projected
+    dependence on those columns (see `u_min_poly_via_t`).
+    """
+    cols = _t_columns(H, n)
+    return ExactMatrix.from_columns(
+        [dense(col, H.dim, H.conductor) for col in cols], H.conductor)
+
+
+def _apply(cols: list[SparseVec], vec: SparseVec) -> SparseVec:
+    """The sparse vector A vec, for A given by its sparse columns."""
+    out: SparseVec = {}
+    for j, x in vec.items():
+        for i, c in cols[j].items():
+            dadd(out, i, x * c)
+    return out
+
+
+def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
+    """T_n as sparse columns: entry k is T_n(e_k).
+
+    T_{n+1}(h) = h_1 S^-2(T_n(h_2)).  Proof: by coassociativity
+    T_{n+1}(h) = h_1 S^-2(h_2) S^-4(h_3) ... S^-2n(h_{n+1}), and S^-2 is
+    an algebra automorphism, so the factors after h_1 are S^-2 of
+    h_2 S^-2(h_3) ... S^(-2n+2)(h_{n+1}) = T_n(h_2).  Only the columns
+    of S^-2 are needed, never a power S^-2m.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    cache = H._cache.setdefault("t_maps", [])
-    if not cache:
-        t0 = ExactMatrix(
-            [[H.unit[i] * H.counit[k] for k in range(H.dim)] for i in range(H.dim)],
-            H.conductor)
-        cache.append(t0)
+    cache = H._cache.get("t_columns")
+    if cache is None:
+        one = sparse(H.unit)
+        t0 = [{i: v * e for i, v in one.items()} if not e.is_zero() else {}
+              for e in H.counit]
+        sinv = [sparse(H.antipode_inv.column(j)) for j in range(H.dim)]
+        H._cache["sinv2_columns"] = [_apply(sinv, col) for col in sinv]
+        cache = H._cache["t_columns"] = [t0]
+    sinv2 = H._cache["sinv2_columns"]
     while len(cache) <= n:
-        m = len(cache) - 1  # we extend from T_m to T_{m+1}
-        cache.append(_t_next(H, cache[m], m))
+        images = [_apply(sinv2, col) for col in cache[-1]]  # S^-2(T_n(e_b))
+        cols = []
+        for k in range(H.dim):
+            col: SparseVec = {}
+            for (a, b), c in H.comult[k].items():
+                for i, v in H.mul_dicts({a: c}, images[b]).items():
+                    dadd(col, i, v)
+            cols.append(col)
+        cache.append(cols)
     return cache[n]
 
 
-def _sinv2_pow(H: HopfAlgebraData, n: int) -> ExactMatrix:
-    cache = H._cache.setdefault("sinv2_pows", [ExactMatrix.identity(H.dim, H.conductor)])
-    sinv2 = None
-    while len(cache) <= n:
-        if sinv2 is None:
-            sinv2 = H.antipode_inv @ H.antipode_inv
-        cache.append(cache[-1] @ sinv2)
-    return cache[n]
+def _projection(H: HopfAlgebraData) -> SparseVec:
+    """The fixed vector w = sum_k (k+1) e_k; P(T) = T(w) projects T to N entries."""
+    return {k: H.scalar(k + 1) for k in range(H.dim)}
 
 
-def _t_next(H: HopfAlgebraData, t_m: ExactMatrix, m: int) -> ExactMatrix:
-    smat = _sinv2_pow(H, m)
-    cols = []
-    for k in range(H.dim):
-        acc: dict[int, object] = {}
-        for (a, b), c in H.comult[k].items():
-            ta = {i: t_m.entries[i][a] for i in range(H.dim)
-                  if not t_m.entries[i][a].is_zero()}
-            sb = {i: smat.entries[i][b] for i in range(H.dim)
-                  if not smat.entries[i][b].is_zero()}
-            prod = H.mul_dicts(ta, sb)
-            for i, v in prod.items():
-                cur = acc.get(i)
-                acc[i] = v * c if cur is None else cur + v * c
-        col = [H.zero_scalar] * H.dim
-        for i, v in acc.items():
-            if not v.is_zero():
-                col[i] = v
-        cols.append(col)
-    return ExactMatrix.from_columns(cols, H.conductor)
+def _annihilates(H: HopfAlgebraData, g: ExactPolynomial) -> bool:
+    """True iff sum_i g_i T_i = 0, checked on every column."""
+    ts = [_t_columns(H, i) for i in range(g.degree + 1)]
+    coeffs = sparse(g.coeffs)
+    return not any(_apply([t[k] for t in ts], coeffs) for k in range(H.dim))
 
 
 def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
     """Minimal polynomial of u from the first dependence among T_0, T_1, ...
 
-    f(u) = 0 holds exactly when sum a_i T_i = 0 with f = sum a_i x^i, so
-    the first linear dependence is the minimal polynomial of u.
+    f(u) = 0 holds exactly when sum a_i T_i = 0 with f = sum a_i x^i.
+    The first dependence g among the N-long projections P(T_n) =
+    sum_k (k+1) T_n(e_k) is accepted only if sum g_i T_i = 0 on every
+    column.  Then g(u) = 0, so mu_u divides g; and mu_u(u) = 0 projects
+    to a dependence among P(T_0), ..., P(T_d) with d = deg mu_u, so
+    deg g <= deg mu_u.  Both are monic, hence g = mu_u.  If the check
+    fails, the first dependence among the unprojected T_n decides.
     """
-    t_stream = (t_map(H, n).vectorize() for n in range(H.dim * H.dim + 2))
-    return first_dependence(t_stream, H.conductor)
+    N, cond = H.dim, H.conductor
+    length = N * N + 2
+    w = _projection(H)
+    g = first_dependence(
+        (dense(_apply(_t_columns(H, n), w), N, cond) for n in range(length)), cond)
+    if _annihilates(H, g):
+        return g
+    return first_dependence(
+        ([v for col in _t_columns(H, n) for v in dense(col, N, cond)]
+         for n in range(length)), cond)
 
 
 def u_min_poly_via_regular(H: HopfAlgebraData,

@@ -188,6 +188,31 @@ def test_twist_apply(capsys, tmp_path):
     assert doc["dim"] == 4
 
 
+def _identity_j(n=4):
+    return [[["1"] if i == j else ["0"] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("command", ["twist-check", "twist-apply"])
+@pytest.mark.parametrize("payload", [
+    {"algebra": "nosuch", "J": []},
+    {"algebra": "taft:1000", "J": []},
+    {"algebra": 5, "J": []},
+    [{"algebra": "sweedler", "J": _identity_j()}],
+    {"algebra": "sweedler", "J": 3},
+    {"algebra": "sweedler", "J": _identity_j()[:3] + [[["0"]]]},
+    {"algebra": "sweedler", "J": [[None] + row[1:] for row in _identity_j()]},
+    {"algebra": "sweedler", "J": _identity_j(), "J_inv": 3},
+], ids=["unknown-preset", "oversize-preset", "algebra-number", "top-level-list",
+        "J-number", "ragged-J", "null-entry", "J_inv-number"])
+def test_malformed_twist_file_exit_2(capsys, tmp_path, command, payload):
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, "--twist", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_preset_list_and_emit(capsys):
     code, out, _ = run(capsys, "preset")
     assert code == 0 and "taft:3" in out

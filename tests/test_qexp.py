@@ -9,8 +9,9 @@ products take least common multiples.
 
 import pytest
 
+from hopfqexp import qexp as qmod
 from hopfqexp.hopf import OrderSearchExhausted, tensor
-from hopfqexp.linalg import ExactPolynomial
+from hopfqexp.linalg import ExactMatrix, ExactPolynomial
 from hopfqexp.qexp import (
     check_corollary_24,
     element_minimal_polynomial,
@@ -76,6 +77,53 @@ def test_t_map_t1_is_identity(preset_cache):
     assert t_map(preset_cache("taft:3"), 1).is_identity()
 
 
+def _dense_t_maps(H, n_max):
+    """T_0..T_n_max by the defining recursion T_{n+1} = m (T_n (x) S^-2n) Delta."""
+    N, cond = H.dim, H.conductor
+    sinv2 = H.antipode_inv @ H.antipode_inv
+    s_pow = ExactMatrix.identity(N, cond)
+    t = ExactMatrix([[H.unit[i] * H.counit[k] for k in range(N)] for i in range(N)], cond)
+    out = [t]
+    for _ in range(n_max):
+        cols = []
+        for k in range(N):
+            col = H.element([0] * N)
+            for (a, b), c in H.comult[k].items():
+                col = col + (H.element(t.column(a)) * H.element(s_pow.column(b))).scale(c)
+            cols.append(col.coeffs)
+        t = ExactMatrix.from_columns(cols, cond)
+        out.append(t)
+        s_pow = s_pow @ sinv2
+    return out
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft:3", "uqb2:3", "uqsl2:3",
+                                  "group:builtin:S3", "dualgroup:builtin:S3"])
+def test_sparse_t_map_matches_dense_reference(name, preset_cache):
+    H = preset_cache(name)
+    for n, ref in enumerate(_dense_t_maps(H, 4)):
+        assert t_map(H, n) == ref, f"T_{n} of {name}"
+
+
+@pytest.mark.parametrize("name", ["group:builtin:S3", "group:builtin:Z6",
+                                  "dualgroup:builtin:S3",
+                                  "tensor:sweedler,group:builtin:Z3"])
+def test_uncertified_projection_falls_back(name, preset_cache, double_cache, monkeypatch):
+    # all-ones weights give a wrong first dependence on these algebras
+    verdicts = []
+    certify = qmod._annihilates
+
+    def spy(H, g):
+        verdicts.append(certify(H, g))
+        return verdicts[-1]
+
+    monkeypatch.setattr(qmod, "_projection", lambda H: dict.fromkeys(range(H.dim), H.one_scalar))
+    monkeypatch.setattr(qmod, "_annihilates", spy)
+    H = preset_cache(name)
+    assert u_min_poly_via_t(H) == u_min_poly_via_regular(H, double_cache(name))
+    assert verdicts == [False]
+
+
 ROUTE_PRESETS = ["sweedler", "group:builtin:Z2", "group:builtin:Z3",
                  "group:builtin:S3", "taft:3"]
 
@@ -94,8 +142,6 @@ def test_cross_check_flag(preset_cache):
 
 def test_regular_route_envelope(preset_cache):
     # dim 27 squared is within the envelope; a fabricated huge bound is not
-    from hopfqexp import qexp as qmod
-
     H = preset_cache("uqsl2:3")
     old = qmod.REGULAR_ROUTE_ENVELOPE
     qmod.REGULAR_ROUTE_ENVELOPE = 100
