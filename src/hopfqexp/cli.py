@@ -2,8 +2,9 @@
 
 All output is deterministic (no timestamps, no environment echo):
 identical inputs produce byte-identical output.  Exit status: 0 on
-success, 1 when a requested check fails or a search bound is exhausted,
-2 on malformed or axiom-violating input.
+success, 1 when a requested check fails (a theorem's order divisibility
+included, or a --bound cap below the quasi-exponent), 2 on malformed or
+axiom-violating input.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import lcm
 from typing import Callable
 
 from .hopf import GrouplikeSet, HopfAlgebraData, OrderSearchExhausted, element_order
@@ -52,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="twist JSON file")
         if bound:
             p.add_argument("--bound", type=int, default=None,
-                           help="root-of-unity search bound "
-                                "(default: env HOPFQEXP_BOUND or automatic)")
+                           help="cap on the quasi-exponent; orders come from "
+                                "theorems (default: env HOPFQEXP_BOUND, else none)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", metavar="FILE", help="write output here")
         return p
@@ -176,10 +178,11 @@ def _cmd_grouplikes(args) -> int:
         return EXIT_OK
     gset = GrouplikeSet.build(H, H.grouplike_vectors)
     orders = [element_order(g) for g in gset.elements]
+    exponent = lcm(*orders)
     doc = {"schema": SCHEMA, "kind": "grouplike-report", "name": H.name,
-           "count": len(gset), "orders": orders, "exponent": gset.exponent()}
+           "count": len(gset), "orders": orders, "exponent": exponent}
     text = (f"{H.name}: {len(gset)} grouplikes, orders {orders}, "
-            f"exponent {gset.exponent()}\n")
+            f"exponent {exponent}\n")
     _emit(args, lambda: doc, text)
     return EXIT_OK
 

@@ -21,7 +21,8 @@ from .scalars import CyclotomicNumber, as_scalar, lift_conductor
 
 
 class OrderSearchExhausted(RuntimeError):
-    """An order search passed its bound; surfaced, never swallowed."""
+    """An order breaks the theorem that bounds it (Radford, Nichols-Zoeller,
+    Etingof-Gelaki), or passes a caller's cap; surfaced, never swallowed."""
 
 
 SparseVec = dict[int, CyclotomicNumber]
@@ -54,6 +55,15 @@ def dense(vec: SparseVec, n: int, conductor: int) -> list[CyclotomicNumber]:
 def sparse(vec: Sequence[CyclotomicNumber]) -> SparseVec:
     """The nonzero entries of a coefficient list, by index."""
     return {i: v for i, v in enumerate(vec) if not v.is_zero()}
+
+
+def apply_columns(cols: list[SparseVec], vec: SparseVec) -> SparseVec:
+    """The sparse vector A vec, for A given by its sparse columns."""
+    out: SparseVec = {}
+    for j, x in vec.items():
+        for i, c in cols[j].items():
+            dadd(out, i, x * c)
+    return out
 
 
 class HopfAlgebraData:
@@ -176,15 +186,6 @@ class HopfAlgebraData:
                 acc = acc + x * e
         return acc
 
-    def matrix_apply_dict(self, m: ExactMatrix, a: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for j, x in a.items():
-            for i in range(self.dim):
-                c = m.entries[i][j]
-                if not c.is_zero():
-                    dadd(out, i, x * c)
-        return out
-
     # -- cached derived structure ---------------------------------------------
 
     @property
@@ -277,8 +278,6 @@ class AlgebraElement:
                 self.parent, dense(prod, self.parent.dim, self.parent.conductor))
         return self.scale(other)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
             raise ValueError("negative powers are not defined for algebra elements")
@@ -359,12 +358,6 @@ class TensorElement:
         for key, v in other.data.items():
             dadd(out, key, v)
         return TensorElement(self.parent, self.arity, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.parent, self.arity, {k: -v for k, v in self.data.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
 
     def scale(self, c) -> "TensorElement":
         c = self.parent.scalar(c)
@@ -666,15 +659,14 @@ def validate(H: HopfAlgebraData) -> list[str]:
         H.antipode_inv
     except ValueError:
         violations.append("antipode is not invertible")
+    s_cols = [sparse(H.antipode.column(j)) for j in range(N)]
     for k in range(N):
         left_acc: SparseVec = {}
         right_acc: SparseVec = {}
         for (a, b), c in H.comult[k].items():
-            sa = H.matrix_apply_dict(H.antipode, {a: H.one_scalar})
-            for key, v in H.mul_dicts(sa, {b: H.one_scalar}).items():
+            for key, v in H.mul_dicts(s_cols[a], {b: H.one_scalar}).items():
                 dadd(left_acc, key, c * v)
-            sb = H.matrix_apply_dict(H.antipode, {b: H.one_scalar})
-            for key, v in H.mul_dicts({a: H.one_scalar}, sb).items():
+            for key, v in H.mul_dicts({a: H.one_scalar}, s_cols[b]).items():
                 dadd(right_acc, key, c * v)
         expected = {kk: H.counit[k] * u for kk, u in one.items()
                     if not (H.counit[k] * u).is_zero()}
@@ -821,18 +813,27 @@ def tensor(H1: HopfAlgebraData, H2: HopfAlgebraData) -> HopfAlgebraData:
 
 # -- antipode order, grouplikes -----------------------------------------------
 
-def s2_order(H: HopfAlgebraData, bound: int | None = None) -> int:
-    """Smallest k with (S^2)^k = Id."""
-    if bound is None:
-        bound = 4 * H.dim * H.dim + 240
-    s2 = H.s_squared
-    power = s2
-    for k in range(1, bound + 1):
-        if power.is_identity():
+def s2_order(H: HopfAlgebraData) -> int:
+    """Smallest k with (S^2)^k = Id, scanned on the sparse columns of S^2.
+
+    Radford: S^(4 dim H) = Id, so the order divides 2 dim H, and a scan
+    that passes 2 dim H proves H is not a Hopf algebra.  The power just
+    before the identity is S^-2, cached as "sinv2_columns" for the T-route.
+    """
+    if "s2_order" in H._cache:
+        return H._cache["s2_order"]
+    s = [sparse(H.antipode.column(j)) for j in range(H.dim)]
+    s2 = [apply_columns(s, col) for col in s]
+    identity = [{j: H.one_scalar} for j in range(H.dim)]
+    previous, power = identity, s2
+    for k in range(1, 2 * H.dim + 1):
+        if power == identity:
+            H._cache.update(s2_order=k, sinv2_columns=previous)
             return k
-        power = power @ s2
+        previous, power = power, [apply_columns(s2, col) for col in power]
     raise OrderSearchExhausted(
-        f"order of the squared antipode of {H.name} exceeds the bound {bound}")
+        f"(S^2)^k is not the identity on {H.name} for any k <= 2 dim = "
+        f"{2 * H.dim}, against Radford's S^(4 dim H) = Id: not a Hopf algebra")
 
 
 def is_grouplike(g: AlgebraElement) -> bool:
@@ -842,18 +843,22 @@ def is_grouplike(g: AlgebraElement) -> bool:
     return g.comul() == TensorSquareElement.from_elements(g, g)
 
 
-def element_order(g: AlgebraElement, bound: int | None = None) -> int:
-    """Smallest k >= 1 with g^k = 1."""
+def element_order(g: AlgebraElement) -> int:
+    """Smallest k >= 1 with g^k = 1, for a grouplike g.
+
+    Nichols-Zoeller: ord(g) divides |G(H)|, which divides dim H, so a
+    scan that passes dim H proves g is not a grouplike of a Hopf algebra.
+    """
     H = g.parent
-    if bound is None:
-        bound = 4 * H.dim * H.dim + 240
     unit = H.unit_element()
     power = g
-    for k in range(1, bound + 1):
+    for k in range(1, H.dim + 1):
         if power == unit:
             return k
         power = power * g
-    raise OrderSearchExhausted(f"order of the element exceeds the bound {bound}")
+    raise OrderSearchExhausted(
+        f"g^k is not 1 in {H.name} for any k <= dim = {H.dim}, against "
+        "Nichols-Zoeller's ord(g) | dim H: g is not a grouplike")
 
 
 def element_minimal_polynomial(a: AlgebraElement) -> ExactPolynomial:
@@ -891,11 +896,8 @@ class GrouplikeSet:
                 raise ValueError("grouplike set is not closed under inverses")
         return cls(parent, elements)
 
-    def exponent(self, bound: int | None = None) -> int:
-        result = 1
-        for g in self.elements:
-            result = lcm(result, element_order(g, bound))
-        return result
+    def exponent(self) -> int:
+        return lcm(*(element_order(g) for g in self.elements))
 
     def __len__(self):
         return len(self.elements)

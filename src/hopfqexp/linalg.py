@@ -9,7 +9,7 @@ span closures and minimal polynomials all go through it.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .poly import ExactPolynomial, root_of_unity_order  # noqa: F401  (re-exported)
@@ -67,9 +67,6 @@ class ExactMatrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
             self.conductor,
         )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self.entries], self.conductor)
 
     def scale(self, c) -> "ExactMatrix":
         c = as_scalar(c, self.conductor)
@@ -137,13 +134,6 @@ class ExactMatrix:
                     acc = acc + a * v
             out.append(acc)
         return out
-
-    def add_scalar_identity(self, c) -> "ExactMatrix":
-        c = as_scalar(c, self.conductor)
-        out = [list(row) for row in self.entries]
-        for i in range(self.rows):
-            out[i][i] = out[i][i] + c
-        return ExactMatrix(out, self.conductor)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -275,38 +265,14 @@ def first_dependence(vectors: Iterable[Sequence], conductor: int) -> ExactPolyno
 def minimal_polynomial(a: ExactMatrix) -> ExactPolynomial:
     """Monic least-degree polynomial annihilating the square matrix a.
 
-    The lcm of local minimal polynomials over the standard basis
-    vectors; each new vector is first screened by evaluating the current
-    candidate on it, so only genuinely new invariant factors cost a
-    Krylov run.
+    The first dependence among the flattened powers a^0, a^1, ..., a^n.
     """
-    from .poly import poly_gcd
-
     if a.rows != a.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return ExactPolynomial([1], a.conductor)
-    one = CyclotomicNumber.one(a.conductor)
-    zero = CyclotomicNumber.zero(a.conductor)
-    m = ExactPolynomial([1], a.conductor)
-    for j in range(n):
-        v = [one if i == j else zero for i in range(n)]
-        # Horner evaluation of w = m(a) v without forming m(a)
-        w = [zero] * n
-        for c in reversed(m.coeffs):
-            w = a.apply(w)
-            if not c.is_zero():
-                w = [wi + c * vi for wi, vi in zip(w, v)]
-        if all(x.is_zero() for x in w):
-            continue
-        krylov = accumulate(range(n), lambda x, _: a.apply(x), initial=v)
-        local = first_dependence(krylov, a.conductor)
-        g = poly_gcd(m, local)
-        m = (m * local) // g
-        if m.degree == n:
-            break
-    return m.monic()
+    powers = accumulate(repeat(a, a.rows), ExactMatrix.__matmul__,
+                        initial=ExactMatrix.identity(a.rows, a.conductor))
+    return first_dependence(([e for row in p.entries for e in row] for p in powers),
+                            a.conductor)
 
 
 def is_nilpotent(a: ExactMatrix) -> bool:
@@ -316,14 +282,3 @@ def is_nilpotent(a: ExactMatrix) -> bool:
     mp = minimal_polynomial(a)
     return all(c.is_zero() for c in mp.coeffs[:-1])
 
-
-def default_order_bound(f: ExactPolynomial) -> int:
-    """Search bound for root-of-unity orders of the roots of f.
-
-    Any root of f of order d has phi(d) <= deg(f) * phi(conductor), and
-    phi(d) >= sqrt(d/2), so a quadratic bound with slack is safe for the
-    sizes handled here.
-    """
-    from .scalars import euler_phi
-
-    return (max(f.degree, 1) * euler_phi(f.conductor)) ** 2 + 240

@@ -8,9 +8,11 @@ empty coefficient tuple.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt, lcm
 from typing import Sequence
 
-from .scalars import CyclotomicNumber, as_scalar, cyclotomic_int_coeffs
+from .scalars import CyclotomicNumber, as_scalar, cyclotomic_int_coeffs, euler_phi
 
 
 class ExactPolynomial:
@@ -89,8 +91,6 @@ class ExactPolynomial:
             return self._wrap(out)
         return self._wrap([c * other for c in self.coeffs])
 
-    __rmul__ = __mul__
-
     def __divmod__(self, other: "ExactPolynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -133,28 +133,10 @@ class ExactPolynomial:
                 terms.append(f"({c!r})*x^{i}")
         return "ExactPolynomial(" + " + ".join(terms) + ")"
 
-    # -- calculus and evaluation ---------------------------------------------
+    # -- calculus ------------------------------------------------------------
 
     def derivative(self) -> "ExactPolynomial":
         return self._wrap([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, value):
-        """Horner evaluation; works for scalars and for square ExactMatrix."""
-        from .linalg import ExactMatrix
-
-        if isinstance(value, ExactMatrix):
-            acc = ExactMatrix.zeros(value.rows, value.cols, value.conductor)
-            for c in reversed(self.coeffs):
-                acc = value @ acc
-                acc = acc.add_scalar_identity(c)
-            return acc
-        acc = as_scalar(0, self.conductor)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def divides(self, other: "ExactPolynomial") -> bool:
-        return (other % self).is_zero()
 
 
 def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
@@ -181,10 +163,73 @@ def cyclotomic_polynomial(m: int) -> ExactPolynomial:
     return ExactPolynomial([Fraction(c) for c in cyclotomic_int_coeffs(m)], 1)
 
 
-def root_of_unity_order(f: ExactPolynomial, bound: int) -> int | None:
-    """Smallest n <= bound such that f divides x^n - 1, else None.
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % r for r in range(2, isqrt(n) + 1))
 
-    Precondition: f squarefree, monic, nonzero constant term.
+
+@lru_cache(maxsize=None)
+def _prime_and_root(m: int) -> tuple[int, int]:
+    """A prime p = 1 mod m above 2^31 and an element r of order m mod p."""
+    p = (2 ** 31 // m + 1) * m + 1
+    while not _is_prime(p):
+        p += m
+    prime_factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    roots = (pow(a, (p - 1) // m, p) for a in range(2, p))
+    return p, next(r for r in roots if all(pow(r, m // q, p) != 1 for q in prime_factors))
+
+
+def _order_mod_p(f: ExactPolynomial) -> int:
+    """The order of x mod (f, p) if f | x^L - 1 holds mod p, else 0 (see below)."""
+    m, deg = f.conductor, f.degree
+    primes = [q for q in range(2, max(deg + 1, m) + 1) if _is_prime(q)]
+    period = 1
+    for q in primes:
+        power = q
+        while euler_phi(lcm(m, power)) <= deg * euler_phi(m):
+            period, power = period * q, power * q
+    p, r = _prime_and_root(m)
+    fbar = [sum(a * pow(r, i, p) for i, a in enumerate(c.num)) % p for c in f.coeffs]
+    one = [1] + [0] * (deg - 1)
+
+    def mulmod(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (2 * deg + 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        for k in range(2 * deg, deg - 1, -1):
+            c = out[k] % p
+            out[k - deg:k + 1] = [x - c * y for x, y in zip(out[k - deg:k + 1], fbar)]
+        return [x % p for x in out[:deg]]
+
+    def x_power(e: int) -> list[int]:  # x^e mod (f, p), by square-and-multiply
+        result, base = one, mulmod(one, [0, 1])
+        while e:
+            result = mulmod(result, base) if e & 1 else result
+            base, e = mulmod(base, base), e >> 1
+        return result
+
+    if x_power(period) != one:
+        return 0
+    n = period
+    for q in primes:
+        while n % q == 0 and x_power(n // q) == one:
+            n //= q
+    return n
+
+
+def root_of_unity_order(f: ExactPolynomial, bound: int | None = None) -> int | None:
+    """Smallest n such that f divides x^n - 1; None if there is none or n > bound.
+
+    Precondition: nonzero constant term.  An exact scan of x^k mod f finds
+    a small n directly.  Past k = 2 deg f the scan is capped: over
+    Q(zeta_m), m the conductor, a root of order d has degree
+    phi(lcm(m, d)) / phi(m) <= deg f, and phi grows along divisibility,
+    so n exists iff f | x^L - 1 for L = prod p^e_p, e_p the largest e with
+    phi(lcm(m, p^e)) <= deg f * phi(m).  Exact x^L mod f blows up (like
+    |root|^L) for a root off the unit circle, so L is certified mod a prime
+    p = 1 mod m, p prime to L: a monic divisor of x^L - 1 lies over
+    Z[zeta_m], and mod p, where x^L - 1 is separable, its order is still n.
+    The scan stops at that order.
     """
     if f.is_zero() or f.degree < 0:
         raise ValueError("polynomial must be nonzero")
@@ -192,11 +237,15 @@ def root_of_unity_order(f: ExactPolynomial, bound: int) -> int | None:
         raise ValueError("polynomial must have nonzero constant term")
     if f.degree == 0:
         return 1
-    one = ExactPolynomial([1], f.conductor)
-    x = ExactPolynomial.x_power(1, f.conductor)
-    power = one
-    for n in range(1, bound + 1):
-        power = (power * x) % f
-        if power == one:
-            return n
+    f, m = f.monic(), f.conductor
+    if any(c.den != 1 for c in f.coeffs):
+        return None  # roots of unity are algebraic integers
+    unit, x = ExactPolynomial([1], m), ExactPolynomial.x_power(1, m)
+    power, k, limit = unit, 0, 2 * f.degree
+    while k < (limit if bound is None else min(limit, bound)):
+        k, power = k + 1, (power * x) % f
+        if power == unit:
+            return k
+        if k == 2 * f.degree:
+            limit = _order_mod_p(f)
     return None

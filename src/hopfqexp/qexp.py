@@ -33,6 +33,7 @@ from .hopf import (
     SparseVec,
     TensorElement,
     TensorSquareElement,
+    apply_columns,
     dadd,
     dense,
     element_minimal_polynomial,
@@ -40,7 +41,7 @@ from .hopf import (
     sparse,
     tensor_unit,
 )
-from .linalg import ExactMatrix, ExactPolynomial, default_order_bound, first_dependence
+from .linalg import ExactMatrix, ExactPolynomial, first_dependence
 from .poly import root_of_unity_order, squarefree_part
 
 #: largest double dimension the regular route will build
@@ -88,15 +89,6 @@ def t_map(H: HopfAlgebraData, n: int) -> ExactMatrix:
         [dense(col, H.dim, H.conductor) for col in cols], H.conductor)
 
 
-def _apply(cols: list[SparseVec], vec: SparseVec) -> SparseVec:
-    """The sparse vector A vec, for A given by its sparse columns."""
-    out: SparseVec = {}
-    for j, x in vec.items():
-        for i, c in cols[j].items():
-            dadd(out, i, x * c)
-    return out
-
-
 def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
     """T_n as sparse columns: entry k is T_n(e_k).
 
@@ -104,7 +96,8 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
     T_{n+1}(h) = h_1 S^-2(h_2) S^-4(h_3) ... S^-2n(h_{n+1}), and S^-2 is
     an algebra automorphism, so the factors after h_1 are S^-2 of
     h_2 S^-2(h_3) ... S^(-2n+2)(h_{n+1}) = T_n(h_2).  Only the columns
-    of S^-2 are needed, never a power S^-2m.
+    of S^-2 are needed, never a power S^-2m; `s2_order` leaves them in
+    the cache, as the power of S^2 just before the identity.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -113,12 +106,11 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
         one = sparse(H.unit)
         t0 = [{i: v * e for i, v in one.items()} if not e.is_zero() else {}
               for e in H.counit]
-        sinv = [sparse(H.antipode_inv.column(j)) for j in range(H.dim)]
-        H._cache["sinv2_columns"] = [_apply(sinv, col) for col in sinv]
+        s2_order(H)
         cache = H._cache["t_columns"] = [t0]
     sinv2 = H._cache["sinv2_columns"]
     while len(cache) <= n:
-        images = [_apply(sinv2, col) for col in cache[-1]]  # S^-2(T_n(e_b))
+        images = [apply_columns(sinv2, col) for col in cache[-1]]  # S^-2(T_n(e_b))
         cols = []
         for k in range(H.dim):
             col: SparseVec = {}
@@ -139,7 +131,7 @@ def _annihilates(H: HopfAlgebraData, g: ExactPolynomial) -> bool:
     """True iff sum_i g_i T_i = 0, checked on every column."""
     ts = [_t_columns(H, i) for i in range(g.degree + 1)]
     coeffs = sparse(g.coeffs)
-    return not any(_apply([t[k] for t in ts], coeffs) for k in range(H.dim))
+    return not any(apply_columns([t[k] for t in ts], coeffs) for k in range(H.dim))
 
 
 def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
@@ -157,7 +149,7 @@ def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
     length = N * N + 2
     w = _projection(H)
     g = first_dependence(
-        (dense(_apply(_t_columns(H, n), w), N, cond) for n in range(length)), cond)
+        (dense(apply_columns(_t_columns(H, n), w), N, cond) for n in range(length)), cond)
     if _annihilates(H, g):
         return g
     return first_dependence(
@@ -216,12 +208,11 @@ def quasi_exponent(H: HopfAlgebraData, route: str = "t",
                 f"route disagreement for {H.name}: {f!r} vs {other!r}")
         cross_checked = True
     sf = squarefree_part(f)
-    b = bound if bound is not None else default_order_bound(sf)
-    q = root_of_unity_order(sf, b)
+    q = root_of_unity_order(sf, bound)
     if q is None:
+        why = "(Etingof-Gelaki fails)" if bound is None else f"within bound {bound}"
         raise OrderSearchExhausted(
-            f"quasi-exponent of {H.name}: root-of-unity order not found "
-            f"within bound {b}")
+            f"quasi-exponent of {H.name}: root-of-unity order not found {why}")
     exponent: int | str = q if f.monic() == sf else "infinite"
     return QexpReport(
         algebra=H.name,

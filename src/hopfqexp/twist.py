@@ -24,6 +24,7 @@ from .hopf import (
     TensorSquareElement,
     is_grouplike,
     lift_algebra,
+    s2_order,
     tensor_unit,
 )
 from .linalg import ExactMatrix, solve_linear_system
@@ -179,7 +180,7 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not (H.s_squared ** n).is_identity():
+    if n % s2_order(H):
         raise ValueError("S^(2n) is not the identity; "
                          "n must be a multiple of the order of S^2")
     q, q_inv = q_elements(T)

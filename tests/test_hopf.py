@@ -6,6 +6,7 @@ from hopfqexp.hopf import (
     GrouplikeSet,
     _generators,
     HopfAlgebraData,
+    OrderSearchExhausted,
     TensorElement,
     dual,
     element_order,
@@ -18,7 +19,7 @@ from hopfqexp.hopf import (
     variant,
 )
 from hopfqexp.linalg import ExactMatrix
-from hopfqexp.presets import get_preset, sweedler
+from hopfqexp.presets import ZOO, get_preset, preset_grouplikes, sweedler
 
 
 def test_sweedler_validates(preset_cache):
@@ -120,6 +121,40 @@ def test_antipode_order_sweedler(preset_cache):
 
 def test_antipode_involutive_on_group_algebra(preset_cache):
     assert s2_order(preset_cache("group:builtin:S3")) == 1
+
+
+def _dense_order(a):
+    """The least k >= 1 with a^k = Id, by dense matrix powers."""
+    power, k = a, 1
+    while not power.is_identity():
+        power, k = power @ a, k + 1
+    return k
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_orders_match_dense_power_scans(preset_cache, name):
+    H = preset_cache(name)
+    assert s2_order(H) == _dense_order(H.antipode @ H.antipode)
+    if H.grouplike_vectors is not None:
+        for g in preset_grouplikes(H).elements:
+            assert element_order(g) == _dense_order(H.left_mult_matrix(g))
+
+
+def test_order_scans_stop_at_theorem_bounds():
+    # scaling S(x) by 2 makes S^2(x) = -2x: S^2 has infinite order
+    H = sweedler()
+    rows = [list(r) for r in H.antipode.entries]
+    for row in rows:
+        row[1] = row[1] * 2
+    broken = HopfAlgebraData(
+        name=H.name, dim=H.dim, conductor=H.conductor,
+        basis_labels=H.basis_labels, mult=H.mult, unit=list(H.unit),
+        comult=H.comult, counit=list(H.counit),
+        antipode=ExactMatrix(rows, H.conductor))
+    with pytest.raises(OrderSearchExhausted, match="Radford"):
+        s2_order(broken)
+    with pytest.raises(OrderSearchExhausted, match="Nichols-Zoeller"):
+        element_order(H.unit_element().scale(2))
 
 
 def test_grouplikes_of_sweedler(preset_cache):

@@ -1,6 +1,7 @@
 """Exact linear algebra and polynomial utilities."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from hopfqexp.linalg import (
     ExactMatrix,
     SpanSolver,
-    default_order_bound,
     is_nilpotent,
     minimal_polynomial,
     solve_linear_system,
@@ -21,7 +21,7 @@ from hopfqexp.poly import (
     root_of_unity_order,
     squarefree_part,
 )
-from hopfqexp.scalars import CyclotomicNumber, euler_phi
+from hopfqexp.scalars import CyclotomicNumber, cyclotomic_int_coeffs, euler_phi
 
 
 def mat(rows, conductor=1):
@@ -176,8 +176,55 @@ def test_root_of_unity_order_not_found():
     assert root_of_unity_order(poly([-2, 1]), 1000) is None
 
 
-def test_default_order_bound_positive():
-    assert default_order_bound(poly([-1, 0, 1])) > 2
+def _order_factors(m):
+    """(factor, order of its roots): Phi_d for d <= 15 and x - zeta_m^k."""
+    factors = [(ExactPolynomial(cyclotomic_int_coeffs(d), m), d) for d in range(1, 16)]
+    factors += [(ExactPolynomial([-CyclotomicNumber.zeta(m, k), 1], m), m // gcd(m, k))
+                for k in range(m)]
+    return factors
+
+
+def _scan_order(f, limit):
+    """The first n <= limit with x^n = 1 mod f, by brute force."""
+    one = poly([1], f.conductor)
+    x = poly([0, 1], f.conductor)
+    power = one
+    for n in range(1, limit + 1):
+        power = (power * x) % f
+        if power == one:
+            return n
+    return None
+
+
+_order_cases = st.sampled_from([1, 3, 4, 5, 7, 8]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, 14 + m), min_size=1, max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_order_cases, st.sampled_from(["plain", "times x-2", "squared"]))
+def test_root_of_unity_order_matches_scan(case, variant):
+    m, picks = case
+    chosen = [_order_factors(m)[i] for i in picks]
+    product = poly([1], m)
+    for factor, _ in chosen:
+        product = product * factor
+    f = squarefree_part(product)
+    if variant == "plain":
+        limit = lcm(*(order for _, order in chosen))
+        assert root_of_unity_order(f) == _scan_order(f, limit) is not None
+    elif variant == "times x-2":
+        assert root_of_unity_order(f * poly([-2, 1], m)) is None
+    else:
+        assert root_of_unity_order(f * chosen[0][0]) is None
+
+
+def test_root_of_unity_order_bound_caps_the_scan():
+    assert root_of_unity_order(cyclotomic_polynomial(12), 11) is None
+    assert root_of_unity_order(cyclotomic_polynomial(12), 12) == 12
+    # 143 > 2 deg f = 44: found only after the scan is certified mod p
+    f = cyclotomic_polynomial(11) * cyclotomic_polynomial(13)
+    assert root_of_unity_order(f) == 143
+    assert root_of_unity_order(f, 142) is None
 
 
 def test_rational_entries():

@@ -10,8 +10,9 @@ products take least common multiples.
 import pytest
 
 from hopfqexp import qexp as qmod
-from hopfqexp.hopf import OrderSearchExhausted, tensor
+from hopfqexp.hopf import HopfAlgebraData, OrderSearchExhausted, tensor
 from hopfqexp.linalg import ExactMatrix, ExactPolynomial
+from hopfqexp.presets import get_preset
 from hopfqexp.qexp import (
     check_corollary_24,
     element_minimal_polynomial,
@@ -71,6 +72,23 @@ def test_sweedler_t_map_combination(preset_cache):
     assert combo.is_zero()
     # and no shorter relation exists: T0, T1, T2, T3 are independent
     assert not (t_map(H, 0) - t_map(H, 2)).is_zero()
+
+
+@pytest.mark.parametrize("name, conductor, coeffs", [
+    ("taft:3", 3, [1, 0, 0, -2, 0, 0, 1]),
+    ("uqb2:3", 3, [1, 0, 0, -2, 0, 0, 1]),
+    ("uqsl2:3", 3, [-1, 0, 0, 3, 0, 0, -3, 0, 0, 1]),
+    ("group:builtin:S3", 1, [-1, -1, 0, 1, 1]),
+])
+def test_t_route_needs_no_antipode_inverse(monkeypatch, name, conductor, coeffs):
+    # S^-2 comes from the S^2 order scan; a dense inverse of S is never formed
+    H = get_preset(name)
+
+    def refuse(self):
+        raise AssertionError("the T-route inverted the antipode")
+
+    monkeypatch.setattr(HopfAlgebraData, "antipode_inv", property(refuse))
+    assert u_min_poly_via_t(H) == ExactPolynomial(coeffs, conductor)
 
 
 def test_t_map_t1_is_identity(preset_cache):
