@@ -71,22 +71,31 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # a JSON integer: no float, bool or string
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
     if not isinstance(doc, dict):
         raise SchemaError("document is not a JSON object")
     if doc.get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema: {doc.get('schema')!r}")
     try:
-        n = int(_field(doc, "dim"))
-        cond = int(_field(doc, "conductor"))
+        n = _integer(_field(doc, "dim"), "dim")
+        cond = _integer(_field(doc, "conductor"), "conductor")
         name = str(_field(doc, "name"))
         labels = list(_field(doc, "basis_labels"))
+        if len(labels) != n:  # before anything is sized by dim
+            raise SchemaError(f"{len(labels)} basis labels for dim {n}")
 
         memo: dict[tuple, object] = {}
 
         def sc(data):
-            # one object per distinct coordinate list, as in a built double
-            key = tuple(data)
+            # one object per distinct coordinate list, as in a built double;
+            # only a list becomes a tuple key, so no other value hits an entry
+            key = tuple(data) if isinstance(data, list) else data
             if key not in memo:
                 memo[key] = scalar_from_json(data, cond)
             return memo[key]
@@ -95,18 +104,19 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
         counit = [sc(v) for v in _field(doc, "counit")]
         mult = {}
         for i, j, dense in _field(doc, "mult"):
-            mult[(int(i), int(j))] = {k: sc(v) for k, v in enumerate(dense)}
+            mult[(_integer(i, "mult index"), _integer(j, "mult index"))] = \
+                {k: sc(v) for k, v in enumerate(dense)}
         comult = [dict() for _ in range(n)]
         for k, i, j, coeff in _field(doc, "comult"):
-            if not 0 <= int(k) < n:
+            if not 0 <= _integer(k, "comult index") < n:
                 raise IndexError(f"comult index {k} out of range")
-            comult[int(k)][(int(i), int(j))] = sc(coeff)
+            comult[k][(_integer(i, "comult index"), _integer(j, "comult index"))] = sc(coeff)
         antipode = ExactMatrix([[sc(e) for e in row]
                                 for row in _field(doc, "antipode")], cond)
         grouplikes = None
         if "grouplikes" in doc:
             grouplikes = [[sc(v) for v in g] for g in doc["grouplikes"]]
-        grading = [int(d) for d in doc["grading"]] if "grading" in doc else None
+        grading = [_integer(d, "grading") for d in doc["grading"]] if "grading" in doc else None
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

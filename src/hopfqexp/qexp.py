@@ -247,14 +247,11 @@ def r_n(qt: QuasitriangularData, n: int) -> TensorSquareElement:
         raise ValueError("n must be non-negative")
     D = qt.algebra
     cache = qt._cache.setdefault("r_list", [tensor_unit(D)])
-    s2_pows = qt._cache.setdefault(
-        "s2_pows", [ExactMatrix.identity(D.dim, D.conductor)])
     while len(cache) <= n:
-        m = len(cache) - 1
-        while len(s2_pows) <= m:
-            s2_pows.append(s2_pows[-1] @ D.s_squared)
-        nxt = cache[-1] * qt.R.apply_leg(1, s2_pows[m])
-        cache.append(TensorSquareElement(D, nxt.data))
+        # R_(m+1) = R_m P_m with P_m = (Id (x) S^(2m))(R), m = len(cache) - 1
+        p = qt._cache.get("r_leg", qt.R)
+        cache.append(TensorSquareElement(D, (cache[-1] * p).data))
+        qt._cache["r_leg"] = p.apply_leg(1, D.s_squared)
     return cache[n]
 
 

@@ -453,12 +453,20 @@ def format_rational(f: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    """The rational written "p" or "p/q"; a ValueError or TypeError otherwise."""
+    if not isinstance(text, str):
+        raise TypeError(f"a rational is written as a string, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def scalar_to_json(c: CyclotomicNumber) -> list[str]:
     return [format_rational(f) for f in c.coeffs]
 
 
-def scalar_from_json(data: Sequence[str], conductor: int) -> CyclotomicNumber:
+def scalar_from_json(data: list[str], conductor: int) -> CyclotomicNumber:
+    if not isinstance(data, list):
+        raise TypeError(f"a scalar is a list of coordinate strings, got {data!r}")
     return CyclotomicNumber(conductor, [parse_rational(t) for t in data])

@@ -15,19 +15,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .double import QuasitriangularData, drinfeld_double, drinfeld_element
 from .hopf import (
     AlgebraElement,
     HopfAlgebraData,
+    TensorElement,
     TensorSquareElement,
-    is_grouplike,
+    apply_columns,
+    dense,
     lift_algebra,
     s2_order,
+    sparse,
     tensor_unit,
 )
-from .linalg import ExactMatrix, solve_linear_system
+from .linalg import ExactMatrix, SpanSolver, solve_linear_system
 from .presets import abelian_group_algebra, _root_conductor, _zeta, sweedler
 from .scalars import CyclotomicNumber, as_scalar
 
@@ -39,28 +43,22 @@ class TwistData:
     J_inv: TensorSquareElement
 
 
+def _coordinates(t: TensorElement) -> list[CyclotomicNumber]:
+    """The dense coordinates of a tensor element, keys in lexicographic order."""
+    zero = t.parent.zero_scalar
+    return [t.data.get(k, zero) for k in itertools.product(range(t.parent.dim), repeat=t.arity)]
+
+
 def invert_in_tensor_square(H: HopfAlgebraData,
                             J: TensorSquareElement) -> TensorSquareElement | None:
     """Two-sided inverse of J in the algebra H (x) H, by an exact linear solve."""
-    N = H.dim
-    cols = []
-    for p in range(N):
-        for q in range(N):
-            col = J * TensorSquareElement(H, {(p, q): H.one_scalar})
-            dense = [H.zero_scalar] * (N * N)
-            for (i, j), v in col.data.items():
-                dense[i * N + j] = v
-            cols.append(dense)
-    m = ExactMatrix.from_columns(cols, H.conductor)
+    keys = list(itertools.product(range(H.dim), repeat=2))
+    cols = [_coordinates(J * TensorSquareElement(H, {k: 1})) for k in keys]
     unit = tensor_unit(H)
-    rhs = [H.zero_scalar] * (N * N)
-    for (i, j), v in unit.data.items():
-        rhs[i * N + j] = v
-    x = solve_linear_system(m, rhs)
+    x = solve_linear_system(ExactMatrix.from_columns(cols, H.conductor), _coordinates(unit))
     if x is None:
         return None
-    cand = TensorSquareElement(
-        H, {(k // N, k % N): v for k, v in enumerate(x) if not v.is_zero()})
+    cand = TensorSquareElement(H, dict(zip(keys, x)))
     if cand * J != unit or J * cand != unit:
         return None
     return cand
@@ -113,17 +111,15 @@ def q_elements(T: TwistData) -> tuple[AlgebraElement, AlgebraElement]:
 def twist_hopf(T: TwistData) -> HopfAlgebraData:
     """The twisted Hopf algebra H^J."""
     H = T.parent
-    q, q_inv = q_elements(T)
+    q, q_inv = (sparse(x.coeffs) for x in q_elements(T))
     comult = []
     for k in range(H.dim):
         d = T.J_inv * H.basis_element(k).comul() * T.J
         comult.append(d.data)
-    lq = H.left_mult_matrix(q)
-    # x -> Q^-1 S(x) Q as a matrix: right multiplication by Q after left by Q^-1
-    rq_cols = [list((H.basis_element(k) * q).coeffs) for k in range(H.dim)]
-    rq = ExactMatrix.from_columns(rq_cols, H.conductor)
-    lq_inv = H.left_mult_matrix(q_inv)
-    antipode = lq_inv @ rq @ H.antipode
+    # antipode column k is Q^-1 S(e_k) Q
+    antipode = ExactMatrix.from_columns(
+        [dense(H.mul_dicts(q_inv, H.mul_dicts(sparse(H.antipode.column(k)), q)),
+               H.dim, H.conductor) for k in range(H.dim)], H.conductor)
     return HopfAlgebraData(
         name=f"{H.name}^J", dim=H.dim, conductor=H.conductor,
         basis_labels=list(H.basis_labels),
@@ -176,7 +172,9 @@ def twisted_drinfeld_element(H: HopfAlgebraData, T: TwistData,
 def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraElement:
     """g = S^(2n-1)(Q^-1) S^(2n-2)(Q) ... S(Q^-1) Q, verified grouplike in H^J.
 
-    Requires S^(2n) = Id on H (n a multiple of the order of S^2).
+    Requires S^(2n) = Id on H (n a multiple of the order of S^2).  The
+    element is returned in H, which has the same algebra as H^J; it is
+    certified by counit(g) = 1 and J^-1 Delta(g) J = g (x) g.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -184,19 +182,16 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
         raise ValueError("S^(2n) is not the identity; "
                          "n must be a multiple of the order of S^2")
     q, q_inv = q_elements(T)
-    s_pows = [ExactMatrix.identity(H.dim, H.conductor)]
-    for _ in range(2 * n - 1):
-        s_pows.append(s_pows[-1] @ H.antipode)
-    g = H.unit_element()
-    for k in range(2 * n - 1, -1, -1):
-        factor = q_inv if k % 2 == 1 else q
-        g = g * AlgebraElement(H, s_pows[k].apply(list(factor.coeffs)))
-    hj = twist_hopf(T)
-    g_in_hj = AlgebraElement(hj, list(g.coeffs))
-    if not is_grouplike(g_in_hj):
+    s = [sparse(H.antipode.column(j)) for j in range(H.dim)]
+    # factors[k] = S^k(Q) for even k, S^k(Q^-1) for odd k
+    factors = [sparse(q.coeffs), apply_columns(s, sparse(q_inv.coeffs))]
+    while len(factors) < 2 * n:
+        factors.append(apply_columns(s, apply_columns(s, factors[-2])))
+    g = AlgebraElement(H, dense(reduce(H.mul_dicts, reversed(factors)), H.dim, H.conductor))
+    if g.counit() != 1 or T.J_inv * g.comul() * T.J != TensorSquareElement.from_elements(g, g):
         raise ValueError("the alternating product is not grouplike in H^J; "
                          "this signals a convention error")
-    return g_in_hj
+    return g
 
 
 # -- bicharacter twists on abelian group algebras -----------------------------
@@ -286,96 +281,80 @@ def cyclic_grouplike_twist(H: HopfAlgebraData, g: AlgebraElement, p: int,
 
 # -- the Sweedler ansatz family ---------------------------------------------------
 
+# basis indices of the Sweedler algebra: 0 = 1, 1 = x, 2 = g, 3 = gx
+_SWEEDLER_SLOTS = {"a": (1, 1), "b": (1, 3), "c": (3, 1), "d": (3, 3)}
 
-def sweedler_ansatz_solution():
+
+def _ansatz_defect(H: HopfAlgebraData, slots, t) -> list[CyclotomicNumber]:
+    """E(t) for J = 1 (x) 1 + sum t_i e_slot_i: the coordinates of the cocycle
+    defect (Delta (x) Id)(J)(J (x) 1) - (Id (x) Delta)(J)(1 (x) J), then
+    those of the two counit-leg defects."""
+    J = tensor_unit(H) + TensorSquareElement(H, dict(zip(slots, t)))
+    rhs = J.comult_leg(1) * J.embed(3, [1, 2])
+    cocycle = J.comult_leg(0) * J.embed(3, [0, 1]) + rhs.scale(-1)
+    one = H.unit_element()
+    return _coordinates(cocycle) + [c for leg in (0, 1) for c in (J.counit_leg(leg) - one).coeffs]
+
+
+def _ansatz_solution(H: HopfAlgebraData, slots) -> dict[int, CyclotomicNumber]:
+    """Solve E(t) = 0 for the ansatz J = 1 (x) 1 + sum t_i e_slot_i exactly.
+
+    E has degree at most 2 in t (the cocycle defect multiplies two factors
+    affine in t), and its second differences E(e_i + e_j) - E(e_i) - E(e_j)
+    + E(0), i <= j, are the coefficients of its quadratic part: unless all
+    vanish, an AssertionError is raised.  Then E(t) = E(0) + sum t_i L_i
+    with L_i = E(e_i) - E(0), solved by one SpanSolver pass.  The free
+    unknowns are the dependent columns; the result maps each other
+    unknown's index to its value.
+    """
+    n = len(slots)
+
+    def at(*ones):
+        return _ansatz_defect(H, slots, [ones.count(k) for k in range(n)])
+
+    e0 = at()
+    e1 = [at(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            second = (w - x - y + z for w, x, y, z in zip(at(i, j), e1[i], e1[j], e0))
+            if any(not c.is_zero() for c in second):
+                raise AssertionError(
+                    f"the ansatz equations are not linear: the quadratic part "
+                    f"at slots {slots[i]}, {slots[j]} is nonzero")
+    solver = SpanSolver(H.conductor)
+    determined = []
+    for i in range(n):
+        relation = solver.insert([x - z for x, z in zip(e1[i], e0)])
+        if relation is None:
+            determined.append(i)
+        elif any(not c.is_zero() for c in relation):
+            raise AssertionError(f"unknown {i} is free but moves the others")
+    values = solver.express([-z for z in e0])
+    if values is None:
+        raise AssertionError("the ansatz equations have no solution")
+    return dict(zip(determined, values))
+
+
+def sweedler_ansatz_solution() -> dict[str, Fraction]:
     """Solve the twist equations for J = 1(x)1 + a x(x)x + b x(x)gx + c gx(x)x
     + d gx(x)gx on the Sweedler algebra, exactly, with no assumed formula.
 
-    Returns (solution dict mapping symbol name -> solved value or None if
-    free).  The cocycle and counit equations are assembled over the
-    rational structure constants and solved symbolically.
+    Returns a dict mapping each determined unknown's name to its value;
+    the free unknowns are absent.  The equations are certified linear
+    (every product of two ansatz terms meets x^2 = 0) and solved over
+    the rational structure constants by `_ansatz_solution`.
     """
-    import sympy
-
-    H = sweedler()
-    a, b, c, d = sympy.symbols("a b c d")
-    # basis indices: 0 = 1, 1 = x, 2 = g, 3 = gx
-    coeffs = {(1, 1): a, (1, 3): b, (3, 1): c, (3, 3): d}
-
-    def frac(x):
-        return sympy.Rational(x.as_fraction())
-
-    mult = {pair: {k: frac(v) for k, v in vec.items()} for pair, vec in H.mult.items()}
-    comult = [{pq: frac(v) for pq, v in dd.items()} for dd in H.comult]
-    counit = [frac(v) for v in H.counit]
-
-    jterms = {(0, 0): sympy.Integer(1), **coeffs}
-
-    def tensor3_mul(t1, t2):
-        out = {}
-        for k1, c1 in t1.items():
-            for k2, c2 in t2.items():
-                parts = [(sympy.Integer(1), ())]
-                dead = False
-                for leg in range(3):
-                    vec = mult.get((k1[leg], k2[leg]))
-                    if not vec:
-                        dead = True
-                        break
-                    parts = [(pc * mc, pk + (mk,))
-                             for pc, pk in parts for mk, mc in vec.items()]
-                if dead:
-                    continue
-                for pc, pk in parts:
-                    out[pk] = out.get(pk, 0) + c1 * c2 * pc
-        return out
-
-    def comult_leg(t, leg):
-        out = {}
-        for key, cval in t.items():
-            for (p, q), m in comult[key[leg]].items():
-                nk = key[:leg] + (p, q) + key[leg + 1:]
-                out[nk] = out.get(nk, 0) + cval * m
-        return out
-
-    j1 = {k + (0,): v for k, v in jterms.items()}   # J (x) 1
-    j3 = {(0,) + k: v for k, v in jterms.items()}   # 1 (x) J
-    lhs = tensor3_mul(comult_leg(jterms, 0), j1)
-    rhs = tensor3_mul(comult_leg(jterms, 1), j3)
-    eqs = []
-    keys = set(lhs) | set(rhs)
-    for k in keys:
-        eqs.append(sympy.expand(lhs.get(k, 0) - rhs.get(k, 0)))
-    for leg in (0, 1):
-        img = {}
-        for (i, j), v in jterms.items():
-            key = (i, j)[1 - leg]
-            img[key] = img.get(key, 0) + v * counit[(i, j)[leg]]
-        for k, v in img.items():
-            target = 1 if k == 0 else 0
-            eqs.append(sympy.expand(v - target))
-    sols = sympy.solve([e for e in eqs if e != 0], [a, b, c, d], dict=True)
-    if len(sols) != 1:
-        raise AssertionError(f"expected a single solution family, got {sols}")
-    return sols[0]
+    sol = _ansatz_solution(sweedler(), list(_SWEEDLER_SLOTS.values()))
+    return {name: sol[i].as_fraction()
+            for i, name in enumerate(_SWEEDLER_SLOTS) if i in sol}
 
 
 def sweedler_ansatz_twists(samples=(1, -2, Fraction(3, 5))) -> list[TwistData]:
     """Verified Sweedler twists from the solved ansatz, at rational samples."""
-    import sympy
-
     sol = sweedler_ansatz_solution()
     H = sweedler()
-    a, b, c, d = sympy.symbols("a b c d")
-    free = [s for s in (a, b, c, d) if s not in sol]
     twists = []
     for val in samples:
-        subs = {s: sympy.Rational(Fraction(val)) for s in free}
-        data = {(0, 0): H.one_scalar}
-        for (i, j), sym in (((1, 1), a), ((1, 3), b), ((3, 1), c), ((3, 3), d)):
-            expr = sympy.Rational((sol[sym] if sym in sol else sym).subs(subs))
-            v = Fraction(int(expr.p), int(expr.q))
-            if v != 0:
-                data[(i, j)] = H.scalar(v)
-        twists.append(make_twist(H, TensorSquareElement(H, data)))
+        data = {slot: sol.get(name, Fraction(val)) for name, slot in _SWEEDLER_SLOTS.items()}
+        twists.append(make_twist(H, TensorSquareElement(H, {(0, 0): 1, **data})))
     return twists

@@ -1,4 +1,5 @@
-"""Source hygiene: every import in src/hopfqexp is used.
+"""Source hygiene: every import in src/hopfqexp is used, and each one is
+from the standard library or hopfqexp itself.
 
 A standard-library AST scan.  A name counts as used when the module
 reads it, names it in a quoted annotation, or lists it in ``__all__``;
@@ -6,6 +7,7 @@ an import line marked ``# noqa: F401`` is a deliberate re-export.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,24 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """Imports, function-local ones included, from outside the standard library."""
+    allowed = set(sys.stdlib_module_names) | {"hopfqexp"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:  # relative imports stay inside hopfqexp
+            continue
+        found += [f"{path.name}:{node.lineno}: {m}" for m in modules
+                  if m.split(".")[0] not in allowed]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_stdlib_only(path):
+    assert foreign_imports(path) == []

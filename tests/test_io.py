@@ -49,14 +49,14 @@ def test_missing_field_rejected(preset_cache):
 
 def test_tampered_comult_rejected_with_named_axiom(preset_cache):
     doc = json.loads(dumps(algebra_to_dict(preset_cache("sweedler"))))
-    doc["comult"][0][3] = "2"  # break a coproduct coefficient
+    doc["comult"][0][3] = ["2"]  # break a coproduct coefficient
     with pytest.raises(SchemaError, match="axiom"):
         algebra_from_dict(doc)
 
 
 def test_tampered_grouplike_rejected(preset_cache):
     doc = algebra_to_dict(preset_cache("group:builtin:Z2"))
-    doc["grouplikes"] = [["1", "1"]]  # 1 + g is not grouplike
+    doc["grouplikes"] = [[["1"], ["1"]]]  # 1 + g is not grouplike
     with pytest.raises(SchemaError, match="grouplike"):
         algebra_from_dict(doc)
 

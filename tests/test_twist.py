@@ -1,5 +1,6 @@
 """Drinfeld twists: axioms, twisted structures, and invariance."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hopfqexp.hopf import element_order, is_grouplike, s2_order, validate
 from hopfqexp.qexp import quasi_exponent
 from hopfqexp.scalars import CyclotomicNumber
 from hopfqexp.twist import (
+    _ansatz_solution,
     bicharacter_twist,
     build_bicharacter_element,
     cyclic_grouplike_twist,
@@ -107,6 +109,19 @@ def test_sweedler_ansatz_family():
     # span have a = c = d = 0 with b free
     sol = sweedler_ansatz_solution()
     assert {str(k): v for k, v in sol.items()} == {"a": 0, "c": 0, "d": 0}
+
+
+def test_sweedler_ansatz_rejects_a_quadratic_system(preset_cache):
+    # with g (x) g in the ansatz, the cocycle defect gains the quadratic
+    # term t^2 (1 (x) 1 (x) g - g (x) 1 (x) 1), so the linear solve must not run
+    slots = [(1, 1), (1, 3), (3, 1), (3, 3), (2, 2)]
+    with pytest.raises(AssertionError, match="not linear"):
+        _ansatz_solution(preset_cache("sweedler"), slots)
+
+
+def test_sweedler_ansatz_needs_no_sympy():
+    sweedler_ansatz_twists()
+    assert "sympy" not in sys.modules
 
 
 def test_sweedler_ansatz_twists_verify(report_cache):
