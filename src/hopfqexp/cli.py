@@ -133,8 +133,11 @@ def _cmd_validate(args) -> int:
 
 def _qexp_report(args):
     H = _load_algebra(args)
-    return quasi_exponent(H, cross_check=getattr(args, "cross_check", False),
-                          bound=_resolve_bound(args))
+    bound = _resolve_bound(args)
+    try:  # --cross-check past the regular route's envelope
+        return quasi_exponent(H, cross_check=getattr(args, "cross_check", False), bound=bound)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _cmd_qexp(args) -> int:

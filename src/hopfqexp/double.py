@@ -23,7 +23,6 @@ from .hopf import (
     dadd,
     dense,
     element_minimal_polynomial,
-    sparse,
     tensor_unit,
 )
 from .linalg import ExactMatrix
@@ -63,8 +62,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     ND = N * N
     cond = H.conductor
     one = H.one_scalar
-    sinv = H.antipode_inv
-    sinv_cols = [sparse(sinv.column(c)) for c in range(N)]
+    sinv_cols = H.antipode_inv
 
     # Delta3(e_i): triples (a, b, c) -> coeff
     delta3 = []
@@ -179,26 +177,21 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                     dadd(out, k, xy * c)
         return out
 
-    s_cols = []
     eps_sparse = [(j, e) for j, e in enumerate(H.counit) if not e.is_zero()]
     unit_sparse = [(i, u) for i, u in enumerate(H.unit) if not u.is_zero()]
-    for j in range(N):
-        # (Sinv)^T f_j has f_l coefficient Sinv[j][l]
-        fpart: dict[int, object] = {}
-        for l in range(N):
-            c = sinv.entries[j][l]
-            if c.is_zero():
-                continue
+    # fparts[j] = (Sinv)^T f_j (x) 1, where (Sinv)^T f_j has f_l coefficient
+    # Sinv[j][l]; hparts[i] = eps (x) S(e_i)
+    fparts: list[dict[int, object]] = [{} for _ in range(N)]
+    for l, col in enumerate(sinv_cols):
+        for j, c in col.items():
             for i, u in unit_sparse:
-                dadd(fpart, l * N + i, c * u)
-        for i in range(N):
-            hpart: dict[int, object] = {}
-            for p, c in sparse(H.antipode.column(i)).items():
-                for jj, e in eps_sparse:
-                    dadd(hpart, jj * N + p, c * e)
-            img = intern(raw_mul(hpart, fpart))
-            s_cols.append(dense(img, ND, cond))
-    antipode = ExactMatrix.from_columns(s_cols, cond)
+                dadd(fparts[j], l * N + i, c * u)
+    hparts: list[dict[int, object]] = [{} for _ in range(N)]
+    for i, col in enumerate(H.antipode):
+        for p, c in col.items():
+            for jj, e in eps_sparse:
+                dadd(hparts[i], jj * N + p, c * e)
+    antipode = [intern(raw_mul(hpart, fpart)) for fpart in fparts for hpart in hparts]
 
     D = HopfAlgebraData(
         name=f"D({H.name})", dim=ND, conductor=cond,
@@ -293,7 +286,7 @@ def verify_s2_conjugation(qt: QuasitriangularData,
         return False
     for b in range(D.dim):
         eb = D.basis_element(b)
-        s2b = AlgebraElement(D, D.s_squared.apply(list(eb.coeffs)))
+        s2b = AlgebraElement(D, dense(D.s2_columns[b], D.dim, D.conductor))
         if s2b * u != u * eb:
             return False
     return True

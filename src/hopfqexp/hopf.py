@@ -3,9 +3,11 @@
 An algebra of dimension N over Q(zeta_m) is described by sparse
 structure tensors: ``mult[(i, j)]`` is the product of basis elements i
 and j as a sparse coefficient dict, ``comult[k]`` maps basis pairs to
-the coefficients of Delta(e_k), and the antipode is an exact N x N
-matrix.  `validate` checks every Hopf axiom exactly (multiplicativity
-on a certified generating set); nothing here is trusted without it.
+the coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j) as a
+sparse coefficient dict.  S^2, S^-2 and S^-1 all come from the one
+Radford scan of `s2_order`.  `validate` checks every Hopf axiom exactly
+(multiplicativity on a certified generating set); nothing here is
+trusted without it.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class HopfAlgebraData:
                  basis_labels: Sequence[str],
                  mult: Mapping[tuple[int, int], Mapping[int, object]],
                  unit: Sequence, comult: Sequence[Mapping[tuple[int, int], object]],
-                 counit: Sequence, antipode: ExactMatrix,
+                 counit: Sequence, antipode: Sequence[Mapping[int, object]],
                  grouplike_vectors: Sequence[Sequence] | None = None,
                  grading: Sequence[int] | None = None):
         if dim < 1:
@@ -88,26 +90,30 @@ class HopfAlgebraData:
             raise ValueError("basis data length mismatch")
         if len(comult) != dim:
             raise ValueError("comultiplication tensor length mismatch")
-        if antipode.rows != dim or antipode.cols != dim:
-            raise ValueError("antipode shape mismatch")
+        if len(antipode) != dim:
+            raise ValueError(f"{len(antipode)} antipode columns for dim {dim}")
         self.name = name
         self.dim = dim
         self.conductor = conductor
         self.basis_labels = list(basis_labels)
         # one pass per entry: check the indices, coerce, drop zeros
         rng = range(dim)
+
+        def vector(vec: Mapping[int, object], what: str, where) -> SparseVec:
+            d = {}
+            for k, v in vec.items():
+                if k not in rng:
+                    raise ValueError(f"{what} {where} has coordinate {k} out of range({dim})")
+                v = as_scalar(v, conductor)
+                if v:
+                    d[k] = v
+            return d
+
         self.mult = {}
         for (i, j), vec in mult.items():
             if i not in rng or j not in rng:
                 raise ValueError(f"mult index ({i}, {j}) is out of range({dim})")
-            d = {}
-            for k, v in vec.items():
-                if k not in rng:
-                    raise ValueError(f"mult ({i}, {j}) has coordinate {k} out of range({dim})")
-                v = as_scalar(v, conductor)
-                if v:
-                    d[k] = v
-            if d:
+            if d := vector(vec, "mult", (i, j)):
                 self.mult[(i, j)] = d
         self.unit = tuple(as_scalar(v, conductor) for v in unit)
         self.comult = []
@@ -121,8 +127,7 @@ class HopfAlgebraData:
                     d[(a, b)] = v
             self.comult.append(d)
         self.counit = tuple(as_scalar(v, conductor) for v in counit)
-        self.antipode = antipode if antipode.conductor == conductor else \
-            ExactMatrix(antipode.entries, conductor)
+        self.antipode = [vector(col, "antipode column", j) for j, col in enumerate(antipode)]
         self.grouplike_vectors = (
             [tuple(as_scalar(v, conductor) for v in g) for g in grouplike_vectors]
             if grouplike_vectors is not None else None
@@ -189,16 +194,22 @@ class HopfAlgebraData:
     # -- cached derived structure ---------------------------------------------
 
     @property
-    def antipode_inv(self) -> ExactMatrix:
-        if "antipode_inv" not in self._cache:
-            self._cache["antipode_inv"] = self.antipode.inverse()
-        return self._cache["antipode_inv"]
+    def s2_columns(self) -> list[SparseVec]:
+        """The sparse columns of S^2, from the scan of `s2_order`."""
+        s2_order(self)
+        return self._cache["s2_columns"]
 
     @property
-    def s_squared(self) -> ExactMatrix:
-        if "s_squared" not in self._cache:
-            self._cache["s_squared"] = self.antipode @ self.antipode
-        return self._cache["s_squared"]
+    def sinv2_columns(self) -> list[SparseVec]:
+        """The sparse columns of S^-2, from the scan of `s2_order`."""
+        s2_order(self)
+        return self._cache["sinv2_columns"]
+
+    @property
+    def antipode_inv(self) -> list[SparseVec]:
+        """The sparse columns of S^-1: S^-1(e_j) = S^-2(S(e_j))."""
+        sinv2 = self.sinv2_columns
+        return [apply_columns(sinv2, col) for col in self.antipode]
 
     @property
     def dual_mult(self) -> dict[tuple[int, int], SparseVec]:
@@ -296,11 +307,15 @@ class AlgebraElement:
     def counit(self) -> CyclotomicNumber:
         return self.parent.counit_dict(self.sparse())
 
+    def _apply(self, columns: list[SparseVec]) -> "AlgebraElement":
+        H = self.parent
+        return AlgebraElement(H, dense(apply_columns(columns, self.sparse()), H.dim, H.conductor))
+
     def antipode(self) -> "AlgebraElement":
-        return AlgebraElement(self.parent, self.parent.antipode.apply(list(self.coeffs)))
+        return self._apply(self.parent.antipode)
 
     def antipode_inv(self) -> "AlgebraElement":
-        return AlgebraElement(self.parent, self.parent.antipode_inv.apply(list(self.coeffs)))
+        return self._apply(self.parent.antipode_inv)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -391,17 +406,13 @@ class TensorElement:
                         dadd(out, key, c)
         return TensorElement(H, self.arity, out)
 
-    def apply_leg(self, leg: int, matrix: ExactMatrix) -> "TensorElement":
-        """Apply a linear map (as a matrix on basis coordinates) to one leg."""
-        H = self.parent
+    def apply_leg(self, leg: int, columns: list[SparseVec]) -> "TensorElement":
+        """Apply a linear map, given by its sparse columns, to one leg."""
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
         for key, v in self.data.items():
-            j = key[leg]
-            for i in range(H.dim):
-                c = matrix.entries[i][j]
-                if not c.is_zero():
-                    dadd(out, key[:leg] + (i,) + key[leg + 1:], v * c)
-        return TensorElement(H, self.arity, out)
+            for i, c in columns[key[leg]].items():
+                dadd(out, key[:leg] + (i,) + key[leg + 1:], v * c)
+        return TensorElement(self.parent, self.arity, out)
 
     def comult_leg(self, leg: int) -> "TensorElement":
         """Apply the comultiplication to one leg (arity grows by one)."""
@@ -654,19 +665,17 @@ def validate(H: HopfAlgebraData) -> list[str]:
         if first:
             violations.append(first)
 
-    # antipode axiom and invertibility
-    try:
-        H.antipode_inv
-    except ValueError:
+    # antipode axiom and invertibility: the columns of S are independent
+    space = SpanSolver(H.conductor)
+    if any(space.insert(dense(col, N, H.conductor)) is not None for col in H.antipode):
         violations.append("antipode is not invertible")
-    s_cols = [sparse(H.antipode.column(j)) for j in range(N)]
     for k in range(N):
         left_acc: SparseVec = {}
         right_acc: SparseVec = {}
         for (a, b), c in H.comult[k].items():
-            for key, v in H.mul_dicts(s_cols[a], {b: H.one_scalar}).items():
+            for key, v in H.mul_dicts(H.antipode[a], {b: H.one_scalar}).items():
                 dadd(left_acc, key, c * v)
-            for key, v in H.mul_dicts({a: H.one_scalar}, s_cols[b]).items():
+            for key, v in H.mul_dicts({a: H.one_scalar}, H.antipode[b]).items():
                 dadd(right_acc, key, c * v)
         expected = {kk: H.counit[k] * u for kk, u in one.items()
                     if not (H.counit[k] * u).is_zero()}
@@ -691,6 +700,10 @@ def dual(H: HopfAlgebraData) -> HopfAlgebraData:
             if c is not None:
                 d[(i, j)] = c
         comult.append(d)
+    antipode: list[SparseVec] = [{} for _ in range(N)]  # the transpose of S
+    for j, col in enumerate(H.antipode):
+        for i, c in col.items():
+            antipode[i][j] = c
     return HopfAlgebraData(
         name=f"{H.name}*",
         dim=N,
@@ -700,7 +713,7 @@ def dual(H: HopfAlgebraData) -> HopfAlgebraData:
         unit=list(H.counit),
         comult=comult,
         counit=list(H.unit),
-        antipode=H.antipode.transpose(),
+        antipode=antipode,
     )
 
 
@@ -751,7 +764,7 @@ def lift_algebra(H: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
         unit=[lift(v) for v in H.unit],
         comult=[{p: lift(c) for p, c in d.items()} for d in H.comult],
         counit=[lift(v) for v in H.counit],
-        antipode=ExactMatrix([[lift(e) for e in row] for row in H.antipode.entries], conductor),
+        antipode=[{i: lift(c) for i, c in col.items()} for col in H.antipode],
         grouplike_vectors=(
             [[lift(v) for v in g] for g in H.grouplike_vectors]
             if H.grouplike_vectors is not None else None),
@@ -786,7 +799,8 @@ def tensor(H1: HopfAlgebraData, H2: HopfAlgebraData) -> HopfAlgebraData:
             comult.append(d)
     unit = [A.unit[i1] * B.unit[i2] for i1 in range(N1) for i2 in range(N2)]
     counit = [A.counit[i1] * B.counit[i2] for i1 in range(N1) for i2 in range(N2)]
-    antipode = A.antipode.kron(B.antipode)
+    antipode = [{idx(i1, i2): c1 * c2 for i1, c1 in s1.items() for i2, c2 in s2.items()}
+                for s1 in A.antipode for s2 in B.antipode]
     grouplikes = None
     if A.grouplike_vectors is not None and B.grouplike_vectors is not None:
         grouplikes = [
@@ -817,18 +831,18 @@ def s2_order(H: HopfAlgebraData) -> int:
     """Smallest k with (S^2)^k = Id, scanned on the sparse columns of S^2.
 
     Radford: S^(4 dim H) = Id, so the order divides 2 dim H, and a scan
-    that passes 2 dim H proves H is not a Hopf algebra.  The power just
-    before the identity is S^-2, cached as "sinv2_columns" for the T-route.
+    that passes 2 dim H proves H is not a Hopf algebra.  The scan caches
+    the columns of S^2 and of the power just before the identity, S^-2;
+    every other power of S is read off them.
     """
     if "s2_order" in H._cache:
         return H._cache["s2_order"]
-    s = [sparse(H.antipode.column(j)) for j in range(H.dim)]
-    s2 = [apply_columns(s, col) for col in s]
+    s2 = [apply_columns(H.antipode, col) for col in H.antipode]
     identity = [{j: H.one_scalar} for j in range(H.dim)]
     previous, power = identity, s2
     for k in range(1, 2 * H.dim + 1):
         if power == identity:
-            H._cache.update(s2_order=k, sinv2_columns=previous)
+            H._cache.update(s2_order=k, s2_columns=s2, sinv2_columns=previous)
             return k
         previous, power = power, [apply_columns(s2, col) for col in power]
     raise OrderSearchExhausted(
@@ -938,7 +952,7 @@ def subalgebra_closure(H: HopfAlgebraData,
             sa = sparse(a)
             for b in basis:
                 candidates.append(dense(H.mul_dicts(sa, sparse(b)), N, H.conductor))
-            candidates.append(H.antipode.apply(a))
+            candidates.append(dense(apply_columns(H.antipode, sa), N, H.conductor))
             pairs = H.comul_dict(sa)
             lefts: dict[int, SparseVec] = {}
             rights: dict[int, SparseVec] = {}
@@ -971,7 +985,8 @@ def subalgebra_closure(H: HopfAlgebraData,
                 mult[(a, b)] = vec
     unit = coords(list(H.unit))
     counit = [H.counit_dict(sparse(v)) for v in basis]
-    antipode_cols = [coords(H.antipode.apply(v)) for v in basis]
+    antipode = [sparse(coords(dense(apply_columns(H.antipode, sparse(v)), N, H.conductor)))
+                for v in basis]
     comult = []
     for a in range(d):
         # Delta(b_a) = sum_ij c_ij e_i (x) e_j = sum_rs d_rs b_r (x) b_s: each
@@ -998,5 +1013,5 @@ def subalgebra_closure(H: HopfAlgebraData,
         unit=unit,
         comult=comult,
         counit=counit,
-        antipode=ExactMatrix.from_columns(antipode_cols, H.conductor),
+        antipode=antipode,
     )

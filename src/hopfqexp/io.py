@@ -12,7 +12,6 @@ import json
 from pathlib import Path
 
 from .hopf import GrouplikeSet, HopfAlgebraData, TensorSquareElement, validate
-from .linalg import ExactMatrix
 from .scalars import scalar_from_json, scalar_to_json
 
 SCHEMA = "hopf-qexp/1"
@@ -53,7 +52,7 @@ def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorSquareElement | None = N
         "counit": [fmt(v) for v in H.counit],
         "mult": mult,
         "comult": comult,
-        "antipode": [[fmt(e) for e in row] for row in H.antipode.entries],
+        "antipode": [[fmt(col.get(i, zero)) for col in H.antipode] for i in range(n)],
     }
     if H.grouplike_vectors is not None:
         doc["grouplikes"] = [[fmt(v) for v in g] for g in H.grouplike_vectors]
@@ -111,8 +110,10 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
             if not 0 <= _integer(k, "comult index") < n:
                 raise IndexError(f"comult index {k} out of range")
             comult[k][(_integer(i, "comult index"), _integer(j, "comult index"))] = sc(coeff)
-        antipode = ExactMatrix([[sc(e) for e in row]
-                                for row in _field(doc, "antipode")], cond)
+        rows = _field(doc, "antipode")
+        if len(rows) != n or any(not isinstance(row, list) or len(row) != n for row in rows):
+            raise SchemaError(f"the antipode must be {n} rows of {n} scalars")
+        antipode = [{i: sc(row[j]) for i, row in enumerate(rows)} for j in range(n)]
         grouplikes = None
         if "grouplikes" in doc:
             grouplikes = [[sc(v) for v in g] for g in doc["grouplikes"]]

@@ -91,18 +91,6 @@ class ExactMatrix:
                         orow[j] = orow[j] + a * b
         return ExactMatrix(out, self.conductor)
 
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Kronecker product; index (i, j) of the tensor maps to i*cols(B)+j."""
-        out = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    row.extend(a * other.entries[p][q] for q in range(other.cols))
-                out.append(row)
-        return ExactMatrix(out, max(self.conductor, other.conductor))
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],

@@ -20,12 +20,10 @@ from .hopf import (
     HopfAlgebraData,
     TensorElement,
     dadd,
-    dense,
     dual,
     lift_algebra,
     tensor,
 )
-from .linalg import ExactMatrix
 from .scalars import CyclotomicNumber
 
 
@@ -107,8 +105,7 @@ def group_algebra_from_table(table, labels=None, name="C[G]") -> HopfAlgebraData
     comult = [{(k, k): one} for k in range(n)]
     unit = [1 if k == ident else 0 for k in range(n)]
     counit = [1] * n
-    antipode = ExactMatrix(
-        [[1 if inverse[j] == i else 0 for j in range(n)] for i in range(n)], 1)
+    antipode = [{inverse[j]: one} for j in range(n)]
     grouplikes = [[1 if i == g else 0 for i in range(n)] for g in range(n)]
     return HopfAlgebraData(
         name=name, dim=n, conductor=1, basis_labels=labels,
@@ -203,7 +200,7 @@ def _from_generators(name: str, conductor: int, labels: list[str], generators: d
     H = HopfAlgebraData(
         name=name, dim=N, conductor=conductor, basis_labels=labels, mult=mult,
         unit=[1] + [0] * (N - 1), comult=[{}] * N, counit=[0] * N,
-        antipode=ExactMatrix.identity(N, conductor),
+        antipode=[{k: one} for k in range(N)],
         grouplike_vectors=[[1 if k == g else 0 for k in range(N)] for g in grouplikes],
         grading=grading,
     )
@@ -242,8 +239,7 @@ def _from_generators(name: str, conductor: int, labels: list[str], generators: d
         anti[k] = H.mul_dicts(sx, anti[j])
     H.comult = [delta[k].data for k in range(N)]
     H.counit = tuple(eps[k] for k in range(N))
-    H.antipode = ExactMatrix.from_columns(
-        [dense(anti[k], N, conductor) for k in range(N)], conductor)
+    H.antipode = [anti[k] for k in range(N)]
     return H
 
 
@@ -385,7 +381,7 @@ def trivial() -> HopfAlgebraData:
     return HopfAlgebraData(
         name="trivial", dim=1, conductor=1, basis_labels=["1"],
         mult={(0, 0): {0: one}}, unit=[1], comult=[{(0, 0): one}],
-        counit=[1], antipode=ExactMatrix.identity(1, 1),
+        counit=[1], antipode=[{0: one}],
         grouplike_vectors=[[1]], grading=[0],
     )
 

@@ -96,8 +96,8 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
     T_{n+1}(h) = h_1 S^-2(h_2) S^-4(h_3) ... S^-2n(h_{n+1}), and S^-2 is
     an algebra automorphism, so the factors after h_1 are S^-2 of
     h_2 S^-2(h_3) ... S^(-2n+2)(h_{n+1}) = T_n(h_2).  Only the columns
-    of S^-2 are needed, never a power S^-2m; `s2_order` leaves them in
-    the cache, as the power of S^2 just before the identity.
+    of S^-2 are needed, never a power S^-2m; the scan of `s2_order`
+    reads them off as the power of S^2 just before the identity.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -106,9 +106,8 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
         one = sparse(H.unit)
         t0 = [{i: v * e for i, v in one.items()} if not e.is_zero() else {}
               for e in H.counit]
-        s2_order(H)
         cache = H._cache["t_columns"] = [t0]
-    sinv2 = H._cache["sinv2_columns"]
+    sinv2 = H.sinv2_columns
     while len(cache) <= n:
         images = [apply_columns(sinv2, col) for col in cache[-1]]  # S^-2(T_n(e_b))
         cols = []
@@ -196,13 +195,12 @@ def quasi_exponent(H: HopfAlgebraData, route: str = "t",
     """The full quasi-exponent report for H."""
     if route not in ("t", "regular"):
         raise ValueError("route must be 't' or 'regular'")
-    if route == "t":
-        f = u_min_poly_via_t(H)
-    else:
-        f = u_min_poly_via_regular(H)
+    # the regular route runs first, so past its envelope it raises before any work
+    regular = u_min_poly_via_regular(H) if route == "regular" or cross_check else None
+    f = regular if route == "regular" else u_min_poly_via_t(H)
     cross_checked = False
     if cross_check:
-        other = u_min_poly_via_regular(H) if route == "t" else u_min_poly_via_t(H)
+        other = u_min_poly_via_t(H) if route == "regular" else regular
         if other != f:
             raise AssertionError(
                 f"route disagreement for {H.name}: {f!r} vs {other!r}")
@@ -251,7 +249,7 @@ def r_n(qt: QuasitriangularData, n: int) -> TensorSquareElement:
         # R_(m+1) = R_m P_m with P_m = (Id (x) S^(2m))(R), m = len(cache) - 1
         p = qt._cache.get("r_leg", qt.R)
         cache.append(TensorSquareElement(D, (cache[-1] * p).data))
-        qt._cache["r_leg"] = p.apply_leg(1, D.s_squared)
+        qt._cache["r_leg"] = p.apply_leg(1, D.s2_columns)
     return cache[n]
 
 

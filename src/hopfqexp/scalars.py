@@ -469,4 +469,9 @@ def scalar_to_json(c: CyclotomicNumber) -> list[str]:
 def scalar_from_json(data: list[str], conductor: int) -> CyclotomicNumber:
     if not isinstance(data, list):
         raise TypeError(f"a scalar is a list of coordinate strings, got {data!r}")
+    # phi(m) >= sqrt(m/2), so a larger conductor needs more coordinates;
+    # rejecting it here spares the factorization of a huge conductor
+    if conductor > 2 * len(data) ** 2:
+        raise ValueError(f"{len(data)} coordinates cannot describe a scalar "
+                         f"of conductor {conductor}")
     return CyclotomicNumber(conductor, [parse_rational(t) for t in data])

@@ -117,9 +117,7 @@ def twist_hopf(T: TwistData) -> HopfAlgebraData:
         d = T.J_inv * H.basis_element(k).comul() * T.J
         comult.append(d.data)
     # antipode column k is Q^-1 S(e_k) Q
-    antipode = ExactMatrix.from_columns(
-        [dense(H.mul_dicts(q_inv, H.mul_dicts(sparse(H.antipode.column(k)), q)),
-               H.dim, H.conductor) for k in range(H.dim)], H.conductor)
+    antipode = [H.mul_dicts(q_inv, H.mul_dicts(col, q)) for col in H.antipode]
     return HopfAlgebraData(
         name=f"{H.name}^J", dim=H.dim, conductor=H.conductor,
         basis_labels=list(H.basis_labels),
@@ -135,7 +133,7 @@ def verify_eq4(T: TwistData) -> bool:
     q, q_inv = q_elements(T)
     w = q_inv * q.antipode()
     lhs = w.comul()
-    s2 = H.s_squared
+    s2 = H.s2_columns
     rhs = T.J * TensorSquareElement.from_elements(w, w) * \
         T.J_inv.apply_leg(0, s2).apply_leg(1, s2)
     return lhs == rhs
@@ -182,7 +180,7 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
         raise ValueError("S^(2n) is not the identity; "
                          "n must be a multiple of the order of S^2")
     q, q_inv = q_elements(T)
-    s = [sparse(H.antipode.column(j)) for j in range(H.dim)]
+    s = H.antipode
     # factors[k] = S^k(Q) for even k, S^k(Q^-1) for odd k
     factors = [sparse(q.coeffs), apply_columns(s, sparse(q_inv.coeffs))]
     while len(factors) < 2 * n:

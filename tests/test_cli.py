@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfqexp
+from hopfqexp import qexp as qexp_module
 from hopfqexp.cli import main
 from hopfqexp.io import algebra_to_dict, dumps, twist_to_dict, write_algebra
 from hopfqexp.presets import get_preset
@@ -66,6 +67,18 @@ def test_qexp_cross_check_flag(capsys):
                        "--cross-check")
     assert code == 0
     assert "cross-checked" in out
+
+
+def test_cross_check_past_envelope_exit_2(capsys, monkeypatch):
+    # D(taft:9) has dimension 6561 > 4096: refused before any route runs
+    def refuse(H):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(qexp_module, "u_min_poly_via_t", refuse)
+    code, out, err = run(capsys, "qexp", "--preset", "taft:9", "--cross-check")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "envelope 4096" in err
 
 
 def test_exponent_infinite(capsys):
@@ -272,8 +285,13 @@ def test_preset_over_size_limit_exit_2(capsys, name):
     lambda doc: doc["unit"].__setitem__(0, [True]),
     lambda doc: doc.update(dim=4.7),
     lambda doc: doc.update(dim=10 ** 12),
+    lambda doc: doc.update(conductor=2 ** 61 - 1),
+    lambda doc: doc["antipode"][0].pop(),
+    lambda doc: doc["antipode"].append(list(doc["antipode"][0])),
+    lambda doc: doc["antipode"].__setitem__(0, 5),
 ], ids=["mult-key", "mult-coordinate", "comult-pair", "comult-index", "zero-denominator",
-        "bare-string", "float-coordinate", "bool-coordinate", "float-dim", "huge-dim"])
+        "bare-string", "float-coordinate", "bool-coordinate", "float-dim", "huge-dim",
+        "huge-conductor", "ragged-antipode-row", "extra-antipode-row", "non-list-antipode-row"])
 def test_out_of_range_index_exit_2(capsys, tmp_path, corrupt):
     path = tmp_path / "bad.json"
     write_algebra(get_preset("sweedler"), path)
@@ -302,7 +320,7 @@ def test_malformed_group_file_exit_2(capsys, tmp_path, payload):
 
 
 _REPLACEMENTS = st.one_of(
-    st.integers(-2 ** 40, 2 ** 40), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
     st.text(max_size=4), st.just("1/0"),
     st.lists(st.sampled_from(["0", "1", "-1", "1/2", "1/0", 2, None]), max_size=3))
 

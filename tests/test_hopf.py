@@ -8,10 +8,12 @@ from hopfqexp.hopf import (
     HopfAlgebraData,
     OrderSearchExhausted,
     TensorElement,
+    dense,
     dual,
     element_order,
     is_grouplike,
     s2_order,
+    sparse,
     subalgebra_closure,
     tensor,
     tensor_unit,
@@ -26,18 +28,24 @@ def test_sweedler_validates(preset_cache):
     assert validate(preset_cache("sweedler")) == []
 
 
-def test_corrupted_antipode_fails_validate():
-    H = sweedler()
-    bad = [list(row) for row in H.antipode.entries]
-    bad[1][1] = bad[1][1] + H.one_scalar  # perturb S(x)
-    corrupt = HopfAlgebraData(
+def _with_antipode(H, antipode):
+    return HopfAlgebraData(
         name=H.name, dim=H.dim, conductor=H.conductor,
         basis_labels=H.basis_labels, mult=H.mult, unit=list(H.unit),
-        comult=H.comult, counit=list(H.counit),
-        antipode=ExactMatrix(bad, H.conductor))
-    violations = validate(corrupt)
+        comult=H.comult, counit=list(H.counit), antipode=antipode)
+
+
+def test_corrupted_antipode_fails_validate():
+    H = sweedler()
+    bad = [dict(col) for col in H.antipode]
+    bad[1][1] = bad[1].get(1, H.zero_scalar) + H.one_scalar  # perturb S(x)
+    violations = validate(_with_antipode(H, bad))
     assert violations
     assert any("antipode" in v for v in violations)
+    # S(x) = 0: the columns of S are dependent
+    singular = [dict(col) for col in H.antipode]
+    singular[1] = {}
+    assert "antipode is not invertible" in validate(_with_antipode(H, singular))
 
 
 def test_corrupted_comult_fails_validate():
@@ -79,7 +87,8 @@ def test_multiplicativity_check_is_certified(double_cache, preset_cache):
     rows = [list(r) for r in ExactMatrix.identity(4, 1).entries]
     rows[0][2], rows[1][2], rows[0][3], rows[1][3] = t, -t, -t, t
     theta = ExactMatrix(rows, 1)
-    moved = [TensorElement(H, 2, d).apply_leg(0, theta).apply_leg(1, theta)
+    columns = [sparse(theta.column(j)) for j in range(4)]
+    moved = [TensorElement(H, 2, d).apply_leg(0, columns).apply_leg(1, columns)
              for d in H.comult]
     back = theta.inverse()
     comult = []
@@ -131,10 +140,30 @@ def _dense_order(a):
     return k
 
 
-@pytest.mark.parametrize("name", ZOO)
-def test_orders_match_dense_power_scans(preset_cache, name):
-    H = preset_cache(name)
-    assert s2_order(H) == _dense_order(H.antipode @ H.antipode)
+def _matrix(H, columns):
+    """The dense ExactMatrix with the given sparse columns."""
+    return ExactMatrix.from_columns([dense(c, H.dim, H.conductor) for c in columns],
+                                    H.conductor)
+
+
+#: the zoo, a tensor product and a double: the algebras whose derived powers
+#: of S are compared with dense references
+DERIVED = ZOO + ["tensor:sweedler,group:builtin:Z2", "D(sweedler)"]
+
+
+def _derived_algebra(name, preset_cache, double_cache):
+    if name.startswith("D("):
+        return double_cache(name[2:-1]).algebra
+    return preset_cache(name)
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_orders_match_dense_power_scans(preset_cache, double_cache, name):
+    H = _derived_algebra(name, preset_cache, double_cache)
+    s = _matrix(H, H.antipode)
+    assert s2_order(H) == _dense_order(s @ s)
+    assert _matrix(H, H.s2_columns) == s @ s
+    assert _matrix(H, H.sinv2_columns) == (s @ s).inverse()
     if H.grouplike_vectors is not None:
         for g in preset_grouplikes(H).elements:
             assert element_order(g) == _dense_order(H.left_mult_matrix(g))
@@ -143,14 +172,9 @@ def test_orders_match_dense_power_scans(preset_cache, name):
 def test_order_scans_stop_at_theorem_bounds():
     # scaling S(x) by 2 makes S^2(x) = -2x: S^2 has infinite order
     H = sweedler()
-    rows = [list(r) for r in H.antipode.entries]
-    for row in rows:
-        row[1] = row[1] * 2
-    broken = HopfAlgebraData(
-        name=H.name, dim=H.dim, conductor=H.conductor,
-        basis_labels=H.basis_labels, mult=H.mult, unit=list(H.unit),
-        comult=H.comult, counit=list(H.counit),
-        antipode=ExactMatrix(rows, H.conductor))
+    columns = list(H.antipode)
+    columns[1] = {i: c * 2 for i, c in columns[1].items()}
+    broken = _with_antipode(H, columns)
     with pytest.raises(OrderSearchExhausted, match="Radford"):
         s2_order(broken)
     with pytest.raises(OrderSearchExhausted, match="Nichols-Zoeller"):
@@ -182,7 +206,10 @@ def test_element_arithmetic(preset_cache):
     assert x.antipode() == -(x * g)   # S(x) = -x g^{-1} = -xg
 
 
-def test_antipode_inverse(preset_cache):
+def test_antipode_inverse(preset_cache, double_cache):
+    for name in DERIVED:
+        H = _derived_algebra(name, preset_cache, double_cache)
+        assert _matrix(H, H.antipode_inv) == _matrix(H, H.antipode).inverse(), name
     H = preset_cache("taft:3")
     for k in range(H.dim):
         b = H.basis_element(k)

@@ -78,3 +78,49 @@ def foreign_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_are_stdlib_only(path):
     assert foreign_imports(path) == []
+
+
+ROOT = SRC.parent.parent
+
+
+def _referenced_names() -> set[str]:
+    """Every name read, imported or quoted in src, tests, scripts or perfbench.
+
+    A string constant that is an identifier counts, because perfbench
+    looks the functions it wraps up by name.
+    """
+    names: set[str] = set()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and node.value.isidentifier():
+                    names.add(node.value)
+    return names
+
+
+def unreferenced_definitions() -> list[str]:
+    """Top-level functions and non-dunder methods of src/hopfqexp that no
+    code names anywhere: dead definitions."""
+    referenced = _referenced_names()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            defs = [(node, "")]
+            if isinstance(node, ast.ClassDef):
+                defs = [(d, f"{node.name}.") for d in node.body]
+            found += [f"{path.name}:{d.lineno}: {owner}{d.name}" for d, owner in defs
+                      if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (d.name.startswith("__") and d.name.endswith("__"))
+                      and d.name not in referenced]
+    return found
+
+
+def test_no_dead_definitions():
+    assert unreferenced_definitions() == []

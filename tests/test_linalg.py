@@ -42,15 +42,6 @@ def test_matrix_ring_basics():
     assert a ** 3 == a @ a @ a
 
 
-def test_kron_dimensions_and_values():
-    a = mat([[1, 2], [3, 4]])
-    b = mat([[0, 5]])
-    k = a.kron(b)
-    assert len(k.entries) == 2 and len(k.entries[0]) == 4
-    assert k.entries[0][1].as_fraction() == 5
-    assert k.entries[1][3].as_fraction() == 20
-
-
 def test_minimal_polynomial_companion_oracle():
     # companion matrix of x^3 - 2x + 1 has exactly that minimal polynomial
     c = mat([[0, 0, -1], [1, 0, 2], [0, 1, 0]])

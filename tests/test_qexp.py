@@ -10,7 +10,7 @@ products take least common multiples.
 import pytest
 
 from hopfqexp import qexp as qmod
-from hopfqexp.hopf import HopfAlgebraData, OrderSearchExhausted, tensor
+from hopfqexp.hopf import HopfAlgebraData, OrderSearchExhausted, dense, tensor
 from hopfqexp.linalg import ExactMatrix, ExactPolynomial
 from hopfqexp.presets import get_preset
 from hopfqexp.qexp import (
@@ -98,7 +98,8 @@ def test_t_map_t1_is_identity(preset_cache):
 def _dense_t_maps(H, n_max):
     """T_0..T_n_max by the defining recursion T_{n+1} = m (T_n (x) S^-2n) Delta."""
     N, cond = H.dim, H.conductor
-    sinv2 = H.antipode_inv @ H.antipode_inv
+    sinv = ExactMatrix.from_columns([dense(c, N, cond) for c in H.antipode], cond).inverse()
+    sinv2 = sinv @ sinv
     s_pow = ExactMatrix.identity(N, cond)
     t = ExactMatrix([[H.unit[i] * H.counit[k] for k in range(N)] for i in range(N)], cond)
     out = [t]
