@@ -6,14 +6,14 @@ and j as a sparse coefficient dict, ``comult[k]`` maps basis pairs to
 the coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j) as a
 sparse coefficient dict.  S^2, S^-2 and S^-1 all come from the one
 Radford scan of `s2_order`.  `validate` checks every Hopf axiom exactly
-(multiplicativity on a certified generating set); nothing here is
-trusted without it.
+(associativity and multiplicativity on a certified generating set);
+nothing here is trusted without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, product, repeat
+from itertools import accumulate, product, repeat, starmap
 from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -383,28 +383,8 @@ class TensorElement:
         """Componentwise product in the tensor-power algebra."""
         self._check(other)
         H = self.parent
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for tkey, tval in self.data.items():
-            for skey, sval in other.data.items():
-                partial = {(): tval * sval}
-                dead = False
-                for leg in range(self.arity):
-                    vec = H.mult.get((tkey[leg], skey[leg]))
-                    if not vec:
-                        dead = True
-                        break
-                    nxt = {}
-                    for pkey, pc in partial.items():
-                        for k, c in vec.items():
-                            dadd(nxt, pkey + (k,), pc * c)
-                    partial = nxt
-                    if not partial:
-                        dead = True
-                        break
-                if not dead:
-                    for key, c in partial.items():
-                        dadd(out, key, c)
-        return TensorElement(H, self.arity, out)
+        return TensorElement(H, self.arity, _legwise_product(
+            H.mult.get, self.data.items(), other.data.items(), self.arity))
 
     def apply_leg(self, leg: int, columns: list[SparseVec]) -> "TensorElement":
         """Apply a linear map, given by its sparse columns, to one leg."""
@@ -462,23 +442,6 @@ class TensorElement:
             dadd(out, tuple(lst), v)
         return TensorElement(self.parent, self.arity, out)
 
-    def embed(self, arity: int, positions: Sequence[int]) -> "TensorElement":
-        """Place the legs at the given positions; unit elsewhere (e.g. R13)."""
-        if len(positions) != self.arity:
-            raise ValueError("positions must match the arity")
-        H = self.parent
-        unit_support = [(k, u) for k, u in enumerate(H.unit) if not u.is_zero()]
-        free = [p for p in range(arity) if p not in positions]
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for key, v in self.data.items():
-            partial = [(dict(zip(positions, key)), v)]
-            for p in free:
-                partial = [({**d, p: k}, c * u)
-                           for d, c in partial for k, u in unit_support]
-            for d, c in partial:
-                dadd(out, tuple(d[p] for p in range(arity)), c)
-        return TensorElement(H, arity, out)
-
     def is_zero(self) -> bool:
         return not self.data
 
@@ -531,6 +494,72 @@ def tensor_unit(parent: HopfAlgebraData) -> TensorSquareElement:
     return TensorSquareElement(parent, t.data)
 
 
+def _legwise_product(table, a, b, arity: int) -> dict:
+    """Sum over the term pairs of a and b (iterables of (key, coefficient))
+    of the tensor products, leg by leg, of the vectors table((a_l, b_l))."""
+    out: dict[tuple[int, ...], CyclotomicNumber] = {}
+    for tkey, tval in a:
+        for skey, sval in b:
+            partial = {(): tval * sval}
+            dead = False
+            for leg in range(arity):
+                vec = table((tkey[leg], skey[leg]))
+                if not vec:
+                    dead = True
+                    break
+                nxt = {}
+                for pkey, pc in partial.items():
+                    for k, c in vec.items():
+                        dadd(nxt, pkey + (k,), pc * c)
+                partial = nxt
+                if not partial:
+                    dead = True
+                    break
+            if not dead:
+                for key, c in partial.items():
+                    dadd(out, key, c)
+    return out
+
+
+def placed_product(x: TensorElement, x_legs: Sequence[int],
+                   y: TensorElement, y_legs: Sequence[int]) -> TensorElement:
+    """x placed at legs x_legs times y placed at legs y_legs, e.g. R13 R23.
+
+    Equal to placing each factor with the unit on its other legs and
+    multiplying, without expanding the unit: a leg that only x covers
+    carries e_k 1, and one that only y covers 1 e_k, from columns cached
+    on the algebra (e_k itself when the unit is a unit).  Every leg
+    0, ..., arity - 1 must be covered by x or y.
+    """
+    H = x.parent
+    legs = set(x_legs) | set(y_legs)
+    arity = len(legs)
+    if (y.parent is not H or legs != set(range(arity))
+            or len(set(x_legs)) != len(x_legs) or len(x_legs) != x.arity
+            or len(set(y_legs)) != len(y_legs) or len(y_legs) != y.arity):
+        raise ValueError("legs must be distinct, match the arities and cover 0..arity-1")
+    if "unit_columns" not in H._cache:
+        one, unit = H.one_scalar, sparse(H.unit)
+        columns = {}
+        for k in range(H.dim):
+            columns[(k, -1)] = H.mul_dicts({k: one}, unit)
+            columns[(-1, k)] = H.mul_dicts(unit, {k: one})
+        H._cache["unit_columns"] = columns
+    columns, mult = H._cache["unit_columns"], H.mult
+
+    def table(pair):
+        return columns[pair] if -1 in pair else mult.get(pair)
+
+    def padded(t: TensorElement, at: Sequence[int]):
+        # -1 marks a leg this factor leaves to the other one
+        where = dict(zip(at, range(t.arity)))
+        return [(tuple(key[where[p]] if p in where else -1 for p in range(arity)), v)
+                for key, v in t.data.items()]
+
+    return TensorElement(H, arity, _legwise_product(
+        table, padded(x, x_legs), padded(y, y_legs), arity))
+
+
 # -- axiom verification -------------------------------------------------------
 
 def _generators(H: HopfAlgebraData) -> list[int] | None:
@@ -565,55 +594,78 @@ def _generators(H: HopfAlgebraData) -> list[int] | None:
     return gens if len(words) == N else None
 
 
+def first_failure(check, everything: Iterable[tuple], certified: Iterable[tuple] | None = None):
+    """The first truthy check(*args) over everything, in order, or None.
+
+    certified, when given, is a set of arguments on which check passing
+    proves, by the caller's theorem, that it passes everywhere; then
+    nothing else is checked.  A failure on it runs the full scan, so the
+    witness is always the first in the order of everything.
+    """
+    if certified is not None and not any(starmap(check, certified)):
+        return None
+    return next(filter(None, starmap(check, everything)), None)
+
+
 def validate(H: HopfAlgebraData) -> list[str]:
     """All Hopf axioms, checked exactly.
 
     Returns named violations; an empty list means the data is a Hopf
     algebra.  Each axiom reports at most one witness, the first in
-    basis order.  Associativity is checked on all N^3 basis triples.
+    basis order.  Once unitality holds, a generating set G is certified
+    (`_generators`) and reused by the checks below; when every axiom
+    holds it is left in ``H._cache["certified_generators"]`` for the
+    checks of `double` that hold on subalgebras.
+
+    Associativity is checked for x in G and all basis y, z (Light's
+    test; Clifford and Preston, The Algebraic Theory of Semigroups I,
+    1961, 1.2).  That is enough: the set A of x with (xy)z = x(yz) for
+    all y, z is a subspace containing 1, and for g in G and w in A,
+    ((gw)y)z = (g(wy))z = g((wy)z) = g(w(yz)) = (gw)(yz), so gw is in A.
+    Hence A contains every word g1(g2(...(gk 1))), and these words,
+    which `_generators` builds by left multiplication without assuming
+    associativity, span H.
+
     Multiplicativity of the counit and the comultiplication is checked
-    for x in a certified generating set G (`_generators`) and all basis
-    y, once associativity, unitality, eps(1) = 1 and Delta(1) = 1 (x) 1
-    hold.  That is enough: the set M of x with Delta(xy) =
-    Delta(x)Delta(y) and eps(xy) = eps(x)eps(y) for all y is a subspace
-    containing 1 and G, and for g in G and a in M, associativity gives
-    Delta((ga)y) = Delta(g)Delta(ay) = Delta(g)Delta(a)Delta(y) =
-    Delta(ga)Delta(y) (likewise for eps), so ga is in M.  By induction
-    on word length M contains every word in G applied to 1, and these
-    span H.
-    Otherwise, and to name the first witness, all N^2 pairs are checked.
+    for x in G and all basis y, once associativity, unitality,
+    eps(1) = 1 and Delta(1) = 1 (x) 1 hold.  The set M of x with
+    Delta(xy) = Delta(x)Delta(y) and eps(xy) = eps(x)eps(y) for all y is
+    a subspace containing 1, and for g in G and a in M, associativity
+    gives Delta((ga)y) = Delta(g)Delta(ay) = Delta(g)Delta(a)Delta(y) =
+    Delta(ga)Delta(y) (likewise for eps), so ga is in M and M = H.
+
+    Without G, or when the restricted check fails, all N^3 triples
+    (N^2 pairs) are checked, which names the first witness.
     """
     violations: list[str] = []
     N = H.dim
     one = sparse(H.unit)
+    mult, empty = H.mult, {}
 
     # associativity: (e_i e_j) e_k = sum_l c_l e_l e_k against e_i (e_j e_k)
-    def associativity_fails() -> str | None:
-        mult, empty = H.mult, {}
-        for i, j in product(range(N), repeat=2):
-            ij = mult.get((i, j), empty).items()
-            for k in range(N):
-                left: SparseVec = {}
-                for l, c in ij:
-                    for p, v in mult.get((l, k), empty).items():
-                        dadd(left, p, c * v)
-                right: SparseVec = {}
-                for l, c in mult.get((j, k), empty).items():
-                    for p, v in mult.get((i, l), empty).items():
-                        dadd(right, p, c * v)
-                if left != right:
-                    return f"associativity fails at basis ({i},{j},{k})"
-        return None
+    def associativity_fails(i: int, j: int, k: int) -> str | None:
+        left: SparseVec = {}
+        for l, c in mult.get((i, j), empty).items():
+            for p, v in mult.get((l, k), empty).items():
+                dadd(left, p, c * v)
+        right: SparseVec = {}
+        for l, c in mult.get((j, k), empty).items():
+            for p, v in mult.get((i, l), empty).items():
+                dadd(right, p, c * v)
+        return None if left == right else f"associativity fails at basis ({i},{j},{k})"
 
-    if failure := associativity_fails():
-        violations.append(failure)
-
-    # unitality
-    for k in range(N):
+    def unitality_fails(k: int) -> str | None:
         ek = {k: H.one_scalar}
         if H.mul_dicts(one, ek) != ek or H.mul_dicts(ek, one) != ek:
-            violations.append(f"unitality fails at basis {k}")
-            break
+            return f"unitality fails at basis {k}"
+        return None
+
+    unitality = first_failure(unitality_fails, product(range(N)))
+    gens = None if unitality else _generators(H)
+    associativity = first_failure(
+        associativity_fails, product(range(N), repeat=3),
+        None if gens is None else product(gens, range(N), range(N)))
+    violations.extend(v for v in (associativity, unitality) if v)
 
     # coassociativity
     for k in range(N):
@@ -658,12 +710,10 @@ def validate(H: HopfAlgebraData) -> list[str]:
             return f"comultiplication is not multiplicative at ({i},{j})"
         return None
 
-    gens = None if violations else _generators(H)
-    if gens is None or any(multiplicativity_fails(i, j) for i in gens for j in range(N)):
-        failures = (multiplicativity_fails(i, j) for i, j in product(range(N), repeat=2))
-        first = next(filter(None, failures), None)
-        if first:
-            violations.append(first)
+    if failure := first_failure(
+            multiplicativity_fails, product(range(N), repeat=2),
+            None if gens is None or violations else product(gens, range(N))):
+        violations.append(failure)
 
     # antipode axiom and invertibility: the columns of S are independent
     space = SpanSolver(H.conductor)
@@ -683,6 +733,8 @@ def validate(H: HopfAlgebraData) -> list[str]:
             violations.append(f"antipode axiom fails at basis {k}")
             break
 
+    if not violations:
+        H._cache["certified_generators"] = gens
     return violations
 
 

@@ -76,6 +76,12 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
     if not isinstance(doc, dict):
         raise SchemaError("document is not a JSON object")
@@ -84,8 +90,11 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
     try:
         n = _integer(_field(doc, "dim"), "dim")
         cond = _integer(_field(doc, "conductor"), "conductor")
-        name = str(_field(doc, "name"))
-        labels = list(_field(doc, "basis_labels"))
+        name = _string(_field(doc, "name"), "name")
+        labels = _field(doc, "basis_labels")
+        if not isinstance(labels, list):
+            raise SchemaError(f"basis_labels must be a list, got {labels!r}")
+        labels = [_string(label, "a basis label") for label in labels]
         if len(labels) != n:  # before anything is sized by dim
             raise SchemaError(f"{len(labels)} basis labels for dim {n}")
 

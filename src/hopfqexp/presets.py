@@ -465,11 +465,15 @@ def parse_preset_name(name: str) -> PresetDescriptor:
         spec = payload if isinstance(payload, dict) else {"table": payload}
         if not isinstance(spec.get("table"), list):
             raise ValueError(f"group file {rest} holds no 'table' list")
-        if spec.get("labels") is not None and not isinstance(spec["labels"], list):
-            raise ValueError(f"the 'labels' of group file {rest} are not a list")
+        labels = spec.get("labels")
+        if labels is not None and not (isinstance(labels, list)
+                                       and all(isinstance(x, str) for x in labels)):
+            raise ValueError(f"the 'labels' of group file {rest} are not a list of strings")
+        if not isinstance(spec.get("name", ""), str):
+            raise ValueError(f"the 'name' of group file {rest} is not a string")
         return PresetDescriptor("group_algebra", {
             "table": spec["table"],
-            "labels": spec.get("labels"),
+            "labels": labels,
             "name": spec.get("name", "C[G]"),
         })
     if name.startswith("dualgroup:"):

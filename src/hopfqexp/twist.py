@@ -27,6 +27,7 @@ from .hopf import (
     apply_columns,
     dense,
     lift_algebra,
+    placed_product,
     s2_order,
     sparse,
     tensor_unit,
@@ -76,8 +77,8 @@ def is_twist(H: HopfAlgebraData, J: TensorSquareElement,
     one = H.unit_element()
     if J.counit_leg(0) != one or J.counit_leg(1) != one:
         details.append("counit legs of J are not 1")
-    lhs = J.comult_leg(0) * J.embed(3, [0, 1])
-    rhs = J.comult_leg(1) * J.embed(3, [1, 2])
+    lhs = placed_product(J.comult_leg(0), (0, 1, 2), J, (0, 1))
+    rhs = placed_product(J.comult_leg(1), (0, 1, 2), J, (1, 2))
     if lhs != rhs:
         details.append("the cocycle identity fails")
     return (not details, details)
@@ -288,8 +289,8 @@ def _ansatz_defect(H: HopfAlgebraData, slots, t) -> list[CyclotomicNumber]:
     defect (Delta (x) Id)(J)(J (x) 1) - (Id (x) Delta)(J)(1 (x) J), then
     those of the two counit-leg defects."""
     J = tensor_unit(H) + TensorSquareElement(H, dict(zip(slots, t)))
-    rhs = J.comult_leg(1) * J.embed(3, [1, 2])
-    cocycle = J.comult_leg(0) * J.embed(3, [0, 1]) + rhs.scale(-1)
+    rhs = placed_product(J.comult_leg(1), (0, 1, 2), J, (1, 2))
+    cocycle = placed_product(J.comult_leg(0), (0, 1, 2), J, (0, 1)) + rhs.scale(-1)
     one = H.unit_element()
     return _coordinates(cocycle) + [c for leg in (0, 1) for c in (J.counit_leg(leg) - one).coeffs]
 

@@ -289,9 +289,13 @@ def test_preset_over_size_limit_exit_2(capsys, name):
     lambda doc: doc["antipode"][0].pop(),
     lambda doc: doc["antipode"].append(list(doc["antipode"][0])),
     lambda doc: doc["antipode"].__setitem__(0, 5),
+    lambda doc: doc.update(name=None),
+    lambda doc: doc["basis_labels"].__setitem__(0, ["1"]),
+    lambda doc: doc.update(basis_labels={label: 0 for label in doc["basis_labels"]}),
 ], ids=["mult-key", "mult-coordinate", "comult-pair", "comult-index", "zero-denominator",
         "bare-string", "float-coordinate", "bool-coordinate", "float-dim", "huge-dim",
-        "huge-conductor", "ragged-antipode-row", "extra-antipode-row", "non-list-antipode-row"])
+        "huge-conductor", "ragged-antipode-row", "extra-antipode-row", "non-list-antipode-row",
+        "null-name", "list-label", "dict-labels"])
 def test_out_of_range_index_exit_2(capsys, tmp_path, corrupt):
     path = tmp_path / "bad.json"
     write_algebra(get_preset("sweedler"), path)
@@ -306,12 +310,16 @@ def test_out_of_range_index_exit_2(capsys, tmp_path, corrupt):
 
 @pytest.mark.parametrize("payload", ['{"foo": 1}', '{"table": 3}', '[[0, 1], [1, 5]]',
                                      '{"table": [[0]], "labels": 5}', '[[0, 1.0], [1.0, 0]]',
-                                     '[[0, true], [true, 0]]', '{"table": [[0]], "labels": null}'])
+                                     '[[0, true], [true, 0]]', '{"table": [[0]], "name": null}',
+                                     '{"table": [[0]], "name": ["G"]}',
+                                     '{"table": [[0, 1], [1, 0]], "labels": [null, null]}',
+                                     '{"table": [[0, 1], [1, 0]], "labels": ["a", ["b"]]}',
+                                     '{"table": [[0]], "labels": null}'])
 def test_malformed_group_file_exit_2(capsys, tmp_path, payload):
     path = tmp_path / "group.json"
     path.write_text(payload)
     code, out, err = run(capsys, "preset", "--preset", f"group:{path}")
-    if payload.endswith("null}"):  # null labels mean the default ones
+    if payload.endswith('"labels": null}'):  # null labels mean the default ones
         assert code == 0 and out.startswith("C[G]: dim 1")
         return
     assert code == 2
@@ -344,6 +352,14 @@ def _mutate(data, doc):
     return doc
 
 
+def _run_captured(argv):
+    """main(argv) in process, with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_documents_never_crash(tmp_path_factory, data):
@@ -357,12 +373,28 @@ def test_mutated_documents_never_crash(tmp_path_factory, data):
     else:
         path.write_text(json.dumps(_mutate(data, twist)))
         argv = [command, "--twist", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run_captured(argv)
     assert code in (0, 1, 2)
     if code == 2 and "INVALID" not in out:  # validate reports a parsed algebra's violations
+        assert out == ""
+        assert err.startswith("error:")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_group_files_never_crash(tmp_path_factory, data):
+    group = {"table": [[(a + b) % 3 for b in range(3)] for a in range(3)],
+             "labels": ["e", "a", "a2"], "name": "Z3"}
+    path = tmp_path_factory.mktemp("fuzz") / "group.json"
+    path.write_text(json.dumps(_mutate(data, group)))
+    command = data.draw(st.sampled_from(["preset", "validate", "qexp", "grouplikes"]))
+    code, out, err = _run_captured([command, "--preset", f"group:{path}"])
+    assert code in (0, 1, 2)
+    spec = json.loads(path.read_text())
+    if code != 2 and isinstance(spec, dict):  # accepted: every field well typed
+        assert isinstance(spec.get("name", ""), str)
+        assert spec.get("labels") is None or all(isinstance(x, str) for x in spec["labels"])
+    if code == 2:
         assert out == ""
         assert err.startswith("error:")
 

@@ -3,6 +3,7 @@
 import pytest
 
 from hopfqexp.double import (
+    QuasitriangularData,
     drinfeld_double,
     drinfeld_element,
     r_inverse,
@@ -11,10 +12,13 @@ from hopfqexp.double import (
     verify_quasitriangular,
     verify_s2_conjugation,
 )
-from hopfqexp.hopf import tensor_unit, validate
+from hopfqexp.hopf import TensorSquareElement, tensor_unit, validate
 
 SMALL = ["trivial", "group:builtin:Z2", "group:builtin:Z3", "sweedler",
          "group:builtin:S3", "dualgroup:builtin:Z3"]
+#: the zoo presets whose doubles have dimension at most 81
+UP_TO_81 = SMALL + ["group:builtin:Z4", "group:builtin:Z6", "group:builtin:Z2xZ2",
+                    "dualgroup:builtin:S3", "taft:2", "taft:3", "uqb2:3"]
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -98,3 +102,36 @@ def test_double_coefficients_are_interned(double_cache):
     D = double_cache("taft:3").algebra
     coeffs = [c for vec in D.mult.values() for c in vec.values()]
     assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def _checks_with_and_without_certificate(qt):
+    """verify_quasitriangular and verify_s2_conjugation on the generating set
+    that validate certified for the double, then on the whole basis."""
+    D = qt.algebra
+    assert validate(D) == []
+    certified = (verify_quasitriangular(qt), verify_s2_conjugation(qt))
+    gens = D._cache.pop("certified_generators")
+    try:
+        return certified, (verify_quasitriangular(qt), verify_s2_conjugation(qt))
+    finally:
+        D._cache["certified_generators"] = gens
+
+
+@pytest.mark.parametrize("name", UP_TO_81)
+def test_double_checks_on_generators_agree(name, double_cache):
+    certified, full = _checks_with_and_without_certificate(double_cache(name))
+    assert certified == full == ([], True)
+
+
+@pytest.mark.parametrize("name", ["sweedler", "group:builtin:S3"])
+def test_corrupted_r_keeps_its_witness_on_generators(name, double_cache):
+    # R with its last term doubled: the generator check fails, and the full
+    # scan names the same first witness as without a certificate
+    qt = double_cache(name)
+    key, c = max(qt.R.data.items())
+    bad = QuasitriangularData(
+        algebra=qt.algebra, R=TensorSquareElement(qt.algebra, {**qt.R.data, key: c + c}),
+        basis_split=qt.basis_split, source=qt.source)
+    certified, full = _checks_with_and_without_certificate(bad)
+    assert certified == full
+    assert any("intertwining fails" in v for v in certified[0]), certified

@@ -1,7 +1,10 @@
 """Hopf algebra structure layer: axioms, constructions, grouplikes."""
 
+from itertools import product
+
 import pytest
 
+from hopfqexp import hopf
 from hopfqexp.hopf import (
     GrouplikeSet,
     _generators,
@@ -11,7 +14,9 @@ from hopfqexp.hopf import (
     dense,
     dual,
     element_order,
+    first_failure,
     is_grouplike,
+    placed_product,
     s2_order,
     sparse,
     subalgebra_closure,
@@ -100,6 +105,109 @@ def test_multiplicativity_check_is_certified(double_cache, preset_cache):
     violations = validate(_with_comult(H, comult))
     assert "comultiplication is not multiplicative at (2,2)" in violations
     assert not any("coassociativity" in v or "counit" in v for v in violations)
+
+
+def _with_mult(H, mult):
+    return HopfAlgebraData(
+        name=H.name, dim=H.dim, conductor=H.conductor,
+        basis_labels=H.basis_labels, mult=mult, unit=list(H.unit),
+        comult=H.comult, counit=list(H.counit), antipode=H.antipode)
+
+
+def _associativity_failures(H):
+    """Every basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in
+    order, by products of basis elements."""
+    e = [H.basis_element(k) for k in range(H.dim)]
+    return [(i, j, k) for i in range(H.dim) for j in range(H.dim) for k in range(H.dim)
+            if (e[i] * e[j]) * e[k] != e[i] * (e[j] * e[k])]
+
+
+def test_associativity_check_is_certified(double_cache, monkeypatch):
+    # D(Sweedler) with e_k e_j moved by e_j, for k and j outside G and off the
+    # support of the unit (f_1 (x) 1 + f_g (x) 1), so unitality still holds
+    D = double_cache("sweedler").algebra
+    gens = _generators(D)
+    unit_support = {k for k, u in enumerate(D.unit) if not u.is_zero()}
+    k, j = [i for i in range(D.dim) if i not in gens and i not in unit_support][:2]
+    mult = {pair: dict(vec) for pair, vec in D.mult.items()}
+    vec = mult.setdefault((k, j), {})
+    vec[j] = vec.get(j, D.zero_scalar) + D.one_scalar
+    corrupt = _with_mult(D, mult)
+    failures = _associativity_failures(corrupt)
+    assert failures and not any("unitality" in v for v in validate(corrupt))
+    # Light's test on the certified G reports the first witness of the full scan
+    assert f"associativity fails at basis ({','.join(map(str, failures[0]))})" \
+        in validate(corrupt)
+    # a set that passes the restricted check but generates nothing lets the
+    # corruption through: the certificate carries the proof
+    passing = sorted(set(range(D.dim)) - {i for i, _, _ in failures})
+    monkeypatch.setattr(hopf, "_generators", lambda H: passing)
+    assert not any("associativity" in v for v in validate(corrupt))
+
+
+def test_first_failure_falls_back_to_the_full_scan():
+    def check(i):
+        return f"fails at {i}" if i in (2, 5) else None
+
+    everything = list(product(range(8)))
+    assert first_failure(check, everything) == "fails at 2"
+    # a failure on the certified set is confirmed by the full scan's first witness
+    assert first_failure(check, everything, [(5,)]) == "fails at 2"
+    # a certified set that passes ends the check
+    assert first_failure(check, everything, [(0,), (1,)]) is None
+
+
+def _embedded(t, arity, positions):
+    """Reference for placed products: t at the given legs, the unit expanded
+    on every other leg."""
+    H = t.parent
+    terms = {(): H.one_scalar}
+    for p in range(arity):
+        if p in positions:
+            continue
+        terms = {key + (q,): c * u for key, c in terms.items()
+                 for q, u in enumerate(H.unit) if not u.is_zero()}
+    free = [p for p in range(arity) if p not in positions]
+    out = TensorElement(H, arity, {})
+    for key, v in t.data.items():
+        for fill, c in terms.items():
+            legs = dict(zip(positions, key)) | dict(zip(free, fill))
+            out = out + TensorElement(H, arity, {tuple(legs[p] for p in range(arity)): v * c})
+    return out
+
+
+#: (legs of x, legs of y) for placed products of two tensor squares, the
+#: last one the plain product
+PLACEMENTS = [((0, 2), (1, 2)), ((0, 2), (0, 1)), ((1, 0), (0, 2)), ((0, 1), (0, 1))]
+
+
+def test_placed_product_matches_embedded_products(preset_cache, double_cache):
+    H = preset_cache("sweedler")
+    # the unit 2 + x is not a unit of this algebra, so e_k 1 != e_k
+    broken = HopfAlgebraData(
+        name="sweedler with unit 2 + x", dim=H.dim, conductor=H.conductor,
+        basis_labels=H.basis_labels, mult=H.mult, unit=[2, 1, 0, 0],
+        comult=H.comult, counit=list(H.counit), antipode=H.antipode)
+    cases = [(qt.algebra, qt.R) for qt in map(double_cache, (
+        "trivial", "group:builtin:Z2", "group:builtin:S3", "sweedler",
+        "dualgroup:builtin:S3", "taft:2"))]
+    for A in (H, broken):
+        cases.append((A, TensorElement(A, 2, {(a, b): a + 2 * b + 1
+                                              for a in range(4) for b in range(4)})))
+    for A, R in cases:
+        for xl, yl in PLACEMENTS:
+            arity = len(set(xl) | set(yl))
+            expect = _embedded(R, arity, xl) * _embedded(R, arity, yl)
+            assert placed_product(R, xl, R, yl) == expect, (A.name, xl, yl)
+        x = TensorElement(A, 3, {(a, a, 0): a + 1 for a in range(A.dim)})
+        assert placed_product(x, (0, 1, 2), R, (1, 2)) == x * _embedded(R, 3, (1, 2))
+        g = TensorElement(A, 1, {(A.dim - 1,): 3})
+        assert placed_product(R, (0, 1), g, (2,)) == \
+            _embedded(R, 3, (0, 1)) * _embedded(g, 3, (2,))
+    with pytest.raises(ValueError):
+        placed_product(R, (0, 1), R, (0, 1, 2))
+    with pytest.raises(ValueError):
+        placed_product(R, (0, 2), R, (2, 3))
 
 
 def test_dual_validates_and_is_involutive(preset_cache):
@@ -224,8 +332,8 @@ def test_tensor_element_legs(preset_cache):
     d = g.comul()  # g (x) g
     assert d.multiply_legs(0) == g * g
     assert d.swap_legs(0, 1) == d
-    e = d.embed(3, [0, 2])
-    assert isinstance(e, TensorElement) and e.arity == 3
+    # (g (x) 1 (x) g)(1 (x) g (x) g) = g (x) g (x) g^2, and g^2 = 1
+    assert placed_product(d, (0, 2), d, (1, 2)) == TensorElement(H, 3, {(2, 2, 0): 1})
 
 
 def test_subalgebra_closure_group_part(preset_cache):
