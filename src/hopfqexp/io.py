@@ -93,7 +93,7 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
         name = _string(_field(doc, "name"), "name")
         labels = _field(doc, "basis_labels")
         if not isinstance(labels, list):
-            raise SchemaError(f"basis_labels must be a list, got {labels!r}")
+            raise SchemaError(f"basis_labels must be a list, got {type(labels).__name__}")
         labels = [_string(label, "a basis label") for label in labels]
         if len(labels) != n:  # before anything is sized by dim
             raise SchemaError(f"{len(labels)} basis labels for dim {n}")
