@@ -290,6 +290,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
+    except MemoryError:
+        sys.stderr.write(f"error: out of memory running {args.command}; "
+                         "the input is too large for the available memory\n")
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

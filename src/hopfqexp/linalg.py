@@ -3,17 +3,22 @@
 Matrices are immutable-by-convention row-major grids of
 `CyclotomicNumber`s sharing one conductor.  Everything here is exact:
 Gaussian elimination needs no pivot strategy beyond "first nonzero",
-and `SpanSolver` is the only elimination; inverses, linear solves,
-span closures and minimal polynomials all go through it.
+and `SpanSolver` is the only exact elimination; inverses, linear
+solves, span closures and minimal polynomials all go through it.
+`first_dependence` first runs a pass modulo a prime that only proposes
+a candidate: an exact check decides, and `SpanSolver` is the fallback.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from typing import Iterable, Sequence
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from math import gcd, isqrt, lcm
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
-from .poly import ExactPolynomial, root_of_unity_order  # noqa: F401  (re-exported)
-from .scalars import CyclotomicNumber, as_scalar
+from .poly import ExactPolynomial, _prime_and_root, root_of_unity_order  # noqa: F401
+from .scalars import CyclotomicNumber, _canonical, as_scalar, euler_phi
 
 
 class ExactMatrix:
@@ -241,13 +246,198 @@ def first_dependence(vectors: Iterable[Sequence], conductor: int) -> ExactPolyno
 
     For a sequence v_i = A^i v this is the least monic f with f(A)v = 0;
     the stream is consumed lazily and must end in a dependence.
+
+    A pass modulo a prime proposes k and c (`_modular_dependence`); it is
+    accepted only with its proof, and otherwise the consumed vectors are
+    replayed into `SpanSolver`, which continues the stream.  Either way the
+    result is the exact first dependence.
     """
-    solver = SpanSolver(conductor)
+    vectors = iter(vectors)
+    consumed: list[Sequence] = []
+    coeffs = _modular_dependence(vectors, conductor, consumed)
+    if coeffs is None:
+        solver = SpanSolver(conductor)
+        for v in chain(consumed, vectors):
+            coeffs = solver.insert(v)
+            if coeffs is not None:
+                break
+        else:
+            raise AssertionError("the vector stream ended without a dependence")
+    return ExactPolynomial([-c for c in coeffs] + [1], conductor)
+
+
+@lru_cache(maxsize=None)
+def _modular_context(m: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(p, V, V^-1 mod p) for the phi(m) embeddings of Z[zeta_m] into F_p.
+
+    p = 1 mod m and r has order m mod p (`poly._prime_and_root`), so for
+    each unit j mod m, sigma_j: zeta -> r^j is a ring map; V[j][e] = r^(je)
+    is the image of zeta^e, with sigma_1 first.  V is a Vandermonde matrix
+    in the distinct r^j, hence invertible mod p.
+    """
+    p, r = _prime_and_root(m)
+    phi = euler_phi(m)
+    units = [j for j in range(1, m + 1) if gcd(j, m) == 1]
+    V = [[pow(r, j * e, p) for e in range(phi)] for j in units]
+    rhs = [[int(i == k) for k in range(phi)] for i in range(phi)]
+    return p, V, _solve_mod(V, rhs, p)
+
+
+def _solve_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]] | None:
+    """The n x k matrix x with a x = b mod p for square a, or None if a is singular."""
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(n):  # forward elimination to a unit upper triangle
+        piv = next((i for i in range(col, n) if rows[i][col] % p), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        prow = rows[col] = [x * inv % p for x in rows[col]]
+        for i in range(col + 1, n):
+            a_ic = rows[i][col]
+            if a_ic % p:
+                rows[i] = [(x - a_ic * y) % p for x, y in zip(rows[i], prow)]
+    x = [row[n:] for row in rows]
+    for i in range(n - 1, -1, -1):  # back substitution
+        for j in range(i + 1, n):
+            a_ij = rows[i][j]
+            if a_ij:
+                x[i] = [(xi - a_ij * xj) % p for xi, xj in zip(x[i], x[j])]
+    return x
+
+
+def _rational_reconstruction(a: int, p: int) -> tuple[int, int] | None:
+    """(n, d) with n = a d mod p, |n|, d <= sqrt(p/2), gcd(n, d) = 1; or None."""
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _modular_dependence(vectors: Iterator[Sequence], m: int,
+                        consumed: list[Sequence]) -> list[CyclotomicNumber] | None:
+    """The exact c with v_d = sum_{i<d} c_i v_i for the first dependence d, or None.
+
+    Every vector taken from the stream is appended to `consumed`.  None
+    means "decide exactly": p divides a denominator, an entry lies outside
+    Q(zeta_m), a system below is singular, the reconstruction fails, the
+    exact check fails or the stream ends.
+
+    Finding d.  The vectors are reduced under sigma_1 and eliminated
+    incrementally mod p, tracking combinations; d is the first index with
+    sigma_1(v_d) in the span of sigma_1(v_0), ..., sigma_1(v_(d-1)).
+    Finding c.  Under sigma_1 the tracked combination gives sigma_1(c_i);
+    under every other sigma_j, the d x d system on the pivot coordinates
+    that sigma_1 chose gives sigma_j(c_i).  V^-1 turns these images into
+    the power-basis coordinates of c_i mod p, and rational reconstruction
+    lifts them to Q.  The certificate v_d = sum c_i v_i is checked exactly
+    on every nonzero coordinate.
+
+    Proof.  Let P = (p, zeta - r).  sigma_1 is a ring map from the
+    P-integral elements of Q(zeta_m) onto F_p, and no entry has a
+    denominator divisible by p, so the d x d minor of v_0, ..., v_(d-1)
+    on the pivot coordinates, nonzero mod P, is the image of a nonzero
+    exact minor: v_0, ..., v_(d-1) are independent over Q(zeta_m).  With
+    the exact relation, d is the first dependence and c is unique, so it
+    is the c the exact loop finds.
+    """
+    p, V, _ = _modular_context(m)
+    sigma1 = V[0]
+    inv_den = {1: 1}
+    supports: list[list[int]] = []  # the exactly nonzero coordinates of each v_i
+    pivots: list[tuple[int, dict[int, int], list[int]]] = []
     for v in vectors:
-        coeffs = solver.insert(v)
-        if coeffs is not None:
-            return ExactPolynomial([-c for c in coeffs] + [1], conductor)
-    raise AssertionError("the vector stream ended without a dependence")  # pragma: no cover
+        consumed.append(v)
+        vec: dict[int, int] = {}
+        support = []
+        for k, c in enumerate(v):
+            num = c.num
+            if not any(num):
+                continue
+            if c.conductor != m and any(num[1:]):
+                return None
+            support.append(k)
+            x = sum(map(mul, num, sigma1)) if len(num) > 1 else num[0]
+            den = c.den
+            if den not in inv_den:
+                if den % p == 0:
+                    return None
+                inv_den[den] = pow(den, -1, p)
+            x = x * inv_den[den] % p
+            if x:
+                vec[k] = x
+        supports.append(support)
+        combo = [0] * len(pivots)
+        for pos, prow, pcombo in pivots:
+            a = vec.get(pos)
+            if a:
+                for i, x in prow.items():
+                    vec[i] = (vec.get(i, 0) - a * x) % p
+                for i, x in enumerate(pcombo):
+                    combo[i] -= a * x
+        vec = {i: x for i, x in vec.items() if x}
+        if vec:
+            pos = min(vec)
+            inv = pow(vec[pos], -1, p)
+            pivots.append((pos, {i: x * inv % p for i, x in vec.items()},
+                           [x * inv % p for x in combo] + [inv]))
+            continue
+        # sigma_1(v_d) = sum_i sigma_1(c_i) sigma_1(v_i) with sigma_1(c_i) = -combo_i
+        coeffs = _lift([-x % p for x in combo], [pos for pos, _, _ in pivots],
+                       consumed, m, inv_den)
+        if coeffs is not None and _is_relation(coeffs, consumed, supports, m):
+            return coeffs
+        return None
+    return None
+
+
+def _lift(sigma1_images: list[int], positions: list[int], vectors: list[Sequence],
+          m: int, inv_den: dict[int, int]) -> list[CyclotomicNumber] | None:
+    """The candidate c in Q(zeta_m)^d from sigma_1(c), or None.
+
+    Under every other sigma_j, sigma_j(c) solves the d x d system of
+    v_d = sum c_i v_i on the given coordinates; V^-1 turns the images of
+    c_i into its power-basis coordinates mod p, which rational
+    reconstruction lifts to Q.
+    """
+    p, V, Vinv = _modular_context(m)
+    d = len(positions)
+    images = [sigma1_images]
+    for row in V[1:]:
+        system = [[sum(map(mul, v[pos].num, row)) * inv_den[v[pos].den] % p
+                   for v in vectors] for pos in positions]
+        x = _solve_mod([s[:d] for s in system], [[s[d]] for s in system], p)
+        if x is None:
+            return None
+        images.append([xi[0] for xi in x])
+    coeffs = []
+    for i in range(d):
+        fracs = [_rational_reconstruction(sum(a * im[i] for a, im in zip(vrow, images)) % p, p)
+                 for vrow in Vinv]
+        if None in fracs:
+            return None
+        den = lcm(*(q for _, q in fracs))
+        coeffs.append(_canonical(m, tuple(n * (den // q) for n, q in fracs), den))
+    return coeffs
+
+
+def _is_relation(coeffs: list[CyclotomicNumber], vectors: list[Sequence],
+                 supports: list[list[int]], m: int) -> bool:
+    """True iff vectors[-1] = sum c_i vectors[i] exactly; supports hold the nonzeros."""
+    acc: dict[int, CyclotomicNumber] = {}
+    for c, v, support in zip(coeffs, vectors, supports):
+        if c:
+            for k in support:
+                acc[k] = acc[k] + c * v[k] if k in acc else c * v[k]
+    last, zero = vectors[-1], CyclotomicNumber.zero(m)
+    return all(last[k] == acc.get(k, zero) for k in acc.keys() | supports[-1])
 
 
 def minimal_polynomial(a: ExactMatrix) -> ExactPolynomial:

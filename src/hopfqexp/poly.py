@@ -163,8 +163,36 @@ def cyclotomic_polynomial(m: int) -> ExactPolynomial:
     return ExactPolynomial([Fraction(c) for c in cyclotomic_int_coeffs(m)], 1)
 
 
+#: the first 12 primes; as Miller-Rabin bases they decide every n below
+#: _MR_BOUND, the least strong pseudoprime to all of them (conjectured by
+#: Jiang and Deng, Math. Comp. 83, 2014; proved by Sorenson and Webster,
+#: Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % r for r in range(2, isqrt(n) + 1))
+    """Deterministic: Miller-Rabin below _MR_BOUND, trial division above it."""
+    if n < 2 or n in _MR_BASES:
+        return n in _MR_BASES
+    if n >= _MR_BOUND:
+        return all(n % r for r in range(2, isqrt(n) + 1))
+    if any(n % a == 0 for a in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfqexp
+from hopfqexp import cli as cli_module
 from hopfqexp import qexp as qexp_module
 from hopfqexp.cli import main
 from hopfqexp.io import algebra_to_dict, dumps, twist_to_dict, write_algebra
@@ -79,6 +80,18 @@ def test_cross_check_past_envelope_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "envelope 4096" in err
+
+
+def test_out_of_memory_exit_2(capsys, monkeypatch):
+    # a double too large for the address space fails while its document is built
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "algebra_to_dict", exhaust)
+    code, out, err = run(capsys, "double", "--preset", "sweedler", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
 def test_exponent_infinite(capsys):

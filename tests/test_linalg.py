@@ -1,7 +1,7 @@
 """Exact linear algebra and polynomial utilities."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from hopfqexp.linalg import (
     ExactMatrix,
     SpanSolver,
+    first_dependence,
     is_nilpotent,
     minimal_polynomial,
     solve_linear_system,
 )
 from hopfqexp.poly import (
     ExactPolynomial,
+    _is_prime,
+    _prime_and_root,
     cyclotomic_polynomial,
     poly_gcd,
     root_of_unity_order,
@@ -132,6 +135,105 @@ def test_span_solver_reports_dependence():
     combo = s.insert([one + one, one])
     assert combo is not None
     assert [c.as_fraction() for c in combo] == [2, 1]
+
+
+def _exact_first_dependence(vectors, conductor):
+    """The first dependence by the exact SpanSolver loop alone."""
+    solver = SpanSolver(conductor)
+    for v in vectors:
+        coeffs = solver.insert(v)
+        if coeffs is not None:
+            return ExactPolynomial([-c for c in coeffs] + [1], conductor)
+    raise AssertionError("no dependence")
+
+
+def _count_exact_inserts(monkeypatch):
+    calls = []
+    insert = SpanSolver.insert
+
+    def counting(self, vec):
+        calls.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(SpanSolver, "insert", counting)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 7, 8]), st.data())
+def test_first_dependence_matches_exact_loop(conductor, data):
+    phi = euler_phi(conductor)
+
+    def scalar():
+        coords = data.draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+        den = data.draw(st.sampled_from([1, 1, 2, 3, 7]))
+        return CyclotomicNumber(conductor, [Fraction(c, den) for c in coords])
+
+    length = data.draw(st.integers(min_value=1, max_value=4))
+    vectors = []
+    for k in range(length + 1):  # length + 1 vectors are always dependent
+        if k and data.draw(st.booleans()):  # a combination of the earlier ones
+            coeffs = [scalar() for _ in vectors]
+            vectors.append([sum((c * v[i] for c, v in zip(coeffs, vectors)),
+                                CyclotomicNumber.zero(conductor)) for i in range(length)])
+        else:
+            vectors.append([scalar() for _ in range(length)])
+    expected = _exact_first_dependence(vectors, conductor)
+    assert first_dependence(iter(vectors), conductor) == expected
+
+
+def _zeta_minus(conductor, j):
+    """zeta - r^j, which the embedding zeta -> r^j sends to 0 mod p."""
+    p, r = _prime_and_root(conductor)
+    return CyclotomicNumber.zeta(conductor) - pow(r, j, p)
+
+
+@pytest.mark.parametrize("conductor, entries", [
+    # the coefficients 10^12 and 3 are too large to reconstruct mod p
+    (1, [[1, 0], [0, 1], [10 ** 12, 3]]),
+    # p divides a denominator
+    (3, [[Fraction(1, _prime_and_root(3)[0]), 0], [0, 1], [1, 1]]),
+    # the rank drops mod the prime: v_1 = (0, p) vanishes there
+    (1, [[1, 0], [0, _prime_and_root(1)[0]], [1, 1]]),
+    (7, [[1, 0], [0, _zeta_minus(7, 1)], [1, 1]]),
+    # sigma_1 keeps the rank, the embedding zeta -> r^3 does not
+    (7, [[1, 0], [0, _zeta_minus(7, 3)], [1, 1]]),
+])
+def test_first_dependence_falls_back_to_exact_loop(monkeypatch, conductor, entries):
+    vectors = [[CyclotomicNumber(conductor, [0] * euler_phi(conductor)) + e for e in v]
+               for v in entries]
+    expected = _exact_first_dependence(vectors, conductor)
+    calls = _count_exact_inserts(monkeypatch)
+    assert first_dependence(iter(vectors), conductor) == expected
+    assert len(calls) == 3  # every vector was replayed into the exact loop
+
+
+def test_first_dependence_decides_without_exact_loop(monkeypatch):
+    calls = _count_exact_inserts(monkeypatch)
+    one, zero = CyclotomicNumber.one(7), CyclotomicNumber.zero(7)
+    z = CyclotomicNumber.zeta(7)
+    c0, c1 = z * z + one, z + Fraction(1, 2)
+    v0, v1 = [one, zero, z], [z, one, one]
+    v2 = [c0 * a + c1 * b for a, b in zip(v0, v1)]
+    assert first_dependence(iter([v0, v1, v2]), 7) == ExactPolynomial([-c0, -c1, 1], 7)
+    assert calls == []
+
+
+def test_first_dependence_stream_without_dependence():
+    one, zero = CyclotomicNumber.one(1), CyclotomicNumber.zero(1)
+    with pytest.raises(AssertionError, match="without a dependence"):
+        first_dependence(iter([[one, zero], [zero, one]]), 1)
+
+
+def test_is_prime_is_deterministic():
+    def trial_division(n):
+        return n > 1 and all(n % r for r in range(2, isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(200_000))
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 61 - 1)
 
 
 @settings(max_examples=25)

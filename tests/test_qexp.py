@@ -11,8 +11,8 @@ import pytest
 
 from hopfqexp import qexp as qmod
 from hopfqexp.hopf import HopfAlgebraData, OrderSearchExhausted, dense, tensor
-from hopfqexp.linalg import ExactMatrix, ExactPolynomial
-from hopfqexp.presets import get_preset
+from hopfqexp.linalg import ExactMatrix, ExactPolynomial, SpanSolver
+from hopfqexp.presets import ZOO, get_preset
 from hopfqexp.qexp import (
     check_corollary_24,
     element_minimal_polynomial,
@@ -89,6 +89,44 @@ def test_t_route_needs_no_antipode_inverse(monkeypatch, name, conductor, coeffs)
 
     monkeypatch.setattr(HopfAlgebraData, "antipode_inv", property(refuse))
     assert u_min_poly_via_t(H) == ExactPolynomial(coeffs, conductor)
+
+
+def _x_power_minus_one(n, power=1):
+    f = ExactPolynomial([-1] + [0] * (n - 1) + [1], 1)
+    out = ExactPolynomial([1], 1)
+    for _ in range(power):
+        out = out * f
+    return out
+
+
+MU_U = {
+    "trivial": _x_power_minus_one(1),
+    "group:builtin:Z2": _x_power_minus_one(2),
+    "group:builtin:Z3": _x_power_minus_one(3),
+    "group:builtin:Z4": _x_power_minus_one(4),
+    "group:builtin:Z6": _x_power_minus_one(6),
+    "group:builtin:Z2xZ2": _x_power_minus_one(2),
+    "group:builtin:S3": _x_power_minus_one(3) * ExactPolynomial([1, 1], 1),
+    "dualgroup:builtin:Z3": _x_power_minus_one(3),
+    "dualgroup:builtin:S3": _x_power_minus_one(3) * ExactPolynomial([1, 1], 1),
+    "sweedler": _x_power_minus_one(2, 2),
+    "uqsl2:3": _x_power_minus_one(3, 3),
+    "tensor:sweedler,group:builtin:Z3": _x_power_minus_one(6, 2),
+    **{f"taft:{n}": _x_power_minus_one(n, 2) for n in range(2, 9)},
+    **{f"uqb2:{n}": _x_power_minus_one(n, 2) for n in (3, 5, 7)},
+}
+
+
+@pytest.mark.parametrize("name", ZOO + ["taft:6", "taft:7", "taft:8", "uqb2:5", "uqb2:7"])
+def test_t_route_decided_mod_p(name, preset_cache, monkeypatch):
+    # the modular pass of first_dependence and its exact check decide alone
+    def refuse(self, vec):
+        raise AssertionError("the exact elimination ran")
+
+    H = preset_cache(name)
+    monkeypatch.setattr(SpanSolver, "insert", refuse)
+    g = u_min_poly_via_t(H)
+    assert g.conductor == H.conductor and g == MU_U[name]
 
 
 def test_t_map_t1_is_identity(preset_cache):
