@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .poly import ExactPolynomial, _prime_and_root, root_of_unity_order  # noqa: F401
+from .poly import ExactPolynomial, _prime_and_root, root_of_unity_order  # noqa: F401  (re-exported)
 from .scalars import CyclotomicNumber, _canonical, as_scalar, euler_phi
 
 
