@@ -971,24 +971,30 @@ class GrouplikeSet:
 
 # -- Hopf subalgebra closure ----------------------------------------------------
 
-def subalgebra_closure(H: HopfAlgebraData,
-                       generators: Sequence[AlgebraElement]) -> HopfAlgebraData:
-    """Smallest Hopf subalgebra containing the generators, as standalone data.
+def _closure_basis(H: HopfAlgebraData, generators: Sequence[AlgebraElement]
+                   ) -> tuple[SpanSolver, list[list[CyclotomicNumber]]]:
+    """The span of the smallest Hopf subalgebra containing the generators,
+    and its basis: the unit, then the independent vectors in insertion order.
 
     Alternates linear closure passes under multiplication, both
     comultiplication legs, and the antipode until the dimension
-    stabilizes.  The sub-basis is the unit followed by the independent
-    vectors in insertion order.
+    stabilizes.  The passes are semi-naive: from the second pass on, only
+    the pairs (a, b) with a or b added in the previous pass are
+    multiplied, and S and the legs of Delta are applied only to those
+    new vectors.  This changes neither the basis nor its order.  A pair
+    of older vectors was a candidate in the pass just after the later of
+    the two was added, as was S or a leg of an older vector, so such a
+    candidate already lies in the span, which only grows; inserting it
+    again would be a no-op.  The remaining candidates keep their loop
+    order.
     """
     N = H.dim
     space = SpanSolver(H.conductor)
     basis: list[list[CyclotomicNumber]] = []
 
-    def insert(vec) -> bool:
-        if space.insert(vec) is not None:
-            return False
-        basis.append(list(vec))
-        return True
+    def insert(vec) -> None:
+        if space.insert(vec) is None:
+            basis.append(list(vec))
 
     insert(list(H.unit))
     for g in generators:
@@ -996,14 +1002,16 @@ def subalgebra_closure(H: HopfAlgebraData,
             raise ValueError("generator from a different algebra")
         insert(list(g.coeffs))
 
-    changed = True
-    while changed:
-        changed = False
+    fresh = 0  # basis[fresh:] was added by the last pass (or is the input)
+    while fresh < len(basis):
+        vectors = [sparse(v) for v in basis]
         candidates: list[list[CyclotomicNumber]] = []
-        for a in basis:
-            sa = sparse(a)
-            for b in basis:
-                candidates.append(dense(H.mul_dicts(sa, sparse(b)), N, H.conductor))
+        for ia, sa in enumerate(vectors):
+            for ib, sb in enumerate(vectors):
+                if ia >= fresh or ib >= fresh:
+                    candidates.append(dense(H.mul_dicts(sa, sb), N, H.conductor))
+            if ia < fresh:
+                continue
             candidates.append(dense(apply_columns(H.antipode, sa), N, H.conductor))
             pairs = H.comul_dict(sa)
             lefts: dict[int, SparseVec] = {}
@@ -1015,10 +1023,21 @@ def subalgebra_closure(H: HopfAlgebraData,
                 candidates.append(dense(vec, N, H.conductor))
             for vec in rights.values():
                 candidates.append(dense(vec, N, H.conductor))
+        fresh = len(vectors)
         for cand in candidates:
-            if insert(cand):
-                changed = True
+            insert(cand)
+    return space, basis
 
+
+def subalgebra_closure(H: HopfAlgebraData,
+                       generators: Sequence[AlgebraElement]) -> HopfAlgebraData:
+    """Smallest Hopf subalgebra containing the generators, as standalone data.
+
+    The sub-basis is the one of `_closure_basis`: the unit followed by the
+    independent vectors in insertion order.
+    """
+    N = H.dim
+    space, basis = _closure_basis(H, generators)
     d = len(basis)
 
     def coords(vec) -> list[CyclotomicNumber]:

@@ -10,8 +10,8 @@ on H itself (a vanishing combination sum a_i T_i = 0 is equivalent to
 f(u) = 0 for f = sum a_i x^i), and the cross-check builds D(H) and
 takes the first dependence among the powers of u in D(H).
 
-The T-route keeps T_n as sparse columns, built by the recursion
-T_{n+1}(h) = h_1 S^-2(T_n(h_2)), and takes the first dependence g
+The T-route builds T_n by the recursion T_{n+1}(h) = h_1 S^-2(T_n(h_2))
+on packed integers (`_TSequence`), and takes the first dependence g
 among the N-long projections P(T_n) = sum_k (k+1) T_n(e_k).  The
 candidate is certified exactly: if sum g_i T_i = 0 on every column,
 then g(u) = 0, so the minimal polynomial of u divides g, and it cannot
@@ -23,7 +23,7 @@ the first dependence among the unprojected T_n decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 
 from .double import QuasitriangularData, drinfeld_double, drinfeld_element
 from .hopf import (
@@ -33,8 +33,6 @@ from .hopf import (
     SparseVec,
     TensorElement,
     TensorSquareElement,
-    apply_columns,
-    dadd,
     dense,
     element_minimal_polynomial,
     s2_order,
@@ -43,6 +41,7 @@ from .hopf import (
 )
 from .linalg import ExactMatrix, ExactPolynomial, first_dependence
 from .poly import root_of_unity_order, squarefree_part
+from .scalars import _canonical, pack, unpack
 
 #: largest double dimension the regular route will build
 REGULAR_ROUTE_ENVELOPE = 4096
@@ -97,28 +96,229 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
     an algebra automorphism, so the factors after h_1 are S^-2 of
     h_2 S^-2(h_3) ... S^(-2n+2)(h_{n+1}) = T_n(h_2).  Only the columns
     of S^-2 are needed, never a power S^-2m; the scan of `s2_order`
-    reads them off as the power of S^2 just before the identity.
+    reads them off as the power of S^2 just before the identity.  The
+    recursion runs on packed integers (`_TSequence`); the columns are
+    decoded from it on request.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    cache = H._cache.get("t_columns")
-    if cache is None:
+    return _t_sequence(H).columns(H, n)
+
+
+#: packed widths are multiples of this many bits, so that the tables packed
+#: at one width serve every later step that needs no more
+_WIDTH_QUANTUM = 32
+
+
+def _width_for(bound: int) -> int:
+    """The least multiple of 32 bits B with bound < 2^(B-1)."""
+    return (bound.bit_length() + _WIDTH_QUANTUM) // _WIDTH_QUANTUM * _WIDTH_QUANTUM
+
+
+def _integers(values: dict) -> tuple[int, dict]:
+    """(D, {key: power-basis coordinates of D v}): scalars over their lcm denominator D."""
+    den = lcm(*(v.den for v in values.values()))
+    return den, {key: v.num if v.den == den else tuple(x * (den // v.den) for x in v.num)
+                 for key, v in values.items()}
+
+
+def _height(vectors) -> int:
+    """The largest absolute coordinate among integer coordinate vectors."""
+    return max((max(map(abs, vec)) for vec in vectors), default=0)
+
+
+def _combination(m: int, terms: list[tuple[tuple[int, ...], dict, int]]) -> dict:
+    """sum_t w_t vec_t for integer coordinates w_t and vec_t = {i: coordinates},
+    each term given as (w_t, vec_t, height of vec_t); the result is decoded
+    mod Phi_m, so an entry may be all zeros.
+
+    Each digit of the sum is at most m sum_t |w_t| height_t (the exactness
+    guard of `_TSequence`), and the width is chosen from that bound.
+    """
+    width = _width_for(m * sum(_height([w]) * h for w, _, h in terms))
+    acc: dict[int, int] = {}
+    for w, vec, _ in terms:
+        w = pack(w, width)
+        for i, c in vec.items():
+            acc[i] = acc.get(i, 0) + w * pack(c, width)
+    return {i: unpack(z, width, m) for i, z in acc.items()}
+
+
+def _distinct(values) -> tuple[int, dict, list[tuple[int, ...]], list[int]]:
+    """The distinct scalars among values, over their common denominator D:
+    (D, {(num, den): index}, the coordinates of D v and their heights by index)."""
+    index: dict = {}
+    for v in values:
+        index.setdefault((v.num, v.den), len(index))
+    den = lcm(*(d for _, d in index))
+    coords = [num if d == den else tuple(x * (den // d) for x in num) for num, d in index]
+    return den, index, coords, [max(map(abs, c)) for c in coords]
+
+
+class _Tables:
+    """S^-2, Delta and the product of one algebra for `_TSequence`.
+
+    Each table is held over its own common denominator, as indices into
+    its few distinct values, which are packed once per width (`pack`):
+    sinv2[i] = [(j, s)] for S^-2(e_i) = sum_j value[s] e_j, legs[k] =
+    [(a, b, c)] for Delta(e_k) = sum value[c] e_a (x) e_b, and mult[a][q]
+    = ((j, u), ...) for e_a e_q = sum value[u] e_j, equal rows shared.
+    ``den`` is the product of the three denominators and ``mass`` the
+    factor R_S R_P of the exactness guard.
+    """
+
+    def __init__(self, H: HopfAlgebraData):
+        dim = H.dim
+        self.packed: dict[int, tuple] = {}
+        sden, index, self.sinv2_values, heights = _distinct(
+            v for col in H.sinv2_columns for v in col.values())
+        self.sinv2 = [[(j, index[v.num, v.den]) for j, v in col.items()]
+                      for col in H.sinv2_columns]
+        rows: dict[int, int] = {}
+        for entries in self.sinv2:
+            for j, i in entries:
+                rows[j] = rows.get(j, 0) + heights[i]
+        mden, index, self.mult_values, heights = _distinct(
+            v for vec in H.mult.values() for v in vec.values())
+        self.mult: list[dict] = [{} for _ in range(dim)]
+        sums: list[dict] = [{} for _ in range(dim)]
+        shared: dict = {}
+        for (a, q), vec in H.mult.items():
+            products = tuple((j, index[v.num, v.den]) for j, v in vec.items())
+            self.mult[a][q] = products = shared.setdefault(products, products)
+            row = sums[a]
+            for j, i in products:
+                row[j] = row.get(j, 0) + heights[i]
+        per_a = [max(row.values(), default=0) for row in sums]
+        cden, index, self.comult_values, heights = _distinct(
+            v for pairs in H.comult for v in pairs.values())
+        self.legs = [[(a, b, index[v.num, v.den]) for (a, b), v in pairs.items()]
+                     for pairs in H.comult]
+        per_k = [sum(heights[i] * per_a[a] for a, _, i in legs) for legs in self.legs]
+        self.den = sden * cden * mden
+        self.mass = max(1, *rows.values()) * max(1, *per_k)
+
+    def values(self, width: int) -> tuple:
+        """The distinct values of S^-2, Delta and the product, packed at width."""
+        packed = self.packed.get(width)
+        if packed is None:
+            packed = self.packed[width] = tuple(
+                [pack(c, width) for c in values]
+                for values in (self.sinv2_values, self.comult_values, self.mult_values))
+        return packed
+
+
+class _TSequence:
+    """T_0, T_1, ... of one algebra, built on packed integers.
+
+    ``terms[n] = (D_n, cols, height)``: T_n(e_k) = sum_i cols[k][i] / D_n e_i,
+    with integer power-basis coordinates cols[k][i] (zero entries dropped,
+    the content of all of them and D_n divided out) and ``height`` the
+    largest of their absolute values.  A step computes, with every value
+    packed at width B and the tables of `_Tables`,
+
+        I_b = S^-2(T_n(e_b)),   T_{n+1}(e_k) = sum_(a,b) sum_q (c_ab I_b[q]) e_a e_q
+
+    over Delta(e_k) = sum c_ab e_a (x) e_b, each product one int multiply
+    and a fold, then decodes every entry (`unpack`), drops the zeros and
+    divides out the content.  The tables are built when a step needs them;
+    the T-route drops them when it is done, since a caller may keep the
+    algebra.
+
+    Exactness guard.  The packed values stand for elements of
+    Z[x]/(x^m - 1), which are not reduced mod Phi_m before the decoding.
+    If two of them have digits bounded by A and C, each digit of their
+    product is a sum of m products of digits, so it is bounded by m A C,
+    and a sum of products by the sum of such bounds.  The factor is m,
+    not phi(m), because c_ab I_b[q] fills all m digits before it meets
+    e_a e_q.  With h the height of T_n, the digits of I_b are at most
+    m h R_S, and those of T_{n+1}, scaled by D_n times the three table
+    denominators, at most m^3 h R_S R_P = m^3 h ``mass``.  Here R_S is
+    the largest sum over i of the heights of S^-2(e_i)[j], over j, and
+    R_P the largest sum over (a, b) in Delta(e_k) of height(c_ab) times
+    max_j sum_q height((e_a e_q)[j]), over k.  `unpack` is exact while
+    the bound is below 2^(B-1), so a step widens B whenever the bound
+    reaches it.  Python ints never overflow, so this is the only engine:
+    no floating point and no modular reduction.
+    """
+
+    def __init__(self, H: HopfAlgebraData):
+        self.m, self.width = H.conductor, _WIDTH_QUANTUM
         one = sparse(H.unit)
-        t0 = [{i: v * e for i, v in one.items()} if not e.is_zero() else {}
-              for e in H.counit]
-        cache = H._cache["t_columns"] = [t0]
-    sinv2 = H.sinv2_columns
-    while len(cache) <= n:
-        images = [apply_columns(sinv2, col) for col in cache[-1]]  # S^-2(T_n(e_b))
-        cols = []
-        for k in range(H.dim):
-            col: SparseVec = {}
-            for (a, b), c in H.comult[k].items():
-                for i, v in H.mul_dicts({a: c}, images[b]).items():
-                    dadd(col, i, v)
-            cols.append(col)
-        cache.append(cols)
-    return cache[n]
+        den, t0 = _integers({(k, i): v * e for k, e in enumerate(H.counit) if e
+                             for i, v in one.items()})
+        cols: list[dict] = [{} for _ in range(H.dim)]
+        for (k, i), c in t0.items():
+            cols[k][i] = c
+        self.terms = [(den, cols, _height(t0.values()))]
+        self.decoded: dict[int, list[SparseVec]] = {}
+        self.tables: _Tables | None = None
+
+    def term(self, H: HopfAlgebraData, n: int) -> tuple[int, list[dict], int]:
+        while len(self.terms) <= n:
+            if self.tables is None:
+                self.tables = _Tables(H)
+            self._step(self.tables)
+        return self.terms[n]
+
+    def columns(self, H: HopfAlgebraData, n: int) -> list[SparseVec]:
+        """T_n as exact sparse columns, decoded once."""
+        if n not in self.decoded:
+            den, cols, _ = self.term(H, n)
+            self.decoded[n] = [{i: _canonical(self.m, tuple(c), den) for i, c in col.items()}
+                               for col in cols]
+        return self.decoded[n]
+
+    def _step(self, tables: _Tables) -> None:
+        den, cols, height = self.terms[-1]
+        m, mult = self.m, tables.mult
+        bound = m ** 3 * height * tables.mass
+        if bound >> (self.width - 1):
+            self.width = _width_for(bound)
+        width = self.width
+        svals, cvals, mvals = tables.values(width)
+        shift = width * m
+        modulus = (1 << shift) - 1
+        images = []
+        for col in cols:
+            image: dict[int, int] = {}
+            for i, c in col.items():
+                x = pack(c, width)
+                for j, s in tables.sinv2[i]:
+                    image[j] = image.get(j, 0) + x * svals[s]
+            images.append({j: (z & modulus) + (z >> shift) for j, z in image.items()})
+        new = []
+        for legs in tables.legs:
+            acc: dict[int, int] = {}
+            for a, b, ci in legs:
+                c = cvals[ci]
+                row = mult[a]
+                for q, y in images[b].items():
+                    products = row.get(q)
+                    if products:
+                        z = c * y
+                        z = (z & modulus) + (z >> shift)
+                        for j, i in products:
+                            acc[j] = acc.get(j, 0) + z * mvals[i]
+            col = {}
+            for j, z in acc.items():
+                c = unpack(z, width, m)
+                if any(c):
+                    col[j] = c
+            new.append(col)
+        den *= tables.den
+        g = gcd(den, *(x for col in new for c in col.values() for x in c))
+        if g > 1:
+            den //= g
+            new = [{j: [x // g for x in c] for j, c in col.items()} for col in new]
+        self.terms.append((den, new, _height(c for col in new for c in col.values())))
+
+
+def _t_sequence(H: HopfAlgebraData) -> _TSequence:
+    seq = H._cache.get("t_sequence")
+    if seq is None:
+        seq = H._cache["t_sequence"] = _TSequence(H)
+    return seq
 
 
 def _projection(H: HopfAlgebraData) -> SparseVec:
@@ -126,11 +326,35 @@ def _projection(H: HopfAlgebraData) -> SparseVec:
     return {k: H.scalar(k + 1) for k in range(H.dim)}
 
 
+def _projected(H: HopfAlgebraData, n: int, w: SparseVec) -> list:
+    """P(T_n) = sum_k w_k T_n(e_k) as a dense vector, summed on the integer form."""
+    seq = _t_sequence(H)
+    den, cols, height = seq.term(H, n)
+    wden, weights = _integers(w)
+    out = [H.zero_scalar] * H.dim
+    for i, c in _combination(seq.m, [(x, cols[k], height)
+                                      for k, x in weights.items()]).items():
+        out[i] = _canonical(seq.m, tuple(c), wden * den)
+    return out
+
+
 def _annihilates(H: HopfAlgebraData, g: ExactPolynomial) -> bool:
-    """True iff sum_i g_i T_i = 0, checked on every column."""
-    ts = [_t_columns(H, i) for i in range(g.degree + 1)]
-    coeffs = sparse(g.coeffs)
-    return not any(apply_columns([t[k] for t in ts], coeffs) for k in range(H.dim))
+    """True iff sum_i g_i T_i = 0, checked on every column.
+
+    With g_i = G_i / D_g and T_i = t_i / D_i over L = lcm D_i, the sum is
+    sum_i G_i (L / D_i) t_i / (D_g L); each entry is decoded mod Phi_m
+    before its zero test.
+    """
+    seq = _t_sequence(H)
+    terms = [seq.term(H, i) for i in range(g.degree + 1)]
+    _, coeffs = _integers(dict(enumerate(g.coeffs)))
+    top = lcm(*(den for den, _, _ in terms))
+    weights = [tuple(x * (top // den) for x in coeffs[i]) for i, (den, _, _) in enumerate(terms)]
+    for k in range(H.dim):
+        column = [(w, cols[k], h) for w, (_, cols, h) in zip(weights, terms) if any(w)]
+        if any(any(c) for c in _combination(seq.m, column).values()):
+            return False
+    return True
 
 
 def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
@@ -147,13 +371,13 @@ def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
     N, cond = H.dim, H.conductor
     length = N * N + 2
     w = _projection(H)
-    g = first_dependence(
-        (dense(apply_columns(_t_columns(H, n), w), N, cond) for n in range(length)), cond)
-    if _annihilates(H, g):
-        return g
-    return first_dependence(
-        ([v for col in _t_columns(H, n) for v in dense(col, N, cond)]
-         for n in range(length)), cond)
+    g = first_dependence((_projected(H, n, w) for n in range(length)), cond)
+    if not _annihilates(H, g):
+        g = first_dependence(
+            ([v for col in _t_columns(H, n) for v in dense(col, N, cond)]
+             for n in range(length)), cond)
+    _t_sequence(H).tables = None  # a caller may keep H; a later step rebuilds them
+    return g
 
 
 def u_min_poly_via_regular(H: HopfAlgebraData,

@@ -416,6 +416,63 @@ def _frac_poly_sub(a, b):
     return a
 
 
+# -- packed integers ---------------------------------------------------------
+#
+# Kronecker substitution x = 2^B into Z[x]/(x^m - 1): an integer vector
+# (c_0, ..., c_{m-1}) is packed into the one int sum c_e 2^(Be), taken mod
+# M = 2^(Bm) - 1.  Since 2^(Bm) = 1 mod M, x -> 2^B is a ring map from
+# Z[x]/(x^m - 1) to Z/M, and x -> zeta_m maps Z[x]/(x^m - 1) onto Z[zeta_m].
+# A product is one int multiply and the fold z -> (z & M) + (z >> Bm), which
+# keeps z mod M; a sum is one int addition.  Only `unpack` needs a bound.
+
+def pack(coords: Sequence[int], width: int) -> int:
+    """sum_e coords[e] 2^(width e), the packed form of an integer vector."""
+    z = 0
+    for c in reversed(coords):
+        z = (z << width) + c
+    return z
+
+
+@lru_cache(maxsize=None)
+def _unpacking(width: int, m: int):
+    # M, the offset sum_e 2^(width-1) 2^(width e), the digit shifts, and the
+    # nonzero coordinates of zeta_m^e for phi <= e < m
+    modulus = (1 << width * m) - 1
+    offset = (1 << width - 1) * (modulus // ((1 << width) - 1))
+    phi = euler_phi(m)
+    folds = tuple((e, tuple((i, v) for i, v in enumerate(_power_vector(m, e)) if v))
+                  for e in range(phi, m))
+    return modulus, offset, range(0, width * m, width), folds, phi
+
+
+def unpack(z: int, width: int, m: int) -> list[int]:
+    """The power-basis coordinates in Z[zeta_m] of the packed value z.
+
+    Exact if the element of Z[x]/(x^m - 1) that z stands for has every
+    digit below 2^(width-1) in absolute value.  Such digit vectors give
+    integers sum c_e 2^(width e) of absolute value below M/2, distinct ones
+    distinct, so the balanced residue of z mod M is that integer; adding
+    2^(width-1) to every digit makes them all lie in [1, 2^width), where
+    they are read off bit by bit.  Digits e >= phi(m) are then folded back
+    with zeta_m^e; for m = 8 that reaches e = 7 > 2 phi(m) - 2, past what
+    `_reduction_rows` covers.
+    """
+    modulus, offset, shifts, folds, phi = _unpacking(width, m)
+    z %= modulus
+    if z > modulus >> 1:
+        z -= modulus
+    z += offset
+    mask, half = (1 << width) - 1, 1 << width - 1
+    digits = [((z >> s) & mask) - half for s in shifts]
+    out = digits[:phi]
+    for e, vec in folds:
+        d = digits[e]
+        if d:
+            for i, v in vec:
+                out[i] += d * v
+    return out
+
+
 def lift_conductor(a: CyclotomicNumber, target: int) -> CyclotomicNumber:
     """Express ``a`` in Q(zeta_target); requires conductor(a) | target."""
     m = a.conductor

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from hopfqexp.scalars import (
     ConductorMismatch,
     CyclotomicNumber,
+    _power_vector,
     as_scalar,
     cyclotomic_int_coeffs,
     euler_phi,
     format_rational,
     lift_conductor,
+    pack,
     parse_rational,
     scalar_from_json,
     scalar_to_json,
+    unpack,
 )
 
 rationals = st.builds(
@@ -138,6 +141,54 @@ def test_arithmetic_matches_polynomial_reference(pair):
     assert total.coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
     for r in (product, total, -a):  # canonical: positive denominator coprime to the content
         assert r.den > 0 and gcd(r.den, *r.num) == 1
+
+
+def _height(coords):
+    return max(map(abs, coords))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([1, 3, 4, 5, 7, 8]).flatmap(
+    lambda m: st.tuples(operands(m), operands(m), operands(m))))
+def test_packed_arithmetic_matches_cyclotomic(triple):
+    # a b c + a b + c on packed numerators over da db dc, at the narrowest width
+    # the digit bound allows; a b is folded but never reduced mod Phi_m
+    a, b, c = triple
+    m = a.conductor
+    bound = (m * m * _height(a.num) * _height(b.num) * _height(c.num)
+             + m * _height(a.num) * _height(b.num) * c.den + _height(c.num) * a.den * b.den)
+    width = bound.bit_length() + 1
+    shift = width * m
+    modulus = (1 << shift) - 1
+
+    def fold(z):
+        return (z & modulus) + (z >> shift)
+
+    pa, pb, pc = (pack(x.num, width) for x in triple)
+    ab = fold(pa * pb)
+    z = fold(ab * pc) + ab * c.den + pc * (a.den * b.den)
+    den = a.den * b.den * c.den
+    got = CyclotomicNumber(m, [Fraction(x, den) for x in unpack(z, width, m)])
+    assert got == a * b * c + a * b + c
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([1, 3, 4, 5, 7, 8]), st.sampled_from([2, 3, 8, 32]), st.data())
+def test_unpack_is_exact_up_to_the_digit_bound(m, width, data):
+    # every digit vector of Z[x]/(x^m - 1) below 2^(width-1), under any
+    # multiple of M = 2^(width m) - 1 and after a fold, decodes to its image
+    # in Z[zeta_m]; for m = 8 that needs zeta^7, past _reduction_rows
+    top = (1 << width - 1) - 1
+    digit = st.sampled_from([-top, top, 0]) | st.integers(min_value=-top, max_value=top)
+    digits = data.draw(st.lists(digit, min_size=m, max_size=m))
+    modulus = (1 << width * m) - 1
+    z = pack(digits, width) + data.draw(st.integers(min_value=-3, max_value=3)) * modulus
+    expected = [0] * euler_phi(m)
+    for e, d in enumerate(digits):
+        for i, v in enumerate(_power_vector(m, e)):
+            expected[i] += d * v
+    assert unpack(z, width, m) == expected
+    assert unpack((z & modulus) + (z >> width * m), width, m) == expected
 
 
 def test_constants_are_shared():

@@ -11,6 +11,8 @@ from hopfqexp.hopf import (
     HopfAlgebraData,
     OrderSearchExhausted,
     TensorElement,
+    apply_columns,
+    dadd,
     dense,
     dual,
     element_order,
@@ -25,7 +27,7 @@ from hopfqexp.hopf import (
     validate,
     variant,
 )
-from hopfqexp.linalg import ExactMatrix
+from hopfqexp.linalg import ExactMatrix, SpanSolver
 from hopfqexp.presets import ZOO, get_preset, preset_grouplikes, sweedler
 
 
@@ -351,6 +353,47 @@ def test_subalgebra_closure_full(preset_cache):
         sub = subalgebra_closure(H, [H.basis_element(k) for k in range(H.dim)])
         assert sub.dim == H.dim, name
         assert validate(sub) == [], name
+
+
+def _naive_closure_basis(H, generators):
+    """The closure basis with every pair multiplied in every pass."""
+    N, space, basis = H.dim, SpanSolver(H.conductor), []
+
+    def insert(vec):
+        if space.insert(vec) is not None:
+            return False
+        basis.append(list(vec))
+        return True
+
+    for vec in [list(H.unit)] + [list(g.coeffs) for g in generators]:
+        insert(vec)
+    changed = True
+    while changed:
+        candidates = []
+        for a in basis:
+            sa = sparse(a)
+            candidates += [dense(H.mul_dicts(sa, sparse(b)), N, H.conductor) for b in basis]
+            candidates.append(dense(apply_columns(H.antipode, sa), N, H.conductor))
+            lefts, rights = {}, {}
+            for (i, j), c in H.comul_dict(sa).items():
+                dadd(lefts.setdefault(j, {}), i, c)
+                dadd(rights.setdefault(i, {}), j, c)
+            candidates += [dense(v, N, H.conductor) for v in [*lefts.values(), *rights.values()]]
+        changed = False
+        for cand in candidates:
+            changed |= insert(cand)
+    return basis
+
+
+@pytest.mark.parametrize("name, generators", [
+    ("sweedler", [1]), ("taft:3", [1]), ("taft:3", [8]), ("uqb2:3", [3]),
+    ("group:builtin:S3", [1, 3]), ("dualgroup:builtin:S3", [1]), ("uqsl2:3", [3, 9]),
+])
+def test_semi_naive_closure_keeps_the_basis_and_its_order(name, generators, preset_cache):
+    H = preset_cache(name)
+    gens = [H.basis_element(k) for k in generators]
+    _, basis = hopf._closure_basis(H, gens)
+    assert basis == _naive_closure_basis(H, gens)
 
 
 def test_all_preset_axioms_hold_with_witness_messages():

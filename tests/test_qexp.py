@@ -10,7 +10,15 @@ products take least common multiples.
 import pytest
 
 from hopfqexp import qexp as qmod
-from hopfqexp.hopf import HopfAlgebraData, OrderSearchExhausted, dense, tensor
+from hopfqexp.hopf import (
+    HopfAlgebraData,
+    OrderSearchExhausted,
+    apply_columns,
+    dadd,
+    dense,
+    sparse,
+    tensor,
+)
 from hopfqexp.linalg import ExactMatrix, ExactPolynomial, SpanSolver
 from hopfqexp.presets import ZOO, get_preset
 from hopfqexp.qexp import (
@@ -179,6 +187,57 @@ def test_uncertified_projection_falls_back(name, preset_cache, double_cache, mon
     H = preset_cache(name)
     assert u_min_poly_via_t(H) == u_min_poly_via_regular(H, double_cache(name))
     assert verdicts == [False]
+
+
+def _cyclotomic_t_columns(H, n_max):
+    """T_0..T_n_max by T_{n+1}(h) = h_1 S^-2(T_n(h_2)) in CyclotomicNumber arithmetic."""
+    one = sparse(H.unit)
+    t = [{i: v * e for i, v in one.items()} if not e.is_zero() else {} for e in H.counit]
+    out = [t]
+    for _ in range(n_max):
+        images = [apply_columns(H.sinv2_columns, col) for col in t]
+        t = []
+        for k in range(H.dim):
+            col = {}
+            for (a, b), c in H.comult[k].items():
+                for i, v in H.mul_dicts({a: c}, images[b]).items():
+                    dadd(col, i, v)
+            t.append(col)
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("name", ZOO + ["taft:6", "taft:7", "taft:8", "uqb2:5", "uqb2:7"])
+def test_packed_t_columns_match_cyclotomic_recursion(name, preset_cache):
+    H = preset_cache(name)
+    w = qmod._projection(H)
+    for n, ref in enumerate(_cyclotomic_t_columns(H, MU_U[name].degree)):
+        assert qmod._t_columns(H, n) == ref, f"T_{n} of {name}"
+        assert qmod._projected(H, n, w) == dense(apply_columns(ref, w), H.dim, H.conductor)
+
+
+def test_exactness_guard_widens_a_narrow_width():
+    # T_3 of uq_sl2(3) has height 18: the step to T_4 needs digits far past 2^3
+    H = get_preset("uqsl2:3")
+    seq = qmod._t_sequence(H)
+    _, _, height = seq.term(H, 3)
+    narrow = 4
+    assert seq.m ** 3 * height * seq.tables.mass >= 1 << (narrow - 1)
+    seq.width = narrow
+    for n, ref in enumerate(_cyclotomic_t_columns(H, 9)):
+        assert qmod._t_columns(H, n) == ref, f"T_{n}"
+    assert seq.width > narrow and seq.width % qmod._WIDTH_QUANTUM == 0
+    assert u_min_poly_via_t(H) == MU_U["uqsl2:3"]
+
+
+def test_narrow_width_without_the_guard_decodes_wrongly(monkeypatch):
+    # the same step with the widening switched off: the guard is what keeps T_4 exact
+    H = get_preset("uqsl2:3")
+    seq = qmod._t_sequence(H)
+    seq.term(H, 3)
+    seq.width = 4
+    monkeypatch.setattr(qmod, "_width_for", lambda bound: 4)
+    assert qmod._t_columns(H, 4) != _cyclotomic_t_columns(H, 4)[4]
 
 
 ROUTE_PRESETS = ["sweedler", "group:builtin:Z2", "group:builtin:Z3",
