@@ -23,24 +23,34 @@ as failed.  With ``--json PATH`` the same comparison is also written to
 PATH: each metric's rows as printed, the seeds, each side's ``meta`` line
 (git SHA, Python, nproc, ``src_lines``) and every run's metrics and
 ``machine.calib_s``.  Only the standard library is used.
+
+Every run starts with ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONPYCACHEPREFIX`` set to a fresh empty temporary directory, so
+neither side reads or writes cached bytecode: a ``__pycache__`` left in one
+checkout would otherwise spare that side the compilation at each worker
+start.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One benchmark run in the checkout at root: its result line and exit code."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    with tempfile.TemporaryDirectory() as no_cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=no_cache)
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])

@@ -6,7 +6,7 @@ and Drinfeld twists, all over cyclotomic fields with no floating point.
 
 from .scalars import CyclotomicNumber, Rational, as_scalar, lift_conductor
 from .poly import ExactPolynomial, cyclotomic_polynomial, poly_gcd, squarefree_part, root_of_unity_order
-from .linalg import ExactMatrix, SpanSolver, minimal_polynomial, is_nilpotent
+from .linalg import ExactMatrix, SpanSolver, minimal_polynomial
 from .hopf import (
     AlgebraElement,
     GrouplikeSet,
@@ -64,7 +64,7 @@ __all__ = [
     "CyclotomicNumber", "Rational", "as_scalar", "lift_conductor",
     "ExactPolynomial", "cyclotomic_polynomial", "poly_gcd",
     "squarefree_part", "root_of_unity_order",
-    "ExactMatrix", "SpanSolver", "minimal_polynomial", "is_nilpotent",
+    "ExactMatrix", "SpanSolver", "minimal_polynomial",
     "HopfAlgebraData", "AlgebraElement", "TensorElement",
     "TensorSquareElement", "GrouplikeSet", "OrderSearchExhausted",
     "validate", "dual", "variant", "tensor", "lift_algebra",

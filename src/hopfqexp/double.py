@@ -319,4 +319,7 @@ def regular_representation(A: HopfAlgebraData, a: AlgebraElement) -> ExactMatrix
     """The matrix of left multiplication by a."""
     if a.parent is not A:
         raise ValueError("element does not belong to the algebra")
-    return A.left_mult_matrix(a)
+    sp = a.sparse()
+    return ExactMatrix.from_columns(
+        [dense(A.mul_dicts(sp, {k: A.one_scalar}), A.dim, A.conductor) for k in range(A.dim)],
+        A.conductor)

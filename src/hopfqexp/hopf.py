@@ -18,7 +18,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ExactMatrix, ExactPolynomial, SpanSolver, first_dependence
+from .linalg import ExactPolynomial, SpanSolver, first_dependence
 from .scalars import CyclotomicNumber, as_scalar, lift_conductor
 
 
@@ -221,14 +221,6 @@ class HopfAlgebraData:
                     dm.setdefault((i, j), {})[k] = c
             self._cache["dual_mult"] = dm
         return self._cache["dual_mult"]
-
-    def left_mult_matrix(self, a: "AlgebraElement") -> ExactMatrix:
-        cols = []
-        sp = sparse(a.coeffs)
-        for k in range(self.dim):
-            col = self.mul_dicts(sp, {k: self.one_scalar})
-            cols.append(dense(col, self.dim, self.conductor))
-        return ExactMatrix.from_columns(cols, self.conductor)
 
     # -- comparisons --------------------------------------------------------
 
@@ -463,12 +455,7 @@ class TensorSquareElement(TensorElement):
     """An element of H tensor H, the home of R, J, Q sources and R_n."""
 
     def __init__(self, parent: HopfAlgebraData, data):
-        if isinstance(data, ExactMatrix):
-            mapping = {(i, j): data.entries[i][j]
-                       for i in range(data.rows) for j in range(data.cols)}
-        else:
-            mapping = data
-        super().__init__(parent, 2, mapping)
+        super().__init__(parent, 2, data)
 
     @classmethod
     def from_elements(cls, a: AlgebraElement, b: AlgebraElement) -> "TensorSquareElement":
@@ -480,13 +467,6 @@ class TensorSquareElement(TensorElement):
                 if not y.is_zero():
                     data[(i, j)] = x * y
         return cls(a.parent, data)
-
-    def coeff_matrix(self) -> ExactMatrix:
-        H = self.parent
-        m = ExactMatrix.zeros(H.dim, H.dim, H.conductor)
-        for (i, j), v in self.data.items():
-            m.entries[i][j] = v
-        return m
 
 
 def tensor_unit(parent: HopfAlgebraData) -> TensorSquareElement:

@@ -59,9 +59,14 @@ def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorSquareElement | None = N
     if H.grading is not None:
         doc["grading"] = list(H.grading)
     if r_matrix is not None:
-        m = r_matrix.coeff_matrix()
-        doc["r_matrix"] = [[fmt(e) for e in row] for row in m.entries]
+        doc["r_matrix"] = _rows(r_matrix, fmt)
     return doc
+
+
+def _rows(t: TensorSquareElement, fmt) -> list[list]:
+    """The dim x dim coefficient rows of t, each scalar written by fmt."""
+    n, zero = t.parent.dim, t.parent.zero_scalar
+    return [[fmt(t.data.get((i, j), zero)) for j in range(n)] for i in range(n)]
 
 
 def _field(doc: dict, name: str):
@@ -217,9 +222,8 @@ def twist_to_dict(T) -> dict:
         "schema": SCHEMA,
         "kind": "twist",
         "algebra": algebra_to_dict(H),
-        "J": [[scalar_to_json(e) for e in row] for row in T.J.coeff_matrix().entries],
-        "J_inv": [[scalar_to_json(e) for e in row]
-                  for row in T.J_inv.coeff_matrix().entries],
+        "J": _rows(T.J, scalar_to_json),
+        "J_inv": _rows(T.J_inv, scalar_to_json),
     }
 
 

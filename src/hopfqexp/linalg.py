@@ -1,10 +1,11 @@
-"""Dense exact linear algebra over a cyclotomic field.
+"""Exact linear algebra over a cyclotomic field.
 
-Matrices are immutable-by-convention row-major grids of
-`CyclotomicNumber`s sharing one conductor.  Everything here is exact:
-Gaussian elimination needs no pivot strategy beyond "first nonzero",
-and `SpanSolver` is the only exact elimination; inverses, linear
-solves, span closures and minimal polynomials all go through it.
+Everything here is exact: Gaussian elimination needs no pivot strategy
+beyond "first nonzero", and `SpanSolver` is the only exact elimination;
+inverses, linear solves, span closures and minimal polynomials all go
+through it.  `ExactMatrix`, an immutable-by-convention row-major grid of
+`CyclotomicNumber`s sharing one conductor, is only a dense view for
+reference checks: no command forms one.
 `first_dependence` first runs a pass modulo a prime that only proposes
 a candidate: an exact check decides, and `SpanSolver` is the fallback.
 """
@@ -24,13 +25,7 @@ from .scalars import CyclotomicNumber, _canonical, as_scalar, euler_phi
 class ExactMatrix:
     __slots__ = ("rows", "cols", "conductor", "entries")
 
-    def __init__(self, entries: Sequence[Sequence], conductor: int | None = None):
-        if conductor is None:
-            conductor = 1
-            for row in entries:
-                for e in row:
-                    if isinstance(e, CyclotomicNumber):
-                        conductor = max(conductor, e.conductor)
+    def __init__(self, entries: Sequence[Sequence], conductor: int):
         self.entries = [[as_scalar(e, conductor) for e in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
@@ -96,12 +91,6 @@ class ExactMatrix:
                         orow[j] = orow[j] + a * b
         return ExactMatrix(out, self.conductor)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.conductor,
-        )
-
     def __pow__(self, n: int) -> "ExactMatrix":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
@@ -164,27 +153,8 @@ class ExactMatrix:
                 raise ValueError("matrix is singular")
         # express(e_i) solves self x = e_i: it is column i of the inverse
         unit_vectors = ExactMatrix.identity(self.rows, self.conductor).entries
-        return ExactMatrix([solver.express(e) for e in unit_vectors],
-                           self.conductor).transpose()
-
-
-def solve_linear_system(m: ExactMatrix, rhs: Sequence) -> list[CyclotomicNumber] | None:
-    """One exact solution of m x = rhs, or None if the system is inconsistent.
-
-    For underdetermined consistent systems the free variables (the
-    columns dependent on earlier ones) are set to zero.
-    """
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    solver = SpanSolver(m.conductor)
-    independent = [j for j in range(m.cols) if solver.insert(m.column(j)) is None]
-    coeffs = solver.express([as_scalar(r, m.conductor) for r in rhs])
-    if coeffs is None:
-        return None
-    x = [CyclotomicNumber.zero(m.conductor)] * m.cols
-    for j, c in zip(independent, coeffs):
-        x[j] = c
-    return x
+        return ExactMatrix.from_columns([solver.express(e) for e in unit_vectors],
+                                        self.conductor)
 
 
 class SpanSolver:
@@ -451,12 +421,4 @@ def minimal_polynomial(a: ExactMatrix) -> ExactPolynomial:
                         initial=ExactMatrix.identity(a.rows, a.conductor))
     return first_dependence(([e for row in p.entries for e in row] for p in powers),
                             a.conductor)
-
-
-def is_nilpotent(a: ExactMatrix) -> bool:
-    """True iff the minimal polynomial is a pure power of x."""
-    if a.rows == 0:
-        return True
-    mp = minimal_polynomial(a)
-    return all(c.is_zero() for c in mp.coeffs[:-1])
 

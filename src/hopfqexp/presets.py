@@ -24,6 +24,7 @@ from .hopf import (
     lift_algebra,
     tensor,
 )
+from .poly import _is_prime
 from .scalars import CyclotomicNumber
 
 
@@ -286,7 +287,7 @@ def sweedler() -> HopfAlgebraData:
 
 
 def _check_quantum_p(p: int) -> None:
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
+    if p < 3 or not _is_prime(p):
         raise ValueError("quantum presets need an odd prime p >= 3")
 
 

@@ -413,22 +413,17 @@ def unipotency_index(min_poly_u: ExactPolynomial, qexp: int) -> int:
                          "polynomial; qexp is wrong")  # pragma: no cover
 
 
-def quasi_exponent(H: HopfAlgebraData, route: str = "t",
-                   cross_check: bool = False,
+def quasi_exponent(H: HopfAlgebraData, cross_check: bool = False,
                    bound: int | None = None) -> QexpReport:
-    """The full quasi-exponent report for H."""
-    if route not in ("t", "regular"):
-        raise ValueError("route must be 't' or 'regular'")
+    """The full quasi-exponent report for H, from the T-route.
+
+    With cross_check, the regular route must give the same minimal polynomial.
+    """
     # the regular route runs first, so past its envelope it raises before any work
-    regular = u_min_poly_via_regular(H) if route == "regular" or cross_check else None
-    f = regular if route == "regular" else u_min_poly_via_t(H)
-    cross_checked = False
-    if cross_check:
-        other = u_min_poly_via_t(H) if route == "regular" else regular
-        if other != f:
-            raise AssertionError(
-                f"route disagreement for {H.name}: {f!r} vs {other!r}")
-        cross_checked = True
+    regular = u_min_poly_via_regular(H) if cross_check else None
+    f = u_min_poly_via_t(H)
+    if cross_check and regular != f:
+        raise AssertionError(f"route disagreement for {H.name}: {f!r} vs {regular!r}")
     sf = squarefree_part(f)
     q = root_of_unity_order(sf, bound)
     if q is None:
@@ -444,8 +439,8 @@ def quasi_exponent(H: HopfAlgebraData, route: str = "t",
         exponent=exponent,
         s2_order=s2_order(H),
         unipotency_index=unipotency_index(f, q),
-        route=route,
-        cross_checked=cross_checked,
+        route="t",
+        cross_checked=cross_check,
     )
 
 

@@ -91,51 +91,48 @@ def cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    # Row j is x^{phi+j} reduced mod Phi_m, as integer coordinates.
+def _zeta_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row e holds the power-basis coordinates of zeta_m^e, for 0 <= e < m.
+
+    x^(e+1) is x times x^e with x^phi replaced by x^phi - Phi_m; since
+    Phi_m divides x^m - 1, zeta_m^e is row e mod m for every e.
+    """
     phi = euler_phi(m)
     cyc = cyclotomic_int_coeffs(m)
-    rows = []
-    cur = [-c for c in cyc[:phi]]  # x^phi
-    rows.append(tuple(cur))
-    for _ in range(phi - 2):
-        nxt = [0] + cur[:-1]
-        top = cur[-1]
-        if top:
-            for i in range(phi):
-                nxt[i] -= top * cyc[i]
-        rows.append(tuple(nxt))
-        cur = nxt
+    rows = [tuple(int(i == e) for i in range(phi)) for e in range(phi)]
+    for _ in range(phi, m):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple((prev[i - 1] if i else 0) - top * cyc[i] for i in range(phi)))
     return tuple(rows)
 
 
 def _reduce_vector(vec: list[int], m: int, phi: int) -> list[int]:
-    # Fold coordinates of degree >= phi back using precomputed rows.
+    # Fold coordinates of degree >= phi back with the powers of zeta_m.
     if len(vec) <= phi:
         return vec + [0] * (phi - len(vec))
-    rows = _reduction_rows(m)
+    rows = _zeta_powers(m)
     out = vec[:phi]
     for k in range(phi, len(vec)):
         c = vec[k]
         if c:
-            row = rows[k - phi]
+            row = rows[k % m]
             for i in range(phi):
                 if row[i]:
                     out[i] += c * row[i]
     return out
 
 
-@lru_cache(maxsize=None)
-def _power_vector(m: int, e: int) -> tuple[int, ...]:
-    # Coordinates of zeta_m^e in the power basis.
-    phi = euler_phi(m)
-    e %= m
-    if e < phi:
-        v = [0] * phi
-        v[e] = 1
-        return tuple(v)
-    prev = list(_power_vector(m, e - 1))
-    return tuple(_reduce_vector([0] + prev, m, phi))
+def _substitute(num: Sequence[int], target: int, k: int) -> list[int]:
+    """The coordinates in Q(zeta_target) of sum_i num[i] zeta_target^(i k)."""
+    rows = _zeta_powers(target)
+    acc = [0] * euler_phi(target)
+    for i, c in enumerate(num):
+        if c:
+            for j, v in enumerate(rows[i * k % target]):
+                if v:
+                    acc[j] += c * v
+    return acc
 
 
 class CyclotomicNumber:
@@ -166,7 +163,7 @@ class CyclotomicNumber:
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CyclotomicNumber":
-        return _canonical(m, _power_vector(m, power), 1)
+        return _canonical(m, _zeta_powers(m)[power % m], 1)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CyclotomicNumber":
@@ -285,23 +282,24 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """a^-1 = prod_{j != 1} sigma_j(a) / N(a), j over the units mod m.
+
+        The sigma_j: zeta -> zeta^j are the automorphisms of Q(zeta_m), so
+        the norm N(a) = prod_j sigma_j(a) is rational, and nonzero for a != 0.
+        The product runs on the integer numerator c of a = c / den, so N(c)
+        is an integer n and a^-1 = den prod_{j != 1} sigma_j(c) / n.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        if self.is_rational():
-            return _canonical(
-                self.conductor,
-                (self.den if self.num[0] > 0 else -self.den,) + (0,) * (len(self.num) - 1),
-                abs(self.num[0]),
-            )
-        # Extended Euclid against the cyclotomic modulus, over Q.
-        a = [Fraction(n, self.den) for n in self.num]
-        mod = [Fraction(c) for c in cyclotomic_int_coeffs(self.conductor)]
-        g, s = _frac_poly_half_egcd(a, mod)
-        # g is a nonzero constant; a * s == g (mod Phi_m)
-        inv = [c / g[0] for c in s]
-        phi = len(self.num)
-        inv = inv + [Fraction(0)] * (phi - len(inv))
-        return CyclotomicNumber(self.conductor, inv[:phi])
+        m, num = self.conductor, self.num
+        conj, n = _constant(m, 1), num[0]
+        if any(num[1:]):
+            for j in range(2, m):
+                if gcd(j, m) == 1:
+                    conj = conj * _canonical(m, tuple(_substitute(num, m, j)), 1)
+            n = (conj * _canonical(m, num, 1)).num[0]
+        scale = self.den if n > 0 else -self.den
+        return _canonical(m, tuple(c * scale for c in conj.num), abs(n))
 
     def __truediv__(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -366,56 +364,6 @@ def _constant(conductor: int, value: int) -> CyclotomicNumber:
     return CyclotomicNumber.rational(value, conductor)
 
 
-def _frac_poly_half_egcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, s) with g = gcd(a, b) (a constant here) and s*a = g mod b."""
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    r0, r1 = trim(list(a)), trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _frac_poly_divmod(r0, r1)
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, trim(_frac_poly_sub(s0, _frac_poly_mul(q, s1)))
-    return r0, s0
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    if len(a) < len(b):
-        return [], a
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / lb
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return q, a[:db]
-
-
-def _frac_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
-
-
 # -- packed integers ---------------------------------------------------------
 #
 # Kronecker substitution x = 2^B into Z[x]/(x^m - 1): an integer vector
@@ -440,7 +388,7 @@ def _unpacking(width: int, m: int):
     modulus = (1 << width * m) - 1
     offset = (1 << width - 1) * (modulus // ((1 << width) - 1))
     phi = euler_phi(m)
-    folds = tuple((e, tuple((i, v) for i, v in enumerate(_power_vector(m, e)) if v))
+    folds = tuple((e, tuple((i, v) for i, v in enumerate(_zeta_powers(m)[e]) if v))
                   for e in range(phi, m))
     return modulus, offset, range(0, width * m, width), folds, phi
 
@@ -454,8 +402,7 @@ def unpack(z: int, width: int, m: int) -> list[int]:
     distinct, so the balanced residue of z mod M is that integer; adding
     2^(width-1) to every digit makes them all lie in [1, 2^width), where
     they are read off bit by bit.  Digits e >= phi(m) are then folded back
-    with zeta_m^e; for m = 8 that reaches e = 7 > 2 phi(m) - 2, past what
-    `_reduction_rows` covers.
+    with zeta_m^e.
     """
     modulus, offset, shifts, folds, phi = _unpacking(width, m)
     z %= modulus
@@ -480,16 +427,7 @@ def lift_conductor(a: CyclotomicNumber, target: int) -> CyclotomicNumber:
         return a
     if target % m != 0:
         raise ConductorMismatch(f"conductor {m} does not divide target {target}")
-    k = target // m
-    phi = euler_phi(target)
-    acc = [0] * phi
-    for i, c in enumerate(a.num):
-        if c:
-            vec = _power_vector(target, i * k)
-            for j in range(phi):
-                if vec[j]:
-                    acc[j] += c * vec[j]
-    return _canonical(target, tuple(acc), a.den)
+    return _canonical(target, tuple(_substitute(a.num, target, target // m)), a.den)
 
 
 def as_scalar(value, conductor: int) -> CyclotomicNumber:

@@ -17,14 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from typing import Callable
 
 from .double import QuasitriangularData, drinfeld_double, drinfeld_element
 from .hopf import (
     AlgebraElement,
     HopfAlgebraData,
+    SparsePairs,
+    SparseVec,
     TensorElement,
     TensorSquareElement,
     apply_columns,
+    dadd,
     dense,
     lift_algebra,
     placed_product,
@@ -32,7 +36,7 @@ from .hopf import (
     sparse,
     tensor_unit,
 )
-from .linalg import ExactMatrix, SpanSolver, solve_linear_system
+from .linalg import SpanSolver
 from .presets import abelian_group_algebra, _root_conductor, _zeta, sweedler
 from .scalars import CyclotomicNumber, as_scalar
 
@@ -52,14 +56,19 @@ def _coordinates(t: TensorElement) -> list[CyclotomicNumber]:
 
 def invert_in_tensor_square(H: HopfAlgebraData,
                             J: TensorSquareElement) -> TensorSquareElement | None:
-    """Two-sided inverse of J in the algebra H (x) H, by an exact linear solve."""
-    keys = list(itertools.product(range(H.dim), repeat=2))
-    cols = [_coordinates(J * TensorSquareElement(H, {k: 1})) for k in keys]
+    """Two-sided inverse of J in the algebra H (x) H, by an exact linear solve.
+
+    The columns J (e_i (x) e_j) go into one SpanSolver; the unit is written
+    over the independent ones, and the dependent ones get coefficient zero.
+    """
+    solver = SpanSolver(H.conductor)
+    independent = [k for k in itertools.product(range(H.dim), repeat=2)
+                   if solver.insert(_coordinates(J * TensorSquareElement(H, {k: 1}))) is None]
     unit = tensor_unit(H)
-    x = solve_linear_system(ExactMatrix.from_columns(cols, H.conductor), _coordinates(unit))
+    x = solver.express(_coordinates(unit))
     if x is None:
         return None
-    cand = TensorSquareElement(H, dict(zip(keys, x)))
+    cand = TensorSquareElement(H, dict(zip(independent, x)))
     if cand * J != unit or J * cand != unit:
         return None
     return cand
@@ -196,6 +205,22 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
 # -- bicharacter twists on abelian group algebras -----------------------------
 
 
+def _character_tensor(H: HopfAlgebraData, idempotents: list[SparseVec],
+                      beta: Callable[[int, int], CyclotomicNumber]) -> TensorSquareElement:
+    """J = sum_a e_a (x) (sum_b beta(a, b) e_b), a and b indexing the e's."""
+    data: SparsePairs = {}
+    for a, e_a in enumerate(idempotents):
+        row: SparseVec = {}
+        for b, e_b in enumerate(idempotents):
+            c = beta(a, b)
+            for k, v in e_b.items():
+                dadd(row, k, c * v)
+        for i, x in e_a.items():
+            for k, y in row.items():
+                dadd(data, (i, k), x * y)
+    return TensorSquareElement(H, data)
+
+
 def build_bicharacter_element(orders, beta):
     """(H, J, J_inv-candidate) for J = sum beta(chi, psi) e_chi (x) e_psi.
 
@@ -208,28 +233,22 @@ def build_bicharacter_element(orders, beta):
     cond = _root_conductor(e)
     H = lift_algebra(abelian_group_algebra(orders), cond)
     elems = list(itertools.product(*[range(n) for n in orders]))
-    size = len(elems)
-    inv_size = as_scalar(Fraction(1, size), cond)
-    # E[a][g] = e_chi_a coefficient at group element g = (1/|G|) chi_a(g^-1)
-    emat = []
+    inv_size = as_scalar(Fraction(1, len(elems)), cond)
+    zetas = [as_scalar(_zeta(n), cond) for n in orders]
+    # e_chi_a has coefficient (1/|G|) chi_a(g^-1) at the group element g
+    idempotents = []
     for a in elems:
-        row = []
-        for g in elems:
-            acc = CyclotomicNumber.one(cond)
-            for n_s, ai, gi in zip(orders, a, g):
-                z = _zeta(n_s)
+        e_a = {}
+        for k, g in enumerate(elems):
+            acc = inv_size
+            for n_s, z, ai, gi in zip(orders, zetas, a, g):
                 acc = acc * z ** ((-ai * gi) % n_s)
-            row.append(acc * inv_size)
-        emat.append(row)
-    emat = ExactMatrix(emat, cond)
-
-    def assemble(bfun):
-        bmat = ExactMatrix(
-            [[as_scalar(bfun(a, b), cond) for b in elems] for a in elems], cond)
-        return TensorSquareElement(H, emat.transpose() @ bmat @ emat)
-
-    j = assemble(beta)
-    j_inv = assemble(lambda a, b: as_scalar(beta(a, b), cond).inverse())
+            e_a[k] = acc
+        idempotents.append(e_a)
+    j = _character_tensor(H, idempotents,
+                          lambda a, b: as_scalar(beta(elems[a], elems[b]), cond))
+    j_inv = _character_tensor(H, idempotents,
+                              lambda a, b: as_scalar(beta(elems[a], elems[b]), cond).inverse())
     return H, j, j_inv
 
 
@@ -243,14 +262,12 @@ def bicharacter_twist(orders, beta) -> TwistData:
     return make_twist(H, j, j_inv)
 
 
-def cyclic_grouplike_twist(H: HopfAlgebraData, g: AlgebraElement, p: int,
-                           beta_exp: int = 1) -> TwistData:
+def cyclic_grouplike_twist(H: HopfAlgebraData, g: AlgebraElement, p: int) -> TwistData:
     """A bicharacter twist supported on the cyclic grouplike subgroup <g>.
 
     With e_a = (1/p) sum_c zeta_p^(-ac) g^c the orthogonal idempotents
-    of C[<g>], builds J = sum_{a,b} zeta_p^(beta_exp*a*b) e_a (x) e_b
-    and verifies the twist axioms inside H.  Requires zeta_p in the
-    scalar field of H.
+    of C[<g>], builds J = sum_{a,b} zeta_p^(ab) e_a (x) e_b and verifies
+    the twist axioms inside H.  Requires zeta_p in the scalar field of H.
     """
     if H.conductor % _root_conductor(p) != 0:
         raise ValueError("the scalar field lacks the needed root of unity")
@@ -266,15 +283,9 @@ def cyclic_grouplike_twist(H: HopfAlgebraData, g: AlgebraElement, p: int,
         e = AlgebraElement(H, [H.zero_scalar] * H.dim)
         for c in range(p):
             e = e + powers[c].scale(z ** ((-a * c) % p) * inv_p)
-        idem.append(e)
-    j = TensorSquareElement(H, {})
-    j_inv = TensorSquareElement(H, {})
-    for a in range(p):
-        for b in range(p):
-            term = TensorSquareElement.from_elements(idem[a], idem[b])
-            j = TensorSquareElement(H, (j + term.scale(z ** ((beta_exp * a * b) % p))).data)
-            j_inv = TensorSquareElement(
-                H, (j_inv + term.scale(z ** ((-beta_exp * a * b) % p))).data)
+        idem.append(e.sparse())
+    j = _character_tensor(H, idem, lambda a, b: z ** (a * b % p))
+    j_inv = _character_tensor(H, idem, lambda a, b: z ** (-a * b % p))
     return make_twist(H, j, j_inv)
 
 

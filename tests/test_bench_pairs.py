@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,7 +70,20 @@ def test_run_once_reads_meta_and_calibration(monkeypatch):
         returncode = 0
 
     Done.stdout = stdout
-    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: Done())
+    envs = []
+
+    def fake_run(*args, **kwargs):
+        env = kwargs["env"]
+        # the bytecode cache is off, and its prefix is a fresh empty directory
+        envs.append((env["PYTHONPYCACHEPREFIX"], os.listdir(env["PYTHONPYCACHEPREFIX"])))
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert env["PATH"] == os.environ["PATH"]
+        return Done()
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
     result = bench.run_once(ROOT, "w", 1, 20)
     assert result["meta"] == meta and result["calib_s"] == [0.12, 0.13]
     assert result["attempted"] == 3 and result["returncode"] == 0
+    bench.run_once(ROOT, "w", 2, 20)
+    assert [listing for _, listing in envs] == [[], []]
+    assert not any(os.path.exists(prefix) for prefix, _ in envs)

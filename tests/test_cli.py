@@ -17,6 +17,7 @@ from hopfqexp import cli as cli_module
 from hopfqexp import qexp as qexp_module
 from hopfqexp.cli import main
 from hopfqexp.io import algebra_to_dict, dumps, twist_to_dict, write_algebra
+from hopfqexp.linalg import ExactMatrix
 from hopfqexp.presets import get_preset
 from hopfqexp.twist import bicharacter_twist
 
@@ -216,6 +217,32 @@ def test_twist_apply(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["dim"] == 4
+
+
+def test_no_command_forms_a_dense_matrix(capsys, tmp_path, monkeypatch):
+    # the same exit codes and output with ExactMatrix made unconstructible
+    twist = _write_twist(tmp_path)
+    doc = json.loads(twist.read_text())
+    del doc["J_inv"]
+    no_inv = tmp_path / "twist_no_inv.json"
+    no_inv.write_text(dumps(doc))
+    double = tmp_path / "double.json"
+    commands = [
+        ["suite", "--max-dim", "8"],
+        ["double", "--preset", "taft:3", "--format", "json", "--out", str(double)],
+        ["validate", "--in", str(double)],
+        ["qexp", "--cross-check", "--preset", "sweedler"],
+    ] + [[command, "--twist", str(path)] for path in (twist, no_inv)
+         for command in ("twist-check", "twist-apply")]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command formed an ExactMatrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "__init__", refuse)
+        refused = [run(capsys, *argv) for argv in commands]
+    assert refused == [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in refused] == [0] * len(commands)
 
 
 def _identity_j(n=4):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from hopfqexp import hopf
+from hopfqexp.double import regular_representation
 from hopfqexp.hopf import (
     GrouplikeSet,
     _generators,
@@ -276,7 +277,7 @@ def test_orders_match_dense_power_scans(preset_cache, double_cache, name):
     assert _matrix(H, H.sinv2_columns) == (s @ s).inverse()
     if H.grouplike_vectors is not None:
         for g in preset_grouplikes(H).elements:
-            assert element_order(g) == _dense_order(H.left_mult_matrix(g))
+            assert element_order(g) == _dense_order(regular_representation(H, g))
 
 
 def test_order_scans_stop_at_theorem_bounds():

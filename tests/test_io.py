@@ -94,8 +94,6 @@ def test_twist_j_inv_computed_when_absent():
 
 
 def test_non_twist_rejected_by_strict_loader(preset_cache):
-    from hopfqexp.hopf import TensorSquareElement
-
     T = bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1]))
     doc = twist_to_dict(T)
     # overwrite J with a non-twist (invertible but fails the cocycle law)
@@ -105,8 +103,8 @@ def test_non_twist_rejected_by_strict_loader(preset_cache):
     bad[key] = bad.get(key, H.zero_scalar) + H.one_scalar
     from hopfqexp.io import scalar_to_json
 
-    m = TensorSquareElement(H, bad).coeff_matrix()
-    doc["J"] = [[scalar_to_json(e) for e in row] for row in m.entries]
+    doc["J"] = [[scalar_to_json(bad.get((i, j), H.zero_scalar)) for j in range(H.dim)]
+                for i in range(H.dim)]
     del doc["J_inv"]
     with pytest.raises(SchemaError, match="twist|invertible"):
         twist_from_dict(doc)

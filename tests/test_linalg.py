@@ -11,9 +11,7 @@ from hopfqexp.linalg import (
     ExactMatrix,
     SpanSolver,
     first_dependence,
-    is_nilpotent,
     minimal_polynomial,
-    solve_linear_system,
 )
 from hopfqexp.poly import (
     ExactPolynomial,
@@ -62,22 +60,6 @@ def test_minimal_polynomial_identity_and_zero():
     assert minimal_polynomial(ExactMatrix.zeros(3, 3, 1)) == poly([0, 1])
 
 
-def test_is_nilpotent():
-    assert is_nilpotent(mat([[0, 1], [0, 0]]))
-    assert not is_nilpotent(mat([[0, 1], [1, 0]]))
-
-
-def test_solve_linear_system():
-    a = mat([[1, 2], [3, 4]])
-    one = CyclotomicNumber.one(1)
-    sol = solve_linear_system(a, [one, one])
-    assert sol is not None
-    assert a.apply(sol) == [one, one]
-    # inconsistent system
-    sing = mat([[1, 1], [1, 1]])
-    assert solve_linear_system(sing, [one, one + one]) is None
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 3]), st.data())
 def test_elimination_core_on_random_matrices(conductor, data):
@@ -116,14 +98,6 @@ def test_elimination_core_on_random_matrices(conductor, data):
         repeated = [m.column(j % cols) for j in range(rows - 1)] + [m.column(0)]
         with pytest.raises(ValueError, match="singular"):
             ExactMatrix.from_columns(repeated, conductor).inverse()
-
-    rhs = m.apply(scalars(cols))
-    x = solve_linear_system(m, rhs)
-    assert x is not None and m.apply(x) == rhs
-    assert all(x[j].is_zero() for j in dependent)
-
-    zero_row = ExactMatrix(m.entries + [[zero] * cols], conductor)
-    assert solve_linear_system(zero_row, rhs + [one]) is None
 
 
 def test_span_solver_reports_dependence():

@@ -108,10 +108,11 @@ def test_parse_preset_name_grammar():
 
 
 def test_quantum_presets_require_odd_prime():
-    with pytest.raises(ValueError):
-        uq_borel_sl2(4)
-    with pytest.raises(ValueError):
-        uq_sl2(2)
+    for p in (2, 4, 9, 15):
+        with pytest.raises(ValueError, match="odd prime"):
+            uq_borel_sl2(p)
+        with pytest.raises(ValueError, match="odd prime"):
+            uq_sl2(p)
 
 
 def test_taft_requires_n_at_least_two():

@@ -1,5 +1,7 @@
 """Drinfeld twists: axioms, twisted structures, and invariance."""
 
+import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from hopfqexp.double import drinfeld_double, drinfeld_element
 from hopfqexp.hopf import element_order, is_grouplike, s2_order, validate
+from hopfqexp.io import twist_to_dict
 from hopfqexp.qexp import quasi_exponent
 from hopfqexp.scalars import CyclotomicNumber
 from hopfqexp.twist import (
@@ -164,3 +167,32 @@ def test_twisted_grouplikes_survive(preset_cache):
     for gv in H.grouplike_vectors:
         cand = HJ.element(list(gv))
         assert is_grouplike(cand)
+
+
+#: sha256 of json.dumps([J rows, J_inv rows]) of twist_to_dict for the
+#: twists of the suite, recorded from their earlier dense construction:
+#: building them from the sparse idempotents must not change a byte
+TWIST_DIGESTS = {
+    "bicharacter Z2xZ2": "66c0662a274408812439f617c1a356776a4559a938f3a3cb455e9268b8126640",
+    "bicharacter Z3xZ3": "dba335fa813a75b4b9e3a65325f42bc36c174f880a630cbb56619d760fa65072",
+    "cyclic uqb2:3": "b619e6907413384443d3e169d95caf10efb01071298d71a423f7809b4a6bbd63",
+    "cyclic uqsl2:3": "2e89d85833d5e3b9169d04153f576921e1e1d8172fbcd1a9d0739b822ab21d5b",
+    "Sweedler ansatz 0": "d95003bbe5960f6579a121f7f5e5999977cf1dc76d4fdd2bd3e4090d331ab934",
+    "Sweedler ansatz 1": "0d442a485d4564b4b7638714dee76e90426c0611134faf674b82237d951ab9d0",
+    "Sweedler ansatz 2": "4188099dfec9de49187b8b3aae2f74e37060ba9dcf3fd846ca954604e70afada",
+}
+
+
+def test_twist_data_is_pinned(preset_cache):
+    twists = {"bicharacter Z2xZ2": z2z2_twist(), "bicharacter Z3xZ3": z3z3_twist()}
+    for name in ("uqb2:3", "uqsl2:3"):
+        H = preset_cache(name)
+        twists[f"cyclic {name}"] = cyclic_grouplike_twist(
+            H, H.element(H.grouplike_vectors[1]), 3)
+    for i, T in enumerate(sweedler_ansatz_twists()):
+        twists[f"Sweedler ansatz {i}"] = T
+    digests = {}
+    for name, T in twists.items():
+        doc = twist_to_dict(T)
+        digests[name] = hashlib.sha256(json.dumps([doc["J"], doc["J_inv"]]).encode()).hexdigest()
+    assert digests == TWIST_DIGESTS
