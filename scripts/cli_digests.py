@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print a digest line for each command of a fixed list of CLI commands.
+
+Usage, from anywhere:
+
+    python3 scripts/cli_digests.py > digests.txt
+
+Each command runs in process, through ``hopfqexp.cli.main`` of the
+checkout that holds this script, and prints one line
+
+    sha256(output) sha256(stderr) exit argv
+
+where output is what the command wrote to stdout, or to its ``--out``
+file when it has one.  The list takes no input: ``suite`` (plain,
+``--max-dim 8`` and ``--format json``), ``qexp`` and ``exponent`` in
+text and json on the preset zoo, taft:6..8 and uqb2:5,7, ``qexp
+--cross-check`` in text and json on the zoo, and ``double --format json
+--out`` on four small presets, each followed by ``validate --in`` on the
+file it wrote.  The files go to a temporary directory, written ``$TMP``
+in argv, so two checkouts print identical lines exactly when every
+command gives the same bytes and exit code; compare them with ``diff``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from hashlib import sha256
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hopfqexp.cli import main as cli_main  # noqa: E402
+from hopfqexp.presets import ZOO  # noqa: E402
+
+REPORT_PRESETS = ZOO + ["taft:6", "taft:7", "taft:8", "uqb2:5", "uqb2:7"]
+DOUBLE_PRESETS = ["sweedler", "group:builtin:S3", "taft:3", "uqb2:3"]
+
+
+def commands() -> list[list[str]]:
+    """The fixed command list; ``$TMP`` stands for the temporary directory."""
+    out = [["suite"], ["suite", "--max-dim", "8"], ["suite", "--format", "json"]]
+    for name in REPORT_PRESETS:
+        for command in ("qexp", "exponent"):
+            for fmt in ("text", "json"):
+                out.append([command, "--preset", name, "--format", fmt])
+    for name in ZOO:
+        for fmt in ("text", "json"):
+            out.append(["qexp", "--cross-check", "--preset", name, "--format", fmt])
+    for name in DOUBLE_PRESETS:
+        path = f"$TMP/double-{name.replace(':', '_')}.json"
+        out.append(["double", "--preset", name, "--format", "json", "--out", path])
+        out.append(["validate", "--in", path])
+    return out
+
+
+def digest_line(argv: list[str], tmp: str) -> str:
+    """Run one command in process and describe its output, stderr and exit code."""
+    real = [a.replace("$TMP", tmp) for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(real)
+    output = stdout.getvalue()
+    if "--out" in real:
+        output += Path(real[real.index("--out") + 1]).read_text()
+    return " ".join([sha256(output.encode()).hexdigest(),
+                     sha256(stderr.getvalue().encode()).hexdigest(),
+                     str(code), *argv])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in commands():
+            print(digest_line(command, tmp), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

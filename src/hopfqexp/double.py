@@ -26,9 +26,11 @@ from .hopf import (
     element_minimal_polynomial,
     first_failure,
     placed_product,
+    sparse_product,
     tensor_unit,
 )
 from .linalg import ExactMatrix
+from .scalars import CyclotomicNumber, _canonical, _distinct, _width_for, pack, unpack
 
 
 @dataclass
@@ -60,10 +62,66 @@ class QuasitriangularData:
         return AlgebraElement(D, coeffs)
 
 
+class _Decoder(dict):
+    """Packed sums back to interned scalars, keyed by residue.
+
+    A packed sum z stands for den times a value, at the given width and
+    conductor m.  ``decoder[z % modulus]`` is None for zero, else the one
+    object that ``canon`` holds for the value; each residue is decoded
+    once (`unpack`, then the canonical form over den).
+    """
+
+    def __init__(self, width: int, m: int, den: int, canon: dict):
+        super().__init__()
+        self.width, self.m, self.den, self.canon = width, m, den, canon
+        self.modulus = (1 << width * m) - 1
+
+    def __missing__(self, z: int) -> CyclotomicNumber | None:
+        c = unpack(z, self.width, self.m)
+        if any(c):
+            c = _canonical(self.m, tuple(c), self.den)
+            c = self.canon.setdefault((c.num, c.den), c)
+        else:
+            c = None
+        self[z] = c
+        return c
+
+
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
+    """D(H) with its R-matrix; the products and the coproduct are formed on
+    Kronecker-packed integers (`scalars.pack`).
+
+    The product (f_j (x) e_i)(f_l (x) e_q) is f_j cross[i][l] (1 (x) e_q),
+    with cross[i][l] = (1 (x) e_i)(f_l (x) 1) = sum v_(s,b) f_s (x) e_b.
+    The cross terms, the dual products f_j f_s = sum_k1 Delta-coefficients
+    f_k1 and the products e_b e_q of H are each held over their own common
+    denominator and packed once at width B; then
+
+        left[b][k1] = sum_s v_(s,b) (f_j f_s)[k1],
+        product[k1 N + k2] = sum_b left[b][k1] (e_b e_q)[k2]
+
+    are int multiply-adds, over the nonzero products e_b e_q only, and each
+    entry is decoded once per distinct residue (`_Decoder`).
+
+    Exactness guard.  A packed value stands for an element of
+    Z[x]/(x^m - 1), m the conductor: the power-basis coordinates of the
+    value times its table's denominator, with digits at most h_cross,
+    h_dual or h_mult, the largest absolute coordinate in each table.  Each
+    digit of a product of elements with digits at most A and C is a sum of
+    m products of digits, so it is at most m A C, and a sum adds the
+    bounds.  left[b][k1] has at most N terms, so its digits are at most
+    N m h_cross h_dual; a product entry has at most N terms of left times
+    a product of H, so its digits are at most m^2 N^2 h_cross h_dual
+    h_mult.  `unpack` is exact while that bound is below 2^(B-1), and B
+    is the least multiple of 32 bits for which it is (`_width_for`).  The
+    folds z -> (z & M) + (z >> Bm) and the reduction mod M = 2^(Bm) - 1
+    keep the residue mod M, which is all `unpack` reads.  The coproduct
+    entries are single products of a value of H.mult and one of H.comult,
+    digits at most m h_dual h_mult, below the same bound.
+    """
     N = H.dim
     ND = N * N
-    cond = H.conductor
+    m = H.conductor
     one = H.one_scalar
     sinv_cols = H.antipode_inv
 
@@ -104,82 +162,87 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                 for s, v in rows[l].items():
                     dadd(dest, (s, b), gamma * v)
 
-    # every stored coefficient is interned: one object per distinct value.
-    # products is keyed by the identity of its factors, which are interned
-    # values or structure constants of H, all alive until the build ends
+    # the three tables as indices into their distinct values, packed at B
+    cden, cindex, ccoords, cheights = _distinct(
+        v for row in cross for base in row for v in base.values())
+    dden, dindex, dcoords, dheights = _distinct(
+        v for pairs in H.comult for v in pairs.values())
+    mden, mindex, mcoords, mheights = _distinct(
+        v for vec in H.mult.values() for v in vec.values())
+    width = _width_for(m * m * ND * max(cheights, default=0) * max(dheights, default=0)
+                       * max(mheights, default=0))
+    cvals = [pack(c, width) for c in ccoords]
+    dvals = [pack(c, width) for c in dcoords]
+    mvals = [pack(c, width) for c in mcoords]
+    shift = width * m
+    modulus = (1 << shift) - 1
+    # every stored coefficient is interned: one object per distinct value
     canon: dict = {}
-    products: dict = {}
+    decode = _Decoder(width, m, cden * dden * mden, canon)
 
-    def intern(vec: dict) -> dict:
-        for k, c in vec.items():
-            vec[k] = canon.setdefault((c.num, c.den), c)
-        return vec
+    bases = [[[(s, b, cvals[cindex[v.num, v.den]]) for (s, b), v in base.items()]
+              for base in row] for row in cross]
+    # duals[s] = [(j, f_j f_s)] and products[b] = [(q, e_b e_q)], nonzero and packed
+    duals: list[list] = [[] for _ in range(N)]
+    for (j, s), vec in H.dual_mult.items():
+        duals[s].append((j, [(k1, dvals[dindex[v.num, v.den]]) for k1, v in vec.items()]))
+    products: list[list] = [[] for _ in range(N)]
+    for (b, q), vec in H.mult.items():
+        products[b].append((q, [(k2, mvals[mindex[v.num, v.den]]) for k2, v in vec.items()]))
 
-    # full multiplication: (f_j (x) e_i)(f_l (x) e_m), with the dual products
-    # left[b] = sum_s v_(s,b) f_j f_s formed once per (i, l, j)
-    dm = H.dual_mult
     mult: dict[tuple[int, int], dict[int, object]] = {}
     for i in range(N):
         for l in range(N):
-            base = cross[i][l]
-            if not base:
-                continue
-            for j in range(N):
-                left: dict[int, dict] = {}
-                for (s, b), v in base.items():
-                    for k1, c1 in dm.get((j, s), {}).items():
-                        dadd(left.setdefault(b, {}), k1, v * c1)
-                for lvec in left.values():
-                    intern(lvec)  # its values become factors in products
-                for m in range(N):
-                    out: dict[int, object] = {}
-                    for b, lvec in left.items():
-                        pvec = H.mult.get((b, m))
-                        if pvec is None:
-                            continue
-                        for k1, c1 in lvec.items():
-                            row = k1 * N
-                            for k2, c2 in pvec.items():
-                                key = (id(c1), id(c2))
-                                p = products.get(key)
-                                if p is None:
-                                    p = products[key] = c1 * c2
-                                dadd(out, row + k2, p)
-                    if out:
-                        mult[(j * N + i, l * N + m)] = intern(out)
+            lefts: dict[int, dict[int, dict[int, int]]] = {}
+            for s, b, v in bases[i][l]:
+                for j, fjfs in duals[s]:
+                    left = lefts.get(j)
+                    if left is None:
+                        left = lefts[j] = {}
+                    row = left.get(b)
+                    if row is None:
+                        row = left[b] = {}
+                    for k1, c in fjfs:
+                        row[k1] = row.get(k1, 0) + v * c
+            for j in sorted(lefts):
+                outs: dict[int, dict[int, int]] = {}
+                for b, row in lefts[j].items():
+                    folded = [(k1 * N, (z & modulus) + (z >> shift)) for k1, z in row.items()]
+                    for q, pvec in products[b]:
+                        out = outs.get(q)
+                        if out is None:
+                            out = outs[q] = {}
+                        for r, x in folded:
+                            for k2, y in pvec:
+                                k2 += r
+                                out[k2] = out.get(k2, 0) + x * y
+                for q in sorted(outs):
+                    vec = {key: c for key, z in outs[q].items()
+                           if (c := decode[z % modulus]) is not None}
+                    if vec:
+                        mult[(j * N + i, l * N + q)] = vec
 
-    # coalgebra structure: tensor-product coalgebra of H*cop and H
+    # coalgebra structure: tensor-product coalgebra of H*cop and H, whose
+    # entries are the products of one value of H.mult and one of H.comult
+    pair_decode = _Decoder(width, m, mden * dden, canon)
+    pair = [[pair_decode[x * y % modulus] for y in dvals] for x in mvals]
+    # Delta_{H*cop}(f_j): (b, a) with coefficient mu[(a,b)][j]
+    dual_pairs: list[list] = [[] for _ in range(N)]
+    for (a, b), vec in H.mult.items():
+        for j, v in vec.items():
+            dual_pairs[j].append((b * N, a * N, pair[mindex[v.num, v.den]]))
+    legs = [[(p, q, dindex[v.num, v.den]) for (p, q), v in H.comult[i].items()]
+            for i in range(N)]
     comult = []
     for j in range(N):
-        # Delta_{H*cop}(f_j): (b, a) with coefficient mu[(a,b)][j]
-        dual_pairs: dict[tuple[int, int], object] = {}
-        for (a, b), vec in H.mult.items():
-            cj = vec.get(j)
-            if cj is not None:
-                dadd(dual_pairs, (b, a), cj)
         for i in range(N):
-            d: dict[tuple[int, int], object] = {}
-            for (b, a), c1 in dual_pairs.items():
-                for (p, q), c2 in H.comult[i].items():
-                    dadd(d, (b * N + p, a * N + q), c1 * c2)
-            comult.append(intern(d))
+            comult.append({(bN + p, aN + q): row[w]
+                           for bN, aN, row in dual_pairs[j] for p, q, w in legs[i]})
 
     unit = [H.counit[j] * H.unit[i] for j in range(N) for i in range(N)]
     counit = [H.unit[j] * H.counit[i] for j in range(N) for i in range(N)]
 
     # antipode: S_D(f_j (x) e_i) = (eps (x) S(e_i)) . ((Sinv)^T f_j (x) 1)
-    def raw_mul(a: dict, b: dict) -> dict:
-        out: dict[int, object] = {}
-        for p, x in a.items():
-            for q, y in b.items():
-                vec = mult.get((p, q))
-                if vec is None:
-                    continue
-                xy = x * y
-                for k, c in vec.items():
-                    dadd(out, k, xy * c)
-        return out
-
     eps_sparse = [(j, e) for j, e in enumerate(H.counit) if not e.is_zero()]
     unit_sparse = [(i, u) for i, u in enumerate(H.unit) if not u.is_zero()]
     # fparts[j] = (Sinv)^T f_j (x) 1, where (Sinv)^T f_j has f_l coefficient
@@ -194,10 +257,12 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         for p, c in col.items():
             for jj, e in eps_sparse:
                 dadd(hparts[i], jj * N + p, c * e)
-    antipode = [intern(raw_mul(hpart, fpart)) for fpart in fparts for hpart in hparts]
+    antipode = [{k: canon.setdefault((c.num, c.den), c)
+                 for k, c in sparse_product(mult, hpart, fpart).items()}
+                for fpart in fparts for hpart in hparts]
 
     D = HopfAlgebraData(
-        name=f"D({H.name})", dim=ND, conductor=cond,
+        name=f"D({H.name})", dim=ND, conductor=m,
         basis_labels=[f"{H.basis_labels[j]}^|{H.basis_labels[i]}"
                       for j in range(N) for i in range(N)],
         mult=mult, unit=unit, comult=comult, counit=counit, antipode=antipode,

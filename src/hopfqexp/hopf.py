@@ -68,6 +68,24 @@ def apply_columns(cols: list[SparseVec], vec: SparseVec) -> SparseVec:
     return out
 
 
+def sparse_product(mult: Mapping[tuple[int, int], SparseVec],
+                   a: SparseVec, b: SparseVec) -> SparseVec:
+    """The product ab of sparse vectors, for the products of basis elements
+    e_p e_q = mult[(p, q)] (absent pairs multiply to zero)."""
+    out: SparseVec = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            vec = mult.get((p, q))
+            if vec is None:
+                continue
+            xy = x * y
+            if xy.is_zero():
+                continue
+            for k, c in vec.items():
+                dadd(out, k, xy * c)
+    return out
+
+
 class HopfAlgebraData:
     """Structure constants of a finite-dimensional Hopf algebra."""
 
@@ -96,17 +114,33 @@ class HopfAlgebraData:
         self.dim = dim
         self.conductor = conductor
         self.basis_labels = list(basis_labels)
-        # one pass per entry: check the indices, coerce, drop zeros
+        # one pass per entry: check the indices, coerce, drop zeros.  Each
+        # distinct scalar object is coerced once, keyed by its identity; every
+        # zero becomes the one shared zero, and `alive` keeps the coerced
+        # objects, so that no id is reused while the cache is in use
         rng = range(dim)
+        zero = CyclotomicNumber.zero(conductor)
+        coerced: dict[int, CyclotomicNumber] = {}
+        get, alive = coerced.get, []
+
+        def scalar(v) -> CyclotomicNumber:
+            c = coerced.get(id(v))
+            if c is None:
+                c = as_scalar(v, conductor)
+                c = coerced[id(v)] = c if c else zero
+                alive.append(v)
+            return c
 
         def vector(vec: Mapping[int, object], what: str, where) -> SparseVec:
             d = {}
             for k, v in vec.items():
                 if k not in rng:
                     raise ValueError(f"{what} {where} has coordinate {k} out of range({dim})")
-                v = as_scalar(v, conductor)
-                if v:
-                    d[k] = v
+                c = get(id(v))
+                if c is None:
+                    c = scalar(v)
+                if c is not zero:
+                    d[k] = c
             return d
 
         self.mult = {}
@@ -115,21 +149,23 @@ class HopfAlgebraData:
                 raise ValueError(f"mult index ({i}, {j}) is out of range({dim})")
             if d := vector(vec, "mult", (i, j)):
                 self.mult[(i, j)] = d
-        self.unit = tuple(as_scalar(v, conductor) for v in unit)
+        self.unit = tuple(map(scalar, unit))
         self.comult = []
         for k in rng:
             d = {}
             for (a, b), v in comult[k].items():
                 if a not in rng or b not in rng:
                     raise ValueError(f"comult of {k} has pair ({a}, {b}) out of range({dim})")
-                v = as_scalar(v, conductor)
-                if v:
-                    d[(a, b)] = v
+                c = get(id(v))
+                if c is None:
+                    c = scalar(v)
+                if c is not zero:
+                    d[(a, b)] = c
             self.comult.append(d)
-        self.counit = tuple(as_scalar(v, conductor) for v in counit)
+        self.counit = tuple(map(scalar, counit))
         self.antipode = [vector(col, "antipode column", j) for j, col in enumerate(antipode)]
         self.grouplike_vectors = (
-            [tuple(as_scalar(v, conductor) for v in g) for g in grouplike_vectors]
+            [tuple(map(scalar, g)) for g in grouplike_vectors]
             if grouplike_vectors is not None else None
         )
         self.grading = list(grading) if grading is not None else None
@@ -162,19 +198,7 @@ class HopfAlgebraData:
     # -- sparse kernel operations -------------------------------------------
 
     def mul_dicts(self, a: SparseVec, b: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        mult = self.mult
-        for p, x in a.items():
-            for q, y in b.items():
-                vec = mult.get((p, q))
-                if vec is None:
-                    continue
-                xy = x * y
-                if xy.is_zero():
-                    continue
-                for k, c in vec.items():
-                    dadd(out, k, xy * c)
-        return out
+        return sparse_product(self.mult, a, b)
 
     def comul_dict(self, a: SparseVec) -> SparsePairs:
         out: SparsePairs = {}

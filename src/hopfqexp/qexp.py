@@ -41,7 +41,7 @@ from .hopf import (
 )
 from .linalg import ExactMatrix, ExactPolynomial, first_dependence
 from .poly import root_of_unity_order, squarefree_part
-from .scalars import _canonical, pack, unpack
+from .scalars import _WIDTH_QUANTUM, _canonical, _distinct, _width_for, pack, unpack
 
 #: largest double dimension the regular route will build
 REGULAR_ROUTE_ENVELOPE = 4096
@@ -105,16 +105,6 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
     return _t_sequence(H).columns(H, n)
 
 
-#: packed widths are multiples of this many bits, so that the tables packed
-#: at one width serve every later step that needs no more
-_WIDTH_QUANTUM = 32
-
-
-def _width_for(bound: int) -> int:
-    """The least multiple of 32 bits B with bound < 2^(B-1)."""
-    return (bound.bit_length() + _WIDTH_QUANTUM) // _WIDTH_QUANTUM * _WIDTH_QUANTUM
-
-
 def _integers(values: dict) -> tuple[int, dict]:
     """(D, {key: power-basis coordinates of D v}): scalars over their lcm denominator D."""
     den = lcm(*(v.den for v in values.values()))
@@ -142,17 +132,6 @@ def _combination(m: int, terms: list[tuple[tuple[int, ...], dict, int]]) -> dict
         for i, c in vec.items():
             acc[i] = acc.get(i, 0) + w * pack(c, width)
     return {i: unpack(z, width, m) for i, z in acc.items()}
-
-
-def _distinct(values) -> tuple[int, dict, list[tuple[int, ...]], list[int]]:
-    """The distinct scalars among values, over their common denominator D:
-    (D, {(num, den): index}, the coordinates of D v and their heights by index)."""
-    index: dict = {}
-    for v in values:
-        index.setdefault((v.num, v.den), len(index))
-    den = lcm(*(d for _, d in index))
-    coords = [num if d == den else tuple(x * (den // d) for x in num) for num, d in index]
-    return den, index, coords, [max(map(abs, c)) for c in coords]
 
 
 class _Tables:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -372,6 +372,27 @@ def _constant(conductor: int, value: int) -> CyclotomicNumber:
 # Z[x]/(x^m - 1) to Z/M, and x -> zeta_m maps Z[x]/(x^m - 1) onto Z[zeta_m].
 # A product is one int multiply and the fold z -> (z & M) + (z >> Bm), which
 # keeps z mod M; a sum is one int addition.  Only `unpack` needs a bound.
+
+#: packed widths are multiples of this many bits, so that the tables packed
+#: at one width serve every later step that needs no more
+_WIDTH_QUANTUM = 32
+
+
+def _width_for(bound: int) -> int:
+    """The least multiple of 32 bits B with bound < 2^(B-1)."""
+    return (bound.bit_length() + _WIDTH_QUANTUM) // _WIDTH_QUANTUM * _WIDTH_QUANTUM
+
+
+def _distinct(values) -> tuple[int, dict, list[tuple[int, ...]], list[int]]:
+    """The distinct scalars among values, over their common denominator D:
+    (D, {(num, den): index}, the coordinates of D v and their heights by index)."""
+    index: dict = {}
+    for v in values:
+        index.setdefault((v.num, v.den), len(index))
+    den = lcm(*(d for _, d in index))
+    coords = [num if d == den else tuple(x * (den // d) for x in num) for num, d in index]
+    return den, index, coords, [max(map(abs, c)) for c in coords]
+
 
 def pack(coords: Sequence[int], width: int) -> int:
     """sum_e coords[e] 2^(width e), the packed form of an integer vector."""

@@ -1,0 +1,39 @@
+"""scripts/cli_digests.py: the digest line it prints for a command."""
+
+import importlib.util
+from hashlib import sha256
+from pathlib import Path
+
+from hopfqexp.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("cli_digests", ROOT / "scripts" / "cli_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _digest(text: str) -> str:
+    return sha256(text.encode()).hexdigest()
+
+
+def test_digest_lines_of_two_commands(tmp_path, capsys):
+    digests = _load_script()
+    assert ["suite"] in digests.commands()
+
+    argv = ["qexp", "--preset", "sweedler", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    line = digests.digest_line(argv, str(tmp_path))
+    assert line == " ".join([_digest(expected), _digest(""), "0", *argv])
+
+    # with --out, the file is the output, and argv keeps the $TMP placeholder
+    argv = ["double", "--preset", "sweedler", "--format", "json", "--out", "$TMP/d.json"]
+    line = digests.digest_line(argv, str(tmp_path))
+    written = (tmp_path / "d.json").read_text()
+    assert written.startswith("{")
+    assert line == " ".join([_digest(written), _digest(""), "0", *argv])
+    assert capsys.readouterr().out == ""

@@ -1,7 +1,11 @@
 """Drinfeld doubles: axioms, quasitriangularity, the Drinfeld element."""
 
+from hashlib import sha256
+
 import pytest
 
+from hopfqexp import double as dmod
+from hopfqexp import scalars
 from hopfqexp.double import (
     QuasitriangularData,
     drinfeld_double,
@@ -98,10 +102,55 @@ def test_r_normalization(double_cache):
     assert val == 1
 
 
-def test_double_coefficients_are_interned(double_cache):
-    D = double_cache("taft:3").algebra
+@pytest.mark.parametrize("name", ["taft:3", "taft:4"])
+def test_double_coefficients_are_interned(name, double_cache):
+    # one object per distinct value across mult, comult and antipode
+    D = double_cache(name).algebra
     coeffs = [c for vec in D.mult.values() for c in vec.values()]
+    coeffs += [c for pairs in D.comult for c in pairs.values()]
+    coeffs += [c for col in D.antipode for c in col.values()]
     assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+#: sha256 of the mult, comult, antipode and R tables of each double (see
+#: `_table_digest`), recorded on the CyclotomicNumber product loop that the
+#: packed build replaced
+TABLE_DIGESTS = {
+    "trivial": "9310c663a17f01f0a2b1d694b909822390e74e77b2d8645fa6da5e658b97fb79",
+    "group:builtin:Z2": "45352e4368abad37bbbaf82c6d85c47f228960b1fb101bb9f0cfebf0d3f43a40",
+    "group:builtin:Z3": "094af77421f1d39875ba3c2bc33739d67f22f4927adf1f4f1e003b09bdb4982d",
+    "sweedler": "0feee8147ea925f264ab30d551336629f4c780f5582880a9614333accd3ca972",
+    "group:builtin:S3": "9f0ccc264fed3116e9741eb13354c8a66bee363c7983beef963e8c65c7187e0f",
+    "dualgroup:builtin:Z3": "d072eb3b18c57ddd57eb21c9932861c266242dba527c0edb4a629244b3bbccdf",
+    "group:builtin:Z4": "8c22b717f69b2051130639fc0990193818c96537a62626c38ed669019da22d43",
+    "group:builtin:Z6": "0f985cb69e8cf9ab1f397945711cfc38537d9e7da7e12bcde8c01849308f4661",
+    "group:builtin:Z2xZ2": "c8484ef96371cf7d90b116b79aba8593890228e33aa3ba80683344f4a9db1c7b",
+    "dualgroup:builtin:S3": "2f0f3a5683140da33179bd0d88b68db106dd185806bfd4fdd0331d10472ed9aa",
+    "taft:2": "0feee8147ea925f264ab30d551336629f4c780f5582880a9614333accd3ca972",
+    "taft:3": "3262678d57f598b195cd4aeb62e40de8b0e567a5ecc75cdaf8b6522820fa3dcf",
+    "uqb2:3": "68c7cb2770f594126fc869cd68bb8e0ce9787d8a38488b6e138662193698c493",
+    "taft:4": "750f332d3bb7f6356a4aa0209aab493286627a5fcacb5a4b32bd87ad1963c24d",
+    "taft:5": "0ba60b3944f9ef236cdb75229cbafaf8606b95e524961139172d5a10275f41e0",
+}
+
+
+def _table_digest(qt) -> str:
+    """sha256 of the double's tables as sorted (key, num, den) tuples, so the
+    order of the rows and of the entries within a row does not count."""
+    D = qt.algebra
+    rows = [(("mult",) + key + (k,), c.num, c.den)
+            for key, vec in D.mult.items() for k, c in vec.items()]
+    rows += [(("comult", k) + pair, c.num, c.den)
+             for k, pairs in enumerate(D.comult) for pair, c in pairs.items()]
+    rows += [(("antipode", j, k), c.num, c.den)
+             for j, col in enumerate(D.antipode) for k, c in col.items()]
+    rows += [(("R",) + pair, c.num, c.den) for pair, c in qt.R.data.items()]
+    return sha256(repr(sorted(rows)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(TABLE_DIGESTS))
+def test_double_tables_are_pinned(name, double_cache):
+    assert _table_digest(double_cache(name)) == TABLE_DIGESTS[name]
 
 
 def _checks_with_and_without_certificate(qt):
@@ -135,3 +184,27 @@ def test_corrupted_r_keeps_its_witness_on_generators(name, double_cache):
     certified, full = _checks_with_and_without_certificate(bad)
     assert certified == full
     assert any("intertwining fails" in v for v in certified[0]), certified
+
+
+@pytest.mark.parametrize("name", ["taft:3", "taft:4"])
+def test_exactness_guard_sets_the_packed_width(name, monkeypatch, preset_cache):
+    # with 1-bit steps the guard picks the least width its bound allows, far
+    # past 2^3, and the tables stay exact there
+    chosen = []
+    monkeypatch.setattr(scalars, "_WIDTH_QUANTUM", 1)
+    monkeypatch.setattr(dmod, "_width_for",
+                        lambda bound: chosen.append((bound, scalars._width_for(bound)))
+                        or chosen[-1][1])
+    qt = drinfeld_double(preset_cache(name))
+    [(bound, width)] = chosen
+    narrow = 4
+    assert bound >= 1 << (narrow - 1)
+    assert width == bound.bit_length() + 1 > narrow
+    assert _table_digest(qt) == TABLE_DIGESTS[name]
+
+
+def test_narrow_packed_width_without_the_guard_decodes_wrongly(monkeypatch, preset_cache):
+    # the same build with the guard switched off: the products of D(taft:3)
+    # reach digit 2, past what 2 bits hold, so the width is what keeps it exact
+    monkeypatch.setattr(dmod, "_width_for", lambda bound: 2)
+    assert _table_digest(drinfeld_double(preset_cache("taft:3"))) != TABLE_DIGESTS["taft:3"]

@@ -1,5 +1,6 @@
 """Hopf algebra structure layer: axioms, constructions, grouplikes."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -405,3 +406,38 @@ def test_all_preset_axioms_hold_with_witness_messages():
 def test_invalid_variant_name(preset_cache):
     with pytest.raises(ValueError):
         variant(preset_cache("sweedler"), "nonsense")
+
+
+def _one_dim(mult, comult=None, antipode=None):
+    return HopfAlgebraData(
+        name="k", dim=1, conductor=1, basis_labels=["1"], mult=mult, unit=[1],
+        comult=comult or [{(0, 0): 1}], counit=[1], antipode=antipode or [{0: 1}])
+
+
+@pytest.mark.parametrize("order", [(0, 3), (3, 0)])
+def test_shared_scalar_out_of_range_keeps_its_message(order):
+    # the coercion cache is keyed by object: a value seen at a valid key is
+    # still checked at an invalid one, whichever comes first
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^mult \(0, 0\) has coordinate 3 out of range\(1\)$"):
+        _one_dim({(0, 0): {k: half for k in order}})
+    with pytest.raises(ValueError, match=r"^comult of 0 has pair \(0, 2\) out of range\(1\)$"):
+        _one_dim({(0, 0): {0: half}}, comult=[{(0, 0): half, (0, 2): half}])
+    with pytest.raises(ValueError,
+                       match=r"^antipode column 0 has coordinate 1 out of range\(1\)$"):
+        _one_dim({(0, 0): {0: half}}, antipode=[{0: half, 1: half}])
+
+
+def test_shared_zero_is_dropped_everywhere():
+    zero, one = Fraction(0), Fraction(1)
+    H = HopfAlgebraData(
+        name="Z2", dim=2, conductor=3, basis_labels=["1", "g"],
+        mult={(0, 0): {0: one, 1: zero}, (0, 1): {1: one, 0: zero},
+              (1, 0): {1: one}, (1, 1): {0: one, 1: zero}},
+        unit=[one, zero], comult=[{(0, 0): one, (0, 1): zero}, {(1, 1): one, (1, 0): zero}],
+        counit=[one, one], antipode=[{0: one, 1: zero}, {1: one, 0: zero}])
+    assert H.mult == {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+    assert H.comult == [{(0, 0): 1}, {(1, 1): 1}]
+    assert H.antipode == [{0: 1}, {1: 1}]
+    assert H.unit == (1, 0) and H.unit[1].is_zero()
+    assert validate(H) == []
