@@ -117,7 +117,8 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     folds z -> (z & M) + (z >> Bm) and the reduction mod M = 2^(Bm) - 1
     keep the residue mod M, which is all `unpack` reads.  The coproduct
     entries are single products of a value of H.mult and one of H.comult,
-    digits at most m h_dual h_mult, below the same bound.
+    digits at most m h_dual h_mult, below the same bound (an empty table
+    counts with height 1).
     """
     N = H.dim
     ND = N * N
@@ -169,8 +170,8 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         v for pairs in H.comult for v in pairs.values())
     mden, mindex, mcoords, mheights = _distinct(
         v for vec in H.mult.values() for v in vec.values())
-    width = _width_for(m * m * ND * max(cheights, default=0) * max(dheights, default=0)
-                       * max(mheights, default=0))
+    width = _width_for(m * m * ND * max(cheights, default=1) * max(dheights, default=1)
+                       * max(mheights, default=1))
     cvals = [pack(c, width) for c in ccoords]
     dvals = [pack(c, width) for c in dcoords]
     mvals = [pack(c, width) for c in mcoords]

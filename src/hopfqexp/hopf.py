@@ -123,13 +123,14 @@ class HopfAlgebraData:
         coerced: dict[int, CyclotomicNumber] = {}
         get, alive = coerced.get, []
 
-        def scalar(v) -> CyclotomicNumber:
-            c = coerced.get(id(v))
-            if c is None:
-                c = as_scalar(v, conductor)
-                c = coerced[id(v)] = c if c else zero
-                alive.append(v)
+        def coerce(v) -> CyclotomicNumber:
+            c = coerced[id(v)] = as_scalar(v, conductor) or zero
+            alive.append(v)
             return c
+
+        def scalar(v) -> CyclotomicNumber:
+            c = get(id(v))
+            return coerce(v) if c is None else c
 
         def vector(vec: Mapping[int, object], what: str, where) -> SparseVec:
             d = {}
@@ -138,7 +139,7 @@ class HopfAlgebraData:
                     raise ValueError(f"{what} {where} has coordinate {k} out of range({dim})")
                 c = get(id(v))
                 if c is None:
-                    c = scalar(v)
+                    c = coerce(v)
                 if c is not zero:
                     d[k] = c
             return d
@@ -158,7 +159,7 @@ class HopfAlgebraData:
                     raise ValueError(f"comult of {k} has pair ({a}, {b}) out of range({dim})")
                 c = get(id(v))
                 if c is None:
-                    c = scalar(v)
+                    c = coerce(v)
                 if c is not zero:
                     d[(a, b)] = c
             self.comult.append(d)
