@@ -66,15 +66,14 @@ class _Decoder(dict):
     """Packed sums back to interned scalars, keyed by residue.
 
     A packed sum z stands for den times a value, at the given width and
-    conductor m.  ``decoder[z % modulus]`` is None for zero, else the one
-    object that ``canon`` holds for the value; each residue is decoded
-    once (`unpack`, then the canonical form over den).
+    conductor m.  ``decoder[z % (2^(width m) - 1)]`` is None for zero,
+    else the one object that ``canon`` holds for the value; each residue
+    is decoded once (`unpack`, then the canonical form over den).
     """
 
     def __init__(self, width: int, m: int, den: int, canon: dict):
         super().__init__()
         self.width, self.m, self.den, self.canon = width, m, den, canon
-        self.modulus = (1 << width * m) - 1
 
     def __missing__(self, z: int) -> CyclotomicNumber | None:
         c = unpack(z, self.width, self.m)
@@ -215,8 +214,8 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                             out = outs[q] = {}
                         for r, x in folded:
                             for k2, y in pvec:
-                                k2 += r
-                                out[k2] = out.get(k2, 0) + x * y
+                                key = r + k2
+                                out[key] = out.get(key, 0) + x * y
                 for q in sorted(outs):
                     vec = {key: c for key, z in outs[q].items()
                            if (c := decode[z % modulus]) is not None}

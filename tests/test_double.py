@@ -191,10 +191,13 @@ def test_exactness_guard_sets_the_packed_width(name, monkeypatch, preset_cache):
     # with 1-bit steps the guard picks the least width its bound allows, far
     # past 2^3, and the tables stay exact there
     chosen = []
+
+    def width_for(bound):
+        chosen.append((bound, scalars._width_for(bound)))
+        return chosen[-1][1]
+
     monkeypatch.setattr(scalars, "_WIDTH_QUANTUM", 1)
-    monkeypatch.setattr(dmod, "_width_for",
-                        lambda bound: chosen.append((bound, scalars._width_for(bound)))
-                        or chosen[-1][1])
+    monkeypatch.setattr(dmod, "_width_for", width_for)
     qt = drinfeld_double(preset_cache(name))
     [(bound, width)] = chosen
     narrow = 4
