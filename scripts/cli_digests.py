@@ -12,13 +12,17 @@ checkout that holds this script, and prints one line
 
 where output is what the command wrote to stdout, or to its ``--out``
 file when it has one.  The list takes no input: ``suite`` (plain,
-``--max-dim 8`` and ``--format json``), ``qexp`` and ``exponent`` in
-text and json on the preset zoo, taft:6..8 and uqb2:5,7, ``qexp
---cross-check`` in text and json on the zoo, and ``double --format json
---out`` on four small presets, each followed by ``validate --in`` on the
-file it wrote.  The files go to a temporary directory, written ``$TMP``
-in argv, so two checkouts print identical lines exactly when every
-command gives the same bytes and exit code; compare them with ``diff``.
+``--max-dim 8`` and ``--format json``); ``qexp``, ``exponent``,
+``grouplikes`` and ``s2-order`` in text and json on the preset zoo,
+taft:6..8 and uqb2:5,7; ``qexp --cross-check`` in text and json on the
+zoo; ``double --format json --out`` on four small presets, each followed
+by ``validate --in`` on the file it wrote; and ``twist-check`` and
+``twist-apply`` in text and json on the seven twists of the theorem
+suite, each written by ``io.twist_to_dict`` once with and once without
+its ``J_inv`` (`write_twists`).  The files go to a temporary directory,
+written ``$TMP`` in argv, so two checkouts print identical lines exactly
+when every command gives the same bytes and exit code; compare them with
+``diff``.
 """
 
 from __future__ import annotations
@@ -33,17 +37,39 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hopfqexp.cli import main as cli_main  # noqa: E402
+from hopfqexp.io import dumps, twist_to_dict  # noqa: E402
 from hopfqexp.presets import ZOO  # noqa: E402
+from hopfqexp.suite import _Context  # noqa: E402
 
 REPORT_PRESETS = ZOO + ["taft:6", "taft:7", "taft:8", "uqb2:5", "uqb2:7"]
 DOUBLE_PRESETS = ["sweedler", "group:builtin:S3", "taft:3", "uqb2:3"]
+#: the twists of the theorem suite, in its order
+TWIST_COUNT = 7
+
+
+def twist_files() -> list[str]:
+    """The twist files of `write_twists`, with ``$TMP`` for the directory."""
+    return [f"$TMP/twist-{i}{suffix}.json"
+            for i in range(TWIST_COUNT) for suffix in ("", "-no-inverse")]
+
+
+def write_twists(tmp: str) -> None:
+    """Write each suite twist to tmp, once with its J_inv and once without."""
+    twists = _Context(deep=False, max_dim=None).twists()
+    if len(twists) != TWIST_COUNT:
+        raise SystemExit(f"the suite has {len(twists)} twists, not {TWIST_COUNT}")
+    paths = iter(twist_files())
+    for _, tw, _ in twists:
+        doc = twist_to_dict(tw)
+        for body in (doc, {k: v for k, v in doc.items() if k != "J_inv"}):
+            Path(next(paths).replace("$TMP", tmp)).write_text(dumps(body))
 
 
 def commands() -> list[list[str]]:
     """The fixed command list; ``$TMP`` stands for the temporary directory."""
     out = [["suite"], ["suite", "--max-dim", "8"], ["suite", "--format", "json"]]
     for name in REPORT_PRESETS:
-        for command in ("qexp", "exponent"):
+        for command in ("qexp", "exponent", "grouplikes", "s2-order"):
             for fmt in ("text", "json"):
                 out.append([command, "--preset", name, "--format", fmt])
     for name in ZOO:
@@ -53,6 +79,10 @@ def commands() -> list[list[str]]:
         path = f"$TMP/double-{name.replace(':', '_')}.json"
         out.append(["double", "--preset", name, "--format", "json", "--out", path])
         out.append(["validate", "--in", path])
+    for path in twist_files():
+        for command in ("twist-check", "twist-apply"):
+            for fmt in ("text", "json"):
+                out.append([command, "--twist", path, "--format", fmt])
     return out
 
 
@@ -72,6 +102,7 @@ def digest_line(argv: list[str], tmp: str) -> str:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
+        write_twists(tmp)
         for command in commands():
             print(digest_line(command, tmp), flush=True)
     return 0

@@ -253,6 +253,8 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    if args.max_dim is not None and args.max_dim < 1:
+        raise SchemaError(f"--max-dim must be a positive integer, got {args.max_dim}")
     items = run_suite(deep=args.deep, max_dim=args.max_dim)
     all_ok = all(i.passed for i in items)
     doc = {"schema": SCHEMA, "kind": "suite-report", "deep": args.deep,

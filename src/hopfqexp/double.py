@@ -22,14 +22,12 @@ from .hopf import (
     TensorElement,
     TensorSquareElement,
     dadd,
-    dense,
     element_minimal_polynomial,
     first_failure,
     placed_product,
-    sparse_product,
     tensor_unit,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, dense
 from .scalars import CyclotomicNumber, _canonical, _distinct, _width_for, pack, unpack
 
 
@@ -50,16 +48,14 @@ class QuasitriangularData:
         """Embed an element of H as epsilon (x) h in the double."""
         if h.parent is not self.source:
             raise ValueError("element does not belong to the source algebra")
-        D, H = self.algebra, self.source
+        H = self.source
         N = H.dim
-        coeffs = [D.zero_scalar] * D.dim
-        for i, c in enumerate(h.coeffs):
-            if c.is_zero():
-                continue
+        data = {}
+        for i, c in h.data.items():
             for j, e in enumerate(H.counit):
                 if not e.is_zero():
-                    coeffs[j * N + i] = coeffs[j * N + i] + c * e
-        return AlgebraElement(D, coeffs)
+                    dadd(data, j * N + i, c * e)
+        return AlgebraElement(self.algebra, data)
 
 
 class _Decoder(dict):
@@ -118,6 +114,10 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     entries are single products of a value of H.mult and one of H.comult,
     digits at most m h_dual h_mult, below the same bound (an empty table
     counts with height 1).
+
+    The antipode is read off the cross terms as well: S_D(f_j (x) e_i) =
+    (1 (x) S(e_i))((Sinv)^T f_j (x) 1) = sum_p sum_l S(e_i)_p Sinv(e_l)_j
+    cross[p][l], in exact scalars, each value interned like the product's.
     """
     N = H.dim
     ND = N * N
@@ -242,24 +242,21 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     unit = [H.counit[j] * H.unit[i] for j in range(N) for i in range(N)]
     counit = [H.unit[j] * H.counit[i] for j in range(N) for i in range(N)]
 
-    # antipode: S_D(f_j (x) e_i) = (eps (x) S(e_i)) . ((Sinv)^T f_j (x) 1)
-    eps_sparse = [(j, e) for j, e in enumerate(H.counit) if not e.is_zero()]
-    unit_sparse = [(i, u) for i, u in enumerate(H.unit) if not u.is_zero()]
-    # fparts[j] = (Sinv)^T f_j (x) 1, where (Sinv)^T f_j has f_l coefficient
-    # Sinv[j][l]; hparts[i] = eps (x) S(e_i)
-    fparts: list[dict[int, object]] = [{} for _ in range(N)]
+    # antipode from the cross terms (see the docstring)
+    sinv_rows: list[list] = [[] for _ in range(N)]  # sinv_rows[j] = [(l, Sinv(e_l)_j)]
     for l, col in enumerate(sinv_cols):
         for j, c in col.items():
-            for i, u in unit_sparse:
-                dadd(fparts[j], l * N + i, c * u)
-    hparts: list[dict[int, object]] = [{} for _ in range(N)]
-    for i, col in enumerate(H.antipode):
-        for p, c in col.items():
-            for jj, e in eps_sparse:
-                dadd(hparts[i], jj * N + p, c * e)
-    antipode = [{k: canon.setdefault((c.num, c.den), c)
-                 for k, c in sparse_product(mult, hpart, fpart).items()}
-                for fpart in fparts for hpart in hparts]
+            sinv_rows[j].append((l, c))
+    antipode = []
+    for j in range(N):
+        for col in H.antipode:
+            acc: dict[int, CyclotomicNumber] = {}
+            for p, x in col.items():
+                for l, y in sinv_rows[j]:
+                    xy = x * y
+                    for (s, b), v in cross[p][l].items():
+                        dadd(acc, s * N + b, xy * v)
+            antipode.append({k: canon.setdefault((c.num, c.den), c) for k, c in acc.items()})
 
     D = HopfAlgebraData(
         name=f"D({H.name})", dim=ND, conductor=m,
@@ -269,6 +266,8 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     )
 
     r_data = {}
+    eps_sparse = [(j, e) for j, e in enumerate(H.counit) if not e.is_zero()]
+    unit_sparse = H.unit_element().data.items()
     for i in range(N):
         for j, e in eps_sparse:
             for p, u in unit_sparse:
@@ -372,8 +371,7 @@ def verify_s2_conjugation(qt: QuasitriangularData,
         return False
 
     def conjugation_fails(b: int) -> bool:
-        s2b = AlgebraElement(D, dense(D.s2_columns[b], D.dim, D.conductor))
-        return s2b * u != u * D.basis_element(b)
+        return AlgebraElement(D, D.s2_columns[b]) * u != u * D.basis_element(b)
 
     gens = D._cache.get("certified_generators")
     return not first_failure(conjugation_fails, product(range(D.dim)),
@@ -384,7 +382,6 @@ def regular_representation(A: HopfAlgebraData, a: AlgebraElement) -> ExactMatrix
     """The matrix of left multiplication by a."""
     if a.parent is not A:
         raise ValueError("element does not belong to the algebra")
-    sp = a.sparse()
     return ExactMatrix.from_columns(
-        [dense(A.mul_dicts(sp, {k: A.one_scalar}), A.dim, A.conductor) for k in range(A.dim)],
-        A.conductor)
+        [dense(A.mul_dicts(a.data, {k: A.one_scalar}), A.dim, A.conductor)
+         for k in range(A.dim)], A.conductor)

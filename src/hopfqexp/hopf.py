@@ -1,13 +1,18 @@
 """Finite-dimensional Hopf algebras by exact structure constants.
 
-An algebra of dimension N over Q(zeta_m) is described by sparse
-structure tensors: ``mult[(i, j)]`` is the product of basis elements i
-and j as a sparse coefficient dict, ``comult[k]`` maps basis pairs to
-the coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j) as a
-sparse coefficient dict.  S^2, S^-2 and S^-1 all come from the one
-Radford scan of `s2_order`.  `validate` checks every Hopf axiom exactly
-(associativity and multiplicativity on a certified generating set);
-nothing here is trusted without it.
+Every vector below the JSON boundary has one format, the sparse dict
+{index: nonzero CyclotomicNumber} of `linalg` (`SparseVec`): a missing
+index is zero, and every constructor drops zeros, so that dict equality
+is vector equality.  An algebra of dimension N over Q(zeta_m) is
+described by sparse structure tensors: ``mult[(i, j)]`` is the product
+of basis elements i and j, ``comult[k]`` maps basis pairs to the
+coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j).  An
+`AlgebraElement` holds one such dict, a `TensorElement` one keyed by
+index tuples, and `SpanSolver` eliminates on them directly; only the
+`ExactMatrix` views and `io` write dense lists.  S^2, S^-2 and S^-1 all
+come from the one Radford scan of `s2_order`.  `validate` checks every
+Hopf axiom exactly (associativity and multiplicativity on a certified
+generating set); nothing here is trusted without it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ExactPolynomial, SpanSolver, first_dependence
+from .linalg import ExactPolynomial, SpanSolver, SparseVec, dadd, first_dependence
 from .scalars import CyclotomicNumber, as_scalar, lift_conductor
 
 
@@ -27,36 +32,7 @@ class OrderSearchExhausted(RuntimeError):
     Etingof-Gelaki), or passes a caller's cap; surfaced, never swallowed."""
 
 
-SparseVec = dict[int, CyclotomicNumber]
 SparsePairs = dict[tuple[int, int], CyclotomicNumber]
-
-
-def dadd(acc: dict, key, value) -> None:
-    """acc[key] += value in a sparse dict; entries that reach zero are dropped."""
-    cur = acc.get(key)
-    if cur is None:
-        if not value.is_zero():
-            acc[key] = value
-    else:
-        s = cur + value
-        if s.is_zero():
-            del acc[key]
-        else:
-            acc[key] = s
-
-
-def dense(vec: SparseVec, n: int, conductor: int) -> list[CyclotomicNumber]:
-    """The length-n coefficient list of a sparse vector."""
-    zero = CyclotomicNumber.zero(conductor)
-    out = [zero] * n
-    for k, v in vec.items():
-        out[k] = v
-    return out
-
-
-def sparse(vec: Sequence[CyclotomicNumber]) -> SparseVec:
-    """The nonzero entries of a coefficient list, by index."""
-    return {i: v for i, v in enumerate(vec) if not v.is_zero()}
 
 
 def apply_columns(cols: list[SparseVec], vec: SparseVec) -> SparseVec:
@@ -65,24 +41,6 @@ def apply_columns(cols: list[SparseVec], vec: SparseVec) -> SparseVec:
     for j, x in vec.items():
         for i, c in cols[j].items():
             dadd(out, i, x * c)
-    return out
-
-
-def sparse_product(mult: Mapping[tuple[int, int], SparseVec],
-                   a: SparseVec, b: SparseVec) -> SparseVec:
-    """The product ab of sparse vectors, for the products of basis elements
-    e_p e_q = mult[(p, q)] (absent pairs multiply to zero)."""
-    out: SparseVec = {}
-    for p, x in a.items():
-        for q, y in b.items():
-            vec = mult.get((p, q))
-            if vec is None:
-                continue
-            xy = x * y
-            if xy.is_zero():
-                continue
-            for k, c in vec.items():
-                dadd(out, k, xy * c)
     return out
 
 
@@ -144,24 +102,27 @@ class HopfAlgebraData:
                     d[k] = c
             return d
 
+        # the caller's key tuples are kept: a double has a million of them
         self.mult = {}
-        for (i, j), vec in mult.items():
+        for key, vec in mult.items():
+            i, j = key
             if i not in rng or j not in rng:
                 raise ValueError(f"mult index ({i}, {j}) is out of range({dim})")
-            if d := vector(vec, "mult", (i, j)):
-                self.mult[(i, j)] = d
+            if d := vector(vec, "mult", key):
+                self.mult[key] = d
         self.unit = tuple(map(scalar, unit))
         self.comult = []
         for k in rng:
             d = {}
-            for (a, b), v in comult[k].items():
+            for pair, v in comult[k].items():
+                a, b = pair
                 if a not in rng or b not in rng:
                     raise ValueError(f"comult of {k} has pair ({a}, {b}) out of range({dim})")
                 c = get(id(v))
                 if c is None:
                     c = coerce(v)
                 if c is not zero:
-                    d[(a, b)] = c
+                    d[pair] = c
             self.comult.append(d)
         self.counit = tuple(map(scalar, counit))
         self.antipode = [vector(col, "antipode column", j) for j, col in enumerate(antipode)]
@@ -186,20 +147,33 @@ class HopfAlgebraData:
         return CyclotomicNumber.one(self.conductor)
 
     def element(self, coeffs: Sequence) -> "AlgebraElement":
-        return AlgebraElement(self, [self.scalar(c) for c in coeffs])
+        """The element with the given coefficient list, of length dim."""
+        if len(coeffs) != self.dim:
+            raise ValueError("coefficient length does not match the algebra dimension")
+        return AlgebraElement(self, dict(enumerate(map(self.scalar, coeffs))))
 
     def basis_element(self, k: int) -> "AlgebraElement":
-        coeffs = [self.zero_scalar] * self.dim
-        coeffs[k] = self.one_scalar
-        return AlgebraElement(self, coeffs)
+        return AlgebraElement(self, {k: self.one_scalar})
 
     def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, list(self.unit))
+        return AlgebraElement(self, dict(enumerate(self.unit)))
 
     # -- sparse kernel operations -------------------------------------------
 
     def mul_dicts(self, a: SparseVec, b: SparseVec) -> SparseVec:
-        return sparse_product(self.mult, a, b)
+        """The product ab, from the products of basis elements in `mult`
+        (absent pairs multiply to zero)."""
+        mult = self.mult
+        out: SparseVec = {}
+        for p, x in a.items():
+            for q, y in b.items():
+                vec = mult.get((p, q))
+                if vec is None:
+                    continue
+                xy = x * y
+                for k, c in vec.items():
+                    dadd(out, k, xy * c)
+        return out
 
     def comul_dict(self, a: SparseVec) -> SparsePairs:
         out: SparsePairs = {}
@@ -266,44 +240,39 @@ class HopfAlgebraData:
 
 
 class AlgebraElement:
-    """An element of a HopfAlgebraData, as a dense coefficient vector."""
+    """An element of a HopfAlgebraData, as a sparse vector ``data``."""
 
-    __slots__ = ("parent", "coeffs")
+    __slots__ = ("parent", "data")
 
-    def __init__(self, parent: HopfAlgebraData, coeffs: Sequence[CyclotomicNumber]):
-        if len(coeffs) != parent.dim:
-            raise ValueError("coefficient length does not match the algebra dimension")
+    def __init__(self, parent: HopfAlgebraData, data: SparseVec):
         self.parent = parent
-        self.coeffs = tuple(coeffs)
+        self.data = {k: v for k, v in data.items() if not v.is_zero()}
 
     def _check(self, other: "AlgebraElement") -> None:
         if other.parent is not self.parent:
             raise ValueError("elements live in different algebras")
 
-    def sparse(self) -> SparseVec:
-        return sparse(self.coeffs)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        out = dict(self.data)
+        for k, v in other.data.items():
+            dadd(out, k, v)
+        return AlgebraElement(self.parent, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.parent, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.parent, [-a for a in self.coeffs])
+        return AlgebraElement(self.parent, {k: -v for k, v in self.data.items()})
 
     def scale(self, c) -> "AlgebraElement":
         c = self.parent.scalar(c)
-        return AlgebraElement(self.parent, [a * c for a in self.coeffs])
+        return AlgebraElement(self.parent, {k: v * c for k, v in self.data.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            prod = self.parent.mul_dicts(self.sparse(), other.sparse())
-            return AlgebraElement(
-                self.parent, dense(prod, self.parent.dim, self.parent.conductor))
+            return AlgebraElement(self.parent, self.parent.mul_dicts(self.data, other.data))
         return self.scale(other)
 
     def __pow__(self, n: int) -> "AlgebraElement":
@@ -319,14 +288,13 @@ class AlgebraElement:
         return result
 
     def comul(self) -> "TensorSquareElement":
-        return TensorSquareElement(self.parent, self.parent.comul_dict(self.sparse()))
+        return TensorSquareElement(self.parent, self.parent.comul_dict(self.data))
 
     def counit(self) -> CyclotomicNumber:
-        return self.parent.counit_dict(self.sparse())
+        return self.parent.counit_dict(self.data)
 
     def _apply(self, columns: list[SparseVec]) -> "AlgebraElement":
-        H = self.parent
-        return AlgebraElement(H, dense(apply_columns(columns, self.sparse()), H.dim, H.conductor))
+        return AlgebraElement(self.parent, apply_columns(columns, self.data))
 
     def antipode(self) -> "AlgebraElement":
         return self._apply(self.parent.antipode)
@@ -335,20 +303,18 @@ class AlgebraElement:
         return self._apply(self.parent.antipode_inv)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.data
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.parent is other.parent and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.parent is other.parent and self.data == other.data
 
     def __hash__(self):
-        return hash((id(self.parent), self.coeffs))
+        return hash((id(self.parent), frozenset(self.data.items())))
 
     def __repr__(self):
-        terms = [f"({c!r})*{self.parent.basis_labels[i]}"
-                 for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        terms = [f"({c!r})*{self.parent.basis_labels[i]}" for i, c in sorted(self.data.items())]
         return "AlgebraElement(" + (" + ".join(terms) or "0") + ")"
 
 
@@ -431,8 +397,7 @@ class TensorElement:
         if self.arity == 1:
             return out.get((), H.zero_scalar)
         if self.arity == 2:
-            vec = {k[0]: v for k, v in out.items()}
-            return AlgebraElement(H, dense(vec, H.dim, H.conductor))
+            return AlgebraElement(H, {k[0]: v for k, v in out.items()})
         return TensorElement(H, self.arity - 1, out)
 
     def multiply_legs(self, leg: int) -> "TensorElement | AlgebraElement":
@@ -447,8 +412,7 @@ class TensorElement:
             for k, c in vec.items():
                 dadd(out, rest[:leg] + (k,) + rest[leg:], v * c)
         if self.arity == 2:
-            vec1 = {k[0]: v for k, v in out.items()}
-            return AlgebraElement(H, dense(vec1, H.dim, H.conductor))
+            return AlgebraElement(H, {k[0]: v for k, v in out.items()})
         return TensorElement(H, self.arity - 1, out)
 
     def swap_legs(self, a: int, b: int) -> "TensorElement":
@@ -484,14 +448,8 @@ class TensorSquareElement(TensorElement):
 
     @classmethod
     def from_elements(cls, a: AlgebraElement, b: AlgebraElement) -> "TensorSquareElement":
-        data = {}
-        for i, x in enumerate(a.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b.coeffs):
-                if not y.is_zero():
-                    data[(i, j)] = x * y
-        return cls(a.parent, data)
+        return cls(a.parent, {(i, j): x * y for i, x in a.data.items()
+                              for j, y in b.data.items()})
 
 
 def tensor_unit(parent: HopfAlgebraData) -> TensorSquareElement:
@@ -544,7 +502,7 @@ def placed_product(x: TensorElement, x_legs: Sequence[int],
             or len(set(y_legs)) != len(y_legs) or len(y_legs) != y.arity):
         raise ValueError("legs must be distinct, match the arities and cover 0..arity-1")
     if "unit_columns" not in H._cache:
-        one, unit = H.one_scalar, sparse(H.unit)
+        one, unit = H.one_scalar, H.unit_element().data
         columns = {}
         for k in range(H.dim):
             columns[(k, -1)] = H.mul_dicts({k: one}, unit)
@@ -577,23 +535,23 @@ def _generators(H: HopfAlgebraData) -> list[int] | None:
     and dim W = dim H certifies them.  None if W stays smaller, which
     can only happen when 1 is not a unit.
     """
-    N, cond, one = H.dim, H.conductor, H.one_scalar
-    space = SpanSolver(cond)
+    N, one = H.dim, H.one_scalar
+    space = SpanSolver(H.conductor)
     words: list[SparseVec] = []
     gens: list[int] = []
 
     def grow(queue: list[SparseVec]) -> None:
         while queue:
             vec = queue.pop()
-            if space.insert(dense(vec, N, cond)) is None:
+            if space.insert(vec) is None:
                 words.append(vec)
                 queue.extend(H.mul_dicts({g: one}, vec) for g in gens)
 
-    grow([sparse(H.unit)])
+    grow([H.unit_element().data])
     for k in range(N):
         if len(words) == N:
             break
-        if space.express(dense({k: one}, N, cond)) is None:
+        if space.express({k: one}) is None:
             gens.append(k)
             grow([H.mul_dicts({k: one}, w) for w in words])
     return gens if len(words) == N else None
@@ -644,7 +602,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
     """
     violations: list[str] = []
     N = H.dim
-    one = sparse(H.unit)
+    one = H.unit_element().data
     mult, empty = H.mult, {}
 
     # associativity: (e_i e_j) e_k = sum_l c_l e_l e_k against e_i (e_j e_k)
@@ -722,7 +680,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
 
     # antipode axiom and invertibility: the columns of S are independent
     space = SpanSolver(H.conductor)
-    if any(space.insert(dense(col, N, H.conductor)) is not None for col in H.antipode):
+    if any(space.insert(col) is not None for col in H.antipode):
         violations.append("antipode is not invertible")
     for k in range(N):
         left_acc: SparseVec = {}
@@ -941,7 +899,7 @@ def element_minimal_polynomial(a: AlgebraElement) -> ExactPolynomial:
     """
     H = a.parent
     powers = accumulate(repeat(a, H.dim), mul, initial=H.unit_element())
-    return first_dependence((p.coeffs for p in powers), H.conductor)
+    return first_dependence((p.data for p in powers), H.conductor)
 
 
 @dataclass
@@ -955,15 +913,15 @@ class GrouplikeSet:
     def build(cls, parent: HopfAlgebraData,
               vectors: Iterable[Sequence]) -> "GrouplikeSet":
         elements = [parent.element(v) for v in vectors]
-        seen = {el.coeffs for el in elements}
+        seen = set(elements)
         for el in elements:
             if not is_grouplike(el):
                 raise ValueError(f"declared grouplike is not grouplike: {el!r}")
         for a in elements:
             for b in elements:
-                if (a * b).coeffs not in seen:
+                if a * b not in seen:
                     raise ValueError("grouplike set is not closed under products")
-            if a.antipode().coeffs not in seen:
+            if a.antipode() not in seen:
                 raise ValueError("grouplike set is not closed under inverses")
         return cls(parent, elements)
 
@@ -977,7 +935,7 @@ class GrouplikeSet:
 # -- Hopf subalgebra closure ----------------------------------------------------
 
 def _closure_basis(H: HopfAlgebraData, generators: Sequence[AlgebraElement]
-                   ) -> tuple[SpanSolver, list[list[CyclotomicNumber]]]:
+                   ) -> tuple[SpanSolver, list[SparseVec]]:
     """The span of the smallest Hopf subalgebra containing the generators,
     and its basis: the unit, then the independent vectors in insertion order.
 
@@ -993,42 +951,37 @@ def _closure_basis(H: HopfAlgebraData, generators: Sequence[AlgebraElement]
     again would be a no-op.  The remaining candidates keep their loop
     order.
     """
-    N = H.dim
     space = SpanSolver(H.conductor)
-    basis: list[list[CyclotomicNumber]] = []
+    basis: list[SparseVec] = []
 
-    def insert(vec) -> None:
+    def insert(vec: SparseVec) -> None:
         if space.insert(vec) is None:
-            basis.append(list(vec))
+            basis.append(vec)
 
-    insert(list(H.unit))
+    insert(H.unit_element().data)
     for g in generators:
         if g.parent is not H:
             raise ValueError("generator from a different algebra")
-        insert(list(g.coeffs))
+        insert(g.data)
 
     fresh = 0  # basis[fresh:] was added by the last pass (or is the input)
     while fresh < len(basis):
-        vectors = [sparse(v) for v in basis]
-        candidates: list[list[CyclotomicNumber]] = []
-        for ia, sa in enumerate(vectors):
-            for ib, sb in enumerate(vectors):
+        candidates: list[SparseVec] = []
+        for ia, sa in enumerate(basis):
+            for ib, sb in enumerate(basis):
                 if ia >= fresh or ib >= fresh:
-                    candidates.append(dense(H.mul_dicts(sa, sb), N, H.conductor))
+                    candidates.append(H.mul_dicts(sa, sb))
             if ia < fresh:
                 continue
-            candidates.append(dense(apply_columns(H.antipode, sa), N, H.conductor))
-            pairs = H.comul_dict(sa)
+            candidates.append(apply_columns(H.antipode, sa))
             lefts: dict[int, SparseVec] = {}
             rights: dict[int, SparseVec] = {}
-            for (i, j), c in pairs.items():
+            for (i, j), c in H.comul_dict(sa).items():
                 dadd(lefts.setdefault(j, {}), i, c)
                 dadd(rights.setdefault(i, {}), j, c)
-            for vec in lefts.values():
-                candidates.append(dense(vec, N, H.conductor))
-            for vec in rights.values():
-                candidates.append(dense(vec, N, H.conductor))
-        fresh = len(vectors)
+            candidates.extend(lefts.values())
+            candidates.extend(rights.values())
+        fresh = len(basis)
         for cand in candidates:
             insert(cand)
     return space, basis
@@ -1039,45 +992,37 @@ def subalgebra_closure(H: HopfAlgebraData,
     """Smallest Hopf subalgebra containing the generators, as standalone data.
 
     The sub-basis is the one of `_closure_basis`: the unit followed by the
-    independent vectors in insertion order.
+    independent vectors in insertion order.  Coordinates on it come from
+    `SpanSolver.express` as lists; `HopfAlgebraData` drops their zeros.
     """
-    N = H.dim
     space, basis = _closure_basis(H, generators)
     d = len(basis)
 
-    def coords(vec) -> list[CyclotomicNumber]:
+    def coords(vec: SparseVec) -> list[CyclotomicNumber]:
         c = space.express(vec)
         if c is None:
             raise AssertionError("closure is not closed; this is a bug")
         return c
 
-    mult = {}
-    for a in range(d):
-        sa = sparse(basis[a])
-        for b in range(d):
-            prod = dense(H.mul_dicts(sa, sparse(basis[b])), N, H.conductor)
-            vec = sparse(coords(prod))
-            if vec:
-                mult[(a, b)] = vec
-    unit = coords(list(H.unit))
-    counit = [H.counit_dict(sparse(v)) for v in basis]
-    antipode = [sparse(coords(dense(apply_columns(H.antipode, sparse(v)), N, H.conductor)))
-                for v in basis]
+    mult = {(a, b): dict(enumerate(coords(H.mul_dicts(va, vb))))
+            for a, va in enumerate(basis) for b, vb in enumerate(basis)}
+    unit = coords(H.unit_element().data)
+    counit = [H.counit_dict(v) for v in basis]
+    antipode = [dict(enumerate(coords(apply_columns(H.antipode, v)))) for v in basis]
     comult = []
-    for a in range(d):
+    for v in basis:
         # Delta(b_a) = sum_ij c_ij e_i (x) e_j = sum_rs d_rs b_r (x) b_s: each
         # row i of (c_ij) is sum_s y_is b_s, then each column s of (y_is) is
         # sum_r d_rs b_r; the closure put every row and column in the span
         rows: dict[int, SparseVec] = {}
-        for (i, j), c in H.comul_dict(sparse(basis[a])).items():
+        for (i, j), c in H.comul_dict(v).items():
             dadd(rows.setdefault(i, {}), j, c)
-        y = {i: coords(dense(row, N, H.conductor)) for i, row in rows.items()}
+        y = {i: coords(row) for i, row in rows.items()}
         dd: SparsePairs = {}
         for s in range(d):
-            column = dense({i: yi[s] for i, yi in y.items()}, N, H.conductor)
+            column = {i: yi[s] for i, yi in y.items() if not yi[s].is_zero()}
             for r, c in enumerate(coords(column)):
-                if not c.is_zero():
-                    dd[(r, s)] = c
+                dd[(r, s)] = c
         comult.append(dd)
 
     return HopfAlgebraData(

@@ -1,11 +1,14 @@
 """Exact linear algebra over a cyclotomic field.
 
-Everything here is exact: Gaussian elimination needs no pivot strategy
-beyond "first nonzero", and `SpanSolver` is the only exact elimination;
-inverses, linear solves, span closures and minimal polynomials all go
-through it.  `ExactMatrix`, an immutable-by-convention row-major grid of
-`CyclotomicNumber`s sharing one conductor, is only a dense view for
-reference checks: no command forms one.
+Vectors are sparse dicts {key: nonzero CyclotomicNumber}, a missing key
+meaning zero; every function that builds one drops its zeros, so that
+dict equality is vector equality.  Everything here is exact: Gaussian
+elimination needs no pivot strategy (any nonzero entry will do), and
+`SpanSolver` is the only exact elimination; inverses, linear solves,
+span closures and minimal polynomials all go through it.  `ExactMatrix`,
+an immutable-by-convention row-major grid of `CyclotomicNumber`s sharing
+one conductor, is only a dense view for reference checks: no command
+forms one; `dense` and `sparse` convert at its boundary.
 `first_dependence` first runs a pass modulo a prime that only proposes
 a candidate: an exact check decides, and `SpanSolver` is the fallback.
 """
@@ -16,10 +19,40 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .poly import ExactPolynomial, _prime_and_root, root_of_unity_order  # noqa: F401  (re-exported)
 from .scalars import CyclotomicNumber, _canonical, as_scalar, euler_phi
+
+SparseVec = dict[int, CyclotomicNumber]
+
+
+def dadd(acc: dict, key, value) -> None:
+    """acc[key] += value in a sparse dict; entries that reach zero are dropped."""
+    cur = acc.get(key)
+    if cur is None:
+        if not value.is_zero():
+            acc[key] = value
+    else:
+        s = cur + value
+        if s.is_zero():
+            del acc[key]
+        else:
+            acc[key] = s
+
+
+def dense(vec: SparseVec, n: int, conductor: int) -> list[CyclotomicNumber]:
+    """The length-n coefficient list of a sparse vector, for an ExactMatrix view."""
+    zero = CyclotomicNumber.zero(conductor)
+    out = [zero] * n
+    for k, v in vec.items():
+        out[k] = v
+    return out
+
+
+def sparse(vec: Iterable[CyclotomicNumber]) -> SparseVec:
+    """The nonzero entries of a coefficient sequence, by index."""
+    return {i: v for i, v in enumerate(vec) if not v.is_zero()}
 
 
 class ExactMatrix:
@@ -149,69 +182,74 @@ class ExactMatrix:
             raise ValueError("inverse of a non-square matrix")
         solver = SpanSolver(self.conductor)
         for j in range(self.cols):
-            if solver.insert(self.column(j)) is not None:
+            if solver.insert(sparse(self.column(j))) is not None:
                 raise ValueError("matrix is singular")
         # express(e_i) solves self x = e_i: it is column i of the inverse
-        unit_vectors = ExactMatrix.identity(self.rows, self.conductor).entries
-        return ExactMatrix.from_columns([solver.express(e) for e in unit_vectors],
+        one = CyclotomicNumber.one(self.conductor)
+        return ExactMatrix.from_columns([solver.express({i: one}) for i in range(self.rows)],
                                         self.conductor)
 
 
 class SpanSolver:
     """Incremental exact row reduction with dependency tracking.
 
-    Vectors are appended one at a time; when a vector lies in the span of
-    the earlier ones, the expressing coefficients are returned instead of
-    inserting it.
+    Sparse vectors are appended one at a time; when a vector lies in the
+    span of the earlier ones, the expressing coefficients are returned
+    instead of inserting it, as a list over the inserted vectors in
+    insertion order.  Any key of a reduced vector may be its pivot (tuple
+    keys too): each pivot row is reduced against the earlier pivots, so a
+    reduced vector is zero at every pivot, and it is zero exactly when the
+    vector lies in the span.  The coefficients are unique, whatever the
+    pivots.
+
+    A pivot is stored as (key, -P, w) with P = sum_i w_i v_i over the
+    inserted v_i and P[key] = 1, so that reducing is only additions.
     """
 
     def __init__(self, conductor: int):
         self.conductor = conductor
-        self.pivots: list[tuple[int, list[CyclotomicNumber], list[CyclotomicNumber]]] = []
+        self.pivots: list[tuple[Hashable, dict, SparseVec]] = []
         self.count = 0
 
-    def _reduce(self, vec):
-        vec = list(vec)
-        combo = [CyclotomicNumber.zero(self.conductor)] * self.count
+    def _reduce(self, vec: Mapping) -> tuple[dict, SparseVec]:
+        """(r, a) with r = vec - sum_i a_i v_i zero at every pivot."""
+        vec = dict(vec)
+        combo: SparseVec = {}
         for pos, pvec, pcombo in self.pivots:
-            c = vec[pos]
-            if c.is_zero():
+            c = vec.get(pos)
+            if c is None:
                 continue
-            for i, x in enumerate(pvec):
-                if not x.is_zero():
-                    vec[i] = vec[i] - c * x
-            for i, x in enumerate(pcombo):
-                if not x.is_zero():
-                    combo[i] = combo[i] - c * x
+            for k, x in pvec.items():
+                dadd(vec, k, c * x)
+            for i, x in pcombo.items():
+                dadd(combo, i, c * x)
         return vec, combo
 
-    def express(self, vec) -> list[CyclotomicNumber] | None:
+    def _coefficients(self, combo: SparseVec) -> list[CyclotomicNumber]:
+        zero = CyclotomicNumber.zero(self.conductor)
+        return [combo.get(i, zero) for i in range(self.count)]
+
+    def express(self, vec: Mapping) -> list[CyclotomicNumber] | None:
         """Coefficients writing vec over the inserted vectors, or None."""
         red, combo = self._reduce(vec)
-        if any(not x.is_zero() for x in red):
-            return None
-        return [-c for c in combo]
+        return None if red else self._coefficients(combo)
 
-    def insert(self, vec) -> list[CyclotomicNumber] | None:
+    def insert(self, vec: Mapping) -> list[CyclotomicNumber] | None:
         """Insert vec; if dependent, return expressing coefficients instead."""
         red, combo = self._reduce(vec)
-        pos = next((i for i, x in enumerate(red) if not x.is_zero()), None)
-        combo = combo + [CyclotomicNumber.one(self.conductor)]
+        if not red:
+            return self._coefficients(combo)
+        pos = next(iter(red))
+        # P = red / red[pos] = (vec - sum_i a_i v_i) / red[pos]
+        ninv = -red[pos].inverse()
+        pcombo = {i: x * ninv for i, x in combo.items()}
+        pcombo[self.count] = -ninv
+        self.pivots.append((pos, {k: x * ninv for k, x in red.items()}, pcombo))
         self.count += 1
-        if pos is None:
-            self.count -= 1
-            return [-c for c in combo[:-1]]
-        inv = red[pos].inverse()
-        pvec = [x * inv for x in red]
-        pcombo = [x * inv for x in combo]
-        # pad earlier pivot combos so all have length == count
-        self.pivots = [(p, v, c + [CyclotomicNumber.zero(self.conductor)])
-                       for p, v, c in self.pivots]
-        self.pivots.append((pos, pvec, pcombo))
         return None
 
 
-def first_dependence(vectors: Iterable[Sequence], conductor: int) -> ExactPolynomial:
+def first_dependence(vectors: Iterable[Mapping], conductor: int) -> ExactPolynomial:
     """The monic x^k - sum c_i x^i read off the first v_k = sum c_i v_i.
 
     For a sequence v_i = A^i v this is the least monic f with f(A)v = 0;
@@ -223,7 +261,7 @@ def first_dependence(vectors: Iterable[Sequence], conductor: int) -> ExactPolyno
     result is the exact first dependence.
     """
     vectors = iter(vectors)
-    consumed: list[Sequence] = []
+    consumed: list[Mapping] = []
     coeffs = _modular_dependence(vectors, conductor, consumed)
     if coeffs is None:
         solver = SpanSolver(conductor)
@@ -291,8 +329,8 @@ def _rational_reconstruction(a: int, p: int) -> tuple[int, int] | None:
     return r1, t1
 
 
-def _modular_dependence(vectors: Iterator[Sequence], m: int,
-                        consumed: list[Sequence]) -> list[CyclotomicNumber] | None:
+def _modular_dependence(vectors: Iterator[Mapping], m: int,
+                        consumed: list[Mapping]) -> list[CyclotomicNumber] | None:
     """The exact c with v_d = sum_{i<d} c_i v_i for the first dependence d, or None.
 
     Every vector taken from the stream is appended to `consumed`.  None
@@ -308,7 +346,7 @@ def _modular_dependence(vectors: Iterator[Sequence], m: int,
     that sigma_1 chose gives sigma_j(c_i).  V^-1 turns these images into
     the power-basis coordinates of c_i mod p, and rational reconstruction
     lifts them to Q.  The certificate v_d = sum c_i v_i is checked exactly
-    on every nonzero coordinate.
+    on every coordinate that some v_i holds.
 
     Proof.  Let P = (p, zeta - r).  sigma_1 is a ring map from the
     P-integral elements of Q(zeta_m) onto F_p, and no entry has a
@@ -321,19 +359,14 @@ def _modular_dependence(vectors: Iterator[Sequence], m: int,
     p, V, _ = _modular_context(m)
     sigma1 = V[0]
     inv_den = {1: 1}
-    supports: list[list[int]] = []  # the exactly nonzero coordinates of each v_i
-    pivots: list[tuple[int, dict[int, int], list[int]]] = []
+    pivots: list[tuple[Hashable, dict, list[int]]] = []
     for v in vectors:
         consumed.append(v)
-        vec: dict[int, int] = {}
-        support = []
-        for k, c in enumerate(v):
+        vec: dict = {}
+        for k, c in v.items():
             num = c.num
-            if not any(num):
-                continue
             if c.conductor != m and any(num[1:]):
                 return None
-            support.append(k)
             x = sum(map(mul, num, sigma1)) if len(num) > 1 else num[0]
             den = c.den
             if den not in inv_den:
@@ -343,7 +376,6 @@ def _modular_dependence(vectors: Iterator[Sequence], m: int,
             x = x * inv_den[den] % p
             if x:
                 vec[k] = x
-        supports.append(support)
         combo = [0] * len(pivots)
         for pos, prow, pcombo in pivots:
             a = vec.get(pos)
@@ -362,27 +394,28 @@ def _modular_dependence(vectors: Iterator[Sequence], m: int,
         # sigma_1(v_d) = sum_i sigma_1(c_i) sigma_1(v_i) with sigma_1(c_i) = -combo_i
         coeffs = _lift([-x % p for x in combo], [pos for pos, _, _ in pivots],
                        consumed, m, inv_den)
-        if coeffs is not None and _is_relation(coeffs, consumed, supports, m):
+        if coeffs is not None and _is_relation(coeffs, consumed, m):
             return coeffs
         return None
     return None
 
 
-def _lift(sigma1_images: list[int], positions: list[int], vectors: list[Sequence],
+def _lift(sigma1_images: list[int], positions: list, vectors: list[Mapping],
           m: int, inv_den: dict[int, int]) -> list[CyclotomicNumber] | None:
     """The candidate c in Q(zeta_m)^d from sigma_1(c), or None.
 
     Under every other sigma_j, sigma_j(c) solves the d x d system of
     v_d = sum c_i v_i on the given coordinates; V^-1 turns the images of
     c_i into its power-basis coordinates mod p, which rational
-    reconstruction lifts to Q.
+    reconstruction lifts to Q.  A coordinate a vector lacks is zero.
     """
     p, V, Vinv = _modular_context(m)
     d = len(positions)
     images = [sigma1_images]
+    entries = [[v.get(pos) for v in vectors] for pos in positions]
     for row in V[1:]:
-        system = [[sum(map(mul, v[pos].num, row)) * inv_den[v[pos].den] % p
-                   for v in vectors] for pos in positions]
+        system = [[0 if c is None else sum(map(mul, c.num, row)) * inv_den[c.den] % p
+                   for c in eq] for eq in entries]
         x = _solve_mod([s[:d] for s in system], [[s[d]] for s in system], p)
         if x is None:
             return None
@@ -398,16 +431,15 @@ def _lift(sigma1_images: list[int], positions: list[int], vectors: list[Sequence
     return coeffs
 
 
-def _is_relation(coeffs: list[CyclotomicNumber], vectors: list[Sequence],
-                 supports: list[list[int]], m: int) -> bool:
-    """True iff vectors[-1] = sum c_i vectors[i] exactly; supports hold the nonzeros."""
-    acc: dict[int, CyclotomicNumber] = {}
-    for c, v, support in zip(coeffs, vectors, supports):
+def _is_relation(coeffs: list[CyclotomicNumber], vectors: list[Mapping], m: int) -> bool:
+    """True iff vectors[-1] = sum c_i vectors[i] exactly; a missing key is zero."""
+    acc: dict = {}
+    for c, v in zip(coeffs, vectors):
         if c:
-            for k in support:
-                acc[k] = acc[k] + c * v[k] if k in acc else c * v[k]
+            for k, x in v.items():
+                acc[k] = acc[k] + c * x if k in acc else c * x
     last, zero = vectors[-1], CyclotomicNumber.zero(m)
-    return all(last[k] == acc.get(k, zero) for k in acc.keys() | supports[-1])
+    return all(last.get(k, zero) == acc.get(k, zero) for k in acc.keys() | last.keys())
 
 
 def minimal_polynomial(a: ExactMatrix) -> ExactPolynomial:
@@ -419,6 +451,6 @@ def minimal_polynomial(a: ExactMatrix) -> ExactPolynomial:
         raise ValueError("minimal polynomial of a non-square matrix")
     powers = accumulate(repeat(a, a.rows), ExactMatrix.__matmul__,
                         initial=ExactMatrix.identity(a.rows, a.conductor))
-    return first_dependence(([e for row in p.entries for e in row] for p in powers),
+    return first_dependence((sparse(chain.from_iterable(p.entries)) for p in powers),
                             a.conductor)
 

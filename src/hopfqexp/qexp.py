@@ -33,13 +33,11 @@ from .hopf import (
     SparseVec,
     TensorElement,
     TensorSquareElement,
-    dense,
     element_minimal_polynomial,
     s2_order,
-    sparse,
     tensor_unit,
 )
-from .linalg import ExactMatrix, ExactPolynomial, first_dependence
+from .linalg import ExactMatrix, ExactPolynomial, dense, first_dependence
 from .poly import root_of_unity_order, squarefree_part
 from .scalars import _WIDTH_QUANTUM, _canonical, _distinct, _width_for, pack, unpack
 
@@ -223,7 +221,7 @@ class _TSequence:
 
     def __init__(self, H: HopfAlgebraData):
         self.m, self.width = H.conductor, _WIDTH_QUANTUM
-        one = sparse(H.unit)
+        one = H.unit_element().data
         den, t0 = _integers({(k, i): v * e for k, e in enumerate(H.counit) if e
                              for i, v in one.items()})
         cols: list[dict] = [{} for _ in range(H.dim)]
@@ -305,15 +303,16 @@ def _projection(H: HopfAlgebraData) -> SparseVec:
     return {k: H.scalar(k + 1) for k in range(H.dim)}
 
 
-def _projected(H: HopfAlgebraData, n: int, w: SparseVec) -> list:
-    """P(T_n) = sum_k w_k T_n(e_k) as a dense vector, summed on the integer form."""
+def _projected(H: HopfAlgebraData, n: int, w: SparseVec) -> SparseVec:
+    """P(T_n) = sum_k w_k T_n(e_k) as a sparse vector, summed on the integer form."""
     seq = _t_sequence(H)
     den, cols, height = seq.term(H, n)
     wden, weights = _integers(w)
-    out = [H.zero_scalar] * H.dim
+    out = {}
     for i, c in _combination(seq.m, [(x, cols[k], height)
                                       for k, x in weights.items()]).items():
-        out[i] = _canonical(seq.m, tuple(c), wden * den)
+        if any(c):
+            out[i] = _canonical(seq.m, tuple(c), wden * den)
     return out
 
 
@@ -347,13 +346,13 @@ def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
     deg g <= deg mu_u.  Both are monic, hence g = mu_u.  If the check
     fails, the first dependence among the unprojected T_n decides.
     """
-    N, cond = H.dim, H.conductor
-    length = N * N + 2
+    cond = H.conductor
+    length = H.dim ** 2 + 2
     w = _projection(H)
     g = first_dependence((_projected(H, n, w) for n in range(length)), cond)
     if not _annihilates(H, g):
         g = first_dependence(
-            ([v for col in _t_columns(H, n) for v in dense(col, N, cond)]
+            ({(k, i): v for k, col in enumerate(_t_columns(H, n)) for i, v in col.items()}
              for n in range(length)), cond)
     _t_sequence(H).tables = None  # a caller may keep H; a later step rebuilds them
     return g

@@ -18,7 +18,6 @@ from .double import (
     verify_s2_conjugation,
 )
 from .hopf import (
-    AlgebraElement,
     dual,
     element_order,
     is_grouplike,
@@ -442,7 +441,7 @@ def _cor_411(ctx):
         hj = ctx.twisted(tw)
         orders = [element_order(grouplike_from_twist(H, tw, ctx.report_of(H).s2_order))]
         for gv in H.grouplike_vectors:
-            cand = AlgebraElement(hj, [hj.scalar(c) for c in gv])
+            cand = hj.element(gv)
             if is_grouplike(cand):
                 orders.append(element_order(cand))
         if any(3 % o != 0 for o in orders):

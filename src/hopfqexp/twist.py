@@ -25,15 +25,12 @@ from .hopf import (
     HopfAlgebraData,
     SparsePairs,
     SparseVec,
-    TensorElement,
     TensorSquareElement,
     apply_columns,
     dadd,
-    dense,
     lift_algebra,
     placed_product,
     s2_order,
-    sparse,
     tensor_unit,
 )
 from .linalg import SpanSolver
@@ -48,12 +45,6 @@ class TwistData:
     J_inv: TensorSquareElement
 
 
-def _coordinates(t: TensorElement) -> list[CyclotomicNumber]:
-    """The dense coordinates of a tensor element, keys in lexicographic order."""
-    zero = t.parent.zero_scalar
-    return [t.data.get(k, zero) for k in itertools.product(range(t.parent.dim), repeat=t.arity)]
-
-
 def invert_in_tensor_square(H: HopfAlgebraData,
                             J: TensorSquareElement) -> TensorSquareElement | None:
     """Two-sided inverse of J in the algebra H (x) H, by an exact linear solve.
@@ -63,9 +54,9 @@ def invert_in_tensor_square(H: HopfAlgebraData,
     """
     solver = SpanSolver(H.conductor)
     independent = [k for k in itertools.product(range(H.dim), repeat=2)
-                   if solver.insert(_coordinates(J * TensorSquareElement(H, {k: 1}))) is None]
+                   if solver.insert((J * TensorSquareElement(H, {k: 1})).data) is None]
     unit = tensor_unit(H)
-    x = solver.express(_coordinates(unit))
+    x = solver.express(unit.data)
     if x is None:
         return None
     cand = TensorSquareElement(H, dict(zip(independent, x)))
@@ -121,7 +112,7 @@ def q_elements(T: TwistData) -> tuple[AlgebraElement, AlgebraElement]:
 def twist_hopf(T: TwistData) -> HopfAlgebraData:
     """The twisted Hopf algebra H^J."""
     H = T.parent
-    q, q_inv = (sparse(x.coeffs) for x in q_elements(T))
+    q, q_inv = (x.data for x in q_elements(T))
     comult = []
     for k in range(H.dim):
         d = T.J_inv * H.basis_element(k).comul() * T.J
@@ -192,10 +183,10 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
     q, q_inv = q_elements(T)
     s = H.antipode
     # factors[k] = S^k(Q) for even k, S^k(Q^-1) for odd k
-    factors = [sparse(q.coeffs), apply_columns(s, sparse(q_inv.coeffs))]
+    factors = [q.data, apply_columns(s, q_inv.data)]
     while len(factors) < 2 * n:
         factors.append(apply_columns(s, apply_columns(s, factors[-2])))
-    g = AlgebraElement(H, dense(reduce(H.mul_dicts, reversed(factors)), H.dim, H.conductor))
+    g = AlgebraElement(H, reduce(H.mul_dicts, reversed(factors)))
     if g.counit() != 1 or T.J_inv * g.comul() * T.J != TensorSquareElement.from_elements(g, g):
         raise ValueError("the alternating product is not grouplike in H^J; "
                          "this signals a convention error")
@@ -280,10 +271,10 @@ def cyclic_grouplike_twist(H: HopfAlgebraData, g: AlgebraElement, p: int) -> Twi
         raise ValueError("g does not have order dividing p")
     idem = []
     for a in range(p):
-        e = AlgebraElement(H, [H.zero_scalar] * H.dim)
+        e = AlgebraElement(H, {})
         for c in range(p):
             e = e + powers[c].scale(z ** ((-a * c) % p) * inv_p)
-        idem.append(e.sparse())
+        idem.append(e.data)
     j = _character_tensor(H, idem, lambda a, b: z ** (a * b % p))
     j_inv = _character_tensor(H, idem, lambda a, b: z ** (-a * b % p))
     return make_twist(H, j, j_inv)
@@ -295,15 +286,25 @@ def cyclic_grouplike_twist(H: HopfAlgebraData, g: AlgebraElement, p: int) -> Twi
 _SWEEDLER_SLOTS = {"a": (1, 1), "b": (1, 3), "c": (3, 1), "d": (3, 3)}
 
 
-def _ansatz_defect(H: HopfAlgebraData, slots, t) -> list[CyclotomicNumber]:
-    """E(t) for J = 1 (x) 1 + sum t_i e_slot_i: the coordinates of the cocycle
-    defect (Delta (x) Id)(J)(J (x) 1) - (Id (x) Delta)(J)(1 (x) J), then
-    those of the two counit-leg defects."""
+def _ansatz_defect(H: HopfAlgebraData, slots, t) -> dict:
+    """E(t) for J = 1 (x) 1 + sum t_i e_slot_i, a sparse vector: the cocycle
+    defect (Delta (x) Id)(J)(J (x) 1) - (Id (x) Delta)(J)(1 (x) J) at its
+    index triples, and the two counit-leg defects at (leg, index)."""
     J = tensor_unit(H) + TensorSquareElement(H, dict(zip(slots, t)))
     rhs = placed_product(J.comult_leg(1), (0, 1, 2), J, (1, 2))
     cocycle = placed_product(J.comult_leg(0), (0, 1, 2), J, (0, 1)) + rhs.scale(-1)
     one = H.unit_element()
-    return _coordinates(cocycle) + [c for leg in (0, 1) for c in (J.counit_leg(leg) - one).coeffs]
+    return {**cocycle.data, **{(leg, k): c for leg in (0, 1)
+                               for k, c in (J.counit_leg(leg) - one).data.items()}}
+
+
+def _weighted_sum(*terms: tuple[int, dict]) -> dict:
+    """sum_t w_t vec_t for integer weights w_t and sparse vectors vec_t."""
+    out: dict = {}
+    for w, vec in terms:
+        for k, v in vec.items():
+            dadd(out, k, v * w)
+    return out
 
 
 def _ansatz_solution(H: HopfAlgebraData, slots) -> dict[int, CyclotomicNumber]:
@@ -326,20 +327,19 @@ def _ansatz_solution(H: HopfAlgebraData, slots) -> dict[int, CyclotomicNumber]:
     e1 = [at(i) for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            second = (w - x - y + z for w, x, y, z in zip(at(i, j), e1[i], e1[j], e0))
-            if any(not c.is_zero() for c in second):
+            if _weighted_sum((1, at(i, j)), (-1, e1[i]), (-1, e1[j]), (1, e0)):
                 raise AssertionError(
                     f"the ansatz equations are not linear: the quadratic part "
                     f"at slots {slots[i]}, {slots[j]} is nonzero")
     solver = SpanSolver(H.conductor)
     determined = []
     for i in range(n):
-        relation = solver.insert([x - z for x, z in zip(e1[i], e0)])
+        relation = solver.insert(_weighted_sum((1, e1[i]), (-1, e0)))
         if relation is None:
             determined.append(i)
         elif any(not c.is_zero() for c in relation):
             raise AssertionError(f"unknown {i} is free but moves the others")
-    values = solver.express([-z for z in e0])
+    values = solver.express(_weighted_sum((-1, e0)))
     if values is None:
         raise AssertionError("the ansatz equations have no solution")
     return dict(zip(determined, values))

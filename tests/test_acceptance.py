@@ -18,7 +18,6 @@ from hopfqexp.double import (
     verify_s2_conjugation,
 )
 from hopfqexp.hopf import (
-    dense,
     element_order,
     dual,
     s2_order,
@@ -27,7 +26,7 @@ from hopfqexp.hopf import (
     validate,
     variant,
 )
-from hopfqexp.linalg import ExactMatrix, ExactPolynomial, root_of_unity_order
+from hopfqexp.linalg import ExactMatrix, ExactPolynomial, dense, root_of_unity_order
 from hopfqexp.presets import ZOO, get_preset, preset_grouplikes, sweedler
 from hopfqexp.qexp import (
     check_corollary_24,

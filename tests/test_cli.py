@@ -291,6 +291,14 @@ def test_suite_small(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bad_max_dim_exit_2(capsys, value):
+    code, out, err = run(capsys, "suite", "--max-dim", value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "positive integer" in err
+
+
 def test_suite_json_shape(capsys):
     code, out, _ = run(capsys, "suite", "--max-dim", "2", "--format", "json")
     assert code == 0

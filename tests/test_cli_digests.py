@@ -1,6 +1,7 @@
 """scripts/cli_digests.py: the digest line it prints for a command."""
 
 import importlib.util
+import json
 from hashlib import sha256
 from pathlib import Path
 
@@ -37,3 +38,26 @@ def test_digest_lines_of_two_commands(tmp_path, capsys):
     assert written.startswith("{")
     assert line == " ".join([_digest(written), _digest(""), "0", *argv])
     assert capsys.readouterr().out == ""
+
+
+def test_twist_files_with_and_without_inverse(tmp_path, capsys):
+    digests = _load_script()
+    commands = digests.commands()
+    assert ["s2-order", "--preset", "uqb2:7", "--format", "json"] in commands
+    assert ["grouplikes", "--preset", "taft:8", "--format", "text"] in commands
+
+    digests.write_twists(str(tmp_path))
+    files = digests.twist_files()
+    assert len(files) == 2 * digests.TWIST_COUNT
+    docs = [json.loads(Path(f.replace("$TMP", str(tmp_path))).read_text()) for f in files]
+    for with_inverse, without in zip(docs[::2], docs[1::2]):
+        assert "J_inv" not in without
+        assert {k: v for k, v in with_inverse.items() if k != "J_inv"} == without
+
+    argv = ["twist-check", "--twist", files[1], "--format", "json"]
+    assert argv in commands
+    line = digests.digest_line(argv, str(tmp_path))
+    assert main([a.replace("$TMP", str(tmp_path)) for a in argv]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["is_twist"] is True
+    assert line == " ".join([_digest(expected), _digest(""), "0", *argv])

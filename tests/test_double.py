@@ -17,6 +17,7 @@ from hopfqexp.double import (
     verify_s2_conjugation,
 )
 from hopfqexp.hopf import TensorSquareElement, tensor_unit, validate
+from hopfqexp.linalg import dense, sparse
 
 SMALL = ["trivial", "group:builtin:Z2", "group:builtin:Z3", "sweedler",
          "group:builtin:S3", "dualgroup:builtin:Z3"]
@@ -92,7 +93,8 @@ def test_regular_representation_faithful(double_cache):
     qt = double_cache("group:builtin:Z2")
     u = drinfeld_element(qt)
     m = regular_representation(qt.algebra, u)
-    assert m.apply(qt.algebra.unit_element().coeffs) == list(u.coeffs)
+    D = qt.algebra
+    assert sparse(m.apply(dense(D.unit_element().data, D.dim, D.conductor))) == u.data
 
 
 def test_r_normalization(double_cache):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfqexp import hopf
 from hopfqexp.double import regular_representation
@@ -15,22 +17,21 @@ from hopfqexp.hopf import (
     TensorElement,
     apply_columns,
     dadd,
-    dense,
     dual,
     element_order,
     first_failure,
     is_grouplike,
     placed_product,
     s2_order,
-    sparse,
     subalgebra_closure,
     tensor,
     tensor_unit,
     validate,
     variant,
 )
-from hopfqexp.linalg import ExactMatrix, SpanSolver
+from hopfqexp.linalg import ExactMatrix, SpanSolver, dense, sparse
 from hopfqexp.presets import ZOO, get_preset, preset_grouplikes, sweedler
+from hopfqexp.scalars import CyclotomicNumber, euler_phi
 
 
 def test_sweedler_validates(preset_cache):
@@ -281,6 +282,53 @@ def test_orders_match_dense_power_scans(preset_cache, double_cache, name):
             assert element_order(g) == _dense_order(regular_representation(H, g))
 
 
+def _random_element(data, H):
+    """An element of H with small cyclotomic coefficients, many of them zero."""
+    phi = euler_phi(H.conductor)
+    coords = st.lists(st.integers(-2, 2), min_size=phi, max_size=phi)
+    entries = data.draw(st.lists(st.none() | coords, min_size=H.dim, max_size=H.dim))
+    return H.element([0 if c is None else CyclotomicNumber(H.conductor, c) for c in entries])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["sweedler", "taft:3", "D(sweedler)"]), st.data())
+def test_sparse_elements_match_dense_reference(preset_cache, double_cache, name, data):
+    H = _derived_algebra(name, preset_cache, double_cache)
+    a, b = _random_element(data, H), _random_element(data, H)
+    c = H.scalar(data.draw(st.sampled_from([0, 1, -2, Fraction(3, 5)])))
+    n = data.draw(st.integers(min_value=0, max_value=4))
+
+    def vec(x):
+        return dense(x.data, H.dim, H.conductor)
+
+    def left(x):  # the dense reference of left multiplication by x
+        return regular_representation(H, x).apply
+
+    power = vec(H.unit_element())
+    for _ in range(n):
+        power = left(a)(power)
+    cases = [
+        (a + b, [x + y for x, y in zip(vec(a), vec(b))]),
+        (a - b, [x - y for x, y in zip(vec(a), vec(b))]),
+        (a - a, [H.zero_scalar] * H.dim),
+        (-a, [-x for x in vec(a)]),
+        (a.scale(c), [x * c for x in vec(a)]),
+        (a.scale(0), [H.zero_scalar] * H.dim),
+        (a * b, left(a)(vec(b))),
+        (a ** n, power),
+        (a.antipode(), _matrix(H, H.antipode).apply(vec(a))),
+    ]
+    for result, reference in cases:
+        assert vec(result) == reference
+        assert not any(v.is_zero() for v in result.data.values())
+    elements = [a, b, b + a - b] + [result for result, _ in cases]
+    for x in elements:
+        for y in elements:
+            assert (x == y) == (vec(x) == vec(y))
+            if x == y:
+                assert hash(x) == hash(y)
+
+
 def test_order_scans_stop_at_theorem_bounds():
     # scaling S(x) by 2 makes S^2(x) = -2x: S^2 has infinite order
     H = sweedler()
@@ -359,28 +407,27 @@ def test_subalgebra_closure_full(preset_cache):
 
 def _naive_closure_basis(H, generators):
     """The closure basis with every pair multiplied in every pass."""
-    N, space, basis = H.dim, SpanSolver(H.conductor), []
+    space, basis = SpanSolver(H.conductor), []
 
     def insert(vec):
         if space.insert(vec) is not None:
             return False
-        basis.append(list(vec))
+        basis.append(vec)
         return True
 
-    for vec in [list(H.unit)] + [list(g.coeffs) for g in generators]:
+    for vec in [H.unit_element().data] + [g.data for g in generators]:
         insert(vec)
     changed = True
     while changed:
         candidates = []
         for a in basis:
-            sa = sparse(a)
-            candidates += [dense(H.mul_dicts(sa, sparse(b)), N, H.conductor) for b in basis]
-            candidates.append(dense(apply_columns(H.antipode, sa), N, H.conductor))
+            candidates += [H.mul_dicts(a, b) for b in basis]
+            candidates.append(apply_columns(H.antipode, a))
             lefts, rights = {}, {}
-            for (i, j), c in H.comul_dict(sa).items():
+            for (i, j), c in H.comul_dict(a).items():
                 dadd(lefts.setdefault(j, {}), i, c)
                 dadd(rights.setdefault(i, {}), j, c)
-            candidates += [dense(v, N, H.conductor) for v in [*lefts.values(), *rights.values()]]
+            candidates += [*lefts.values(), *rights.values()]
         changed = False
         for cand in candidates:
             changed |= insert(cand)
