@@ -13,7 +13,6 @@ from .hopf import (
     HopfAlgebraData,
     OrderSearchExhausted,
     TensorElement,
-    TensorSquareElement,
     dual,
     element_order,
     is_grouplike,
@@ -66,7 +65,7 @@ __all__ = [
     "squarefree_part", "root_of_unity_order",
     "ExactMatrix", "SpanSolver", "minimal_polynomial",
     "HopfAlgebraData", "AlgebraElement", "TensorElement",
-    "TensorSquareElement", "GrouplikeSet", "OrderSearchExhausted",
+    "GrouplikeSet", "OrderSearchExhausted",
     "validate", "dual", "variant", "tensor", "lift_algebra",
     "subalgebra_closure", "s2_order", "is_grouplike", "element_order",
     "QuasitriangularData", "drinfeld_double", "drinfeld_element",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from math import lcm
 from typing import Callable
 
@@ -35,6 +36,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
+@cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfqexp",
@@ -225,7 +227,7 @@ def _cmd_twist_check(args) -> int:
 
 
 def _cmd_twist_apply(args) -> int:
-    from .twist import is_twist, make_twist, twist_hopf
+    from .twist import is_twist, twist_hopf
 
     T = _load_twist(args)
     ok, details = is_twist(T.parent, T.J, T.J_inv)
@@ -233,8 +235,8 @@ def _cmd_twist_apply(args) -> int:
         sys.stderr.write("cannot apply: not a twist\n"
                          + "".join(f"  {d}\n" for d in details))
         return EXIT_CHECK_FAILED
-    verified = make_twist(T.parent, T.J, T.J_inv)
-    twisted = twist_hopf(verified)
+    # the check passed, so J_inv is set: given, or found by _load_twist
+    twisted = twist_hopf(T)
     text = (f"{twisted.name}: dim {twisted.dim}, conductor "
             f"{twisted.conductor}; use --format json for the full data\n")
     _emit(args, lambda: algebra_to_dict(twisted), text)

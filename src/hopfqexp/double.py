@@ -20,12 +20,10 @@ from .hopf import (
     AlgebraElement,
     HopfAlgebraData,
     TensorElement,
-    TensorSquareElement,
     dadd,
     element_minimal_polynomial,
     first_failure,
     placed_product,
-    tensor_unit,
 )
 from .linalg import ExactMatrix, dense
 from .scalars import CyclotomicNumber, _canonical, _distinct, _width_for, pack, unpack
@@ -39,7 +37,7 @@ class QuasitriangularData:
     """
 
     algebra: HopfAlgebraData
-    R: TensorSquareElement
+    R: TensorElement
     basis_split: list[tuple[int, int]]
     source: HopfAlgebraData
     _cache: dict = field(default_factory=dict, repr=False)
@@ -272,20 +270,20 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         for j, e in eps_sparse:
             for p, u in unit_sparse:
                 dadd(r_data, (j * N + i, i * N + p), e * u)
-    R = TensorSquareElement(D, r_data)
+    R = TensorElement(D, 2, r_data)
     split = [(j, i) for j in range(N) for i in range(N)]
     return QuasitriangularData(algebra=D, R=R, basis_split=split, source=H)
 
 
-def r_inverse(qt: QuasitriangularData) -> TensorSquareElement:
+def r_inverse(qt: QuasitriangularData) -> TensorElement:
     """(S (x) Id)(R), verified to be a two-sided inverse of R."""
     if "r_inverse" not in qt._cache:
         D = qt.algebra
         cand = qt.R.apply_leg(0, D.antipode)
-        unit2 = tensor_unit(D)
+        unit2 = TensorElement.unit(D, 2)
         if qt.R * cand != unit2 or cand * qt.R != unit2:
             raise ValueError("(S (x) Id)(R) is not inverse to R; the double is broken")
-        qt._cache["r_inverse"] = TensorSquareElement(D, cand.data)
+        qt._cache["r_inverse"] = cand
     return qt._cache["r_inverse"]
 
 

@@ -287,8 +287,8 @@ class AlgebraElement:
             n >>= 1
         return result
 
-    def comul(self) -> "TensorSquareElement":
-        return TensorSquareElement(self.parent, self.parent.comul_dict(self.data))
+    def comul(self) -> "TensorElement":
+        return TensorElement(self.parent, 2, self.parent.comul_dict(self.data))
 
     def counit(self) -> CyclotomicNumber:
         return self.parent.counit_dict(self.data)
@@ -335,16 +335,16 @@ class TensorElement:
         self.data = d
 
     @classmethod
+    def from_elements(cls, *factors: AlgebraElement) -> "TensorElement":
+        """The pure tensor of the factors, all in one algebra."""
+        terms = {(): factors[0].parent.one_scalar}
+        for f in factors:
+            terms = {key + (k,): c * x for key, c in terms.items() for k, x in f.data.items()}
+        return cls(factors[0].parent, len(factors), terms)
+
+    @classmethod
     def unit(cls, parent: HopfAlgebraData, arity: int) -> "TensorElement":
-        terms = {(): parent.one_scalar}
-        for _ in range(arity):
-            nxt = {}
-            for key, c in terms.items():
-                for k, u in enumerate(parent.unit):
-                    if not u.is_zero():
-                        nxt[key + (k,)] = c * u
-            terms = nxt
-        return cls(parent, arity, terms)
+        return cls.from_elements(*repeat(parent.unit_element(), arity))
 
     def _check(self, other: "TensorElement") -> None:
         if other.parent is not self.parent or other.arity != self.arity:
@@ -438,23 +438,6 @@ class TensorElement:
 
     def __repr__(self):
         return f"TensorElement(arity={self.arity}, terms={len(self.data)})"
-
-
-class TensorSquareElement(TensorElement):
-    """An element of H tensor H, the home of R, J, Q sources and R_n."""
-
-    def __init__(self, parent: HopfAlgebraData, data):
-        super().__init__(parent, 2, data)
-
-    @classmethod
-    def from_elements(cls, a: AlgebraElement, b: AlgebraElement) -> "TensorSquareElement":
-        return cls(a.parent, {(i, j): x * y for i, x in a.data.items()
-                              for j, y in b.data.items()})
-
-
-def tensor_unit(parent: HopfAlgebraData) -> TensorSquareElement:
-    t = TensorElement.unit(parent, 2)
-    return TensorSquareElement(parent, t.data)
 
 
 def _legwise_product(table, a, b, arity: int) -> dict:
@@ -869,7 +852,7 @@ def is_grouplike(g: AlgebraElement) -> bool:
     """Delta(g) = g tensor g and counit(g) = 1, checked exactly."""
     if g.counit() != 1:
         return False
-    return g.comul() == TensorSquareElement.from_elements(g, g)
+    return g.comul() == TensorElement.from_elements(g, g)
 
 
 def element_order(g: AlgebraElement) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .hopf import GrouplikeSet, HopfAlgebraData, TensorSquareElement, validate
+from .hopf import GrouplikeSet, HopfAlgebraData, TensorElement, validate
 from .scalars import scalar_from_json, scalar_to_json
 
 SCHEMA = "hopf-qexp/1"
@@ -21,7 +21,7 @@ class SchemaError(ValueError):
     """A malformed or axiom-violating document."""
 
 
-def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorSquareElement | None = None) -> dict:
+def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorElement | None = None) -> dict:
     n = H.dim
     zero = H.zero_scalar
     memo: dict[tuple, list[str]] = {}
@@ -63,7 +63,7 @@ def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorSquareElement | None = N
     return doc
 
 
-def _rows(t: TensorSquareElement, fmt) -> list[list]:
+def _rows(t: TensorElement, fmt) -> list[list]:
     """The dim x dim coefficient rows of t, each scalar written by fmt."""
     n, zero = t.parent.dim, t.parent.zero_scalar
     return [[fmt(t.data.get((i, j), zero)) for j in range(n)] for i in range(n)]
@@ -156,7 +156,7 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
 
 
 def write_algebra(H: HopfAlgebraData, path,
-                  r_matrix: TensorSquareElement | None = None) -> None:
+                  r_matrix: TensorElement | None = None) -> None:
     Path(path).write_text(dumps(algebra_to_dict(H, r_matrix)))
 
 
@@ -196,7 +196,7 @@ def twist_from_dict(doc: dict, algebra: HopfAlgebraData | None = None,
             raise SchemaError("twist coefficient matrix has the wrong shape")
         data = {(i, j): scalar_from_json(rows[i][j], cond)
                 for i in range(n) for j in range(n)}
-        return TensorSquareElement(algebra, data)
+        return TensorElement(algebra, 2, data)
 
     try:
         J = tensor_from_matrix(_field(doc, "J"))

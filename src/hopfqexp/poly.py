@@ -12,18 +12,13 @@ from functools import lru_cache
 from math import isqrt, lcm
 from typing import Sequence
 
-from .scalars import CyclotomicNumber, as_scalar, cyclotomic_int_coeffs, euler_phi
+from .scalars import as_scalar, cyclotomic_int_coeffs, euler_phi
 
 
 class ExactPolynomial:
     __slots__ = ("coeffs", "conductor")
 
-    def __init__(self, coeffs: Sequence, conductor: int | None = None):
-        if conductor is None:
-            conductor = 1
-            for c in coeffs:
-                if isinstance(c, CyclotomicNumber):
-                    conductor = max(conductor, c.conductor)
+    def __init__(self, coeffs: Sequence, conductor: int):
         items = [as_scalar(c, conductor) for c in coeffs]
         while items and items[-1].is_zero():
             items.pop()
@@ -33,11 +28,11 @@ class ExactPolynomial:
     # -- basic structure ---------------------------------------------------
 
     @classmethod
-    def zero(cls, conductor: int = 1) -> "ExactPolynomial":
+    def zero(cls, conductor: int) -> "ExactPolynomial":
         return cls([], conductor)
 
     @classmethod
-    def x_power(cls, n: int, conductor: int = 1) -> "ExactPolynomial":
+    def x_power(cls, n: int, conductor: int) -> "ExactPolynomial":
         return cls([0] * n + [1], conductor)
 
     def is_zero(self) -> bool:

@@ -32,10 +32,8 @@ from .hopf import (
     OrderSearchExhausted,
     SparseVec,
     TensorElement,
-    TensorSquareElement,
     element_minimal_polynomial,
     s2_order,
-    tensor_unit,
 )
 from .linalg import ExactMatrix, ExactPolynomial, dense, first_dependence
 from .poly import root_of_unity_order, squarefree_part
@@ -436,16 +434,16 @@ def is_unipotent_element(a: AlgebraElement) -> bool:
 # -- the R_n elements and Corollary-style divisibility checks -------------------
 
 
-def r_n(qt: QuasitriangularData, n: int) -> TensorSquareElement:
+def r_n(qt: QuasitriangularData, n: int) -> TensorElement:
     """R_n = R (Id (x) S^2)(R) ... (Id (x) S^(2n-2))(R); R_0 = 1 (x) 1."""
     if n < 0:
         raise ValueError("n must be non-negative")
     D = qt.algebra
-    cache = qt._cache.setdefault("r_list", [tensor_unit(D)])
+    cache = qt._cache.setdefault("r_list", [TensorElement.unit(D, 2)])
     while len(cache) <= n:
         # R_(m+1) = R_m P_m with P_m = (Id (x) S^(2m))(R), m = len(cache) - 1
         p = qt._cache.get("r_leg", qt.R)
-        cache.append(TensorSquareElement(D, (cache[-1] * p).data))
+        cache.append(cache[-1] * p)
         qt._cache["r_leg"] = p.apply_leg(1, D.s2_columns)
     return cache[n]
 

@@ -25,13 +25,12 @@ from .hopf import (
     HopfAlgebraData,
     SparsePairs,
     SparseVec,
-    TensorSquareElement,
+    TensorElement,
     apply_columns,
     dadd,
     lift_algebra,
     placed_product,
     s2_order,
-    tensor_unit,
 )
 from .linalg import SpanSolver
 from .presets import abelian_group_algebra, _root_conductor, _zeta, sweedler
@@ -41,12 +40,11 @@ from .scalars import CyclotomicNumber, as_scalar
 @dataclass
 class TwistData:
     parent: HopfAlgebraData
-    J: TensorSquareElement
-    J_inv: TensorSquareElement
+    J: TensorElement
+    J_inv: TensorElement
 
 
-def invert_in_tensor_square(H: HopfAlgebraData,
-                            J: TensorSquareElement) -> TensorSquareElement | None:
+def invert_in_tensor_square(H: HopfAlgebraData, J: TensorElement) -> TensorElement | None:
     """Two-sided inverse of J in the algebra H (x) H, by an exact linear solve.
 
     The columns J (e_i (x) e_j) go into one SpanSolver; the unit is written
@@ -54,22 +52,22 @@ def invert_in_tensor_square(H: HopfAlgebraData,
     """
     solver = SpanSolver(H.conductor)
     independent = [k for k in itertools.product(range(H.dim), repeat=2)
-                   if solver.insert((J * TensorSquareElement(H, {k: 1})).data) is None]
-    unit = tensor_unit(H)
+                   if solver.insert((J * TensorElement(H, 2, {k: 1})).data) is None]
+    unit = TensorElement.unit(H, 2)
     x = solver.express(unit.data)
     if x is None:
         return None
-    cand = TensorSquareElement(H, dict(zip(independent, x)))
+    cand = TensorElement(H, 2, dict(zip(independent, x)))
     if cand * J != unit or J * cand != unit:
         return None
     return cand
 
 
-def is_twist(H: HopfAlgebraData, J: TensorSquareElement,
-             J_inv: TensorSquareElement | None = None) -> tuple[bool, list[str]]:
+def is_twist(H: HopfAlgebraData, J: TensorElement,
+             J_inv: TensorElement | None = None) -> tuple[bool, list[str]]:
     """Exact check of the twist axioms; returns (ok, violation details)."""
     details = []
-    unit2 = tensor_unit(H)
+    unit2 = TensorElement.unit(H, 2)
     if J_inv is not None and (J * J_inv != unit2 or J_inv * J != unit2):
         details.append("declared J_inv is not a two-sided inverse of J")
     if J_inv is None and invert_in_tensor_square(H, J) is None:
@@ -84,8 +82,8 @@ def is_twist(H: HopfAlgebraData, J: TensorSquareElement,
     return (not details, details)
 
 
-def make_twist(H: HopfAlgebraData, J: TensorSquareElement,
-               J_inv: TensorSquareElement | None = None) -> TwistData:
+def make_twist(H: HopfAlgebraData, J: TensorElement,
+               J_inv: TensorElement | None = None) -> TwistData:
     """Build verified TwistData; inverts J if no inverse is supplied."""
     if J_inv is None:
         J_inv = invert_in_tensor_square(H, J)
@@ -135,37 +133,31 @@ def verify_eq4(T: TwistData) -> bool:
     w = q_inv * q.antipode()
     lhs = w.comul()
     s2 = H.s2_columns
-    rhs = T.J * TensorSquareElement.from_elements(w, w) * \
+    rhs = T.J * TensorElement.from_elements(w, w) * \
         T.J_inv.apply_leg(0, s2).apply_leg(1, s2)
     return lhs == rhs
 
 
 def twisted_drinfeld_element(H: HopfAlgebraData, T: TwistData,
                              qt: QuasitriangularData | None = None) -> AlgebraElement:
-    """u^J = Q^-1 S(Q) u inside D(H), with J through the primal embedding."""
+    """u^J = Q^-1 S(Q) u inside D(H), with Q and Q^-1 from `q_elements` of J
+    and J^-1 mapped into D(H) (x) D(H) by iota_primal on each leg."""
     if T.parent is not H:
         raise ValueError("the twist does not belong to this algebra")
     if qt is None:
         qt = drinfeld_double(H)
     D = qt.algebra
-    N = H.dim
-
-    def embed_tensor(t: TensorSquareElement) -> TensorSquareElement:
-        out = TensorSquareElement(D, {})
+    iota = [qt.iota_primal(H.basis_element(k)).data for k in range(H.dim)]
+    images = []
+    for t in (T.J, T.J_inv):
+        out: SparsePairs = {}
         for (i, j), c in t.data.items():
-            a = qt.iota_primal(H.basis_element(i))
-            b = qt.iota_primal(H.basis_element(j))
-            out = out + TensorSquareElement.from_elements(a, b).scale(c)
-        return TensorSquareElement(D, out.data)
-
-    jd = embed_tensor(T.J)
-    jd_inv = embed_tensor(T.J_inv)
-    q = jd.apply_leg(0, D.antipode).multiply_legs(0)
-    q_inv = jd_inv.apply_leg(1, D.antipode).multiply_legs(0)
-    if q * q_inv != D.unit_element():
-        raise ValueError("embedded Q is not invertible; convention error")
-    u = drinfeld_element(qt)
-    return q_inv * q.antipode() * u
+            for p, x in iota[i].items():
+                for q, y in iota[j].items():
+                    dadd(out, (p, q), c * x * y)
+        images.append(TensorElement(D, 2, out))
+    q, q_inv = q_elements(TwistData(D, *images))
+    return q_inv * q.antipode() * drinfeld_element(qt)
 
 
 def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraElement:
@@ -187,7 +179,7 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
     while len(factors) < 2 * n:
         factors.append(apply_columns(s, apply_columns(s, factors[-2])))
     g = AlgebraElement(H, reduce(H.mul_dicts, reversed(factors)))
-    if g.counit() != 1 or T.J_inv * g.comul() * T.J != TensorSquareElement.from_elements(g, g):
+    if g.counit() != 1 or T.J_inv * g.comul() * T.J != TensorElement.from_elements(g, g):
         raise ValueError("the alternating product is not grouplike in H^J; "
                          "this signals a convention error")
     return g
@@ -197,7 +189,7 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
 
 
 def _character_tensor(H: HopfAlgebraData, idempotents: list[SparseVec],
-                      beta: Callable[[int, int], CyclotomicNumber]) -> TensorSquareElement:
+                      beta: Callable[[int, int], CyclotomicNumber]) -> TensorElement:
     """J = sum_a e_a (x) (sum_b beta(a, b) e_b), a and b indexing the e's."""
     data: SparsePairs = {}
     for a, e_a in enumerate(idempotents):
@@ -209,7 +201,7 @@ def _character_tensor(H: HopfAlgebraData, idempotents: list[SparseVec],
         for i, x in e_a.items():
             for k, y in row.items():
                 dadd(data, (i, k), x * y)
-    return TensorSquareElement(H, data)
+    return TensorElement(H, 2, data)
 
 
 def build_bicharacter_element(orders, beta):
@@ -290,7 +282,7 @@ def _ansatz_defect(H: HopfAlgebraData, slots, t) -> dict:
     """E(t) for J = 1 (x) 1 + sum t_i e_slot_i, a sparse vector: the cocycle
     defect (Delta (x) Id)(J)(J (x) 1) - (Id (x) Delta)(J)(1 (x) J) at its
     index triples, and the two counit-leg defects at (leg, index)."""
-    J = tensor_unit(H) + TensorSquareElement(H, dict(zip(slots, t)))
+    J = TensorElement.unit(H, 2) + TensorElement(H, 2, dict(zip(slots, t)))
     rhs = placed_product(J.comult_leg(1), (0, 1, 2), J, (1, 2))
     cocycle = placed_product(J.comult_leg(0), (0, 1, 2), J, (0, 1)) + rhs.scale(-1)
     one = H.unit_element()
@@ -360,11 +352,15 @@ def sweedler_ansatz_solution() -> dict[str, Fraction]:
 
 
 def sweedler_ansatz_twists(samples=(1, -2, Fraction(3, 5))) -> list[TwistData]:
-    """Verified Sweedler twists from the solved ansatz, at rational samples."""
+    """Verified Sweedler twists from the solved ansatz, at rational samples.
+
+    The solution is J = 1 (x) 1 + t x (x) gx, and x (x) gx commutes with
+    Delta(H), so every sample leaves the Hopf structure unchanged.
+    """
     sol = sweedler_ansatz_solution()
     H = sweedler()
     twists = []
     for val in samples:
         data = {slot: sol.get(name, Fraction(val)) for name, slot in _SWEEDLER_SLOTS.items()}
-        twists.append(make_twist(H, TensorSquareElement(H, {(0, 0): 1, **data})))
+        twists.append(make_twist(H, TensorElement(H, 2, {(0, 0): 1, **data})))
     return twists

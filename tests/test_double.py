@@ -16,7 +16,7 @@ from hopfqexp.double import (
     verify_quasitriangular,
     verify_s2_conjugation,
 )
-from hopfqexp.hopf import TensorSquareElement, tensor_unit, validate
+from hopfqexp.hopf import TensorElement, validate
 from hopfqexp.linalg import dense, sparse
 
 SMALL = ["trivial", "group:builtin:Z2", "group:builtin:Z3", "sweedler",
@@ -47,7 +47,7 @@ def test_s2_is_conjugation_by_u(name, double_cache):
 def test_r_inverse_is_two_sided(double_cache):
     qt = double_cache("sweedler")
     rinv = r_inverse(qt)
-    unit = tensor_unit(qt.algebra)
+    unit = TensorElement.unit(qt.algebra, 2)
     assert qt.R * rinv == unit
     assert rinv * qt.R == unit
 
@@ -181,7 +181,7 @@ def test_corrupted_r_keeps_its_witness_on_generators(name, double_cache):
     qt = double_cache(name)
     key, c = max(qt.R.data.items())
     bad = QuasitriangularData(
-        algebra=qt.algebra, R=TensorSquareElement(qt.algebra, {**qt.R.data, key: c + c}),
+        algebra=qt.algebra, R=TensorElement(qt.algebra, 2, {**qt.R.data, key: c + c}),
         basis_split=qt.basis_split, source=qt.source)
     certified, full = _checks_with_and_without_certificate(bad)
     assert certified == full

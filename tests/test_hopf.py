@@ -25,7 +25,6 @@ from hopfqexp.hopf import (
     s2_order,
     subalgebra_closure,
     tensor,
-    tensor_unit,
     validate,
     variant,
 )
@@ -379,13 +378,51 @@ def test_antipode_inverse(preset_cache, double_cache):
 def test_tensor_element_legs(preset_cache):
     H = preset_cache("sweedler")
     g = H.basis_element(2)
-    t = tensor_unit(H)
+    t = TensorElement.unit(H, 2)
     assert t.counit_leg(0) == H.unit_element()
     d = g.comul()  # g (x) g
     assert d.multiply_legs(0) == g * g
     assert d.swap_legs(0, 1) == d
     # (g (x) 1 (x) g)(1 (x) g (x) g) = g (x) g (x) g^2, and g^2 = 1
     assert placed_product(d, (0, 2), d, (1, 2)) == TensorElement(H, 3, {(2, 2, 0): 1})
+
+
+@pytest.mark.parametrize("name", ["sweedler", "dualgroup:builtin:S3"])
+def test_tensor_unit_is_pinned(name, preset_cache):
+    # 1 (x) ... (x) 1 holds unit[k_1] ... unit[k_n] at (k_1, ..., k_n); the
+    # unit of C^S3 is the sum of all six delta functions
+    H = preset_cache(name)
+    support = [k for k, u in enumerate(H.unit) if not u.is_zero()]
+    assert support == ([0] if name == "sweedler" else list(range(6)))
+    for n in (1, 2, 3):
+        expected = {}
+        for key in product(support, repeat=n):
+            c = H.one_scalar
+            for k in key:
+                c = c * H.unit[k]
+            expected[key] = c
+        t = TensorElement.unit(H, n)
+        assert (t.parent, t.arity, t.data) == (H, n, expected)
+        assert len(t.data) == len(support) ** n
+
+
+def test_pure_tensors_are_pinned(preset_cache):
+    # a (x) b (x) c holds a_i b_j c_k at (i, j, k), and nothing where a
+    # factor's coefficient is zero
+    H = preset_cache("taft:3")
+    a = H.element([Fraction(k + 1, 2) for k in range(H.dim)])
+    b = H.element([0 if k % 3 else (-1) ** k * (k + 2) for k in range(H.dim)])
+    c = H.basis_element(4).scale(3) + H.basis_element(7).scale(CyclotomicNumber.zeta(3))
+    for factors in ([a], [b, a], [a, b, c]):
+        expected = {}
+        for terms in product(*(sorted(f.data.items()) for f in factors)):
+            coeff = H.one_scalar
+            for _, x in terms:
+                coeff = coeff * x
+            expected[tuple(k for k, _ in terms)] = coeff
+        t = TensorElement.from_elements(*factors)
+        assert (t.parent, t.arity, t.data) == (H, len(factors), expected)
+    assert len(TensorElement.from_elements(a, b, c).data) == 9 * 3 * 2
 
 
 def test_subalgebra_closure_group_part(preset_cache):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hopfqexp.hopf import TensorElement
 from hopfqexp.io import (
     SCHEMA,
     SchemaError,
@@ -74,7 +75,7 @@ def test_twist_round_trip(tmp_path):
     path.write_text(dumps(twist_to_dict(T)))
     T2 = read_twist(path)
     assert T2.parent.same_structure(T.parent)
-    assert T2.J == type(T.J)(T2.parent, T.J.data)
+    assert T2.J == TensorElement(T2.parent, 2, T.J.data)
 
 
 def test_twist_with_preset_reference(preset_cache, tmp_path):
@@ -90,7 +91,7 @@ def test_twist_j_inv_computed_when_absent():
     doc = twist_to_dict(T)
     del doc["J_inv"]
     T2 = twist_from_dict(doc)
-    assert T2.J_inv == type(T.J_inv)(T2.parent, T.J_inv.data)
+    assert T2.J_inv == TensorElement(T2.parent, 2, T.J_inv.data)
 
 
 def test_non_twist_rejected_by_strict_loader(preset_cache):

@@ -1,5 +1,6 @@
 """Drinfeld twists: axioms, twisted structures, and invariance."""
 
+import functools
 import hashlib
 import json
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfqexp.double import drinfeld_double, drinfeld_element
-from hopfqexp.hopf import element_order, is_grouplike, s2_order, validate
+from hopfqexp.hopf import TensorElement, element_order, is_grouplike, s2_order, validate
 from hopfqexp.io import twist_to_dict
 from hopfqexp.qexp import quasi_exponent
 from hopfqexp.scalars import CyclotomicNumber
@@ -29,7 +30,6 @@ from hopfqexp.twist import (
     twisted_drinfeld_element,
     verify_eq4,
 )
-from hopfqexp.hopf import tensor_unit
 
 
 def z2z2_twist():
@@ -43,7 +43,7 @@ def z3z3_twist():
 
 def test_trivial_twist_is_identity(preset_cache):
     H = preset_cache("sweedler")
-    T = make_twist(H, tensor_unit(H), tensor_unit(H))
+    T = make_twist(H, TensorElement.unit(H, 2), TensorElement.unit(H, 2))
     assert twist_hopf(T).same_structure(H)
 
 
@@ -84,8 +84,8 @@ def test_q_elements_invertible():
 def test_double_twist_restores_original():
     T = z2z2_twist()
     HJ = twist_hopf(T)
-    back = make_twist(HJ, type(T.J)(HJ, T.J_inv.data),
-                      type(T.J)(HJ, T.J.data))
+    back = make_twist(HJ, TensorElement(HJ, 2, T.J_inv.data),
+                      TensorElement(HJ, 2, T.J.data))
     assert twist_hopf(back).same_structure(T.parent)
 
 
@@ -97,6 +97,44 @@ def test_drinfeld_element_powers_agree_at_qexp():
     u = drinfeld_element(qt)
     uj = twisted_drinfeld_element(H, T, qt)
     assert u ** q == uj ** q
+
+
+def _twisted_drinfeld_reference(H, T, qt):
+    """u^J = Q^-1 S(Q) u, with J and J^-1 mapped into D(H) (x) D(H) term by
+    term through iota_primal and Q, Q^-1 formed in D(H)."""
+    D = qt.algebra
+
+    def embed(t):
+        out = TensorElement(D, 2, {})
+        for (i, j), c in t.data.items():
+            a = qt.iota_primal(H.basis_element(i)).data
+            b = qt.iota_primal(H.basis_element(j)).data
+            out = out + TensorElement(D, 2, {(p, q): c * x * y for p, x in a.items()
+                                             for q, y in b.items()})
+        return out
+
+    q = embed(T.J).apply_leg(0, D.antipode).multiply_legs(0)
+    q_inv = embed(T.J_inv).apply_leg(1, D.antipode).multiply_legs(0)
+    assert q * q_inv == D.unit_element() == q_inv * q
+    return q_inv * q.antipode() * drinfeld_element(qt)
+
+
+@functools.cache
+def _suite_twists_with_u():
+    """The suite's twists whose u^J it checks, each with the double of its parent."""
+    twists = [z2z2_twist(), z3z3_twist(), *sweedler_ansatz_twists()]
+    doubles = {}
+    for T in twists:
+        if id(T.parent) not in doubles:
+            doubles[id(T.parent)] = drinfeld_double(T.parent)
+    return [(T, doubles[id(T.parent)]) for T in twists]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_twisted_drinfeld_element_matches_reference(index):
+    T, qt = _suite_twists_with_u()[index]
+    H = T.parent
+    assert twisted_drinfeld_element(H, T, qt) == _twisted_drinfeld_reference(H, T, qt)
 
 
 def test_grouplike_from_twist():
