@@ -21,6 +21,7 @@ from .hopf import (
     HopfAlgebraData,
     TensorElement,
     dadd,
+    element_inverse,
     element_minimal_polynomial,
     first_failure,
     placed_product,
@@ -332,22 +333,12 @@ def drinfeld_element(qt: QuasitriangularData) -> AlgebraElement:
 
 
 def u_inverse(qt: QuasitriangularData) -> AlgebraElement:
-    """The inverse of the Drinfeld element, from its minimal polynomial.
-
-    From u^d + c_(d-1) u^(d-1) + ... + c_1 u + c_0 = 0 with c_0 != 0,
-    u^-1 = -c_0^-1 (u^(d-1) + c_(d-1) u^(d-2) + ... + c_1).
-    """
+    """The inverse of the Drinfeld element, by `element_inverse`."""
     if "u_inv" not in qt._cache:
-        D = qt.algebra
-        u = drinfeld_element(qt)
-        c = element_minimal_polynomial(u).coeffs
-        if c[0].is_zero():
+        u_inv = element_inverse(drinfeld_element(qt))
+        if u_inv is None:
             raise ValueError("the Drinfeld element is not invertible; the double is broken")
-        one = D.unit_element()
-        acc = one
-        for ci in reversed(c[1:-1]):
-            acc = acc * u + one.scale(ci)
-        qt._cache["u_inv"] = acc.scale(-c[0].inverse())
+        qt._cache["u_inv"] = u_inv
     return qt._cache["u_inv"]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, product, repeat, starmap
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import ExactPolynomial, SpanSolver, SparseVec, dadd, first_dependence
 from .scalars import CyclotomicNumber, as_scalar, lift_conductor
@@ -873,16 +873,41 @@ def element_order(g: AlgebraElement) -> int:
         "Nichols-Zoeller's ord(g) | dim H: g is not a grouplike")
 
 
-def element_minimal_polynomial(a: AlgebraElement) -> ExactPolynomial:
-    """Minimal polynomial of an algebra element, from its power sequence.
+def _powers(a: AlgebraElement | TensorElement) -> Iterator:
+    """1, a, ..., a^n lazily, n the dimension of the algebra of a: H, or H^(x arity)."""
+    H, tensor = a.parent, isinstance(a, TensorElement)
+    one = TensorElement.unit(H, a.arity) if tensor else H.unit_element()
+    return accumulate(repeat(a, H.dim ** a.arity if tensor else H.dim), mul, initial=one)
+
+
+def element_minimal_polynomial(a: AlgebraElement | TensorElement) -> ExactPolynomial:
+    """Minimal polynomial of an algebra or tensor element, from its power sequence.
 
     The first linear dependence among 1, a, a^2, ... is the minimal
     polynomial of a (equivalently of its left-regular matrix, which is
     faithful in a unital algebra).
     """
-    H = a.parent
-    powers = accumulate(repeat(a, H.dim), mul, initial=H.unit_element())
-    return first_dependence((p.data for p in powers), H.conductor)
+    return first_dependence((p.data for p in _powers(a)), a.parent.conductor)
+
+
+def element_inverse(a: AlgebraElement | TensorElement) -> AlgebraElement | TensorElement | None:
+    """The two-sided inverse of a from its minimal polynomial, or None.
+
+    In a finite-dimensional unital algebra a is invertible exactly when its
+    minimal polynomial a^d + c_(d-1) a^(d-1) + ... + c_1 a + c_0 has c_0 != 0;
+    then a^-1 = -c_0^-1 (a^(d-1) + c_(d-1) a^(d-2) + ... + c_1), by Horner.
+    Both products with a are checked against the unit.
+    """
+    c = element_minimal_polynomial(a).coeffs
+    if c[0].is_zero():
+        return None
+    one = inv = next(_powers(a))
+    for ci in reversed(c[1:-1]):
+        inv = inv * a + one.scale(ci)
+    inv = inv.scale(-c[0].inverse())
+    if a * inv != one or inv * a != one:
+        raise AssertionError("the inverse read off the minimal polynomial fails its check")
+    return inv
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .hopf import GrouplikeSet, HopfAlgebraData, TensorElement, validate
+from .hopf import GrouplikeSet, HopfAlgebraData, TensorElement, element_inverse, validate
 from .scalars import scalar_from_json, scalar_to_json
 
 SCHEMA = "hopf-qexp/1"
@@ -168,12 +168,12 @@ def twist_from_dict(doc: dict, algebra: HopfAlgebraData | None = None,
                     check: bool = True):
     """Resolve a twist file: {algebra: preset-name or inline, J, J_inv?}.
 
-    With check=True (the default) the twist axioms are verified and a
-    violation raises SchemaError; with check=False the caller gets the
-    raw candidate (J_inv may be None when J is singular) and is expected
-    to run is_twist itself.
+    With check=True (the default) the twist is built by `make_twist`, and
+    its ValueError becomes a SchemaError; with check=False the caller gets
+    the raw candidate (J_inv is None when the document has none and J is
+    singular) and is expected to run is_twist itself.
     """
-    from .twist import TwistData, invert_in_tensor_square, is_twist
+    from .twist import TwistData, make_twist
 
     if not isinstance(doc, dict):
         raise SchemaError("twist document is not a JSON object")
@@ -205,15 +205,12 @@ def twist_from_dict(doc: dict, algebra: HopfAlgebraData | None = None,
         raise
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed twist document: {exc}") from exc
-    if J_inv is None:
-        J_inv = invert_in_tensor_square(algebra, J)
-        if J_inv is None and check:
-            raise SchemaError("J is not invertible")
     if check:
-        ok, details = is_twist(algebra, J, J_inv)
-        if not ok:
-            raise SchemaError("not a twist: " + "; ".join(details))
-    return TwistData(parent=algebra, J=J, J_inv=J_inv)
+        try:
+            return make_twist(algebra, J, J_inv)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
+    return TwistData(parent=algebra, J=J, J_inv=element_inverse(J) if J_inv is None else J_inv)
 
 
 def twist_to_dict(T) -> dict:

@@ -4,11 +4,13 @@ Vectors are sparse dicts {key: nonzero CyclotomicNumber}, a missing key
 meaning zero; every function that builds one drops its zeros, so that
 dict equality is vector equality.  Everything here is exact: Gaussian
 elimination needs no pivot strategy (any nonzero entry will do), and
-`SpanSolver` is the only exact elimination; inverses, linear solves,
-span closures and minimal polynomials all go through it.  `ExactMatrix`,
-an immutable-by-convention row-major grid of `CyclotomicNumber`s sharing
-one conductor, is only a dense view for reference checks: no command
-forms one; `dense` and `sparse` convert at its boundary.
+`SpanSolver` is the only exact elimination: linear solves, span closures
+and minimal polynomials go through it, and the inverse of an algebra or
+tensor element is read off its minimal polynomial (`hopf.element_inverse`).
+`ExactMatrix`, an immutable-by-convention row-major grid of
+`CyclotomicNumber`s sharing one conductor, is only a dense view for
+reference checks: no command forms one; `dense` and `sparse` convert at
+its boundary.
 `first_dependence` first runs a pass modulo a prime that only proposes
 a candidate: an exact check decides, and `SpanSolver` is the fallback.
 """

@@ -28,6 +28,7 @@ from .hopf import (
     TensorElement,
     apply_columns,
     dadd,
+    element_inverse,
     lift_algebra,
     placed_product,
     s2_order,
@@ -44,33 +45,15 @@ class TwistData:
     J_inv: TensorElement
 
 
-def invert_in_tensor_square(H: HopfAlgebraData, J: TensorElement) -> TensorElement | None:
-    """Two-sided inverse of J in the algebra H (x) H, by an exact linear solve.
-
-    The columns J (e_i (x) e_j) go into one SpanSolver; the unit is written
-    over the independent ones, and the dependent ones get coefficient zero.
-    """
-    solver = SpanSolver(H.conductor)
-    independent = [k for k in itertools.product(range(H.dim), repeat=2)
-                   if solver.insert((J * TensorElement(H, 2, {k: 1})).data) is None]
-    unit = TensorElement.unit(H, 2)
-    x = solver.express(unit.data)
-    if x is None:
-        return None
-    cand = TensorElement(H, 2, dict(zip(independent, x)))
-    if cand * J != unit or J * cand != unit:
-        return None
-    return cand
-
-
 def is_twist(H: HopfAlgebraData, J: TensorElement,
              J_inv: TensorElement | None = None) -> tuple[bool, list[str]]:
-    """Exact check of the twist axioms; returns (ok, violation details)."""
+    """Exact check of the twist axioms; returns (ok, violation details).
+    Without a declared J_inv, `element_inverse` decides if J is invertible."""
     details = []
     unit2 = TensorElement.unit(H, 2)
     if J_inv is not None and (J * J_inv != unit2 or J_inv * J != unit2):
         details.append("declared J_inv is not a two-sided inverse of J")
-    if J_inv is None and invert_in_tensor_square(H, J) is None:
+    if J_inv is None and element_inverse(J) is None:
         details.append("J is not invertible in H (x) H")
     one = H.unit_element()
     if J.counit_leg(0) != one or J.counit_leg(1) != one:
@@ -84,9 +67,10 @@ def is_twist(H: HopfAlgebraData, J: TensorElement,
 
 def make_twist(H: HopfAlgebraData, J: TensorElement,
                J_inv: TensorElement | None = None) -> TwistData:
-    """Build verified TwistData; inverts J if no inverse is supplied."""
+    """Verified TwistData, J^-1 by `element_inverse` if J_inv is not given;
+    a violation raises ValueError."""
     if J_inv is None:
-        J_inv = invert_in_tensor_square(H, J)
+        J_inv = element_inverse(J)
         if J_inv is None:
             raise ValueError(f"J is not invertible in {H.name} (x) {H.name}")
     ok, details = is_twist(H, J, J_inv)

@@ -210,6 +210,19 @@ def test_twist_apply_failure_exit_1(capsys, tmp_path):
     assert "cannot apply" in err
 
 
+def test_singular_twist_exit_1(capsys, tmp_path):
+    # J = x (x) x on Sweedler has J^2 = 0: c_0 = 0 in its minimal polynomial
+    rows = [[["1"] if (i, j) == (1, 1) else ["0"] for j in range(4)] for i in range(4)]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"algebra": "sweedler", "J": rows}))
+    code, out, _ = run(capsys, "twist-check", "--twist", str(path))
+    assert code == 1
+    assert "  J is not invertible in H (x) H\n" in out
+    code, out, err = run(capsys, "twist-apply", "--twist", str(path))
+    assert (code, out) == (1, "")
+    assert "  J is not invertible in H (x) H\n" in err
+
+
 def test_twist_apply(capsys, tmp_path):
     path = _write_twist(tmp_path)
     code, out, _ = run(capsys, "twist-apply", "--twist", str(path),

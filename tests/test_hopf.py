@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hopfqexp import hopf
 from hopfqexp.double import regular_representation
 from hopfqexp.hopf import (
+    AlgebraElement,
     GrouplikeSet,
     _generators,
     HopfAlgebraData,
@@ -18,6 +19,7 @@ from hopfqexp.hopf import (
     apply_columns,
     dadd,
     dual,
+    element_inverse,
     element_order,
     first_failure,
     is_grouplike,
@@ -373,6 +375,19 @@ def test_antipode_inverse(preset_cache, double_cache):
     for k in range(H.dim):
         b = H.basis_element(k)
         assert b.antipode().antipode_inv() == b
+
+
+def test_element_inverse_on_taft(preset_cache):
+    # taft:3 basis g^i x^j: a grouplike inverts to its antipode, and the
+    # nilpotent x and 0 have minimal polynomials with c_0 = 0
+    H = preset_cache("taft:3")
+    for k in (3, 6):
+        g = H.basis_element(k)
+        assert element_inverse(g) == g.antipode()
+    one, x, x2 = (H.basis_element(k) for k in range(3))
+    assert element_inverse(one + x) == one - x + x2  # (1 + x)^-1, as x^3 = 0
+    assert element_inverse(x) is None
+    assert element_inverse(AlgebraElement(H, {})) is None
 
 
 def test_tensor_element_legs(preset_cache):

@@ -1,5 +1,6 @@
 """Serialization: bit-exact round trips and schema rejection."""
 
+import functools
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from hopfqexp.io import (
     twist_to_dict,
     write_algebra,
 )
+from hopfqexp.suite import _Context
 from hopfqexp.twist import bicharacter_twist
 
 ROUND_TRIP = ["sweedler", "uqb2:3", "dualgroup:builtin:Z3", "taft:3",
@@ -86,12 +88,37 @@ def test_twist_with_preset_reference(preset_cache, tmp_path):
     assert T2.parent.same_structure(T.parent)
 
 
-def test_twist_j_inv_computed_when_absent():
-    T = bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1]))
+@functools.cache
+def _suite_twists():
+    return [T for _, T, _ in _Context(deep=False, max_dim=None).twists()]
+
+
+@pytest.mark.parametrize("index", range(7), ids=[
+    "bichar-Z2xZ2", "bichar-Z3xZ3", "sweedler-0", "sweedler-1", "sweedler-2",
+    "cyclic-uqb2:3", "cyclic-uqsl2:3"])
+def test_twist_j_inv_computed_when_absent(index):
+    T = _suite_twists()[index]
     doc = twist_to_dict(T)
     del doc["J_inv"]
     T2 = twist_from_dict(doc)
+    # the inverse is unique, so it is the one the constructor built
     assert T2.J_inv == TensorElement(T2.parent, 2, T.J_inv.data)
+    if T.parent.name == "Sweedler":  # J = 1 (x) 1 + t x (x) gx
+        t = T.J.data[(1, 3)]
+        assert T.J.data.keys() == {(0, 0), (1, 3)}
+        assert T2.J_inv == TensorElement(T2.parent, 2, {(0, 0): 1, (1, 3): -t})
+
+
+def _singular_sweedler_twist() -> dict:
+    """A twist document with J = x (x) x on Sweedler: J^2 = 0, so J is singular."""
+    rows = [[["1"] if (i, j) == (1, 1) else ["0"] for j in range(4)] for i in range(4)]
+    return {"schema": SCHEMA, "kind": "twist", "algebra": "sweedler", "J": rows}
+
+
+def test_singular_j_rejected_by_strict_loader():
+    with pytest.raises(SchemaError, match="invertible"):
+        twist_from_dict(_singular_sweedler_twist())
+    assert twist_from_dict(_singular_sweedler_twist(), check=False).J_inv is None
 
 
 def test_non_twist_rejected_by_strict_loader(preset_cache):
