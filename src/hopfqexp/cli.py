@@ -203,18 +203,21 @@ def _cmd_double(args) -> int:
     return EXIT_OK
 
 
-def _load_twist(args):
+def _checked_twist(args):
+    """(T, ok, details): the twist file read without checks, and the verdict
+    of `is_twist` on it.  The lenient reader leaves J_inv None only when the
+    file has none and it found J singular, so that is not searched again."""
+    from .twist import is_twist
+
     algebra = None
     if getattr(args, "preset", None) or getattr(args, "input", None):
         algebra = _load_algebra(args)
-    return read_twist(args.twist, algebra=algebra, check=False)
+    T = read_twist(args.twist, algebra=algebra, check=False)
+    return (T, *is_twist(T.parent, T.J, T.J_inv, singular=T.J_inv is None))
 
 
 def _cmd_twist_check(args) -> int:
-    from .twist import is_twist
-
-    T = _load_twist(args)
-    ok, details = is_twist(T.parent, T.J, T.J_inv)
+    T, ok, details = _checked_twist(args)
     doc = {"schema": SCHEMA, "kind": "twist-report", "name": T.parent.name,
            "is_twist": ok, "violations": [] if ok else details}
     if ok:
@@ -227,15 +230,14 @@ def _cmd_twist_check(args) -> int:
 
 
 def _cmd_twist_apply(args) -> int:
-    from .twist import is_twist, twist_hopf
+    from .twist import twist_hopf
 
-    T = _load_twist(args)
-    ok, details = is_twist(T.parent, T.J, T.J_inv)
+    T, ok, details = _checked_twist(args)
     if not ok:
         sys.stderr.write("cannot apply: not a twist\n"
                          + "".join(f"  {d}\n" for d in details))
         return EXIT_CHECK_FAILED
-    # the check passed, so J_inv is set: given, or found by _load_twist
+    # the check passed, so J_inv is set: given, or found by the reader
     twisted = twist_hopf(T)
     text = (f"{twisted.name}: dim {twisted.dim}, conductor "
             f"{twisted.conductor}; use --format json for the full data\n")

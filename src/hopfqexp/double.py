@@ -27,7 +27,7 @@ from .hopf import (
     placed_product,
 )
 from .linalg import ExactMatrix, dense
-from .scalars import CyclotomicNumber, _canonical, _distinct, _width_for, pack, unpack
+from .scalars import CyclotomicNumber, _Decoder, _distinct, _width_for, pack
 
 
 @dataclass
@@ -55,30 +55,6 @@ class QuasitriangularData:
                 if not e.is_zero():
                     dadd(data, j * N + i, c * e)
         return AlgebraElement(self.algebra, data)
-
-
-class _Decoder(dict):
-    """Packed sums back to interned scalars, keyed by residue.
-
-    A packed sum z stands for den times a value, at the given width and
-    conductor m.  ``decoder[z % (2^(width m) - 1)]`` is None for zero,
-    else the one object that ``canon`` holds for the value; each residue
-    is decoded once (`unpack`, then the canonical form over den).
-    """
-
-    def __init__(self, width: int, m: int, den: int, canon: dict):
-        super().__init__()
-        self.width, self.m, self.den, self.canon = width, m, den, canon
-
-    def __missing__(self, z: int) -> CyclotomicNumber | None:
-        c = unpack(z, self.width, self.m)
-        if any(c):
-            c = _canonical(self.m, tuple(c), self.den)
-            c = self.canon.setdefault((c.num, c.den), c)
-        else:
-            c = None
-        self[z] = c
-        return c
 
 
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:

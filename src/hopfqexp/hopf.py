@@ -9,10 +9,12 @@ of basis elements i and j, ``comult[k]`` maps basis pairs to the
 coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j).  An
 `AlgebraElement` holds one such dict, a `TensorElement` one keyed by
 index tuples, and `SpanSolver` eliminates on them directly; only the
-`ExactMatrix` views and `io` write dense lists.  S^2, S^-2 and S^-1 all
-come from the one Radford scan of `s2_order`.  `validate` checks every
-Hopf axiom exactly (associativity and multiplicativity on a certified
-generating set); nothing here is trusted without it.
+`ExactMatrix` views and `io` write dense lists.  Products of tensor
+elements run on Kronecker-packed integers (`_legwise_product`).  S^2,
+S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
+`validate` checks every Hopf axiom exactly (associativity and
+multiplicativity on a certified generating set); nothing here is
+trusted without it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import ExactPolynomial, SpanSolver, SparseVec, dadd, first_dependence
-from .scalars import CyclotomicNumber, as_scalar, lift_conductor
+from .scalars import (CyclotomicNumber, _Decoder, _distinct, _width_for, as_scalar,
+                      lift_conductor, pack)
 
 
 class OrderSearchExhausted(RuntimeError):
@@ -211,6 +214,16 @@ class HopfAlgebraData:
         return [apply_columns(sinv2, col) for col in self.antipode]
 
     @property
+    def mult_rows(self) -> dict[int, dict[int, SparseVec]]:
+        """``mult`` by its left index: mult_rows[i][j] = mult[(i, j)]."""
+        if "mult_rows" not in self._cache:
+            rows: dict[int, dict[int, SparseVec]] = {}
+            for (i, j), vec in self.mult.items():
+                rows.setdefault(i, {})[j] = vec
+            self._cache["mult_rows"] = rows
+        return self._cache["mult_rows"]
+
+    @property
     def dual_mult(self) -> dict[tuple[int, int], SparseVec]:
         """Multiplication tensor of the dual: transpose of comult."""
         if "dual_mult" not in self._cache:
@@ -367,7 +380,7 @@ class TensorElement:
         self._check(other)
         H = self.parent
         return TensorElement(H, self.arity, _legwise_product(
-            H.mult.get, self.data.items(), other.data.items(), self.arity))
+            H.mult_rows, self.data.items(), other.data.items(), self.arity, H.conductor))
 
     def apply_leg(self, leg: int, columns: list[SparseVec]) -> "TensorElement":
         """Apply a linear map, given by its sparse columns, to one leg."""
@@ -440,31 +453,86 @@ class TensorElement:
         return f"TensorElement(arity={self.arity}, terms={len(self.data)})"
 
 
-def _legwise_product(table, a, b, arity: int) -> dict:
-    """Sum over the term pairs of a and b (iterables of (key, coefficient))
-    of the tensor products, leg by leg, of the vectors table((a_l, b_l))."""
-    out: dict[tuple[int, ...], CyclotomicNumber] = {}
-    for tkey, tval in a:
-        for skey, sval in b:
-            partial = {(): tval * sval}
-            dead = False
-            for leg in range(arity):
-                vec = table((tkey[leg], skey[leg]))
-                if not vec:
-                    dead = True
+def _legwise_product(rows: Mapping[int, Mapping[int, SparseVec]], a, b, arity: int,
+                     m: int) -> dict[tuple[int, ...], CyclotomicNumber]:
+    """Sum over the term pairs of a and b (collections of (key, coefficient))
+    of the tensor products, leg by leg, of the vectors rows[a_l][b_l], for
+    scalars of conductor m, on Kronecker-packed integers (`pack`).
+
+    rows[p][q] is the nonzero product of basis elements p and q; a pair
+    absent from rows multiplies to zero.  A first pass over the term
+    pairs finds the P of them whose every leg has a vector, and the
+    vectors they touch.  The distinct values of a, of b and of those
+    vectors are each held over their own common denominator and packed
+    once at width B.  A second pass adds, for each such term pair (s, t)
+    and each choice of k_l in rows[s_l][t_l] on every leg l, the int
+    product of a_s, b_t and the rows[s_l][t_l][k_l] to the entry
+    (k_0, ..., k_(arity-1)), each multiply followed by the fold
+    z -> (z & M) + (z >> Bm).  Both passes stream the term pairs, and
+    each entry is decoded once per distinct residue (`_Decoder`).
+
+    Exactness guard.  A packed value stands for an element of
+    Z[x]/(x^m - 1): the power-basis coordinates of the value times its
+    set's denominator, with digits at most h_a, h_b or h_T, the largest
+    absolute coordinate in each set.  Each digit of a product of elements
+    with digits at most A and C is a sum of m products of digits, so it
+    is at most m A C; the arity + 2 factors of one term give digits at
+    most m^(arity+1) h_a h_b h_T^arity.  Within one term pair, distinct
+    choices of the k_l give distinct keys, so an entry gets at most one
+    term from each of the P <= |a| |b| term pairs, and its digits are at
+    most P m^(arity+1) h_a h_b h_T^arity.  `unpack` is exact while that
+    bound is below 2^(B-1), and B is the least multiple of 32 bits for
+    which it is (`_width_for`).  The folds and the reduction mod
+    M = 2^(Bm) - 1 keep the residue mod M, which is all `unpack` reads.
+    """
+    empty: dict = {}
+    legs = range(arity)
+    touched: dict[int, dict[int, SparseVec]] = {}
+    pairs = 0
+    for s, _ in a:
+        heads = [rows.get(p, empty) for p in s]
+        for t, _ in b:
+            for leg in legs:
+                if t[leg] not in heads[leg]:
                     break
-                nxt = {}
-                for pkey, pc in partial.items():
-                    for k, c in vec.items():
-                        dadd(nxt, pkey + (k,), pc * c)
-                partial = nxt
-                if not partial:
-                    dead = True
+            else:
+                pairs += 1
+                for leg in legs:
+                    q = t[leg]
+                    touched.setdefault(s[leg], {})[q] = heads[leg][q]
+    if not pairs:
+        return {}
+    aden, aindex, acoords, aheights = _distinct(v for _, v in a)
+    bden, bindex, bcoords, bheights = _distinct(v for _, v in b)
+    tden, tindex, tcoords, theights = _distinct(
+        v for row in touched.values() for vec in row.values() for v in vec.values())
+    width = _width_for(pairs * m ** (arity + 1) * max(aheights) * max(bheights)
+                       * max(theights) ** arity)
+    avals = [pack(c, width) for c in acoords]
+    bvals = [pack(c, width) for c in bcoords]
+    tvals = [pack(c, width) for c in tcoords]
+    packed = {p: {q: [(k, tvals[tindex[v.num, v.den]]) for k, v in vec.items()]
+                  for q, vec in row.items()} for p, row in touched.items()}
+    ys = [(t, bvals[bindex[v.num, v.den]]) for t, v in b]
+    shift = width * m
+    modulus = (1 << shift) - 1
+    acc: dict[tuple[int, ...], int] = {}
+    for s, v in a:
+        x = avals[aindex[v.num, v.den]]
+        heads = [packed.get(p, empty) for p in s]
+        for t, y in ys:
+            partial = [((), x * y)]
+            for leg in legs:
+                vec = heads[leg].get(t[leg])
+                if vec is None:
                     break
-            if not dead:
-                for key, c in partial.items():
-                    dadd(out, key, c)
-    return out
+                partial = [(key + (k,), ((z := w * c) & modulus) + (z >> shift))
+                           for key, w in partial for k, c in vec]
+            else:
+                for key, w in partial:
+                    acc[key] = acc.get(key, 0) + w
+    decode = _Decoder(width, m, aden * bden * tden ** arity, {})
+    return {key: c for key, z in acc.items() if (c := decode[z % modulus]) is not None}
 
 
 def placed_product(x: TensorElement, x_legs: Sequence[int],
@@ -473,8 +541,9 @@ def placed_product(x: TensorElement, x_legs: Sequence[int],
 
     Equal to placing each factor with the unit on its other legs and
     multiplying, without expanding the unit: a leg that only x covers
-    carries e_k 1, and one that only y covers 1 e_k, from columns cached
-    on the algebra (e_k itself when the unit is a unit).  Every leg
+    carries e_k 1, and one that only y covers 1 e_k, from rows cached on
+    the algebra beside its products (e_k itself when the unit is a
+    unit).  Every leg
     0, ..., arity - 1 must be covered by x or y.
     """
     H = x.parent
@@ -484,17 +553,17 @@ def placed_product(x: TensorElement, x_legs: Sequence[int],
             or len(set(x_legs)) != len(x_legs) or len(x_legs) != x.arity
             or len(set(y_legs)) != len(y_legs) or len(y_legs) != y.arity):
         raise ValueError("legs must be distinct, match the arities and cover 0..arity-1")
-    if "unit_columns" not in H._cache:
+    if "placed_rows" not in H._cache:
+        # rows[k][-1] = e_k 1 and rows[-1][k] = 1 e_k, beside the products of H
         one, unit = H.one_scalar, H.unit_element().data
-        columns = {}
+        rows = {p: dict(row) for p, row in H.mult_rows.items()}
+        rows[-1] = {}
         for k in range(H.dim):
-            columns[(k, -1)] = H.mul_dicts({k: one}, unit)
-            columns[(-1, k)] = H.mul_dicts(unit, {k: one})
-        H._cache["unit_columns"] = columns
-    columns, mult = H._cache["unit_columns"], H.mult
-
-    def table(pair):
-        return columns[pair] if -1 in pair else mult.get(pair)
+            if col := H.mul_dicts({k: one}, unit):
+                rows.setdefault(k, {})[-1] = col
+            if col := H.mul_dicts(unit, {k: one}):
+                rows[-1][k] = col
+        H._cache["placed_rows"] = rows
 
     def padded(t: TensorElement, at: Sequence[int]):
         # -1 marks a leg this factor leaves to the other one
@@ -503,7 +572,7 @@ def placed_product(x: TensorElement, x_legs: Sequence[int],
                 for key, v in t.data.items()]
 
     return TensorElement(H, arity, _legwise_product(
-        table, padded(x, x_legs), padded(y, y_legs), arity))
+        H._cache["placed_rows"], padded(x, x_legs), padded(y, y_legs), arity, H.conductor))
 
 
 # -- axiom verification -------------------------------------------------------

@@ -441,6 +441,30 @@ def unpack(z: int, width: int, m: int) -> list[int]:
     return out
 
 
+class _Decoder(dict):
+    """Packed sums back to interned scalars, keyed by residue.
+
+    A packed sum z stands for den times a value, at the given width and
+    conductor m.  ``decoder[z % (2^(width m) - 1)]`` is None for zero,
+    else the one object that ``canon`` holds for the value; each residue
+    is decoded once (`unpack`, then the canonical form over den).
+    """
+
+    def __init__(self, width: int, m: int, den: int, canon: dict):
+        super().__init__()
+        self.width, self.m, self.den, self.canon = width, m, den, canon
+
+    def __missing__(self, z: int) -> CyclotomicNumber | None:
+        c = unpack(z, self.width, self.m)
+        if any(c):
+            c = _canonical(self.m, tuple(c), self.den)
+            c = self.canon.setdefault((c.num, c.den), c)
+        else:
+            c = None
+        self[z] = c
+        return c
+
+
 def lift_conductor(a: CyclotomicNumber, target: int) -> CyclotomicNumber:
     """Express ``a`` in Q(zeta_target); requires conductor(a) | target."""
     m = a.conductor

@@ -45,15 +45,16 @@ class TwistData:
     J_inv: TensorElement
 
 
-def is_twist(H: HopfAlgebraData, J: TensorElement,
-             J_inv: TensorElement | None = None) -> tuple[bool, list[str]]:
+def is_twist(H: HopfAlgebraData, J: TensorElement, J_inv: TensorElement | None = None,
+             singular: bool = False) -> tuple[bool, list[str]]:
     """Exact check of the twist axioms; returns (ok, violation details).
-    Without a declared J_inv, `element_inverse` decides if J is invertible."""
+    Without a declared J_inv, `element_inverse` decides if J is invertible,
+    unless singular says that the caller's `element_inverse(J)` was None."""
     details = []
     unit2 = TensorElement.unit(H, 2)
     if J_inv is not None and (J * J_inv != unit2 or J_inv * J != unit2):
         details.append("declared J_inv is not a two-sided inverse of J")
-    if J_inv is None and element_inverse(J) is None:
+    if J_inv is None and (singular or element_inverse(J) is None):
         details.append("J is not invertible in H (x) H")
     one = H.unit_element()
     if J.counit_leg(0) != one or J.counit_leg(1) != one:

@@ -210,17 +210,42 @@ def test_twist_apply_failure_exit_1(capsys, tmp_path):
     assert "cannot apply" in err
 
 
-def test_singular_twist_exit_1(capsys, tmp_path):
+def _singular_twist_file(tmp_path) -> Path:
     # J = x (x) x on Sweedler has J^2 = 0: c_0 = 0 in its minimal polynomial
     rows = [[["1"] if (i, j) == (1, 1) else ["0"] for j in range(4)] for i in range(4)]
     path = tmp_path / "singular.json"
     path.write_text(json.dumps({"algebra": "sweedler", "J": rows}))
+    return path
+
+
+def test_singular_twist_exit_1(capsys, tmp_path):
+    path = _singular_twist_file(tmp_path)
     code, out, _ = run(capsys, "twist-check", "--twist", str(path))
     assert code == 1
     assert "  J is not invertible in H (x) H\n" in out
     code, out, err = run(capsys, "twist-apply", "--twist", str(path))
     assert (code, out) == (1, "")
     assert "  J is not invertible in H (x) H\n" in err
+
+
+@pytest.mark.parametrize("command", ["twist-check", "twist-apply"])
+def test_singular_twist_is_inverted_once(command, capsys, tmp_path, monkeypatch):
+    # the reader's failed inverse is the verdict; is_twist does not search again
+    from hopfqexp import io as io_module
+    from hopfqexp import twist as twist_module
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return hopfqexp.hopf.element_inverse(a)
+
+    for module in (io_module, twist_module):
+        monkeypatch.setattr(module, "element_inverse", counted)
+    code, out, err = run(capsys, command, "--twist", str(_singular_twist_file(tmp_path)))
+    assert code == 1
+    assert "  J is not invertible in H (x) H\n" in out + err
+    assert len(calls) == 1
 
 
 def test_twist_apply(capsys, tmp_path):

@@ -61,3 +61,18 @@ def test_twist_files_with_and_without_inverse(tmp_path, capsys):
     expected = capsys.readouterr().out
     assert json.loads(expected)["is_twist"] is True
     assert line == " ".join([_digest(expected), _digest(""), "0", *argv])
+
+
+def test_corrupted_doubles_name_their_witnesses(tmp_path, capsys):
+    digests = _load_script()
+    digests.write_corrupted_doubles(str(tmp_path))
+    outputs = []
+    for path in digests.corrupted_files():
+        argv = ["validate", "--in", path, "--format", "text"]
+        assert argv in digests.commands()
+        assert main([a.replace("$TMP", str(tmp_path)) for a in argv]) == 2
+        outputs.append(capsys.readouterr().out)
+    # D(taft:2) with a comult scalar doubled, D(C[S3]) with a mult scalar doubled
+    assert "  comultiplication is not multiplicative at (1,9)\n" in outputs[0]
+    assert "  associativity fails at basis (8,35,35)\n" in outputs[1]
+    assert "  comultiplication is not multiplicative at (5,5)\n" in outputs[1]
