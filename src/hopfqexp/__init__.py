@@ -45,9 +45,8 @@ from .qexp import (
 )
 from .twist import (
     TwistData,
-    bicharacter_twist,
-    cyclic_grouplike_twist,
     grouplike_from_twist,
+    grouplike_subgroup_twist,
     is_twist,
     make_twist,
     q_elements,
@@ -76,7 +75,7 @@ __all__ = [
     "check_corollary_24", "is_unipotent_element",
     "TwistData", "is_twist", "make_twist", "twist_hopf", "q_elements",
     "verify_eq4", "twisted_drinfeld_element", "grouplike_from_twist",
-    "bicharacter_twist", "cyclic_grouplike_twist",
+    "grouplike_subgroup_twist",
     "ZOO", "get_preset", "parse_preset_name", "preset_grouplikes",
     "SchemaError", "read_algebra", "read_twist", "write_algebra",
     "SuiteItem", "run_suite", "format_suite",

@@ -21,13 +21,14 @@ from .hopf import (
     dual,
     element_order,
     is_grouplike,
+    lift_algebra,
     s2_order,
     subalgebra_closure,
     validate,
     variant,
 )
 from .poly import ExactPolynomial
-from .presets import ZOO, get_preset, preset_grouplikes
+from .presets import ZOO, abelian_group_algebra, get_preset, preset_grouplikes
 from .qexp import (
     _annihilates,
     check_corollary_24,
@@ -36,10 +37,10 @@ from .qexp import (
     u_min_poly_via_regular,
     u_min_poly_via_t,
 )
+from .scalars import CyclotomicNumber
 from .twist import (
-    bicharacter_twist,
-    cyclic_grouplike_twist,
     grouplike_from_twist,
+    grouplike_subgroup_twist,
     is_twist,
     sweedler_ansatz_twists,
     twist_hopf,
@@ -101,24 +102,29 @@ class _Context:
     def twists(self):
         """(description, TwistData, double-or-None for Eq. (3) checks)."""
         if self._twists is None:
-            from .scalars import CyclotomicNumber
-
-            z3 = CyclotomicNumber.zeta(3)
-            entries = []
-            t22 = bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1]))
-            entries.append(("bicharacter C[Z2xZ2]", t22, True))
-            t33 = bicharacter_twist([3, 3],
-                                    lambda a, b: z3 ** ((a[0] * b[1]) % 3))
-            entries.append(("bicharacter C[Z3xZ3]", t33, True))
+            zeta = CyclotomicNumber.zeta
+            c22 = abelian_group_algebra([2, 2])
+            c33 = lift_algebra(abelian_group_algebra([3, 3]), 3)
+            entries = [
+                ("bicharacter C[Z2xZ2]", grouplike_subgroup_twist(
+                    c22, _generators(c22), lambda a, b: (-1) ** (a[0] * b[1])), True),
+                ("bicharacter C[Z3xZ3]", grouplike_subgroup_twist(
+                    c33, _generators(c33), lambda a, b: zeta(3, a[0] * b[1])), True),
+            ]
             for i, tw in enumerate(sweedler_ansatz_twists()):
                 entries.append((f"Sweedler ansatz sample {i}", tw, True))
             for name in ("uqb2:3", "uqsl2:3"):
                 H = self.preset(name)
                 g = H.element(H.grouplike_vectors[1])
-                entries.append((f"cyclic twist on {name}",
-                                cyclic_grouplike_twist(H, g, 3), False))
+                entries.append((f"cyclic twist on {name}", grouplike_subgroup_twist(
+                    H, [g], lambda a, b: zeta(3, a[0] * b[0])), False))
             self._twists = entries
         return self._twists
+
+
+def _generators(G):
+    """g10 and g01, the generators of the abelian group algebra C[Zm x Zn]."""
+    return [G.basis_element(G.basis_labels.index(label)) for label in ("g10", "g01")]
 
 
 def _memo(table: dict, obj, build):

@@ -6,8 +6,11 @@ A twist is an invertible J in H (x) H with
 
 and both counit legs equal to 1.  Twisting conjugates the
 comultiplication by J and the antipode by Q = m (S (x) Id)(J).
-Bicharacter twists on abelian group algebras and an exactly solved
-ansatz family on the Sweedler algebra supply nontrivial test cases.
+Twists come from two constructions: `grouplike_subgroup_twist`, the one
+constructor of J = sum beta(a, b) e_a (x) e_b on an abelian subgroup of
+grouplikes (a bicharacter twist on C[G], a cyclic twist on a quantum
+group, or a twist on the two legs of a tensor square), and an exactly
+solved ansatz family on the Sweedler algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import lcm, prod
 from typing import Callable
 
 from .double import QuasitriangularData, drinfeld_double, drinfeld_element
@@ -24,18 +27,17 @@ from .hopf import (
     AlgebraElement,
     HopfAlgebraData,
     SparsePairs,
-    SparseVec,
     TensorElement,
     apply_columns,
     dadd,
     element_inverse,
-    lift_algebra,
+    element_order,
     placed_product,
     s2_order,
 )
 from .linalg import SpanSolver
-from .presets import abelian_group_algebra, _root_conductor, _zeta, sweedler
-from .scalars import CyclotomicNumber, as_scalar
+from .presets import _root_conductor, _zeta, sweedler
+from .scalars import CyclotomicNumber
 
 
 @dataclass
@@ -170,91 +172,48 @@ def grouplike_from_twist(H: HopfAlgebraData, T: TwistData, n: int) -> AlgebraEle
     return g
 
 
-# -- bicharacter twists on abelian group algebras -----------------------------
+# -- twists on an abelian grouplike subgroup ------------------------------------
 
 
-def _character_tensor(H: HopfAlgebraData, idempotents: list[SparseVec],
-                      beta: Callable[[int, int], CyclotomicNumber]) -> TensorElement:
-    """J = sum_a e_a (x) (sum_b beta(a, b) e_b), a and b indexing the e's."""
-    data: SparsePairs = {}
-    for a, e_a in enumerate(idempotents):
-        row: SparseVec = {}
-        for b, e_b in enumerate(idempotents):
-            c = beta(a, b)
-            for k, v in e_b.items():
-                dadd(row, k, c * v)
-        for i, x in e_a.items():
-            for k, y in row.items():
-                dadd(data, (i, k), x * y)
-    return TensorElement(H, 2, data)
+def grouplike_subgroup_twist(H: HopfAlgebraData, generators: list[AlgebraElement],
+                             beta: Callable[[tuple, tuple], object]) -> TwistData:
+    """The twist J = sum_{a,b} beta(a, b) e_a (x) e_b on the grouplikes g_s.
 
-
-def build_bicharacter_element(orders, beta):
-    """(H, J, J_inv-candidate) for J = sum beta(chi, psi) e_chi (x) e_psi.
-
-    beta maps a pair of character-exponent tuples to a scalar.  No twist
-    axioms are checked here; the candidate inverse uses the pointwise
-    inverse of beta, valid because the e_chi are orthogonal idempotents.
+    n_s = ord(g_s) by `element_order`; a, b and c run over the exponent
+    tuples of prod_s Z/n_s, and e_a = (1/|G|) sum_c prod_s zeta_{n_s}^(-a_s c_s)
+    g^c with g^c = prod_s g_s^(c_s).  When the g_s commute, the e_a are
+    orthogonal idempotents summing to 1, so J^-1 takes the pointwise
+    inverse of beta.  `make_twist` is the only check: a beta that is not a
+    bicharacter, or generators that do not commute, fail there.  On C[G]
+    with the generators of G this is a bicharacter twist.  Requires
+    zeta_lcm(n_s) in the scalar field of H.
     """
-    orders = list(orders)
-    e = lcm(*orders) if len(orders) > 1 else orders[0]
-    cond = _root_conductor(e)
-    H = lift_algebra(abelian_group_algebra(orders), cond)
-    elems = list(itertools.product(*[range(n) for n in orders]))
-    inv_size = as_scalar(Fraction(1, len(elems)), cond)
-    zetas = [as_scalar(_zeta(n), cond) for n in orders]
-    # e_chi_a has coefficient (1/|G|) chi_a(g^-1) at the group element g
-    idempotents = []
-    for a in elems:
-        e_a = {}
-        for k, g in enumerate(elems):
-            acc = inv_size
-            for n_s, z, ai, gi in zip(orders, zetas, a, g):
-                acc = acc * z ** ((-ai * gi) % n_s)
-            e_a[k] = acc
-        idempotents.append(e_a)
-    j = _character_tensor(H, idempotents,
-                          lambda a, b: as_scalar(beta(elems[a], elems[b]), cond))
-    j_inv = _character_tensor(H, idempotents,
-                              lambda a, b: as_scalar(beta(elems[a], elems[b]), cond).inverse())
-    return H, j, j_inv
+    orders = [element_order(g) for g in generators]
+    period = lcm(*orders)
+    if H.conductor % _root_conductor(period):
+        raise ValueError(f"the scalar field of {H.name} lacks a primitive "
+                         f"{period}-th root of unity")
+    zetas = [H.scalar(_zeta(n)) for n in orders]
+    exponents = list(itertools.product(*map(range, orders)))
+    group = [H.unit_element()]  # g^c, c in the order of `exponents`
+    for g, n in zip(generators, orders):
+        group = [x * g ** k for x in group for k in range(n)]
+    inv_size = H.scalar(Fraction(1, len(group)))
 
+    def character(a, c) -> CyclotomicNumber:  # (1/|G|) prod_s zeta_{n_s}^(-a_s c_s)
+        return prod((z ** (-a_s * c_s % n) for n, z, a_s, c_s in zip(orders, zetas, a, c)),
+                    start=inv_size)
 
-def bicharacter_twist(orders, beta) -> TwistData:
-    """A verified bicharacter twist on C[G] for abelian G of the given orders.
+    def combine(elements, coeffs) -> AlgebraElement:  # sum_k coeffs[k] elements[k]
+        return sum(map(AlgebraElement.scale, elements, coeffs), AlgebraElement(H, {}))
 
-    beta(a, b) must be a bicharacter of the character group; a
-    non-bicharacter table is rejected by the exact twist axiom check.
-    """
-    H, j, j_inv = build_bicharacter_element(orders, beta)
-    return make_twist(H, j, j_inv)
+    def tensor(table) -> TensorElement:  # sum_a e_a (x) sum_b table[a][b] e_b
+        return sum(map(TensorElement.from_elements, idem, [combine(idem, row) for row in table]),
+                   TensorElement(H, 2, {}))
 
-
-def cyclic_grouplike_twist(H: HopfAlgebraData, g: AlgebraElement, p: int) -> TwistData:
-    """A bicharacter twist supported on the cyclic grouplike subgroup <g>.
-
-    With e_a = (1/p) sum_c zeta_p^(-ac) g^c the orthogonal idempotents
-    of C[<g>], builds J = sum_{a,b} zeta_p^(ab) e_a (x) e_b and verifies
-    the twist axioms inside H.  Requires zeta_p in the scalar field of H.
-    """
-    if H.conductor % _root_conductor(p) != 0:
-        raise ValueError("the scalar field lacks the needed root of unity")
-    z = as_scalar(_zeta(p), H.conductor)
-    inv_p = as_scalar(Fraction(1, p), H.conductor)
-    powers = [H.unit_element()]
-    for _ in range(p - 1):
-        powers.append(powers[-1] * g)
-    if powers[-1] * g != H.unit_element():
-        raise ValueError("g does not have order dividing p")
-    idem = []
-    for a in range(p):
-        e = AlgebraElement(H, {})
-        for c in range(p):
-            e = e + powers[c].scale(z ** ((-a * c) % p) * inv_p)
-        idem.append(e.data)
-    j = _character_tensor(H, idem, lambda a, b: z ** (a * b % p))
-    j_inv = _character_tensor(H, idem, lambda a, b: z ** (-a * b % p))
-    return make_twist(H, j, j_inv)
+    idem = [combine(group, [character(a, c) for c in exponents]) for a in exponents]
+    table = [[H.scalar(beta(a, b)) for b in exponents] for a in exponents]
+    return make_twist(H, tensor(table), tensor([[w.inverse() for w in row] for row in table]))
 
 
 # -- the Sweedler ansatz family ---------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hopfqexp.double import drinfeld_double
 from hopfqexp.presets import get_preset
 from hopfqexp.qexp import quasi_exponent
+from hopfqexp.suite import _Context
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,9 @@ def report_cache(preset_cache):
         return cache[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def suite_twists():
+    """The theorem suite's seven twists, by their description in the suite."""
+    return {name: T for name, T, _ in _Context(deep=False, max_dim=None).twists()}

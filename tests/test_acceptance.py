@@ -36,15 +36,11 @@ from hopfqexp.qexp import (
     u_min_poly_via_regular,
     u_min_poly_via_t,
 )
-from hopfqexp.scalars import CyclotomicNumber
-from hopfqexp.suite import run_suite
+from hopfqexp.suite import _generators, run_suite
 from hopfqexp.twist import (
-    bicharacter_twist,
-    build_bicharacter_element,
-    cyclic_grouplike_twist,
     grouplike_from_twist,
+    grouplike_subgroup_twist,
     is_twist,
-    sweedler_ansatz_twists,
     twist_hopf,
     twisted_drinfeld_element,
     verify_eq4,
@@ -137,18 +133,11 @@ def test_acceptance_5_doubles(preset_cache, double_cache):
     passed(5)
 
 
-def _acceptance_twists():
-    z3 = CyclotomicNumber.zeta(3)
-    twists = [
-        bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1])),
-        bicharacter_twist([3, 3], lambda a, b: z3 ** ((a[0] * b[1]) % 3)),
-    ]
-    twists.extend(sweedler_ansatz_twists())
-    return twists
-
-
-def test_acceptance_6_twist_suite():
-    for T in _acceptance_twists():
+def test_acceptance_6_twist_suite(suite_twists):
+    # the suite's twists whose u^J it checks: all but the two cyclic ones
+    for name, T in suite_twists.items():
+        if name.startswith("cyclic"):
+            continue
         H = T.parent
         rep = quasi_exponent(H)
         # twist axioms and the antipode identity
@@ -194,13 +183,12 @@ def test_acceptance_7_taft_family(preset_cache, report_cache):
     passed(7)
 
 
-def test_acceptance_8_quantum_groups(preset_cache, report_cache):
+def test_acceptance_8_quantum_groups(report_cache, suite_twists):
     assert report_cache("uqb2:3").qexp == 3
     assert report_cache("uqsl2:3").qexp == 3
     for name in ("uqb2:3", "uqsl2:3"):
-        H = preset_cache(name)
-        g = H.element(H.grouplike_vectors[1])
-        T = cyclic_grouplike_twist(H, g, 3)
+        T = suite_twists[f"cyclic twist on {name}"]
+        H = T.parent
         gj = grouplike_from_twist(H, T, s2_order(H))
         assert 3 % element_order(gj) == 0, name
     # the default suite finishes inside its five-minute budget
@@ -213,7 +201,7 @@ def test_acceptance_8_quantum_groups(preset_cache, report_cache):
     passed(8)
 
 
-def test_acceptance_9_negative_controls():
+def test_acceptance_9_negative_controls(suite_twists):
     # corrupted antipode is caught by the axiom checker
     from hopfqexp.hopf import HopfAlgebraData
 
@@ -226,10 +214,9 @@ def test_acceptance_9_negative_controls():
         comult=H.comult, counit=list(H.counit), antipode=bad)
     assert validate(corrupt) != []
     # a non-bicharacter table is rejected by the twist axioms
-    G, j, j_inv = build_bicharacter_element(
-        [2, 2], lambda a, b: (-1) ** (a[0] * b[0] * b[1]))
-    ok, _ = is_twist(G, j, j_inv)
-    assert not ok
+    G = suite_twists["bicharacter C[Z2xZ2]"].parent
+    with pytest.raises(ValueError, match="cocycle"):
+        grouplike_subgroup_twist(G, _generators(G), lambda a, b: (-1) ** (a[0] * b[0] * b[1]))
     # x - 2 has no root of unity among its roots: the search reports nothing
     assert root_of_unity_order(ExactPolynomial([-2, 1], 1), 10000) is None
     passed(9)

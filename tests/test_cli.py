@@ -19,7 +19,6 @@ from hopfqexp.cli import main
 from hopfqexp.io import algebra_to_dict, dumps, twist_to_dict, write_algebra
 from hopfqexp.linalg import ExactMatrix
 from hopfqexp.presets import get_preset
-from hopfqexp.twist import bicharacter_twist
 
 
 def run(capsys, *argv):
@@ -177,9 +176,8 @@ def test_double_output_round_trips(capsys, tmp_path):
     assert code == 0
 
 
-def _write_twist(tmp_path, corrupt=False):
-    T = bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1]))
-    doc = twist_to_dict(T)
+def _write_twist(tmp_path, twists, corrupt=False):
+    doc = twist_to_dict(twists["bicharacter C[Z2xZ2]"])
     if corrupt:
         # swap a cocycle-relevant coefficient: stays invertible, not a twist
         doc["J"][0][1], doc["J"][1][2] = doc["J"][1][2], doc["J"][0][1]
@@ -189,22 +187,22 @@ def _write_twist(tmp_path, corrupt=False):
     return path
 
 
-def test_twist_check_ok(capsys, tmp_path):
-    path = _write_twist(tmp_path)
+def test_twist_check_ok(capsys, tmp_path, suite_twists):
+    path = _write_twist(tmp_path, suite_twists)
     code, out, _ = run(capsys, "twist-check", "--twist", str(path))
     assert code == 0
     assert "valid twist" in out
 
 
-def test_twist_check_failure_exit_1(capsys, tmp_path):
-    path = _write_twist(tmp_path, corrupt=True)
+def test_twist_check_failure_exit_1(capsys, tmp_path, suite_twists):
+    path = _write_twist(tmp_path, suite_twists, corrupt=True)
     code, out, _ = run(capsys, "twist-check", "--twist", str(path))
     assert code == 1
     assert "NOT a twist" in out
 
 
-def test_twist_apply_failure_exit_1(capsys, tmp_path):
-    path = _write_twist(tmp_path, corrupt=True)
+def test_twist_apply_failure_exit_1(capsys, tmp_path, suite_twists):
+    path = _write_twist(tmp_path, suite_twists, corrupt=True)
     code, _, err = run(capsys, "twist-apply", "--twist", str(path))
     assert code == 1
     assert "cannot apply" in err
@@ -248,8 +246,8 @@ def test_singular_twist_is_inverted_once(command, capsys, tmp_path, monkeypatch)
     assert len(calls) == 1
 
 
-def test_twist_apply(capsys, tmp_path):
-    path = _write_twist(tmp_path)
+def test_twist_apply(capsys, tmp_path, suite_twists):
+    path = _write_twist(tmp_path, suite_twists)
     code, out, _ = run(capsys, "twist-apply", "--twist", str(path),
                        "--format", "json")
     assert code == 0
@@ -257,9 +255,9 @@ def test_twist_apply(capsys, tmp_path):
     assert doc["dim"] == 4
 
 
-def test_no_command_forms_a_dense_matrix(capsys, tmp_path, monkeypatch):
+def test_no_command_forms_a_dense_matrix(capsys, tmp_path, monkeypatch, suite_twists):
     # the same exit codes and output with ExactMatrix made unconstructible
-    twist = _write_twist(tmp_path)
+    twist = _write_twist(tmp_path, suite_twists)
     doc = json.loads(twist.read_text())
     del doc["J_inv"]
     no_inv = tmp_path / "twist_no_inv.json"
@@ -448,9 +446,9 @@ def _run_captured(argv):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_mutated_documents_never_crash(tmp_path_factory, data):
+def test_mutated_documents_never_crash(tmp_path_factory, suite_twists, data):
     algebra = algebra_to_dict(get_preset("sweedler"))
-    twist = twist_to_dict(bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1])))
+    twist = twist_to_dict(suite_twists["bicharacter C[Z2xZ2]"])
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     command = data.draw(st.sampled_from(["validate", "twist-check", "twist-apply"]))
     if command == "validate":

@@ -1,6 +1,5 @@
 """Serialization: bit-exact round trips and schema rejection."""
 
-import functools
 import json
 
 import pytest
@@ -18,8 +17,6 @@ from hopfqexp.io import (
     twist_to_dict,
     write_algebra,
 )
-from hopfqexp.suite import _Context
-from hopfqexp.twist import bicharacter_twist
 
 ROUND_TRIP = ["sweedler", "uqb2:3", "dualgroup:builtin:Z3", "taft:3",
               "group:builtin:S3"]
@@ -71,8 +68,8 @@ def test_malformed_json_file(tmp_path):
         read_algebra(path)
 
 
-def test_twist_round_trip(tmp_path):
-    T = bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1]))
+def test_twist_round_trip(tmp_path, suite_twists):
+    T = suite_twists["bicharacter C[Z2xZ2]"]
     path = tmp_path / "twist.json"
     path.write_text(dumps(twist_to_dict(T)))
     T2 = read_twist(path)
@@ -80,24 +77,19 @@ def test_twist_round_trip(tmp_path):
     assert T2.J == TensorElement(T2.parent, 2, T.J.data)
 
 
-def test_twist_with_preset_reference(preset_cache, tmp_path):
-    T = bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1]))
+def test_twist_with_preset_reference(suite_twists):
+    T = suite_twists["bicharacter C[Z2xZ2]"]
     doc = twist_to_dict(T)
     doc["algebra"] = algebra_to_dict(T.parent)  # inline algebra resolves
     T2 = twist_from_dict(doc)
     assert T2.parent.same_structure(T.parent)
 
 
-@functools.cache
-def _suite_twists():
-    return [T for _, T, _ in _Context(deep=False, max_dim=None).twists()]
-
-
 @pytest.mark.parametrize("index", range(7), ids=[
     "bichar-Z2xZ2", "bichar-Z3xZ3", "sweedler-0", "sweedler-1", "sweedler-2",
     "cyclic-uqb2:3", "cyclic-uqsl2:3"])
-def test_twist_j_inv_computed_when_absent(index):
-    T = _suite_twists()[index]
+def test_twist_j_inv_computed_when_absent(index, suite_twists):
+    T = list(suite_twists.values())[index]
     doc = twist_to_dict(T)
     del doc["J_inv"]
     T2 = twist_from_dict(doc)
@@ -121,8 +113,8 @@ def test_singular_j_rejected_by_strict_loader():
     assert twist_from_dict(_singular_sweedler_twist(), check=False).J_inv is None
 
 
-def test_non_twist_rejected_by_strict_loader(preset_cache):
-    T = bicharacter_twist([2, 2], lambda a, b: (-1) ** (a[0] * b[1]))
+def test_non_twist_rejected_by_strict_loader(suite_twists):
+    T = suite_twists["bicharacter C[Z2xZ2]"]
     doc = twist_to_dict(T)
     # overwrite J with a non-twist (invertible but fails the cocycle law)
     H = T.parent

@@ -15,7 +15,7 @@ from hopfqexp.hopf import HopfAlgebraData, TensorElement, _legwise_product, plac
 from hopfqexp.io import algebra_to_dict
 from hopfqexp.linalg import dadd
 from hopfqexp.scalars import CyclotomicNumber, euler_phi
-from hopfqexp.twist import cyclic_grouplike_twist, twist_hopf
+from hopfqexp.twist import twist_hopf
 
 
 def _scalar_legwise_product(table, a, b, arity: int) -> dict:
@@ -124,27 +124,22 @@ TWISTED_DIGESTS = {
 }
 
 
-def _cyclic_twist(preset_cache, name):
-    H = preset_cache(name)
-    return cyclic_grouplike_twist(H, H.element(H.grouplike_vectors[1]), 3)
-
-
 def _twisted_digest(T) -> str:
     return sha256(json.dumps(algebra_to_dict(twist_hopf(T))).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(TWISTED_DIGESTS))
-def test_twisted_structure_is_pinned(name, preset_cache):
-    T = _cyclic_twist(preset_cache, name)
+def test_twisted_structure_is_pinned(name, suite_twists):
+    T = suite_twists[f"cyclic twist on {name}"]
     assert not twist_hopf(T).same_structure(T.parent)
     assert _twisted_digest(T) == TWISTED_DIGESTS[name]
 
 
-def test_exactness_guard_sets_the_packed_width(monkeypatch, preset_cache):
+def test_exactness_guard_sets_the_packed_width(monkeypatch, suite_twists):
     # with 1-bit steps every product J^-1 Delta(e_k) J of the cyclic twist on
     # uqsl2:3 runs at the least width its bound allows, far below 32 bits
     # for the smallest bounds, and the twisted structure stays exact there
-    T = _cyclic_twist(preset_cache, "uqsl2:3")
+    T = suite_twists["cyclic twist on uqsl2:3"]
     chosen = []
 
     def width_for(bound):
@@ -159,9 +154,9 @@ def test_exactness_guard_sets_the_packed_width(monkeypatch, preset_cache):
     assert bound >= 1 << 7 and width < 32
 
 
-def test_narrow_packed_width_without_the_guard_decodes_wrongly(monkeypatch, preset_cache):
+def test_narrow_packed_width_without_the_guard_decodes_wrongly(monkeypatch, suite_twists):
     # the same products with the guard switched off: their digits pass what
     # 2 bits hold, so the width is what keeps them exact
-    T = _cyclic_twist(preset_cache, "uqsl2:3")
+    T = suite_twists["cyclic twist on uqsl2:3"]
     monkeypatch.setattr(hopf, "_width_for", lambda bound: 2)
     assert _twisted_digest(T) != TWISTED_DIGESTS["uqsl2:3"]
