@@ -32,14 +32,10 @@ from .scalars import CyclotomicNumber, _Decoder, _distinct, _width_for, pack
 
 @dataclass
 class QuasitriangularData:
-    """A Drinfeld double with its universal R-matrix.
-
-    basis_split[k] = (dual index j, primal index i) for k = j*N + i.
-    """
+    """A Drinfeld double with its universal R-matrix."""
 
     algebra: HopfAlgebraData
     R: TensorElement
-    basis_split: list[tuple[int, int]]
     source: HopfAlgebraData
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -101,13 +97,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     sinv_cols = H.antipode_inv
 
     # Delta3(e_i): triples (a, b, c) -> coeff
-    delta3 = []
-    for i in range(N):
-        d: dict[tuple[int, int, int], object] = {}
-        for (a, b2), c1 in H.comult[i].items():
-            for (b, c), c2 in H.comult[b2].items():
-                dadd(d, (a, b, c), c1 * c2)
-        delta3.append(d)
+    delta3 = [TensorElement(H, 2, d).comult_leg(1).data for d in H.comult]
 
     # cross[i][l]: (1 (x) h_i)(f_l (x) 1) as {(dual k1, primal k2): coeff}
     # term for each triple (a,b,c): (e_a -> f_l <- Sinv(e_c)) (x) e_b,
@@ -248,8 +238,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
             for p, u in unit_sparse:
                 dadd(r_data, (j * N + i, i * N + p), e * u)
     R = TensorElement(D, 2, r_data)
-    split = [(j, i) for j in range(N) for i in range(N)]
-    return QuasitriangularData(algebra=D, R=R, basis_split=split, source=H)
+    return QuasitriangularData(algebra=D, R=R, source=H)
 
 
 def r_inverse(qt: QuasitriangularData) -> TensorElement:

@@ -632,6 +632,15 @@ def validate(H: HopfAlgebraData) -> list[str]:
     holds it is left in ``H._cache["certified_generators"]`` for the
     checks of `double` that hold on subalgebras.
 
+    Coassociativity, the counit axiom and the antipode axiom are checked
+    for each basis element e_k as identities of elements, formed from
+    Delta(e_k) by the `TensorElement` leg operations:
+
+        (Delta (x) Id)Delta(e_k) = (Id (x) Delta)Delta(e_k)   (`comult_leg`)
+        (eps (x) Id)Delta(e_k) = e_k = (Id (x) eps)Delta(e_k)   (`counit_leg`)
+        m(S (x) Id)Delta(e_k) = eps(e_k) 1 = m(Id (x) S)Delta(e_k)
+                                        (`apply_leg`, `multiply_legs`)
+
     Associativity is checked for x in G and all basis y, z (Light's
     test; Clifford and Preston, The Algebraic Theory of Semigroups I,
     1961, 1.2).  That is enough: the set A of x with (xy)z = x(yz) for
@@ -682,31 +691,15 @@ def validate(H: HopfAlgebraData) -> list[str]:
         None if gens is None else product(gens, range(N), range(N)))
     violations.extend(v for v in (associativity, unitality) if v)
 
-    # coassociativity
-    for k in range(N):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), c in H.comult[k].items():
-            for (p, q), d in H.comult[a].items():
-                dadd(lhs, (p, q, b), c * d)
-            for (p, q), d in H.comult[b].items():
-                dadd(rhs, (a, p, q), c * d)
-        if lhs != rhs:
+    # coassociativity and the counit axiom, on the coproducts of the basis
+    deltas = [TensorElement(H, 2, d) for d in H.comult]
+    for k, delta in enumerate(deltas):
+        if delta.comult_leg(0) != delta.comult_leg(1):
             violations.append(f"coassociativity fails at basis {k}")
             break
-
-    # counit axiom
-    for k in range(N):
-        left: SparseVec = {}
-        right: SparseVec = {}
-        for (a, b), c in H.comult[k].items():
-            ea, eb = H.counit[a], H.counit[b]
-            if not ea.is_zero():
-                dadd(left, b, c * ea)
-            if not eb.is_zero():
-                dadd(right, a, c * eb)
-        ek = {k: H.one_scalar}
-        if left != ek or right != ek:
+    for k, delta in enumerate(deltas):
+        ek = H.basis_element(k)
+        if delta.counit_leg(0) != ek or delta.counit_leg(1) != ek:
             violations.append(f"counit axiom fails at basis {k}")
             break
 
@@ -715,7 +708,6 @@ def validate(H: HopfAlgebraData) -> list[str]:
         violations.append("counit of the unit is not 1")
     if H.comul_dict(one) != TensorElement.unit(H, 2).data:
         violations.append("comultiplication of the unit is not 1 tensor 1")
-    deltas = [TensorElement(H, 2, d) for d in H.comult]
 
     def multiplicativity_fails(i: int, j: int) -> str | None:
         prod = H.mult.get((i, j), {})
@@ -734,17 +726,10 @@ def validate(H: HopfAlgebraData) -> list[str]:
     space = SpanSolver(H.conductor)
     if any(space.insert(col) is not None for col in H.antipode):
         violations.append("antipode is not invertible")
-    for k in range(N):
-        left_acc: SparseVec = {}
-        right_acc: SparseVec = {}
-        for (a, b), c in H.comult[k].items():
-            for key, v in H.mul_dicts(H.antipode[a], {b: H.one_scalar}).items():
-                dadd(left_acc, key, c * v)
-            for key, v in H.mul_dicts({a: H.one_scalar}, H.antipode[b]).items():
-                dadd(right_acc, key, c * v)
-        expected = {kk: H.counit[k] * u for kk, u in one.items()
-                    if not (H.counit[k] * u).is_zero()}
-        if left_acc != expected or right_acc != expected:
+    for k, delta in enumerate(deltas):
+        expected = H.unit_element().scale(H.counit[k])
+        if (delta.apply_leg(0, H.antipode).multiply_legs(0) != expected
+                or delta.apply_leg(1, H.antipode).multiply_legs(0) != expected):
             violations.append(f"antipode axiom fails at basis {k}")
             break
 
@@ -759,14 +744,10 @@ def dual(H: HopfAlgebraData) -> HopfAlgebraData:
     """The dual Hopf algebra on the dual basis."""
     N = H.dim
     mult = {pair: dict(vec) for pair, vec in H.dual_mult.items()}
-    comult = []
-    for k in range(N):
-        d: SparsePairs = {}
-        for (i, j), vec in H.mult.items():
-            c = vec.get(k)
-            if c is not None:
-                d[(i, j)] = c
-        comult.append(d)
+    comult: list[SparsePairs] = [{} for _ in range(N)]  # the transpose of mult
+    for pair, vec in H.mult.items():
+        for k, c in vec.items():
+            comult[k][pair] = c
     antipode: list[SparseVec] = [{} for _ in range(N)]  # the transpose of S
     for j, col in enumerate(H.antipode):
         for i, c in col.items():

@@ -421,14 +421,10 @@ def quasi_exponent(H: HopfAlgebraData, cross_check: bool = False,
 
 
 def is_unipotent_element(a: AlgebraElement) -> bool:
-    """True iff a - 1 is nilpotent, i.e. the minimal polynomial is (x-1)^k."""
+    """True iff a - 1 is nilpotent, i.e. the minimal polynomial is (x-1)^k:
+    in characteristic 0, iff its squarefree part is x - 1."""
     f = element_minimal_polynomial(a)
-    one = ExactPolynomial([1], f.conductor)
-    x_minus_1 = ExactPolynomial([-1, 1], f.conductor)
-    power = one
-    for _ in range(f.degree):
-        power = power * x_minus_1
-    return f == power
+    return squarefree_part(f) == ExactPolynomial([-1, 1], f.conductor)
 
 
 # -- the R_n elements and Corollary-style divisibility checks -------------------

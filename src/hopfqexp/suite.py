@@ -81,8 +81,9 @@ class _Context:
     def allowed(self, name: str) -> bool:
         return self.max_dim is None or self.preset(name).dim <= self.max_dim
 
-    def zoo(self):
-        return [n for n in ZOO if self.allowed(n)]
+    def zoo(self, names=ZOO):
+        """The given preset names whose algebras are within max_dim."""
+        return [n for n in names if self.allowed(n)]
 
     def report(self, name: str):
         return self.report_of(self.preset(name))
@@ -206,9 +207,7 @@ _ROUTE_PRESETS = ["sweedler", "group:builtin:Z2", "group:builtin:Z3",
 
 def _prop_23(ctx):
     failures = []
-    for name in _ROUTE_PRESETS:
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(_ROUTE_PRESETS):
         H = ctx.preset(name)
         if u_min_poly_via_t(H) != u_min_poly_via_regular(H, ctx.double(name)):
             failures.append(name)
@@ -222,9 +221,7 @@ def _prop_23_deep(ctx):
 
 
 def _cor_24(ctx):
-    for name in ("sweedler", "group:builtin:Z3"):
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(("sweedler", "group:builtin:Z3")):
         qt = ctx.double(name)
         q = ctx.report(name).qexp
         for n in range(1, 13):
@@ -318,9 +315,7 @@ def _eq_2(ctx):
 
 
 def _cor_36(ctx):
-    for name in ("sweedler", "group:builtin:Z2"):
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(("sweedler", "group:builtin:Z2")):
         qt = ctx.double(name)
         if quasi_exponent(qt.algebra).qexp != ctx.report(name).qexp:
             return False, f"{name}: qexp of the double differs"
@@ -372,9 +367,7 @@ def _cor_35(ctx):
 
 
 def _prop_32(ctx):
-    for name in ("sweedler", "group:builtin:Z2xZ2", "group:builtin:Z3"):
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(("sweedler", "group:builtin:Z2xZ2", "group:builtin:Z3")):
         H = ctx.preset(name)
         qt = ctx.double(name)
         u_pow = drinfeld_element(qt) ** ctx.report(name).qexp
@@ -394,9 +387,7 @@ _POINTED = ["trivial", "group:builtin:Z2", "group:builtin:Z3",
 
 
 def _thm_44(ctx):
-    for name in _POINTED:
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(_POINTED):
         H = ctx.preset(name)
         exp_g = preset_grouplikes(H).exponent()
         if exp_g % s2_order(H) != 0:
@@ -405,9 +396,7 @@ def _thm_44(ctx):
 
 
 def _thm_47(ctx):
-    for name in _POINTED:
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(_POINTED):
         H = ctx.preset(name)
         if ctx.report(name).qexp != preset_grouplikes(H).exponent():
             return False, f"{name}: qexp != exp(G)"
@@ -415,9 +404,7 @@ def _thm_47(ctx):
 
 
 def _prop_43(ctx):
-    for name in ("sweedler", "taft:2", "taft:3", "taft:4", "taft:5", "uqb2:3"):
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(("sweedler", "taft:2", "taft:3", "taft:4", "taft:5", "uqb2:3")):
         H = ctx.preset(name)
         rep = ctx.report(name)
         generators = [H.element(g) for g in H.grouplike_vectors]
@@ -431,9 +418,7 @@ def _prop_43(ctx):
 
 
 def _example_410(ctx):
-    for name in ("uqb2:3", "uqsl2:3"):
-        if not ctx.allowed(name):
-            continue
+    for name in ctx.zoo(("uqb2:3", "uqsl2:3")):
         if ctx.report(name).qexp != 3:
             return False, f"{name}: qexp != 3"
     return True, ""

@@ -36,7 +36,7 @@ from .hopf import (
     s2_order,
 )
 from .linalg import SpanSolver
-from .presets import _root_conductor, _zeta, sweedler
+from .presets import sweedler
 from .scalars import CyclotomicNumber
 
 
@@ -186,14 +186,18 @@ def grouplike_subgroup_twist(H: HopfAlgebraData, generators: list[AlgebraElement
     inverse of beta.  `make_twist` is the only check: a beta that is not a
     bicharacter, or generators that do not commute, fail there.  On C[G]
     with the generators of G this is a bicharacter twist.  Requires
-    zeta_lcm(n_s) in the scalar field of H.
+    zeta_lcm(n_s) in the scalar field Q(zeta_m) of H, which holds a
+    primitive n-th root of unity exactly when n divides m (m even) or 2m
+    (m odd): zeta_m^(m/n), or -zeta_m^(2m/n) when n divides only 2m.
     """
+    m = H.conductor
     orders = [element_order(g) for g in generators]
     period = lcm(*orders)
-    if H.conductor % _root_conductor(period):
+    if (m if m % 2 == 0 else 2 * m) % period:
         raise ValueError(f"the scalar field of {H.name} lacks a primitive "
                          f"{period}-th root of unity")
-    zetas = [H.scalar(_zeta(n)) for n in orders]
+    zeta = CyclotomicNumber.zeta
+    zetas = [zeta(m, m // n) if m % n == 0 else -zeta(m, 2 * m // n) for n in orders]
     exponents = list(itertools.product(*map(range, orders)))
     group = [H.unit_element()]  # g^c, c in the order of `exponents`
     for g, n in zip(generators, orders):

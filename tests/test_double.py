@@ -182,7 +182,7 @@ def test_corrupted_r_keeps_its_witness_on_generators(name, double_cache):
     key, c = max(qt.R.data.items())
     bad = QuasitriangularData(
         algebra=qt.algebra, R=TensorElement(qt.algebra, 2, {**qt.R.data, key: c + c}),
-        basis_split=qt.basis_split, source=qt.source)
+        source=qt.source)
     certified, full = _checks_with_and_without_certificate(bad)
     assert certified == full
     assert any("intertwining fails" in v for v in certified[0]), certified

@@ -113,6 +113,37 @@ def test_multiplicativity_check_is_certified(double_cache, preset_cache):
     assert not any("coassociativity" in v or "counit" in v for v in violations)
 
 
+@pytest.mark.parametrize("name, k, expected", [
+    ("sweedler", 2, ["coassociativity fails at basis 1", "counit axiom fails at basis 2",
+                     "comultiplication is not multiplicative at (1,2)",
+                     "antipode axiom fails at basis 2"]),
+    ("taft:3", 4, ["coassociativity fails at basis 2", "counit axiom fails at basis 4",
+                   "comultiplication is not multiplicative at (1,3)",
+                   "antipode axiom fails at basis 4"]),
+])
+def test_rescaled_comult_entry_names_first_witnesses(name, k, expected, preset_cache):
+    # the last entry of Delta(e_k) doubled: coassociativity first fails at an
+    # earlier basis element, the counit axiom and the antipode axiom at e_k
+    H = preset_cache(name)
+    comult = [dict(d) for d in H.comult]
+    pair, c = list(comult[k].items())[-1]
+    comult[k][pair] = c + c
+    assert validate(_with_comult(H, comult)) == expected
+
+
+@pytest.mark.parametrize("name, j, expected", [
+    ("sweedler", 2, ["antipode axiom fails at basis 1"]),
+    ("taft:3", 6, ["antipode axiom fails at basis 2"]),
+])
+def test_rescaled_antipode_column_names_first_witness(name, j, expected, preset_cache):
+    # S(e_j) doubled keeps S invertible; the axiom first fails at an earlier
+    # basis element whose coproduct has e_j on a leg
+    H = preset_cache(name)
+    antipode = [dict(col) for col in H.antipode]
+    antipode[j] = {i: c + c for i, c in antipode[j].items()}
+    assert validate(_with_antipode(H, antipode)) == expected
+
+
 def _with_mult(H, mult):
     return HopfAlgebraData(
         name=H.name, dim=H.dim, conductor=H.conductor,

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfqexp.double import drinfeld_double, drinfeld_element
-from hopfqexp.hopf import TensorElement, element_order, is_grouplike, s2_order, validate
+from hopfqexp.hopf import (TensorElement, element_order, is_grouplike, lift_algebra, s2_order,
+                           validate)
 from hopfqexp.io import twist_to_dict
 from hopfqexp.qexp import quasi_exponent
-from hopfqexp.scalars import CyclotomicNumber
+from hopfqexp.scalars import CyclotomicNumber, lift_conductor
 from hopfqexp.suite import _generators
 from hopfqexp.twist import (
     _ansatz_solution,
@@ -90,6 +91,24 @@ def test_missing_root_of_unity_fails(preset_cache):
     g = H.basis_element(H.basis_labels.index("g1"))
     with pytest.raises(ValueError, match="root of unity"):
         grouplike_subgroup_twist(H, [g], lambda a, b: CyclotomicNumber.zeta(3, a[0] * b[0]))
+
+
+def test_order_six_twist_over_the_third_roots_of_unity(preset_cache):
+    # Q(zeta_3) = Q(zeta_6) holds the primitive 6th root -zeta_3^2: the twist
+    # on the generator of C[Z6] is built at conductor 3, and at conductor 6
+    # it is the same element
+    w = -CyclotomicNumber.zeta(3, 2)
+    twists = []
+    for m in (3, 6):
+        H = lift_algebra(preset_cache("group:builtin:Z6"), m)
+        g = H.basis_element(H.basis_labels.index("g1"))
+        twists.append(grouplike_subgroup_twist(H, [g], lambda a, b: w ** (a[0] * b[0])))
+    low, high = twists
+    assert element_order(low.parent.basis_element(1)) == 6
+    assert {key: lift_conductor(c, 6) for key, c in low.J.data.items()} == high.J.data
+    twisted = twist_hopf(low)
+    assert validate(twisted) == []
+    assert quasi_exponent(twisted).qexp == 6
 
 
 def test_dependent_generators_give_the_same_twist(suite_twists):
