@@ -13,6 +13,7 @@ S^2-by-conjugation identity; those checks are run on every preset.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -53,9 +54,144 @@ class QuasitriangularData:
         return AlgebraElement(self.algebra, data)
 
 
+class DoubleProducts(Mapping):
+    """The products of basis elements of D(H), keyed like ``mult``, each
+    formed on its first read.
+
+    They are formed in units.  A unit is a row r = j N + i of D with a dual
+    index l: the N products (f_j (x) e_i)(f_l (x) e_q), q < N.  `get`,
+    ``[]`` and ``in`` form the unit of a pair on its first miss, so an
+    unformed pair is never read as zero.  Iteration, ``len``, ``items`` and
+    ``values`` form every unit left, each block (i, l) with all its j in
+    one call of `_form`, into the plain dict `table`, in the order of a
+    full build: i, l, then j, then q ascending.  From then on `get` is
+    that dict's own.  ``units_formed`` counts the units formed so far.
+    """
+
+    def __init__(self, N: int, bases: list, duals: list, products: list, shift: int,
+                 decode: _Decoder):
+        self.N = N
+        self._bases, self._duals, self._products = bases, duals, products
+        self._shift, self._decode = shift, decode
+        # single[j][s] is duals[s] cut to f_j: the dual rows of the units of j
+        self._single = [[[] for _ in range(N)] for _ in range(N)]
+        for s, row in enumerate(duals):
+            for j, fjfs in row:
+                self._single[j][s].append((j, fjfs))
+        self._pairs: dict = {}  # the products of the units formed so far
+        self._formed: dict[tuple[int, int], set[int]] = {}  # (i, l) -> those j
+        self._table: dict | None = None
+        self.units_formed = 0
+
+    def _form(self, i: int, l: int, duals: list, out: dict) -> None:
+        """The nonzero products (f_j (x) e_i)(f_l (x) e_q), for every q and
+        the j that duals lists (duals[s] = [(j, f_j f_s)]), into out in the
+        order j, then q ascending; see `drinfeld_double`."""
+        N, shift, decode, products = self.N, self._shift, self._decode, self._products
+        modulus = (1 << shift) - 1
+        lefts: dict[int, dict[int, dict[int, int]]] = {}
+        for s, b, v in self._bases[i][l]:
+            for j, fjfs in duals[s]:
+                left = lefts.get(j)
+                if left is None:
+                    left = lefts[j] = {}
+                row = left.get(b)
+                if row is None:
+                    row = left[b] = {}
+                for k1, c in fjfs:
+                    row[k1] = row.get(k1, 0) + v * c
+        for j in sorted(lefts):
+            outs: dict[int, dict[int, int]] = {}
+            for b, row in lefts[j].items():
+                folded = [(k1 * N, (z & modulus) + (z >> shift)) for k1, z in row.items()]
+                for q, pvec in products[b]:
+                    acc = outs.get(q)
+                    if acc is None:
+                        acc = outs[q] = {}
+                    for r, x in folded:
+                        for k2, y in pvec:
+                            key = r + k2
+                            acc[key] = acc.get(key, 0) + x * y
+            for q in sorted(outs):
+                vec = {key: c for key, z in outs[q].items()
+                       if (c := decode[z % modulus]) is not None}
+                if vec:
+                    out[(j * N + i, l * N + q)] = vec
+
+    def get(self, key, default=None):
+        vec = self._pairs.get(key)
+        if vec is None and self._form_unit(key):
+            vec = self._pairs.get(key)
+        return default if vec is None else vec
+
+    def _form_unit(self, key) -> bool:
+        """Form the unit of the pair key; False if it is formed already or
+        key is no pair of D."""
+        N = self.N
+        try:
+            r, c = key
+            if not (0 <= r < N * N and 0 <= c < N * N):
+                return False
+        except (TypeError, ValueError):
+            return False
+        (j, i), l = divmod(r, N), c // N
+        js = self._formed.setdefault((i, l), set())
+        if j in js:
+            return False
+        js.add(j)
+        self._form(i, l, self._single[j], self._pairs)
+        self.units_formed += 1
+        return True
+
+    def table(self) -> dict[tuple[int, int], dict[int, CyclotomicNumber]]:
+        """Every product, as a plain dict in the order of a full build."""
+        if self._table is None:
+            N, pairs, table = self.N, self._pairs, {}
+            for i in range(N):
+                for l in range(N):
+                    js = self._formed.get((i, l))
+                    if not js:
+                        self._form(i, l, self._duals, table)
+                        self.units_formed += N
+                        continue
+                    # the units formed on demand, the rest formed now, sorted
+                    # by key: (r, c) ascending is j, then q ascending
+                    block = {key: pairs[key] for j in js for q in range(N)
+                             if (key := (j * N + i, l * N + q)) in pairs}
+                    self._form(i, l, [[(j, f) for j, f in row if j not in js]
+                                      for row in self._duals], block)
+                    self.units_formed += N - len(js)
+                    table.update(sorted(block.items()))
+            self._table, self._pairs, self._formed = table, {}, {}
+            self.get = table.get  # an instance attribute: reads skip the class
+        return self._table
+
+    def __getitem__(self, key):
+        vec = self.get(key)
+        if vec is None:
+            raise KeyError(key)
+        return vec
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self):
+        return iter(self.table())
+
+    def __len__(self) -> int:
+        return len(self.table())
+
+    def items(self):
+        return self.table().items()
+
+    def values(self):
+        return self.table().values()
+
+
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     """D(H) with its R-matrix; the products and the coproduct are formed on
-    Kronecker-packed integers (`scalars.pack`).
+    Kronecker-packed integers (`scalars.pack`), the products on first read
+    (`DoubleProducts`).
 
     The product (f_j (x) e_i)(f_l (x) e_q) is f_j cross[i][l] (1 (x) e_q),
     with cross[i][l] = (1 (x) e_i)(f_l (x) 1) = sum v_(s,b) f_s (x) e_b.
@@ -67,7 +203,9 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         product[k1 N + k2] = sum_b left[b][k1] (e_b e_q)[k2]
 
     are int multiply-adds, over the nonzero products e_b e_q only, and each
-    entry is decoded once per distinct residue (`_Decoder`).
+    entry is decoded once per distinct residue (`_Decoder`).  The packing,
+    the width B, the coproduct, the antipode and R are formed here; the
+    products wait in `DoubleProducts` until something reads them.
 
     Exactness guard.  A packed value stands for an element of
     Z[x]/(x^m - 1), m the conductor: the power-basis coordinates of the
@@ -155,37 +293,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     for (b, q), vec in H.mult.items():
         products[b].append((q, [(k2, mvals[mindex[v.num, v.den]]) for k2, v in vec.items()]))
 
-    mult: dict[tuple[int, int], dict[int, object]] = {}
-    for i in range(N):
-        for l in range(N):
-            lefts: dict[int, dict[int, dict[int, int]]] = {}
-            for s, b, v in bases[i][l]:
-                for j, fjfs in duals[s]:
-                    left = lefts.get(j)
-                    if left is None:
-                        left = lefts[j] = {}
-                    row = left.get(b)
-                    if row is None:
-                        row = left[b] = {}
-                    for k1, c in fjfs:
-                        row[k1] = row.get(k1, 0) + v * c
-            for j in sorted(lefts):
-                outs: dict[int, dict[int, int]] = {}
-                for b, row in lefts[j].items():
-                    folded = [(k1 * N, (z & modulus) + (z >> shift)) for k1, z in row.items()]
-                    for q, pvec in products[b]:
-                        out = outs.get(q)
-                        if out is None:
-                            out = outs[q] = {}
-                        for r, x in folded:
-                            for k2, y in pvec:
-                                key = r + k2
-                                out[key] = out.get(key, 0) + x * y
-                for q in sorted(outs):
-                    vec = {key: c for key, z in outs[q].items()
-                           if (c := decode[z % modulus]) is not None}
-                    if vec:
-                        mult[(j * N + i, l * N + q)] = vec
+    mult = DoubleProducts(N, bases, duals, products, shift, decode)
 
     # coalgebra structure: tensor-product coalgebra of H*cop and H, whose
     # entries are the products of one value of H.mult and one of H.comult
@@ -204,8 +312,8 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
             comult.append({(bN + p, aN + q): row[w]
                            for bN, aN, row in dual_pairs[j] for p, q, w in legs[i]})
 
-    unit = [H.counit[j] * H.unit[i] for j in range(N) for i in range(N)]
-    counit = [H.unit[j] * H.counit[i] for j in range(N) for i in range(N)]
+    unit = tuple(H.counit[j] * H.unit[i] for j in range(N) for i in range(N))
+    counit = tuple(H.unit[j] * H.counit[i] for j in range(N) for i in range(N))
 
     # antipode from the cross terms (see the docstring)
     sinv_rows: list[list] = [[] for _ in range(N)]  # sinv_rows[j] = [(l, Sinv(e_l)_j)]
@@ -223,7 +331,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                         dadd(acc, s * N + b, xy * v)
             antipode.append({k: canon.setdefault((c.num, c.den), c) for k, c in acc.items()})
 
-    D = HopfAlgebraData(
+    D = HopfAlgebraData._trusted(
         name=f"D({H.name})", dim=ND, conductor=m,
         basis_labels=[f"{H.basis_labels[j]}^|{H.basis_labels[i]}"
                       for j in range(N) for i in range(N)],

@@ -136,6 +136,26 @@ class HopfAlgebraData:
         self.grading = list(grading) if grading is not None else None
         self._cache = {}
 
+    @classmethod
+    def _trusted(cls, name: str, dim: int, conductor: int, basis_labels: list[str],
+                 mult: Mapping[tuple[int, int], SparseVec], unit: tuple,
+                 comult: list[SparsePairs], counit: tuple,
+                 antipode: list[SparseVec]) -> "HopfAlgebraData":
+        """The algebra on tables that are canonical by construction: indices
+        in range(dim), nonzero scalars of the conductor, unit and counit as
+        tuples.  Nothing is checked or copied; `mult` may be any read-only
+        mapping (`double.DoubleProducts`).  Input from outside comes in
+        through the checked constructor, and `validate` still checks the
+        axioms."""
+        self = cls.__new__(cls)
+        self.name, self.dim, self.conductor = name, dim, conductor
+        self.basis_labels = basis_labels
+        self.mult, self.unit, self.comult = mult, unit, comult
+        self.counit, self.antipode = counit, antipode
+        self.grouplike_vectors = self.grading = None
+        self._cache = {}
+        return self
+
     # -- scalars and elements ---------------------------------------------
 
     def scalar(self, v) -> CyclotomicNumber:
@@ -214,11 +234,19 @@ class HopfAlgebraData:
         return [apply_columns(sinv2, col) for col in self.antipode]
 
     @property
+    def mult_table(self) -> dict[tuple[int, int], SparseVec]:
+        """``mult`` as a plain dict with every product formed, bound once by
+        the readers that scan the whole table (a double forms its products
+        on first read, `double.DoubleProducts`)."""
+        mult = self.mult
+        return mult if isinstance(mult, dict) else mult.table()
+
+    @property
     def mult_rows(self) -> dict[int, dict[int, SparseVec]]:
         """``mult`` by its left index: mult_rows[i][j] = mult[(i, j)]."""
         if "mult_rows" not in self._cache:
             rows: dict[int, dict[int, SparseVec]] = {}
-            for (i, j), vec in self.mult.items():
+            for (i, j), vec in self.mult_table.items():
                 rows.setdefault(i, {})[j] = vec
             self._cache["mult_rows"] = rows
         return self._cache["mult_rows"]
@@ -241,7 +269,7 @@ class HopfAlgebraData:
         return (
             self.dim == other.dim
             and self.conductor == other.conductor
-            and self.mult == other.mult
+            and self.mult_table == other.mult_table
             and self.unit == other.unit
             and self.comult == other.comult
             and self.counit == other.counit
@@ -664,7 +692,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
     violations: list[str] = []
     N = H.dim
     one = H.unit_element().data
-    mult, empty = H.mult, {}
+    mult, empty = H.mult_table, {}
 
     # associativity: (e_i e_j) e_k = sum_l c_l e_l e_k against e_i (e_j e_k)
     def associativity_fails(i: int, j: int, k: int) -> str | None:
@@ -710,7 +738,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
         violations.append("comultiplication of the unit is not 1 tensor 1")
 
     def multiplicativity_fails(i: int, j: int) -> str | None:
-        prod = H.mult.get((i, j), {})
+        prod = mult.get((i, j), empty)
         if H.counit_dict(prod) != H.counit[i] * H.counit[j]:
             return f"counit is not multiplicative at ({i},{j})"
         if (deltas[i] * deltas[j]).data != H.comul_dict(prod):
@@ -745,7 +773,7 @@ def dual(H: HopfAlgebraData) -> HopfAlgebraData:
     N = H.dim
     mult = {pair: dict(vec) for pair, vec in H.dual_mult.items()}
     comult: list[SparsePairs] = [{} for _ in range(N)]  # the transpose of mult
-    for pair, vec in H.mult.items():
+    for pair, vec in H.mult_table.items():
         for k, c in vec.items():
             comult[k][pair] = c
     antipode: list[SparseVec] = [{} for _ in range(N)]  # the transpose of S
@@ -769,7 +797,7 @@ def variant(H: HopfAlgebraData, which: str) -> HopfAlgebraData:
     """Opposite / co-opposite / both; antipode flips to its inverse for one swap."""
     if which not in ("op", "cop", "op_cop"):
         raise ValueError("variant must be one of op, cop, op_cop")
-    mult = H.mult
+    mult = H.mult_table
     comult = H.comult
     antipode = H.antipode
     if which in ("op", "op_cop"):
@@ -808,7 +836,8 @@ def lift_algebra(H: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
         dim=H.dim,
         conductor=conductor,
         basis_labels=list(H.basis_labels),
-        mult={pair: {k: lift(c) for k, c in vec.items()} for pair, vec in H.mult.items()},
+        mult={pair: {k: lift(c) for k, c in vec.items()}
+              for pair, vec in H.mult_table.items()},
         unit=[lift(v) for v in H.unit],
         comult=[{p: lift(c) for p, c in d.items()} for d in H.comult],
         counit=[lift(v) for v in H.counit],
@@ -829,9 +858,9 @@ def tensor(H1: HopfAlgebraData, H2: HopfAlgebraData) -> HopfAlgebraData:
     def idx(i1, i2):
         return i1 * N2 + i2
 
-    mult = {}
-    for (i1, j1), v1 in A.mult.items():
-        for (i2, j2), v2 in B.mult.items():
+    mult, mult2 = {}, B.mult_table
+    for (i1, j1), v1 in A.mult_table.items():
+        for (i2, j2), v2 in mult2.items():
             vec = {}
             for k1, c1 in v1.items():
                 for k2, c2 in v2.items():

@@ -32,9 +32,9 @@ def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorElement | None = None) -
             memo[key] = scalar_to_json(c)
         return list(memo[key])
 
-    mult = []
-    for (i, j) in sorted(H.mult):
-        vec = H.mult[(i, j)]
+    mult, table = [], H.mult_table
+    for (i, j) in sorted(table):
+        vec = table[(i, j)]
         dense = [fmt(vec.get(k, zero)) for k in range(n)]
         mult.append([i, j, dense])
     comult = []

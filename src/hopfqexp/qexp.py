@@ -39,7 +39,13 @@ from .linalg import ExactMatrix, ExactPolynomial, dense, first_dependence
 from .poly import root_of_unity_order, squarefree_part
 from .scalars import _WIDTH_QUANTUM, _canonical, _distinct, _width_for, pack, unpack
 
-#: largest double dimension the regular route will build
+#: largest double dimension the regular route will build: D(taft:8), of
+#: dimension 64^2.  It still forms only the products the powers of u meet:
+#: `qexp --preset taft:8 --cross-check` takes 4.6-5.4 s and 264 MB on a
+#: 2-core x86-64 host (24 s and 1.8 GB when every product was formed up
+#: front).  Past it the route stops paying: on D(uqsl2:5), of dimension
+#: 15,625, the powers of u read 721,802 products (310 s and 1.3 GB in exact
+#: scalars).
 REGULAR_ROUTE_ENVELOPE = 4096
 
 

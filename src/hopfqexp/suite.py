@@ -28,7 +28,8 @@ from .hopf import (
     variant,
 )
 from .poly import ExactPolynomial
-from .presets import ZOO, abelian_group_algebra, get_preset, preset_grouplikes
+from .presets import (ZOO, _dimension, abelian_group_algebra, get_preset,
+                      parse_preset_name, preset_grouplikes)
 from .qexp import (
     _annihilates,
     check_corollary_24,
@@ -79,7 +80,7 @@ class _Context:
         return self._presets[name]
 
     def allowed(self, name: str) -> bool:
-        return self.max_dim is None or self.preset(name).dim <= self.max_dim
+        return self.max_dim is None or _dimension(parse_preset_name(name)) <= self.max_dim
 
     def zoo(self, names=ZOO):
         """The given preset names whose algebras are within max_dim."""

@@ -107,7 +107,7 @@ def twist_hopf(T: TwistData) -> HopfAlgebraData:
     return HopfAlgebraData(
         name=f"{H.name}^J", dim=H.dim, conductor=H.conductor,
         basis_labels=list(H.basis_labels),
-        mult={pair: dict(vec) for pair, vec in H.mult.items()},
+        mult={pair: dict(vec) for pair, vec in H.mult_table.items()},
         unit=list(H.unit), comult=comult, counit=list(H.counit),
         antipode=antipode,
     )

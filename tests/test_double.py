@@ -1,11 +1,13 @@
 """Drinfeld doubles: axioms, quasitriangularity, the Drinfeld element."""
 
+import random
 from hashlib import sha256
+from itertools import product
 
 import pytest
 
+from hopfqexp import cli, scalars
 from hopfqexp import double as dmod
-from hopfqexp import scalars
 from hopfqexp.double import (
     QuasitriangularData,
     drinfeld_double,
@@ -16,7 +18,7 @@ from hopfqexp.double import (
     verify_quasitriangular,
     verify_s2_conjugation,
 )
-from hopfqexp.hopf import TensorElement, validate
+from hopfqexp.hopf import HopfAlgebraData, TensorElement, validate
 from hopfqexp.linalg import dense, sparse
 
 SMALL = ["trivial", "group:builtin:Z2", "group:builtin:Z3", "sweedler",
@@ -213,3 +215,85 @@ def test_narrow_packed_width_without_the_guard_decodes_wrongly(monkeypatch, pres
     # reach digit 2, past what 2 bits hold, so the width is what keeps it exact
     monkeypatch.setattr(dmod, "_width_for", lambda bound: 2)
     assert _table_digest(drinfeld_double(preset_cache("taft:3"))) != TABLE_DIGESTS["taft:3"]
+
+
+@pytest.mark.parametrize("name", list(TABLE_DIGESTS))
+def test_products_read_on_demand_equal_the_full_build(name, preset_cache):
+    # every pair read through get, in a seeded order, forms every unit once
+    # and gives the table that iteration gives, in the order of a build
+    # that read nothing first
+    H = preset_cache(name)
+    mult = drinfeld_double(H).algebra.mult
+    n = H.dim ** 2
+    keys = list(product(range(n), repeat=2))
+    random.Random(name).shuffle(keys)
+    read = {key: vec for key in keys if (vec := mult.get(key)) is not None}
+    assert mult.units_formed == H.dim ** 3
+    full = drinfeld_double(H).algebra.mult
+    assert read == dict(full.items()) == dict(mult.items())
+    assert list(mult) == list(full)
+    assert mult.units_formed == full.units_formed == H.dim ** 3
+
+
+@pytest.mark.parametrize("name", list(TABLE_DIGESTS))
+def test_in_and_getitem_agree_with_get(name, preset_cache):
+    # on a fresh build, each way of reading is the first read of some units;
+    # then again on the complete table, and on keys that are no pair of D
+    H = preset_cache(name)
+    mult = drinfeld_double(H).algebra.mult
+    n = H.dim ** 2
+    keys = list(product(range(n), repeat=2))
+    random.Random(name).shuffle(keys)
+    keys = keys[:300] + [(n, 0), (0, n), (-1, 0), (0,), "x"]
+
+    def agree(key, first):
+        if first == 0:
+            vec = mult.get(key)
+        elif first == 1:
+            vec = mult[key] if key in mult else None
+        else:
+            try:
+                vec = mult[key]
+            except KeyError:
+                vec = None
+        assert (key in mult) is (vec is not None)
+        assert mult.get(key) is vec
+        if vec is None:
+            with pytest.raises(KeyError):
+                mult[key]
+        else:
+            assert mult[key] is vec
+
+    for k, key in enumerate(keys):
+        agree(key, k % 3)
+    # iteration keeps the order of a full build after reads on demand
+    assert list(mult) == list(drinfeld_double(H).algebra.mult)
+    assert mult.units_formed == H.dim ** 3
+    for k, key in enumerate(keys):
+        agree(key, k % 3)
+
+
+def test_text_double_forms_no_product(monkeypatch, capsys):
+    built = []
+
+    def spy(H):
+        built.append(drinfeld_double(H))
+        return built[-1]
+
+    monkeypatch.setattr(dmod, "drinfeld_double", spy)
+    assert cli.main(["double", "--preset", "uqsl2:3"]) == 0
+    assert capsys.readouterr().out.startswith("D(uq_sl2(3)): dim 729, conductor 3;")
+    [qt] = built
+    assert qt.algebra.mult.units_formed == 0
+
+
+@pytest.mark.parametrize("name", UP_TO_81)
+def test_trusted_double_passes_the_checked_constructor(name, double_cache):
+    # the checked constructor range-checks every index and drops zeros; the
+    # double, fully formed, must come out of it unchanged
+    D = double_cache(name).algebra
+    checked = HopfAlgebraData(
+        name=D.name, dim=D.dim, conductor=D.conductor, basis_labels=D.basis_labels,
+        mult=D.mult_table, unit=D.unit, comult=D.comult, counit=D.counit,
+        antipode=D.antipode)
+    assert checked.same_structure(D)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfqexp.double import drinfeld_double
 from hopfqexp.hopf import HopfAlgebraData, element_order, validate
 from hopfqexp.presets import ZOO, get_preset, preset_grouplikes
 from hopfqexp.qexp import quasi_exponent
@@ -114,3 +115,37 @@ def test_every_small_preset_relabels(name, report_cache):
     K = relabel(get_preset(name), list(reversed(range(n))), [(-1) ** k for k in range(n)])
     assert validate(K) == []
     assert quasi_exponent(K).qexp == report_cache(name).qexp
+
+
+@st.composite
+def permuted(draw):
+    """(preset name, sigma) for a small zoo preset and a permutation of its basis."""
+    name = draw(st.sampled_from(SMALL))
+    return name, draw(st.permutations(range(get_preset(name).dim)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(permuted())
+def test_relabelling_relabels_the_double(double_cache, case):
+    """e_k -> e_sigma(k) carries the dual basis along, f_k -> f_sigma(k), so
+    D(sigma H) is D(H) in the basis f_j (x) e_i -> f_sigma(j) (x) e_sigma(i),
+    index j N + i -> sigma(j) N + sigma(i): the products, read pair by pair
+    in the order of D(H)'s table, the coproduct, the antipode and R."""
+    name, sigma = case
+    n = len(sigma)
+    qt, qk = double_cache(name), drinfeld_double(relabel(get_preset(name), sigma, [1] * n))
+    D, K = qt.algebra, qk.algebra
+    tau = [sigma[r // n] * n + sigma[r % n] for r in range(n * n)]
+
+    def vec(v):
+        return {tau[k]: c for k, c in v.items()}
+
+    def pairs(v):
+        return {(tau[a], tau[b]): c for (a, b), c in v.items()}
+
+    for (r, c), v in D.mult.items():
+        assert K.mult.get((tau[r], tau[c])) == vec(v)
+    assert len(K.mult) == len(D.mult)
+    assert [K.comult[tau[k]] for k in range(n * n)] == list(map(pairs, D.comult))
+    assert [K.antipode[tau[k]] for k in range(n * n)] == list(map(vec, D.antipode))
+    assert qk.R.data == pairs(qt.R.data)
