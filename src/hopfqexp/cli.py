@@ -14,7 +14,7 @@ import os
 import sys
 from functools import cache
 from math import lcm
-from typing import Callable
+from typing import Callable, Iterable
 
 from .hopf import GrouplikeSet, HopfAlgebraData, OrderSearchExhausted, element_order
 from .hopf import s2_order as _s2_order
@@ -22,10 +22,11 @@ from .hopf import validate as _validate
 from .io import (
     SCHEMA,
     SchemaError,
-    algebra_to_dict,
+    algebra_chunks,
     dumps,
     read_algebra,
     read_twist,
+    write_atomic,
 )
 from .presets import ZOO, get_preset
 from .qexp import quasi_exponent
@@ -81,14 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, make_doc: Callable[[], dict], text: str) -> None:
-    """Write text, or the JSON document that make_doc builds on demand."""
-    payload = dumps(make_doc()) if args.format == "json" else text
+def _emit(args, chunks: Callable[[], Iterable[str]], text: str) -> None:
+    """Write text, or the chunks of the JSON document that chunks makes on
+    demand.  A --out file is written whole or not at all; on stdout, a
+    failure after the first chunk leaves what was written, and exit 2."""
+    payload = chunks() if args.format == "json" else (text,)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        write_atomic(args.out, payload)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(payload)
+
+
+def _report(doc: dict) -> Callable[[], Iterable[str]]:
+    """The chunks of a small report document: `io.dumps` in one piece."""
+    return lambda: (dumps(doc),)
 
 
 def _resolve_bound(args) -> int | None:
@@ -129,7 +136,7 @@ def _cmd_validate(args) -> int:
         text = f"{H.name}: INVALID\n" + "".join(f"  {v}\n" for v in violations)
     else:
         text = f"{H.name}: valid Hopf algebra (dim {H.dim})\n"
-    _emit(args, lambda: doc, text)
+    _emit(args, _report(doc), text)
     return EXIT_BAD_INPUT if violations else EXIT_OK
 
 
@@ -153,7 +160,7 @@ def _cmd_qexp(args) -> int:
             f"  route            {rep.route}"
             f"{' (cross-checked)' if rep.cross_checked else ''}\n"
             f"  min poly deg     {rep.min_poly_u.degree}\n")
-    _emit(args, lambda: doc, text)
+    _emit(args, _report(doc), text)
     return EXIT_OK
 
 
@@ -161,7 +168,7 @@ def _cmd_exponent(args) -> int:
     rep = _qexp_report(args)
     doc = {"schema": SCHEMA, "kind": "exponent-report", "name": rep.algebra,
            "exponent": rep.exponent, "qexp": rep.qexp}
-    _emit(args, lambda: doc, f"{rep.algebra}: exponent {rep.exponent}\n")
+    _emit(args, _report(doc), f"{rep.algebra}: exponent {rep.exponent}\n")
     return EXIT_OK
 
 
@@ -170,7 +177,7 @@ def _cmd_s2_order(args) -> int:
     order = _s2_order(H)
     doc = {"schema": SCHEMA, "kind": "s2-order-report", "name": H.name,
            "s2_order": order}
-    _emit(args, lambda: doc, f"{H.name}: s2_order {order}\n")
+    _emit(args, _report(doc), f"{H.name}: s2_order {order}\n")
     return EXIT_OK
 
 
@@ -179,7 +186,7 @@ def _cmd_grouplikes(args) -> int:
     if H.grouplike_vectors is None:
         doc = {"schema": SCHEMA, "kind": "grouplike-report", "name": H.name,
                "grouplikes": None}
-        _emit(args, lambda: doc, f"{H.name}: no grouplike data attached\n")
+        _emit(args, _report(doc), f"{H.name}: no grouplike data attached\n")
         return EXIT_OK
     gset = GrouplikeSet.build(H, H.grouplike_vectors)
     orders = [element_order(g) for g in gset.elements]
@@ -188,7 +195,7 @@ def _cmd_grouplikes(args) -> int:
            "count": len(gset), "orders": orders, "exponent": exponent}
     text = (f"{H.name}: {len(gset)} grouplikes, orders {orders}, "
             f"exponent {exponent}\n")
-    _emit(args, lambda: doc, text)
+    _emit(args, _report(doc), text)
     return EXIT_OK
 
 
@@ -199,7 +206,7 @@ def _cmd_double(args) -> int:
     qt = drinfeld_double(H)
     text = (f"D({H.name}): dim {qt.algebra.dim}, conductor "
             f"{qt.algebra.conductor}; use --format json for the full data\n")
-    _emit(args, lambda: algebra_to_dict(qt.algebra, r_matrix=qt.R), text)
+    _emit(args, lambda: algebra_chunks(qt.algebra, r_matrix=qt.R), text)
     return EXIT_OK
 
 
@@ -225,7 +232,7 @@ def _cmd_twist_check(args) -> int:
     else:
         text = (f"{T.parent.name}: NOT a twist\n"
                 + "".join(f"  {d}\n" for d in details))
-    _emit(args, lambda: doc, text)
+    _emit(args, _report(doc), text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -241,17 +248,17 @@ def _cmd_twist_apply(args) -> int:
     twisted = twist_hopf(T)
     text = (f"{twisted.name}: dim {twisted.dim}, conductor "
             f"{twisted.conductor}; use --format json for the full data\n")
-    _emit(args, lambda: algebra_to_dict(twisted), text)
+    _emit(args, lambda: algebra_chunks(twisted), text)
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
     if not getattr(args, "preset", None) and not getattr(args, "input", None):
         doc = {"schema": SCHEMA, "kind": "preset-list", "presets": list(ZOO)}
-        _emit(args, lambda: doc, "".join(f"{name}\n" for name in ZOO))
+        _emit(args, _report(doc), "".join(f"{name}\n" for name in ZOO))
         return EXIT_OK
     H = _load_algebra(args)
-    _emit(args, lambda: algebra_to_dict(H),
+    _emit(args, lambda: algebra_chunks(H),
           f"{H.name}: dim {H.dim}, conductor {H.conductor}\n")
     return EXIT_OK
 
@@ -265,7 +272,7 @@ def _cmd_suite(args) -> int:
            "max_dim": args.max_dim, "passed": all_ok,
            "items": [{"label": i.label, "passed": i.passed, "detail": i.detail}
                      for i in items]}
-    _emit(args, lambda: doc, format_suite(items))
+    _emit(args, _report(doc), format_suite(items))
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

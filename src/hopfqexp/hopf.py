@@ -229,9 +229,11 @@ class HopfAlgebraData:
 
     @property
     def antipode_inv(self) -> list[SparseVec]:
-        """The sparse columns of S^-1: S^-1(e_j) = S^-2(S(e_j))."""
-        sinv2 = self.sinv2_columns
-        return [apply_columns(sinv2, col) for col in self.antipode]
+        """The sparse columns of S^-1: S^-1(e_j) = S^-2(S(e_j)), formed once."""
+        if "antipode_inv" not in self._cache:
+            sinv2 = self.sinv2_columns
+            self._cache["antipode_inv"] = [apply_columns(sinv2, col) for col in self.antipode]
+        return self._cache["antipode_inv"]
 
     @property
     def mult_table(self) -> dict[tuple[int, int], SparseVec]:

@@ -2,16 +2,23 @@
 
 All scalars use the exact text form: a rational is "p/q" or "p"; a
 cyclotomic number is the array of its power-basis coordinates relative
-to the document's conductor.  Deserialization re-runs the full axiom
-check and grouplike verification before returning anything.
+to the document's conductor.  An algebra document is written in one
+streamed pass (`algebra_chunks`), and a file is replaced whole or not at
+all (`write_atomic`).  Deserialization re-runs the full axiom check and
+grouplike verification before returning anything.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .hopf import GrouplikeSet, HopfAlgebraData, TensorElement, element_inverse, validate
+from .linalg import SparseVec
 from .scalars import scalar_from_json, scalar_to_json
 
 SCHEMA = "hopf-qexp/1"
@@ -21,46 +28,107 @@ class SchemaError(ValueError):
     """A malformed or axiom-violating document."""
 
 
-def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorElement | None = None) -> dict:
+def algebra_chunks(H: HopfAlgebraData,
+                   r_matrix: TensorElement | None = None) -> Iterator[str]:
+    """The document of H, with R when given, as text chunks whose
+    concatenation is exactly ``dumps(doc)``: the layout of
+    ``json.dumps(doc, indent=2)``, then a newline.
+
+    It reads the tables as they are and builds no dense list of scalars:
+    each row of ``mult``, of the antipode and of R is laid out as one
+    chunk, and each distinct scalar once per nesting depth, its
+    coordinates quoted by the C encoder of `json`.
+    """
     n = H.dim
     zero = H.zero_scalar
-    memo: dict[tuple, list[str]] = {}
+    memo: dict[tuple, str] = {}
 
-    def fmt(c) -> list[str]:  # each distinct value is formatted once
-        key = (c.num, c.den)
-        if key not in memo:
-            memo[key] = scalar_to_json(c)
-        return list(memo[key])
+    def fmt(c, depth: int) -> str:  # the scalar c as laid out at depth
+        key = (c.num, c.den, depth)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _array(map(_quote, scalar_to_json(c)), depth)
+        return text
 
-    mult, table = [], H.mult_table
-    for (i, j) in sorted(table):
-        vec = table[(i, j)]
-        dense = [fmt(vec.get(k, zero)) for k in range(n)]
-        mult.append([i, j, dense])
-    comult = []
-    for k in range(n):
-        for (i, j) in sorted(H.comult[k]):
-            comult.append([k, i, j, fmt(H.comult[k][(i, j)])])
-    doc = {
-        "schema": SCHEMA,
-        "kind": "hopf-algebra",
-        "name": H.name,
-        "dim": n,
-        "conductor": H.conductor,
-        "basis_labels": list(H.basis_labels),
-        "unit": [fmt(v) for v in H.unit],
-        "counit": [fmt(v) for v in H.counit],
-        "mult": mult,
-        "comult": comult,
-        "antipode": [[fmt(col.get(i, zero)) for col in H.antipode] for i in range(n)],
-    }
+    def dense(vec: SparseVec, depth: int) -> str:  # a row of n scalars
+        texts = [fmt(zero, depth + 1)] * n
+        for k, c in vec.items():
+            texts[k] = fmt(c, depth + 1)
+        return _array(texts, depth)
+
+    def mult() -> Iterator[str]:
+        table = H.mult_table
+        for key in sorted(table):
+            i, j = key
+            yield _array((str(i), str(j), dense(table[key], 3)), 2)
+
+    def comult() -> Iterator[str]:
+        for k, d in enumerate(H.comult):
+            for (i, j) in sorted(d):
+                yield _array((str(k), str(i), str(j), fmt(d[(i, j)], 3)), 2)
+
+    def rows(entries: Iterable[tuple[int, int, object]]) -> Iterator[str]:
+        """The n rows of the n x n matrix with the given (row, column,
+        scalar) entries."""
+        by_row: list[SparseVec] = [{} for _ in range(n)]
+        for i, j, c in entries:
+            by_row[i][j] = c
+        return (dense(row, 2) for row in by_row)
+
+    fields: list[tuple[str, Iterable[str]]] = [
+        ("schema", _small(SCHEMA)), ("kind", _small("hopf-algebra")),
+        ("name", _small(H.name)), ("dim", _small(n)),
+        ("conductor", _small(H.conductor)),
+        ("basis_labels", _small(list(H.basis_labels))),
+        ("unit", (_array([fmt(v, 2) for v in H.unit], 1),)),
+        ("counit", (_array([fmt(v, 2) for v in H.counit], 1),)),
+        ("mult", _stream(mult(), 1)),
+        ("comult", _stream(comult(), 1)),
+        ("antipode", _stream(rows((i, j, c) for j, col in enumerate(H.antipode)
+                                  for i, c in col.items()), 1)),
+    ]
     if H.grouplike_vectors is not None:
-        doc["grouplikes"] = [[fmt(v) for v in g] for g in H.grouplike_vectors]
+        fields.append(("grouplikes", (_array(
+            [_array([fmt(v, 3) for v in g], 2) for g in H.grouplike_vectors], 1),)))
     if H.grading is not None:
-        doc["grading"] = list(H.grading)
+        fields.append(("grading", _small(list(H.grading))))
     if r_matrix is not None:
-        doc["r_matrix"] = _rows(r_matrix, fmt)
-    return doc
+        fields.append(("r_matrix", _stream(
+            rows((i, j, c) for (i, j), c in r_matrix.data.items()), 1)))
+    opening = "{"
+    for name, chunks in fields:
+        yield f"{opening}\n  {_quote(name)}: "
+        opening = ","
+        yield from chunks
+    yield "\n}\n"
+
+
+def _small(value) -> tuple[str]:
+    """A small JSON value, laid out by `json` itself at depth 1."""
+    return (json.dumps(value, indent=2).replace("\n", "\n  "),)
+
+
+def _array(texts: Iterable[str], depth: int) -> str:
+    """The JSON array of the laid-out items texts at depth, as
+    ``json.dumps(indent=2)`` lays it out."""
+    pad = "\n" + "  " * (depth + 1)
+    body = f",{pad}".join(texts)
+    return f"[{pad}{body}\n{'  ' * depth}]" if body else "[]"
+
+
+def _stream(texts: Iterable[str], depth: int) -> Iterator[str]:
+    """`_array` of the items texts, one chunk per item."""
+    pad = "\n" + "  " * (depth + 1)
+    opening = "["
+    for text in texts:
+        yield opening + pad + text
+        opening = ","
+    yield "[]" if opening == "[" else f"\n{'  ' * depth}]"
+
+
+def algebra_to_dict(H: HopfAlgebraData, r_matrix: TensorElement | None = None) -> dict:
+    """The document of H as a dict: `algebra_chunks` read back."""
+    return json.loads("".join(algebra_chunks(H, r_matrix)))
 
 
 def _rows(t: TensorElement, fmt) -> list[list]:
@@ -157,7 +225,35 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
 
 def write_algebra(H: HopfAlgebraData, path,
                   r_matrix: TensorElement | None = None) -> None:
-    Path(path).write_text(dumps(algebra_to_dict(H, r_matrix)))
+    write_atomic(path, algebra_chunks(H, r_matrix))
+
+
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the chunks to path through a temporary file beside it, moved
+    onto path once every chunk is written: a failure part way leaves no
+    truncated file and keeps an earlier one, with its mode.  A path that
+    exists and is no regular file (a device, a pipe) is written in place."""
+    target = os.path.realpath(path)
+    existed = os.path.exists(target)
+    if existed and not os.path.isfile(target):
+        with open(target, "w") as fh:
+            fh.writelines(chunks)
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:  # named after the path asked for, as open(path) would
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            fh.writelines(chunks)
+        if existed:
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_algebra(path, check: bool = True) -> HopfAlgebraData:

@@ -87,11 +87,85 @@ def test_out_of_memory_exit_2(capsys, monkeypatch):
     def exhaust(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli_module, "algebra_to_dict", exhaust)
+    monkeypatch.setattr(cli_module, "algebra_chunks", exhaust)
     code, out, err = run(capsys, "double", "--preset", "sweedler", "--format", "json")
     assert code == 2
     assert out == ""
     assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, OSError])
+def test_failed_out_leaves_no_truncated_file(capsys, monkeypatch, tmp_path, error):
+    # the writer fails after its first chunk: an earlier --out file stays as
+    # it was, a new one is never made, and no temporary file is left
+    real = cli_module.algebra_chunks
+
+    def fail_after_first(*args, **kwargs):
+        yield next(real(*args, **kwargs))
+        raise error("disk full")
+
+    monkeypatch.setattr(cli_module, "algebra_chunks", fail_after_first)
+    earlier, fresh = tmp_path / "earlier.json", tmp_path / "fresh.json"
+    earlier.write_text("earlier document\n")
+    for path in (earlier, fresh):
+        code, out, err = run(capsys, "preset", "--preset", "sweedler",
+                             "--format", "json", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+    assert earlier.read_text() == "earlier document\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["earlier.json"]
+
+
+def test_out_replaces_a_file_whole(capsys, tmp_path):
+    # a new file gets the mode open() would give it; an old one keeps its mode
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("x" * 10_000)
+    old.chmod(0o640)
+    for path in (new, old):
+        assert run(capsys, "preset", "--preset", "sweedler", "--format", "json",
+                   "--out", str(path))[0] == 0
+        assert path.read_text() == dumps(algebra_to_dict(get_preset("sweedler")))
+    umask = os.umask(0)
+    os.umask(umask)
+    assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.json"]
+
+
+def test_out_to_a_device_is_written_in_place(capsys):
+    code, out, _ = run(capsys, "preset", "--preset", "sweedler", "--format", "json",
+                       "--out", os.devnull)
+    assert code == 0 and out == ""
+    assert not Path(os.devnull).is_file()
+
+
+def test_out_into_a_missing_directory_names_the_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "d.json"
+    code, _, err = run(capsys, "preset", "--preset", "sweedler", "--format", "json",
+                       "--out", str(path))
+    assert code == 2
+    assert err.startswith("error:") and f"'{path}'" in err
+
+
+def test_preset_document_streams_in_bounded_memory(tmp_path):
+    # the 108 MB document of uqsl2:5 is written row by row; the child
+    # reports its own peak RSS (ru_maxrss is in KB on Linux)
+    src = str(Path(hopfqexp.__file__).resolve().parent.parent)
+    path = tmp_path / "uqsl2_5.json"
+    script = (
+        "import resource, sys\n"
+        "from hopfqexp.cli import main\n"
+        f"code = main(['preset', '--preset', 'uqsl2:5', '--format', 'json', '--out', {str(path)!r}])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    size = path.stat().st_size
+    path.unlink()  # 108 MB that the kept temporary directories need not hold
+    assert code == 0
+    assert size > 100_000_000
+    assert peak_kb < 100 * 1024
 
 
 def test_exponent_infinite(capsys):
@@ -160,7 +234,7 @@ def test_double_text_builds_no_document(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("text output must not build the JSON document")
 
-    monkeypatch.setattr("hopfqexp.cli.algebra_to_dict", refuse)
+    monkeypatch.setattr("hopfqexp.cli.algebra_chunks", refuse)
     code, out, _ = run(capsys, "double", "--preset", "taft:3")
     assert code == 0
     assert out == ("D(Taft(3)): dim 81, conductor 3; "
