@@ -235,7 +235,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     sinv_cols = H.antipode_inv
 
     # Delta3(e_i): triples (a, b, c) -> coeff
-    delta3 = [TensorElement(H, 2, d).comult_leg(1).data for d in H.comult]
+    delta3 = [TensorElement._trusted(H, 2, d).comult_leg(1).data for d in H.comult]
 
     # cross[i][l]: (1 (x) h_i)(f_l (x) 1) as {(dual k1, primal k2): coeff}
     # term for each triple (a,b,c): (e_a -> f_l <- Sinv(e_c)) (x) e_b,
@@ -345,7 +345,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         for j, e in eps_sparse:
             for p, u in unit_sparse:
                 dadd(r_data, (j * N + i, i * N + p), e * u)
-    R = TensorElement(D, 2, r_data)
+    R = TensorElement._trusted(D, 2, r_data)
     return QuasitriangularData(algebra=D, R=R, source=H)
 
 
@@ -384,7 +384,7 @@ def verify_quasitriangular(qt: QuasitriangularData) -> list[str]:
         violations.append("hexagon (Id (x) Delta)(R) = R13 R12 fails")
 
     def intertwining_fails(a: int) -> str | None:
-        da = TensorElement(D, 2, D.comult[a])
+        da = TensorElement._trusted(D, 2, D.comult[a])
         if da.swap_legs(0, 1) * R != R * da:
             return f"Delta-op intertwining fails at basis {a}"
         return None

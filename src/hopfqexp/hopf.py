@@ -2,19 +2,21 @@
 
 Every vector below the JSON boundary has one format, the sparse dict
 {index: nonzero CyclotomicNumber} of `linalg` (`SparseVec`): a missing
-index is zero, and every constructor drops zeros, so that dict equality
-is vector equality.  An algebra of dimension N over Q(zeta_m) is
-described by sparse structure tensors: ``mult[(i, j)]`` is the product
-of basis elements i and j, ``comult[k]`` maps basis pairs to the
-coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j).  An
+index is zero, and no stored dict holds a zero, so that dict equality is
+vector equality.  Outside data is checked once, by the constructors of
+`HopfAlgebraData` and `TensorElement`; what is built here goes through
+their `_trusted` forms as it is.  An algebra of dimension N over
+Q(zeta_m) is described by sparse structure tensors: ``mult[(i, j)]`` is
+the product of basis elements i and j, ``comult[k]`` maps basis pairs to
+the coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j).  An
 `AlgebraElement` holds one such dict, a `TensorElement` one keyed by
 index tuples, and `SpanSolver` eliminates on them directly; only the
 `ExactMatrix` views and `io` write dense lists.  Products of tensor
 elements run on Kronecker-packed integers (`_legwise_product`).  S^2,
 S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
 `validate` checks every Hopf axiom exactly (associativity and
-multiplicativity on a certified generating set); nothing here is
-trusted without it.
+multiplicativity on a certified generating set); no algebra, checked or
+built, is taken for a Hopf algebra without it.
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ class HopfAlgebraData:
             raise ValueError("comultiplication tensor length mismatch")
         if len(antipode) != dim:
             raise ValueError(f"{len(antipode)} antipode columns for dim {dim}")
-        self.name = name
-        self.dim = dim
-        self.conductor = conductor
-        self.basis_labels = list(basis_labels)
+        if grading is not None and len(grading) != dim:
+            raise ValueError(f"{len(grading)} grading degrees for dim {dim}")
+        if grouplike_vectors is not None and any(len(g) != dim for g in grouplike_vectors):
+            raise ValueError(f"grouplike vectors must have length dim {dim}")
         # one pass per entry: check the indices, coerce, drop zeros.  Each
         # distinct scalar object is coerced once, keyed by its identity; every
         # zero becomes the one shared zero, and `alive` keeps the coerced
@@ -106,15 +108,14 @@ class HopfAlgebraData:
             return d
 
         # the caller's key tuples are kept: a double has a million of them
-        self.mult = {}
+        products = {}
         for key, vec in mult.items():
             i, j = key
             if i not in rng or j not in rng:
                 raise ValueError(f"mult index ({i}, {j}) is out of range({dim})")
             if d := vector(vec, "mult", key):
-                self.mult[key] = d
-        self.unit = tuple(map(scalar, unit))
-        self.comult = []
+                products[key] = d
+        coproducts = []
         for k in rng:
             d = {}
             for pair, v in comult[k].items():
@@ -126,34 +127,45 @@ class HopfAlgebraData:
                     c = coerce(v)
                 if c is not zero:
                     d[pair] = c
-            self.comult.append(d)
-        self.counit = tuple(map(scalar, counit))
-        self.antipode = [vector(col, "antipode column", j) for j, col in enumerate(antipode)]
-        self.grouplike_vectors = (
-            [tuple(map(scalar, g)) for g in grouplike_vectors]
-            if grouplike_vectors is not None else None
-        )
-        self.grading = list(grading) if grading is not None else None
-        self._cache = {}
+            coproducts.append(d)
+        self._store(
+            name, dim, conductor, list(basis_labels), products, tuple(map(scalar, unit)),
+            coproducts, tuple(map(scalar, counit)),
+            [vector(col, "antipode column", j) for j, col in enumerate(antipode)],
+            None if grouplike_vectors is None
+            else [tuple(map(scalar, g)) for g in grouplike_vectors],
+            None if grading is None else list(grading))
 
-    @classmethod
-    def _trusted(cls, name: str, dim: int, conductor: int, basis_labels: list[str],
-                 mult: Mapping[tuple[int, int], SparseVec], unit: tuple,
-                 comult: list[SparsePairs], counit: tuple,
-                 antipode: list[SparseVec]) -> "HopfAlgebraData":
-        """The algebra on tables that are canonical by construction: indices
-        in range(dim), nonzero scalars of the conductor, unit and counit as
-        tuples.  Nothing is checked or copied; `mult` may be any read-only
-        mapping (`double.DoubleProducts`).  Input from outside comes in
-        through the checked constructor, and `validate` still checks the
-        axioms."""
-        self = cls.__new__(cls)
+    def _store(self, name: str, dim: int, conductor: int, basis_labels: list[str],
+               mult: Mapping[tuple[int, int], SparseVec], unit: tuple,
+               comult: list[SparsePairs], counit: tuple, antipode: list[SparseVec],
+               grouplike_vectors: list[tuple] | None = None,
+               grading: list[int] | None = None) -> None:
         self.name, self.dim, self.conductor = name, dim, conductor
         self.basis_labels = basis_labels
         self.mult, self.unit, self.comult = mult, unit, comult
         self.counit, self.antipode = counit, antipode
-        self.grouplike_vectors = self.grading = None
+        self.grouplike_vectors, self.grading = grouplike_vectors, grading
         self._cache = {}
+
+    @classmethod
+    def _trusted(cls, *tables, **named) -> "HopfAlgebraData":
+        """The algebra on tables built inside this package, stored as they
+        are by `_store`, whose arguments these are.
+
+        Every internal construction comes in here: `dual`, `variant`,
+        `lift_algebra`, `tensor`, `subalgebra_closure`, `twist.twist_hopf`,
+        `presets._from_generators`, `presets.dual_group_algebra` and
+        `double.drinfeld_double`.  Their tables are canonical by
+        construction: indices in range(dim), nonzero scalars of the
+        conductor (no zero entry, no empty product), unit and counit as
+        tuples and grouplikes as a list of tuples of such scalars.
+        Nothing is checked or copied, and tables may be shared with the
+        algebra they came from; `mult` may be any read-only mapping
+        (`double.DoubleProducts`).  Data from outside comes in through the
+        checked constructor, and `validate` still checks the axioms."""
+        self = cls.__new__(cls)
+        self._store(*tables, **named)
         return self
 
     # -- scalars and elements ---------------------------------------------
@@ -331,7 +343,7 @@ class AlgebraElement:
         return result
 
     def comul(self) -> "TensorElement":
-        return TensorElement(self.parent, 2, self.parent.comul_dict(self.data))
+        return TensorElement._trusted(self.parent, 2, self.parent.comul_dict(self.data))
 
     def counit(self) -> CyclotomicNumber:
         return self.parent.counit_dict(self.data)
@@ -378,12 +390,22 @@ class TensorElement:
         self.data = d
 
     @classmethod
+    def _trusted(cls, parent: HopfAlgebraData, arity: int,
+                 data: dict[tuple[int, ...], CyclotomicNumber]) -> "TensorElement":
+        """The element on data built inside this package, stored as it is:
+        tuple keys, nonzero scalars of the parent's conductor.  Outside data
+        comes in through the checked constructor."""
+        self = cls.__new__(cls)
+        self.parent, self.arity, self.data = parent, arity, data
+        return self
+
+    @classmethod
     def from_elements(cls, *factors: AlgebraElement) -> "TensorElement":
         """The pure tensor of the factors, all in one algebra."""
         terms = {(): factors[0].parent.one_scalar}
         for f in factors:
             terms = {key + (k,): c * x for key, c in terms.items() for k, x in f.data.items()}
-        return cls(factors[0].parent, len(factors), terms)
+        return cls._trusted(factors[0].parent, len(factors), terms)
 
     @classmethod
     def unit(cls, parent: HopfAlgebraData, arity: int) -> "TensorElement":
@@ -398,18 +420,18 @@ class TensorElement:
         out = dict(self.data)
         for key, v in other.data.items():
             dadd(out, key, v)
-        return TensorElement(self.parent, self.arity, out)
+        return TensorElement._trusted(self.parent, self.arity, out)
 
     def scale(self, c) -> "TensorElement":
         c = self.parent.scalar(c)
-        return TensorElement(self.parent, self.arity,
-                             {k: v * c for k, v in self.data.items()})
+        return TensorElement._trusted(self.parent, self.arity,
+                                      {k: v * c for k, v in self.data.items()} if c else {})
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product in the tensor-power algebra."""
         self._check(other)
         H = self.parent
-        return TensorElement(H, self.arity, _legwise_product(
+        return TensorElement._trusted(H, self.arity, _legwise_product(
             H.mult_rows, self.data.items(), other.data.items(), self.arity, H.conductor))
 
     def apply_leg(self, leg: int, columns: list[SparseVec]) -> "TensorElement":
@@ -418,7 +440,7 @@ class TensorElement:
         for key, v in self.data.items():
             for i, c in columns[key[leg]].items():
                 dadd(out, key[:leg] + (i,) + key[leg + 1:], v * c)
-        return TensorElement(self.parent, self.arity, out)
+        return TensorElement._trusted(self.parent, self.arity, out)
 
     def comult_leg(self, leg: int) -> "TensorElement":
         """Apply the comultiplication to one leg (arity grows by one)."""
@@ -427,7 +449,7 @@ class TensorElement:
         for key, v in self.data.items():
             for (a, b), c in H.comult[key[leg]].items():
                 dadd(out, key[:leg] + (a, b) + key[leg + 1:], v * c)
-        return TensorElement(H, self.arity + 1, out)
+        return TensorElement._trusted(H, self.arity + 1, out)
 
     def counit_leg(self, leg: int) -> "TensorElement | AlgebraElement | CyclotomicNumber":
         """Contract one leg with the counit (arity drops by one)."""
@@ -441,7 +463,7 @@ class TensorElement:
             return out.get((), H.zero_scalar)
         if self.arity == 2:
             return AlgebraElement(H, {k[0]: v for k, v in out.items()})
-        return TensorElement(H, self.arity - 1, out)
+        return TensorElement._trusted(H, self.arity - 1, out)
 
     def multiply_legs(self, leg: int) -> "TensorElement | AlgebraElement":
         """Multiply legs ``leg`` and ``leg+1`` together (arity drops by one)."""
@@ -456,15 +478,15 @@ class TensorElement:
                 dadd(out, rest[:leg] + (k,) + rest[leg:], v * c)
         if self.arity == 2:
             return AlgebraElement(H, {k[0]: v for k, v in out.items()})
-        return TensorElement(H, self.arity - 1, out)
+        return TensorElement._trusted(H, self.arity - 1, out)
 
     def swap_legs(self, a: int, b: int) -> "TensorElement":
         out = {}
         for key, v in self.data.items():
             lst = list(key)
             lst[a], lst[b] = lst[b], lst[a]
-            dadd(out, tuple(lst), v)
-        return TensorElement(self.parent, self.arity, out)
+            out[tuple(lst)] = v
+        return TensorElement._trusted(self.parent, self.arity, out)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -601,7 +623,7 @@ def placed_product(x: TensorElement, x_legs: Sequence[int],
         return [(tuple(key[where[p]] if p in where else -1 for p in range(arity)), v)
                 for key, v in t.data.items()]
 
-    return TensorElement(H, arity, _legwise_product(
+    return TensorElement._trusted(H, arity, _legwise_product(
         H._cache["placed_rows"], padded(x, x_legs), padded(y, y_legs), arity, H.conductor))
 
 
@@ -722,7 +744,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
     violations.extend(v for v in (associativity, unitality) if v)
 
     # coassociativity and the counit axiom, on the coproducts of the basis
-    deltas = [TensorElement(H, 2, d) for d in H.comult]
+    deltas = [TensorElement._trusted(H, 2, d) for d in H.comult]
     for k, delta in enumerate(deltas):
         if delta.comult_leg(0) != delta.comult_leg(1):
             violations.append(f"coassociativity fails at basis {k}")
@@ -773,7 +795,6 @@ def validate(H: HopfAlgebraData) -> list[str]:
 def dual(H: HopfAlgebraData) -> HopfAlgebraData:
     """The dual Hopf algebra on the dual basis."""
     N = H.dim
-    mult = {pair: dict(vec) for pair, vec in H.dual_mult.items()}
     comult: list[SparsePairs] = [{} for _ in range(N)]  # the transpose of mult
     for pair, vec in H.mult_table.items():
         for k, c in vec.items():
@@ -782,17 +803,9 @@ def dual(H: HopfAlgebraData) -> HopfAlgebraData:
     for j, col in enumerate(H.antipode):
         for i, c in col.items():
             antipode[i][j] = c
-    return HopfAlgebraData(
-        name=f"{H.name}*",
-        dim=N,
-        conductor=H.conductor,
-        basis_labels=[f"{lbl}^" for lbl in H.basis_labels],
-        mult=mult,
-        unit=list(H.counit),
-        comult=comult,
-        counit=list(H.unit),
-        antipode=antipode,
-    )
+    return HopfAlgebraData._trusted(
+        f"{H.name}*", N, H.conductor, [f"{lbl}^" for lbl in H.basis_labels],
+        H.dual_mult, H.counit, comult, H.unit, antipode)
 
 
 def variant(H: HopfAlgebraData, which: str) -> HopfAlgebraData:
@@ -803,24 +816,14 @@ def variant(H: HopfAlgebraData, which: str) -> HopfAlgebraData:
     comult = H.comult
     antipode = H.antipode
     if which in ("op", "op_cop"):
-        mult = {(j, i): dict(vec) for (i, j), vec in mult.items()}
+        mult = {(j, i): vec for (i, j), vec in mult.items()}
     if which in ("cop", "op_cop"):
         comult = [{(j, i): c for (i, j), c in d.items()} for d in comult]
     if which != "op_cop":
         antipode = H.antipode_inv
-    return HopfAlgebraData(
-        name=f"{H.name}^{which}",
-        dim=H.dim,
-        conductor=H.conductor,
-        basis_labels=list(H.basis_labels),
-        mult=mult,
-        unit=list(H.unit),
-        comult=comult,
-        counit=list(H.counit),
-        antipode=antipode,
-        grouplike_vectors=H.grouplike_vectors,
-        grading=H.grading,
-    )
+    return HopfAlgebraData._trusted(
+        f"{H.name}^{which}", H.dim, H.conductor, H.basis_labels, mult, H.unit, comult,
+        H.counit, antipode, H.grouplike_vectors, H.grading)
 
 
 def lift_algebra(H: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
@@ -833,22 +836,14 @@ def lift_algebra(H: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
     def lift(v):
         return lift_conductor(v, conductor)
 
-    return HopfAlgebraData(
-        name=H.name,
-        dim=H.dim,
-        conductor=conductor,
-        basis_labels=list(H.basis_labels),
-        mult={pair: {k: lift(c) for k, c in vec.items()}
-              for pair, vec in H.mult_table.items()},
-        unit=[lift(v) for v in H.unit],
-        comult=[{p: lift(c) for p, c in d.items()} for d in H.comult],
-        counit=[lift(v) for v in H.counit],
-        antipode=[{i: lift(c) for i, c in col.items()} for col in H.antipode],
-        grouplike_vectors=(
-            [[lift(v) for v in g] for g in H.grouplike_vectors]
-            if H.grouplike_vectors is not None else None),
-        grading=H.grading,
-    )
+    return HopfAlgebraData._trusted(
+        H.name, H.dim, conductor, H.basis_labels,
+        {pair: {k: lift(c) for k, c in vec.items()} for pair, vec in H.mult_table.items()},
+        tuple(map(lift, H.unit)), [{p: lift(c) for p, c in d.items()} for d in H.comult],
+        tuple(map(lift, H.counit)), [{i: lift(c) for i, c in col.items()} for col in H.antipode],
+        None if H.grouplike_vectors is None
+        else [tuple(map(lift, g)) for g in H.grouplike_vectors],
+        H.grading)
 
 
 def tensor(H1: HopfAlgebraData, H2: HopfAlgebraData) -> HopfAlgebraData:
@@ -876,32 +871,21 @@ def tensor(H1: HopfAlgebraData, H2: HopfAlgebraData) -> HopfAlgebraData:
                 for (a2, b2), c2 in B.comult[k2].items():
                     d[(idx(a1, a2), idx(b1, b2))] = c1 * c2
             comult.append(d)
-    unit = [A.unit[i1] * B.unit[i2] for i1 in range(N1) for i2 in range(N2)]
-    counit = [A.counit[i1] * B.counit[i2] for i1 in range(N1) for i2 in range(N2)]
+    unit = tuple(A.unit[i1] * B.unit[i2] for i1 in range(N1) for i2 in range(N2))
+    counit = tuple(A.counit[i1] * B.counit[i2] for i1 in range(N1) for i2 in range(N2))
     antipode = [{idx(i1, i2): c1 * c2 for i1, c1 in s1.items() for i2, c2 in s2.items()}
                 for s1 in A.antipode for s2 in B.antipode]
     grouplikes = None
     if A.grouplike_vectors is not None and B.grouplike_vectors is not None:
-        grouplikes = [
-            [x * y for x in g1 for y in g2]
-            for g1 in A.grouplike_vectors for g2 in B.grouplike_vectors
-        ]
+        grouplikes = [tuple(x * y for x in g1 for y in g2)
+                      for g1 in A.grouplike_vectors for g2 in B.grouplike_vectors]
     grading = None
     if A.grading is not None and B.grading is not None:
         grading = [A.grading[i1] + B.grading[i2] for i1 in range(N1) for i2 in range(N2)]
-    return HopfAlgebraData(
-        name=f"{H1.name}(x){H2.name}",
-        dim=N1 * N2,
-        conductor=m,
-        basis_labels=[f"{a}|{b}" for a in A.basis_labels for b in B.basis_labels],
-        mult=mult,
-        unit=unit,
-        comult=comult,
-        counit=counit,
-        antipode=antipode,
-        grouplike_vectors=grouplikes,
-        grading=grading,
-    )
+    return HopfAlgebraData._trusted(
+        f"{H1.name}(x){H2.name}", N1 * N2, m,
+        [f"{a}|{b}" for a in A.basis_labels for b in B.basis_labels],
+        mult, unit, comult, counit, antipode, grouplikes, grading)
 
 
 # -- antipode order, grouplikes -----------------------------------------------
@@ -1082,7 +1066,7 @@ def subalgebra_closure(H: HopfAlgebraData,
 
     The sub-basis is the one of `_closure_basis`: the unit followed by the
     independent vectors in insertion order.  Coordinates on it come from
-    `SpanSolver.express` as lists; `HopfAlgebraData` drops their zeros.
+    `SpanSolver.express` as lists, whose zeros are dropped here.
     """
     space, basis = _closure_basis(H, generators)
     d = len(basis)
@@ -1093,11 +1077,14 @@ def subalgebra_closure(H: HopfAlgebraData,
             raise AssertionError("closure is not closed; this is a bug")
         return c
 
-    mult = {(a, b): dict(enumerate(coords(H.mul_dicts(va, vb))))
-            for a, va in enumerate(basis) for b, vb in enumerate(basis)}
-    unit = coords(H.unit_element().data)
-    counit = [H.counit_dict(v) for v in basis]
-    antipode = [dict(enumerate(coords(apply_columns(H.antipode, v)))) for v in basis]
+    def sparse(vec: SparseVec) -> SparseVec:
+        return {k: c for k, c in enumerate(coords(vec)) if c}
+
+    mult = {(a, b): prod for a, va in enumerate(basis) for b, vb in enumerate(basis)
+            if (prod := sparse(H.mul_dicts(va, vb)))}
+    unit = tuple(coords(H.unit_element().data))
+    counit = tuple(H.counit_dict(v) for v in basis)
+    antipode = [sparse(apply_columns(H.antipode, v)) for v in basis]
     comult = []
     for v in basis:
         # Delta(b_a) = sum_ij c_ij e_i (x) e_j = sum_rs d_rs b_r (x) b_s: each
@@ -1110,18 +1097,10 @@ def subalgebra_closure(H: HopfAlgebraData,
         dd: SparsePairs = {}
         for s in range(d):
             column = {i: yi[s] for i, yi in y.items() if not yi[s].is_zero()}
-            for r, c in enumerate(coords(column)):
+            for r, c in sparse(column).items():
                 dd[(r, s)] = c
         comult.append(dd)
 
-    return HopfAlgebraData(
-        name=f"{H.name}<sub dim {d}>",
-        dim=d,
-        conductor=H.conductor,
-        basis_labels=[f"v{r}" for r in range(d)],
-        mult=mult,
-        unit=unit,
-        comult=comult,
-        counit=counit,
-        antipode=antipode,
-    )
+    return HopfAlgebraData._trusted(
+        f"{H.name}<sub dim {d}>", d, H.conductor, [f"v{r}" for r in range(d)],
+        mult, unit, comult, counit, antipode)

@@ -185,13 +185,20 @@ def algebra_from_dict(doc: dict, check: bool = True) -> HopfAlgebraData:
         counit = [sc(v) for v in _field(doc, "counit")]
         mult = {}
         for i, j, dense in _field(doc, "mult"):
-            mult[(_integer(i, "mult index"), _integer(j, "mult index"))] = \
-                {k: sc(v) for k, v in enumerate(dense)}
+            key = (_integer(i, "mult index"), _integer(j, "mult index"))
+            if key in mult:
+                raise SchemaError(f"mult pair {key} is listed twice")
+            if len(dense) != n:
+                raise SchemaError(f"mult row {key} has {len(dense)} scalars for dim {n}")
+            mult[key] = {k: sc(v) for k, v in enumerate(dense)}
         comult = [dict() for _ in range(n)]
         for k, i, j, coeff in _field(doc, "comult"):
             if not 0 <= _integer(k, "comult index") < n:
                 raise IndexError(f"comult index {k} out of range")
-            comult[k][(_integer(i, "comult index"), _integer(j, "comult index"))] = sc(coeff)
+            pair = (_integer(i, "comult index"), _integer(j, "comult index"))
+            if pair in comult[k]:
+                raise SchemaError(f"comult entry {k}, {pair} is listed twice")
+            comult[k][pair] = sc(coeff)
         rows = _field(doc, "antipode")
         if len(rows) != n or any(not isinstance(row, list) or len(row) != n for row in rows):
             raise SchemaError(f"the antipode must be {n} rows of {n} scalars")

@@ -18,12 +18,13 @@ from pathlib import Path
 from .hopf import (
     GrouplikeSet,
     HopfAlgebraData,
-    TensorElement,
+    _legwise_product,
     dadd,
     dual,
     lift_algebra,
     tensor,
 )
+from .linalg import SparseVec
 from .poly import _is_prime
 from .scalars import CyclotomicNumber
 
@@ -145,27 +146,16 @@ def dual_group_algebra(group: str) -> HopfAlgebraData:
     characters.
     """
     H = dual(group_algebra(group))
-    H.name = f"C[{group}]*"
-    if group in BUILTIN_GROUP_ORDERS:
+    if group == "S3":
+        chars = [[1] * 6, _s3_data()[2]]
+    else:
         orders = BUILTIN_GROUP_ORDERS[group]
-        e = lcm(*orders) if len(orders) > 1 else orders[0]
-        H = lift_algebra(H, _root_conductor(e))
+        H = lift_algebra(H, _root_conductor(lcm(*orders)))
         elems, _, _ = _abelian_data(orders)
-        chars = []
-        for a in elems:
-            chars.append([
-                _prod_root(orders, a, g, H.conductor) for g in elems
-            ])
-        H.grouplike_vectors = [
-            [H.scalar(v) for v in row] for row in chars
-        ]
-    elif group == "S3":
-        _, _, signs = _s3_data()
-        H.grouplike_vectors = [
-            [H.scalar(1)] * 6,
-            [H.scalar(s) for s in signs],
-        ]
-    return H
+        chars = [[_prod_root(orders, a, g, H.conductor) for g in elems] for a in elems]
+    return HopfAlgebraData._trusted(
+        f"C[{group}]*", H.dim, H.conductor, H.basis_labels, H.mult, H.unit, H.comult,
+        H.counit, H.antipode, [tuple(map(H.scalar, row)) for row in chars])
 
 
 def _prod_root(orders, a, g, conductor):
@@ -189,28 +179,23 @@ def _from_generators(name: str, conductor: int, labels: list[str], generators: d
     reached from the unit by exact steps e_k = e_j x; then e_i e_k =
     (e_i e_j) x, and since Delta and epsilon are algebra maps and S is an
     anti-algebra map, Delta(e_k) = Delta(e_j) Delta(x), epsilon(e_k) =
-    epsilon(e_j) epsilon(x) and S(e_k) = S(x) S(e_j).
+    epsilon(e_j) epsilon(x) and S(e_k) = S(x) S(e_j).  The tables are
+    formed first and stored once, unchecked (`HopfAlgebraData._trusted`):
+    rmul, Delta(x) and S(x) must hold nonzero scalars of the conductor.
     """
     N = len(labels)
-    one = CyclotomicNumber.one(conductor)
+    one, zero = CyclotomicNumber.one(conductor), CyclotomicNumber.zero(conductor)
     mult = {(i, 0): {i: one} for i in range(N)}
     for x, (rmul, _, _, _) in generators.items():
         for k in range(N):
-            mult[(k, x)] = rmul(k)
-    # Delta, epsilon and S are filled in below, once the product is known
-    H = HopfAlgebraData(
-        name=name, dim=N, conductor=conductor, basis_labels=labels, mult=mult,
-        unit=[1] + [0] * (N - 1), comult=[{}] * N, counit=[0] * N,
-        antipode=[{k: one} for k in range(N)],
-        grouplike_vectors=[[1 if k == g else 0 for k in range(N)] for g in grouplikes],
-        grading=grading,
-    )
+            if vec := rmul(k):
+                mult[(k, x)] = vec
 
     step = {}
     order = [0]  # breadth-first; the loop visits what it appends
     for j in order:
         for x in generators:
-            prod = H.mult.get((j, x), {})
+            prod = mult.get((j, x), {})
             if len(prod) == 1:
                 (k, c), = prod.items()
                 if c == one and k not in step and k != 0:
@@ -220,28 +205,37 @@ def _from_generators(name: str, conductor: int, labels: list[str], generators: d
         raise ValueError(f"{name}: some basis element is not reached from the unit "
                          "by exact generator steps")
 
+    def times(a: SparseVec, b: SparseVec) -> SparseVec:  # ab, from the products so far
+        out: SparseVec = {}
+        for p, u in a.items():
+            for q, v in b.items():
+                for k, c in mult.get((p, q), {}).items():
+                    dadd(out, k, u * v * c)
+        return out
+
     for i in range(N):
         for k in order[1:]:
             j, x = step[k]
-            prod = H.mul_dicts(H.mult.get((i, j), {}), {x: one})
-            if prod:
-                H.mult[(i, k)] = prod
+            if prod := times(mult.get((i, j), {}), {x: one}):
+                mult[(i, k)] = prod
 
-    delta = {0: TensorElement(H, 2, {(0, 0): one})}
+    rows: dict[int, dict[int, SparseVec]] = {}  # rows[i][j] = mult[(i, j)]
+    for (i, j), vec in mult.items():
+        rows.setdefault(i, {})[j] = vec
+    delta = {0: {(0, 0): one}}
     eps = {0: one}
     anti = {0: {0: one}}
-    gens = {x: (TensorElement(H, 2, dx), H.scalar(ex), {k: H.scalar(v) for k, v in sx.items()})
-            for x, (_, dx, ex, sx) in generators.items()}
     for k in order[1:]:
         j, x = step[k]
-        dx, ex, sx = gens[x]
-        delta[k] = delta[j] * dx
+        _, dx, ex, sx = generators[x]
+        delta[k] = _legwise_product(rows, delta[j].items(), dx.items(), 2, conductor)
         eps[k] = eps[j] * ex
-        anti[k] = H.mul_dicts(sx, anti[j])
-    H.comult = [delta[k].data for k in range(N)]
-    H.counit = tuple(eps[k] for k in range(N))
-    H.antipode = [anti[k] for k in range(N)]
-    return H
+        anti[k] = times(sx, anti[j])
+    return HopfAlgebraData._trusted(
+        name, N, conductor, labels, mult, (one,) + (zero,) * (N - 1),
+        [delta[k] for k in range(N)], tuple(eps[k] for k in range(N)),
+        [anti[k] for k in range(N)],
+        [tuple(one if k == g else zero for k in range(N)) for g in grouplikes], grading)
 
 
 def _power_label(symbol: str, e: int) -> str:

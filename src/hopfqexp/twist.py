@@ -98,19 +98,12 @@ def twist_hopf(T: TwistData) -> HopfAlgebraData:
     """The twisted Hopf algebra H^J."""
     H = T.parent
     q, q_inv = (x.data for x in q_elements(T))
-    comult = []
-    for k in range(H.dim):
-        d = T.J_inv * H.basis_element(k).comul() * T.J
-        comult.append(d.data)
+    comult = [(T.J_inv * H.basis_element(k).comul() * T.J).data for k in range(H.dim)]
     # antipode column k is Q^-1 S(e_k) Q
     antipode = [H.mul_dicts(q_inv, H.mul_dicts(col, q)) for col in H.antipode]
-    return HopfAlgebraData(
-        name=f"{H.name}^J", dim=H.dim, conductor=H.conductor,
-        basis_labels=list(H.basis_labels),
-        mult={pair: dict(vec) for pair, vec in H.mult_table.items()},
-        unit=list(H.unit), comult=comult, counit=list(H.counit),
-        antipode=antipode,
-    )
+    return HopfAlgebraData._trusted(
+        f"{H.name}^J", H.dim, H.conductor, H.basis_labels, H.mult_table, H.unit, comult,
+        H.counit, antipode)
 
 
 def verify_eq4(T: TwistData) -> bool:
@@ -142,7 +135,7 @@ def twisted_drinfeld_element(H: HopfAlgebraData, T: TwistData,
             for p, x in iota[i].items():
                 for q, y in iota[j].items():
                     dadd(out, (p, q), c * x * y)
-        images.append(TensorElement(D, 2, out))
+        images.append(TensorElement._trusted(D, 2, out))
     q, q_inv = q_elements(TwistData(D, *images))
     return q_inv * q.antipode() * drinfeld_element(qt)
 
@@ -213,7 +206,7 @@ def grouplike_subgroup_twist(H: HopfAlgebraData, generators: list[AlgebraElement
 
     def tensor(table) -> TensorElement:  # sum_a e_a (x) sum_b table[a][b] e_b
         return sum(map(TensorElement.from_elements, idem, [combine(idem, row) for row in table]),
-                   TensorElement(H, 2, {}))
+                   TensorElement._trusted(H, 2, {}))
 
     idem = [combine(group, [character(a, c) for c in exponents]) for a in exponents]
     table = [[H.scalar(beta(a, b)) for b in exponents] for a in exponents]

@@ -18,8 +18,11 @@ from hopfqexp.double import (
     verify_quasitriangular,
     verify_s2_conjugation,
 )
-from hopfqexp.hopf import HopfAlgebraData, TensorElement, validate
+from hopfqexp.hopf import (HopfAlgebraData, TensorElement, dual, lift_algebra,
+                           subalgebra_closure, tensor, validate, variant)
 from hopfqexp.linalg import dense, sparse
+from hopfqexp.presets import ZOO, get_preset
+from hopfqexp.twist import twist_hopf
 
 SMALL = ["trivial", "group:builtin:Z2", "group:builtin:Z3", "sweedler",
          "group:builtin:S3", "dualgroup:builtin:Z3"]
@@ -287,13 +290,53 @@ def test_text_double_forms_no_product(monkeypatch, capsys):
     assert qt.algebra.mult.units_formed == 0
 
 
-@pytest.mark.parametrize("name", UP_TO_81)
-def test_trusted_double_passes_the_checked_constructor(name, double_cache):
-    # the checked constructor range-checks every index and drops zeros; the
-    # double, fully formed, must come out of it unchanged
-    D = double_cache(name).algebra
+def _closure_by_grouplikes(H):
+    return subalgebra_closure(H, [H.element(g) for g in H.grouplike_vectors])
+
+
+#: every internal construction beside the doubles, from presets p and the
+#: suite's twists t (by their index, as in test_io)
+BUILDERS = {
+    "dual sweedler": lambda p, t: dual(p("sweedler")),
+    "dual dualgroup:builtin:S3": lambda p, t: dual(p("dualgroup:builtin:S3")),
+    **{f"{which} taft:3": lambda p, t, which=which: variant(p("taft:3"), which)
+       for which in ("op", "cop", "op_cop")},
+    "lift taft:3 to 6": lambda p, t: lift_algebra(p("taft:3"), 6),
+    "lift dualgroup:builtin:Z2xZ2 to 12": lambda p, t: lift_algebra(
+        p("dualgroup:builtin:Z2xZ2"), 12),
+    "tensor group:builtin:Z2,taft:3": lambda p, t: tensor(p("group:builtin:Z2"), p("taft:3")),
+    "closure taft:3": lambda p, t: _closure_by_grouplikes(p("taft:3")),
+    "closure uqsl2:3": lambda p, t: _closure_by_grouplikes(p("uqsl2:3")),
+    "closure sweedler by x": lambda p, t: subalgebra_closure(
+        p("sweedler"), [p("sweedler").basis_element(1)]),
+    **{f"twist {k}": lambda p, t, k=k: twist_hopf(list(t.values())[k]) for k in range(7)},
+    # the presets built by _from_generators, dual_group_algebra and tensor
+    **{f"preset {name}": lambda p, t, name=name: get_preset(name)
+       for name in ZOO if name.split(":")[0] not in ("trivial", "group")},
+}
+
+
+@pytest.mark.parametrize("name", UP_TO_81 + list(BUILDERS))
+def test_trusted_double_passes_the_checked_constructor(name, double_cache, preset_cache,
+                                                      suite_twists):
+    # internal constructions store their tables unchecked; the checked
+    # constructor range-checks every index and drops zeros, and each table,
+    # fully formed, must come out of it unchanged
+    if name in BUILDERS:
+        D = BUILDERS[name](preset_cache, suite_twists)
+    else:
+        D = double_cache(name).algebra
     checked = HopfAlgebraData(
         name=D.name, dim=D.dim, conductor=D.conductor, basis_labels=D.basis_labels,
         mult=D.mult_table, unit=D.unit, comult=D.comult, counit=D.counit,
-        antipode=D.antipode)
+        antipode=D.antipode, grouplike_vectors=D.grouplike_vectors, grading=D.grading)
     assert checked.same_structure(D)
+    assert checked.grouplike_vectors == D.grouplike_vectors
+    assert checked.grading == D.grading
+    # equal rationals of two conductors compare equal, so check the conductor
+    assert type(D.unit) is tuple and type(D.counit) is tuple
+    values = [*D.unit, *D.counit, *(c for g in D.grouplike_vectors or () for c in g),
+               *(c for vec in D.mult_table.values() for c in vec.values()),
+               *(c for pairs in D.comult for c in pairs.values()),
+               *(c for col in D.antipode for c in col.values())]
+    assert all(type(c) is scalars.CyclotomicNumber and c.conductor == D.conductor for c in values)

@@ -124,3 +124,77 @@ def unreferenced_definitions() -> list[str]:
 
 def test_no_dead_definitions():
     assert unreferenced_definitions() == []
+
+
+#: where outside data becomes an algebra: the checked constructor may be
+#: called in these functions only (io.py anywhere); every construction
+#: inside the package goes through `HopfAlgebraData._trusted`
+CHECKED_CALLERS = {("presets.py", "group_algebra_from_table"), ("presets.py", "trivial")}
+#: attributes an algebra's tables hang on, never assigned after it is built
+TABLES = {"mult", "comult", "counit", "antipode", "name", "grouplike_vectors"}
+
+
+def _scoped(node: ast.AST, scope: tuple = ()):
+    """(names of the enclosing classes and functions, node) for every node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def boundary_violations(filename: str, source: str) -> list[str]:
+    """Calls of the checked constructor outside io.py and CHECKED_CALLERS,
+    and assignments to a table attribute (or into one, ``H.mult[k] = v``)
+    of anything but ``self`` in its own ``__init__`` or ``_store``."""
+    found = []
+    for scope, node in _scoped(ast.parse(source)):
+        where = f"{filename}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if (name == "HopfAlgebraData" and filename != "io.py"
+                    and (filename, scope[:1] and scope[0]) not in CHECKED_CALLERS):
+                found.append(f"{where}: HopfAlgebraData(...) in {'.'.join(scope)}")
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while any(isinstance(t, (ast.Tuple, ast.List)) for t in targets):
+            targets = [e for t in targets
+                       for e in (t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t])]
+        for target in targets:
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr in TABLES and not (
+                    isinstance(target.value, ast.Name) and target.value.id == "self"
+                    and scope[-1:] in (("__init__",), ("_store",))):
+                found.append(f"{where}: assigns .{target.attr}")
+    return found
+
+
+def test_outside_data_is_checked_once_and_built_tables_are_never_reassigned():
+    found = [v for path in sorted(SRC.glob("*.py"))
+             for v in boundary_violations(path.name, path.read_text())]
+    assert found == []
+
+
+def test_boundary_check_names_what_it_forbids():
+    source = ("def dual_group_algebra(H):\n"
+              "    H.name = 'x'\n"
+              "    H.mult[(0, 1)] = {}\n"
+              "    H.counit, H.antipode = (), []\n"
+              "    return HopfAlgebraData('x', 1, 1, ['1'], {}, [1], [{}], [1], [{}])\n")
+    assert boundary_violations("presets.py", source) == [
+        "presets.py:2: assigns .name", "presets.py:3: assigns .mult",
+        "presets.py:4: assigns .counit", "presets.py:4: assigns .antipode",
+        "presets.py:5: HopfAlgebraData(...) in dual_group_algebra"]
+    allowed = ("class Tables:\n"
+               "    def __init__(self):\n"
+               "        self.name, self.mult = 'x', {}\n"
+               "def read(doc):\n"
+               "    return HopfAlgebraData(**doc)\n")
+    assert boundary_violations("io.py", allowed) == []

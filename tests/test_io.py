@@ -61,6 +61,40 @@ def test_tampered_grouplike_rejected(preset_cache):
         algebra_from_dict(doc)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(grading=[0]),
+    lambda doc: doc.update(grouplikes=[g[:2] for g in doc["grouplikes"]]),
+], ids=["grading", "grouplikes"])
+@pytest.mark.parametrize("command", ["validate", "qexp"])
+def test_wrong_length_grading_or_grouplikes_exit_2(preset_cache, tmp_path, capsys,
+                                                   corrupt, command):
+    from hopfqexp.cli import main
+
+    doc = algebra_to_dict(preset_cache("sweedler"))
+    corrupt(doc)
+    with pytest.raises(SchemaError, match="for dim 4|length dim 4"):
+        algebra_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(doc))
+    assert main([command, "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: doc["mult"][1].__setitem__(2, doc["mult"][1][2][:1]), "has 1 scalars"),
+    (lambda doc: doc["mult"].append([0, 0, [["0"], ["1"], ["0"], ["0"]]]),
+     r"mult pair \(0, 0\) is listed twice"),
+    (lambda doc: doc["comult"].append([3, 3, 0, ["5"]]), "listed twice"),
+], ids=["short-mult-row", "duplicate-mult-pair", "duplicate-comult-entry"])
+def test_bad_mult_or_comult_entries_rejected(preset_cache, corrupt, message):
+    # a short row was padded with zeros, and a later copy silently won
+    doc = algebra_to_dict(preset_cache("sweedler"))
+    corrupt(doc)
+    with pytest.raises(SchemaError, match=message):
+        algebra_from_dict(doc)
+
+
 def test_malformed_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

@@ -160,3 +160,52 @@ def test_narrow_packed_width_without_the_guard_decodes_wrongly(monkeypatch, suit
     T = suite_twists["cyclic twist on uqsl2:3"]
     monkeypatch.setattr(hopf, "_width_for", lambda bound: 2)
     assert _twisted_digest(T) != TWISTED_DIGESTS["uqsl2:3"]
+
+
+# -- canonical results: the operations store their data unchecked ----------------
+
+SMALL_ZOO = ["group:builtin:Z2", "sweedler", "group:builtin:S3", "dualgroup:builtin:Z3",
+             "taft:3", "uqb2:3"]
+
+
+def _assert_canonical(r) -> None:
+    """r equals itself rebuilt through the checked entry, and every scalar
+    has the parent's conductor (rationals of two conductors compare equal)."""
+    if isinstance(r, TensorElement):
+        assert r == TensorElement(r.parent, r.arity, r.data)
+        assert all(type(k) is tuple and len(k) == r.arity for k in r.data)
+    assert all(c.conductor == r.parent.conductor and c for c in r.data.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tensor_operations_return_canonical_data(preset_cache, data):
+    H = preset_cache(data.draw(st.sampled_from(SMALL_ZOO)))
+    m, n = H.conductor, H.dim
+    arity = data.draw(st.integers(1, 3))
+    value = st.just(0) | _scalars(m)
+    keys = st.tuples(*[st.integers(0, n - 1)] * arity)
+    x, y = (TensorElement(H, arity, data.draw(st.dictionaries(keys, value, max_size=6)))
+            for _ in "xy")
+    c = data.draw(_scalars(m))
+    leg = data.draw(st.integers(0, arity - 1))
+    other = data.draw(st.integers(0, arity - 1))
+    # x at a permutation of legs 0..arity-1, y at one of t-arity..t-1
+    t = data.draw(st.integers(arity, min(2 * arity, 3)))
+    x_legs = data.draw(st.permutations(range(arity)))
+    y_legs = data.draw(st.permutations(range(t - arity, t)))
+    a = H.element(data.draw(st.lists(value, min_size=n, max_size=n)))
+    results = [
+        x + y, x.scale(c), x.scale(0), x + x.scale(-1), x * y,
+        x.apply_leg(leg, H.antipode), x.comult_leg(leg), x.counit_leg(leg),
+        x.swap_legs(leg, other), placed_product(x, x_legs, y, y_legs),
+        TensorElement.from_elements(a, a), TensorElement.unit(H, arity), a.comul(),
+    ]
+    if arity > 1:
+        results.append(x.multiply_legs(leg % (arity - 1)))
+    assert results[2].is_zero() and results[3].is_zero()
+    for r in results:
+        if isinstance(r, CyclotomicNumber):
+            assert r.conductor == m
+        else:
+            _assert_canonical(r)

@@ -111,10 +111,10 @@ def _algebras(draw):
         tuple(draw(st.lists(scalar, min_size=n, max_size=n))),
         draw(st.lists(pairs, min_size=n, max_size=n)),
         tuple(draw(st.lists(scalar, min_size=n, max_size=n))),
-        draw(st.lists(vector, min_size=n, max_size=n)))
-    H.grouplike_vectors = draw(st.none() | st.lists(
-        st.lists(scalar, min_size=n, max_size=n).map(tuple), max_size=2))
-    H.grading = draw(st.none() | st.lists(st.integers(-2, 5), min_size=n, max_size=n))
+        draw(st.lists(vector, min_size=n, max_size=n)),
+        draw(st.none() | st.lists(
+            st.lists(scalar, min_size=n, max_size=n).map(tuple), max_size=2)),
+        draw(st.none() | st.lists(st.integers(-2, 5), min_size=n, max_size=n)))
     R = draw(st.none() | pairs.map(lambda d: TensorElement(H, 2, d)))
     return H, R
 
