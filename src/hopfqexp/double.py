@@ -25,10 +25,11 @@ from .hopf import (
     element_inverse,
     element_minimal_polynomial,
     first_failure,
+    index_rows,
     placed_product,
 )
 from .linalg import ExactMatrix, dense
-from .scalars import CyclotomicNumber, _Decoder, _distinct, _width_for, pack
+from .scalars import CyclotomicNumber, _Decoder, _width_for
 
 
 @dataclass
@@ -197,7 +198,10 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     with cross[i][l] = (1 (x) e_i)(f_l (x) 1) = sum v_(s,b) f_s (x) e_b.
     The cross terms, the dual products f_j f_s = sum_k1 Delta-coefficients
     f_k1 and the products e_b e_q of H are each held over their own common
-    denominator and packed once at width B; then
+    denominator, as indices into their distinct values: those of H from
+    the index H keeps (`HopfAlgebraData.comult_index`, `mult_index`), the
+    cross terms in a new one (`hopf.index_rows`).  They are packed at
+    width B; then
 
         left[b][k1] = sum_s v_(s,b) (f_j f_s)[k1],
         product[k1 N + k2] = sum_b left[b][k1] (e_b e_q)[k2]
@@ -265,52 +269,44 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                 for s, v in rows[l].items():
                     dadd(dest, (s, b), gamma * v)
 
-    # the three tables as indices into their distinct values, packed at B
-    cden, cindex, ccoords, cheights = _distinct(
-        v for row in cross for base in row for v in base.values())
-    dden, dindex, dcoords, dheights = _distinct(
-        v for pairs in H.comult for v in pairs.values())
-    mden, mindex, mcoords, mheights = _distinct(
-        v for vec in H.mult.values() for v in vec.values())
-    width = _width_for(m * m * ND * max(cheights, default=1) * max(dheights, default=1)
-                       * max(mheights, default=1))
-    cvals = [pack(c, width) for c in ccoords]
-    dvals = [pack(c, width) for c in dcoords]
-    mvals = [pack(c, width) for c in mcoords]
+    # the cross terms indexed over their distinct values, beside H's own index
+    crows, cvalues = index_rows(((i, l), base) for i, row in enumerate(cross)
+                                for l, base in enumerate(row))
+    mrows, mvalues = H.mult_index
+    legs, dual_rows, dvalues = H.comult_index
+    width = _width_for(m * m * ND * max(cvalues.height, 1) * max(dvalues.height, 1)
+                       * max(mvalues.height, 1))
+    cvals, dvals, mvals = cvalues.at(width), dvalues.at(width), mvalues.at(width)
     shift = width * m
     modulus = (1 << shift) - 1
     # every stored coefficient is interned: one object per distinct value
     canon: dict = {}
-    decode = _Decoder(width, m, cden * dden * mden, canon)
+    decode = _Decoder(width, m, cvalues.den * dvalues.den * mvalues.den, canon)
 
-    bases = [[[(s, b, cvals[cindex[v.num, v.den]]) for (s, b), v in base.items()]
-              for base in row] for row in cross]
+    bases = [[[(s, b, cvals[c]) for (s, b), c in base] for base in row.values()]
+             for row in crows.values()]
     # duals[s] = [(j, f_j f_s)] and products[b] = [(q, e_b e_q)], nonzero and packed
-    duals: list[list] = [[] for _ in range(N)]
-    for (j, s), vec in H.dual_mult.items():
-        duals[s].append((j, [(k1, dvals[dindex[v.num, v.den]]) for k1, v in vec.items()]))
-    products: list[list] = [[] for _ in range(N)]
-    for (b, q), vec in H.mult.items():
-        products[b].append((q, [(k2, mvals[mindex[v.num, v.den]]) for k2, v in vec.items()]))
+    duals = [[(j, [(k1, dvals[i]) for k1, i in entries])
+              for j, entries in dual_rows.get(s, {}).items()] for s in range(N)]
+    products = [[(q, [(k2, mvals[i]) for k2, i in entries])
+                 for q, entries in mrows.get(b, {}).items()] for b in range(N)]
 
     mult = DoubleProducts(N, bases, duals, products, shift, decode)
 
     # coalgebra structure: tensor-product coalgebra of H*cop and H, whose
     # entries are the products of one value of H.mult and one of H.comult
-    pair_decode = _Decoder(width, m, mden * dden, canon)
+    pair_decode = _Decoder(width, m, mvalues.den * dvalues.den, canon)
     pair = [[pair_decode[x * y % modulus] for y in dvals] for x in mvals]
-    # Delta_{H*cop}(f_j): (b, a) with coefficient mu[(a,b)][j]
+    # Delta_{H*cop}(f_j): (b, a) with coefficient mu[(a,b)][j], in the order of H.mult
     dual_pairs: list[list] = [[] for _ in range(N)]
-    for (a, b), vec in H.mult.items():
-        for j, v in vec.items():
-            dual_pairs[j].append((b * N, a * N, pair[mindex[v.num, v.den]]))
-    legs = [[(p, q, dindex[v.num, v.den]) for (p, q), v in H.comult[i].items()]
-            for i in range(N)]
+    for a, b in H.mult_table:
+        for j, i in mrows[a][b]:
+            dual_pairs[j].append((b * N, a * N, pair[i]))
     comult = []
     for j in range(N):
         for i in range(N):
             comult.append({(bN + p, aN + q): row[w]
-                           for bN, aN, row in dual_pairs[j] for p, q, w in legs[i]})
+                           for bN, aN, row in dual_pairs[j] for (p, q), w in legs[i]})
 
     unit = tuple(H.counit[j] * H.unit[i] for j in range(N) for i in range(N))
     counit = tuple(H.unit[j] * H.counit[i] for j in range(N) for i in range(N))

@@ -12,8 +12,10 @@ the coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j).  An
 `AlgebraElement` holds one such dict, a `TensorElement` one keyed by
 index tuples, and `SpanSolver` eliminates on them directly; only the
 `ExactMatrix` views and `io` write dense lists.  Products of tensor
-elements run on Kronecker-packed integers (`_legwise_product`).  S^2,
-S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
+elements run on Kronecker-packed integers (`_legwise_product`), from the
+one indexed form of the tables (`index_rows`) that each algebra keeps
+in its ``_cache``, where the T-route and the double build read it too.
+S^2, S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
 `validate` checks every Hopf axiom exactly (associativity and
 multiplicativity on a certified generating set); no algebra, checked or
 built, is taken for a Hopf algebra without it.
@@ -28,8 +30,8 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import ExactPolynomial, SpanSolver, SparseVec, dadd, first_dependence
-from .scalars import (CyclotomicNumber, _Decoder, _distinct, _width_for, as_scalar,
-                      lift_conductor, pack)
+from .scalars import (CyclotomicNumber, _Decoder, _Packed, _width_for, as_scalar,
+                      lift_conductor)
 
 
 class OrderSearchExhausted(RuntimeError):
@@ -256,25 +258,36 @@ class HopfAlgebraData:
         return mult if isinstance(mult, dict) else mult.table()
 
     @property
-    def mult_rows(self) -> dict[int, dict[int, SparseVec]]:
-        """``mult`` by its left index: mult_rows[i][j] = mult[(i, j)]."""
-        if "mult_rows" not in self._cache:
-            rows: dict[int, dict[int, SparseVec]] = {}
-            for (i, j), vec in self.mult_table.items():
-                rows.setdefault(i, {})[j] = vec
-            self._cache["mult_rows"] = rows
-        return self._cache["mult_rows"]
+    def mult_index(self) -> tuple[dict[int, dict[int, tuple]], _Packed]:
+        """The products indexed over their distinct values (`index_rows`),
+        built once: rows[p][q] = ((k, i), ...) for e_p e_q."""
+        if "mult_index" not in self._cache:
+            self._cache["mult_index"] = index_rows(self.mult_table.items())
+        return self._cache["mult_index"]
 
     @property
-    def dual_mult(self) -> dict[tuple[int, int], SparseVec]:
-        """Multiplication tensor of the dual: transpose of comult."""
-        if "dual_mult" not in self._cache:
-            dm: dict[tuple[int, int], SparseVec] = {}
-            for k in range(self.dim):
-                for (i, j), c in self.comult[k].items():
-                    dm.setdefault((i, j), {})[k] = c
-            self._cache["dual_mult"] = dm
-        return self._cache["dual_mult"]
+    def comult_index(self) -> tuple[dict[int, tuple], dict[int, dict[int, tuple]], _Packed]:
+        """The coproducts indexed like `mult_index` (as the one row of a
+        table), built once: legs[k] = (((a, b), i), ...) for Delta(e_k), in
+        the order of comult[k], and its transpose by the right factor,
+        duals[b][a] = [(k, i), ...] for the product f_a f_b of H*."""
+        if "comult_index" not in self._cache:
+            legs, values = index_rows(((0, k), pairs) for k, pairs in enumerate(self.comult))
+            duals: dict[int, dict[int, list]] = {}
+            for k, entries in legs[0].items():
+                for (a, b), i in entries:
+                    duals.setdefault(b, {}).setdefault(a, []).append((k, i))
+            self._cache["comult_index"] = legs[0], duals, values
+        return self._cache["comult_index"]
+
+    @property
+    def sinv2_index(self) -> tuple[dict[int, tuple], _Packed]:
+        """The columns of S^-2 indexed like `mult_index`, built once: cols[i] =
+        ((j, s), ...) for S^-2(e_i) (the one row of a table)."""
+        if "sinv2_index" not in self._cache:
+            cols, values = index_rows(((0, i), col) for i, col in enumerate(self.sinv2_columns))
+            self._cache["sinv2_index"] = cols[0], values
+        return self._cache["sinv2_index"]
 
     # -- comparisons --------------------------------------------------------
 
@@ -432,7 +445,7 @@ class TensorElement:
         self._check(other)
         H = self.parent
         return TensorElement._trusted(H, self.arity, _legwise_product(
-            H.mult_rows, self.data.items(), other.data.items(), self.arity, H.conductor))
+            H.mult_index, self.data.items(), other.data.items(), self.arity, H.conductor))
 
     def apply_leg(self, leg: int, columns: list[SparseVec]) -> "TensorElement":
         """Apply a linear map, given by its sparse columns, to one leg."""
@@ -505,20 +518,37 @@ class TensorElement:
         return f"TensorElement(arity={self.arity}, terms={len(self.data)})"
 
 
-def _legwise_product(rows: Mapping[int, Mapping[int, SparseVec]], a, b, arity: int,
-                     m: int) -> dict[tuple[int, ...], CyclotomicNumber]:
-    """Sum over the term pairs of a and b (collections of (key, coefficient))
-    of the tensor products, leg by leg, of the vectors rows[a_l][b_l], for
-    scalars of conductor m, on Kronecker-packed integers (`pack`).
+def index_rows(table: Iterable[tuple[tuple[int, int], Mapping]], values: _Packed | None = None
+               ) -> tuple[dict[int, dict[int, tuple]], _Packed]:
+    """The one indexed form of an algebra's tables: (rows, values) for a
+    table of ((p, q), {k: scalar}) entries, rows[p][q] = ((k, i), ...) for
+    sum_k values[i] e_k with equal tuples shared, and values the
+    `scalars._Packed` of its scalars in their first order, after those of
+    the values given (returned as they are if they hold them all)."""
+    index = {} if values is None else dict(values.index)
+    shared, rows = {}, {}
+    for (p, q), vec in table:
+        entries = tuple([(k, index.setdefault((v.num, v.den), len(index)))
+                         for k, v in vec.items()])
+        rows.setdefault(p, {})[q] = shared.setdefault(entries, entries)
+    if values is None or len(index) > len(values.index):
+        values = _Packed(index)
+    return rows, values
 
-    rows[p][q] is the nonzero product of basis elements p and q; a pair
-    absent from rows multiplies to zero.  A first pass over the term
-    pairs finds the P of them whose every leg has a vector, and the
-    vectors they touch.  The distinct values of a, of b and of those
-    vectors are each held over their own common denominator and packed
-    once at width B.  A second pass adds, for each such term pair (s, t)
-    and each choice of k_l in rows[s_l][t_l] on every leg l, the int
-    product of a_s, b_t and the rows[s_l][t_l][k_l] to the entry
+
+def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a, b,
+                     arity: int, m: int) -> dict[tuple[int, ...], CyclotomicNumber]:
+    """Sum over the term pairs of a and b (collections of (key, coefficient))
+    of the tensor products, leg by leg, of the products rows[a_l][b_l] of
+    the indexed table (rows, values) (`index_rows`), for scalars of
+    conductor m, on Kronecker-packed integers (`pack`).
+
+    A first pass counts the P term pairs whose every leg has a product (a
+    pair absent from rows multiplies to zero).  The values of a, of b and
+    of the table are each held over their own common denominator and
+    packed at width B (`scalars._Packed`).  A second pass adds, for each
+    such pair (s, t) and each choice of k_l in rows[s_l][t_l] on every
+    leg l, the int product of a_s, b_t and those values to the entry
     (k_0, ..., k_(arity-1)), each multiply followed by the fold
     z -> (z & M) + (z >> Bm).  Both passes stream the term pairs, and
     each entry is decoded once per distinct residue (`_Decoder`).
@@ -526,20 +556,20 @@ def _legwise_product(rows: Mapping[int, Mapping[int, SparseVec]], a, b, arity: i
     Exactness guard.  A packed value stands for an element of
     Z[x]/(x^m - 1): the power-basis coordinates of the value times its
     set's denominator, with digits at most h_a, h_b or h_T, the largest
-    absolute coordinate in each set.  Each digit of a product of elements
-    with digits at most A and C is a sum of m products of digits, so it
-    is at most m A C; the arity + 2 factors of one term give digits at
-    most m^(arity+1) h_a h_b h_T^arity.  Within one term pair, distinct
-    choices of the k_l give distinct keys, so an entry gets at most one
-    term from each of the P <= |a| |b| term pairs, and its digits are at
-    most P m^(arity+1) h_a h_b h_T^arity.  `unpack` is exact while that
-    bound is below 2^(B-1), and B is the least multiple of 32 bits for
-    which it is (`_width_for`).  The folds and the reduction mod
-    M = 2^(Bm) - 1 keep the residue mod M, which is all `unpack` reads.
+    absolute coordinate in each set (h_T the table's ``height``).  Each
+    digit of a product of elements with digits at most A and C is a sum
+    of m products of digits, so it is at most m A C; the arity + 2
+    factors of one term give digits at most m^(arity+1) h_a h_b h_T^arity.
+    Within one term pair, distinct choices of the k_l give distinct keys,
+    so an entry gets at most one term from each of the P term pairs, and
+    its digits are at most P m^(arity+1) h_a h_b h_T^arity.  `unpack` is exact while that bound is below 2^(B-1), and
+    B is the least multiple of 32 bits for which it is (`_width_for`).
+    The folds and the reduction mod M = 2^(Bm) - 1 keep the residue mod
+    M, which is all `unpack` reads.
     """
+    rows, values = table
     empty: dict = {}
     legs = range(arity)
-    touched: dict[int, dict[int, SparseVec]] = {}
     pairs = 0
     for s, _ in a:
         heads = [rows.get(p, empty) for p in s]
@@ -549,41 +579,33 @@ def _legwise_product(rows: Mapping[int, Mapping[int, SparseVec]], a, b, arity: i
                     break
             else:
                 pairs += 1
-                for leg in legs:
-                    q = t[leg]
-                    touched.setdefault(s[leg], {})[q] = heads[leg][q]
     if not pairs:
         return {}
-    aden, aindex, acoords, aheights = _distinct(v for _, v in a)
-    bden, bindex, bcoords, bheights = _distinct(v for _, v in b)
-    tden, tindex, tcoords, theights = _distinct(
-        v for row in touched.values() for vec in row.values() for v in vec.values())
-    width = _width_for(pairs * m ** (arity + 1) * max(aheights) * max(bheights)
-                       * max(theights) ** arity)
-    avals = [pack(c, width) for c in acoords]
-    bvals = [pack(c, width) for c in bcoords]
-    tvals = [pack(c, width) for c in tcoords]
-    packed = {p: {q: [(k, tvals[tindex[v.num, v.den]]) for k, v in vec.items()]
-                  for q, vec in row.items()} for p, row in touched.items()}
+    apacked, bpacked = (_Packed((v.num, v.den) for _, v in terms) for terms in (a, b))
+    width = _width_for(pairs * m ** (arity + 1) * apacked.height * bpacked.height
+                       * values.height ** arity)
+    avals, aindex = apacked.at(width), apacked.index
+    bvals, bindex = bpacked.at(width), bpacked.index
+    tvals = values.at(width)
     ys = [(t, bvals[bindex[v.num, v.den]]) for t, v in b]
     shift = width * m
     modulus = (1 << shift) - 1
     acc: dict[tuple[int, ...], int] = {}
     for s, v in a:
         x = avals[aindex[v.num, v.den]]
-        heads = [packed.get(p, empty) for p in s]
+        heads = [rows.get(p, empty) for p in s]
         for t, y in ys:
             partial = [((), x * y)]
             for leg in legs:
-                vec = heads[leg].get(t[leg])
-                if vec is None:
+                entries = heads[leg].get(t[leg])
+                if entries is None:
                     break
-                partial = [(key + (k,), ((z := w * c) & modulus) + (z >> shift))
-                           for key, w in partial for k, c in vec]
+                partial = [(key + (k,), ((z := w * tvals[i]) & modulus) + (z >> shift))
+                           for key, w in partial for k, i in entries]
             else:
                 for key, w in partial:
                     acc[key] = acc.get(key, 0) + w
-    decode = _Decoder(width, m, aden * bden * tden ** arity, {})
+    decode = _Decoder(width, m, apacked.den * bpacked.den * values.den ** arity, {})
     return {key: c for key, z in acc.items() if (c := decode[z % modulus]) is not None}
 
 
@@ -593,10 +615,9 @@ def placed_product(x: TensorElement, x_legs: Sequence[int],
 
     Equal to placing each factor with the unit on its other legs and
     multiplying, without expanding the unit: a leg that only x covers
-    carries e_k 1, and one that only y covers 1 e_k, from rows cached on
-    the algebra beside its products (e_k itself when the unit is a
-    unit).  Every leg
-    0, ..., arity - 1 must be covered by x or y.
+    carries e_k 1, and one that only y covers 1 e_k, indexed once with the
+    products of the algebra (e_k itself when the unit is a unit).  Every
+    leg 0, ..., arity - 1 must be covered by x or y.
     """
     H = x.parent
     legs = set(x_legs) | set(y_legs)
@@ -606,16 +627,14 @@ def placed_product(x: TensorElement, x_legs: Sequence[int],
             or len(set(y_legs)) != len(y_legs) or len(y_legs) != y.arity):
         raise ValueError("legs must be distinct, match the arities and cover 0..arity-1")
     if "placed_rows" not in H._cache:
-        # rows[k][-1] = e_k 1 and rows[-1][k] = 1 e_k, beside the products of H
+        # (k, -1): e_k 1 and (-1, k): 1 e_k, beside the indexed products of H
         one, unit = H.one_scalar, H.unit_element().data
-        rows = {p: dict(row) for p, row in H.mult_rows.items()}
-        rows[-1] = {}
-        for k in range(H.dim):
-            if col := H.mul_dicts({k: one}, unit):
-                rows.setdefault(k, {})[-1] = col
-            if col := H.mul_dicts(unit, {k: one}):
-                rows[-1][k] = col
-        H._cache["placed_rows"] = rows
+        cols = [((k, -1), H.mul_dicts({k: one}, unit)) for k in range(H.dim)]
+        cols += [((-1, k), H.mul_dicts(unit, {k: one})) for k in range(H.dim)]
+        rows, values = H.mult_index
+        extra, values = index_rows(cols, values)
+        rows = {p: {**rows.get(p, {}), **extra.get(p, {})} for p in rows.keys() | extra}
+        H._cache["placed_rows"] = rows, values
 
     def padded(t: TensorElement, at: Sequence[int]):
         # -1 marks a leg this factor leaves to the other one
@@ -795,6 +814,10 @@ def validate(H: HopfAlgebraData) -> list[str]:
 def dual(H: HopfAlgebraData) -> HopfAlgebraData:
     """The dual Hopf algebra on the dual basis."""
     N = H.dim
+    mult: dict[tuple[int, int], SparseVec] = {}  # the transpose of comult
+    for k, pairs in enumerate(H.comult):
+        for pair, c in pairs.items():
+            mult.setdefault(pair, {})[k] = c
     comult: list[SparsePairs] = [{} for _ in range(N)]  # the transpose of mult
     for pair, vec in H.mult_table.items():
         for k, c in vec.items():
@@ -805,7 +828,7 @@ def dual(H: HopfAlgebraData) -> HopfAlgebraData:
             antipode[i][j] = c
     return HopfAlgebraData._trusted(
         f"{H.name}*", N, H.conductor, [f"{lbl}^" for lbl in H.basis_labels],
-        H.dual_mult, H.counit, comult, H.unit, antipode)
+        mult, H.counit, comult, H.unit, antipode)
 
 
 def variant(H: HopfAlgebraData, which: str) -> HopfAlgebraData:

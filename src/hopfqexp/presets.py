@@ -21,6 +21,7 @@ from .hopf import (
     _legwise_product,
     dadd,
     dual,
+    index_rows,
     lift_algebra,
     tensor,
 )
@@ -182,6 +183,7 @@ def _from_generators(name: str, conductor: int, labels: list[str], generators: d
     epsilon(e_j) epsilon(x) and S(e_k) = S(x) S(e_j).  The tables are
     formed first and stored once, unchecked (`HopfAlgebraData._trusted`):
     rmul, Delta(x) and S(x) must hold nonzero scalars of the conductor.
+    The finished products are indexed once and kept as its `mult_index`.
     """
     N = len(labels)
     one, zero = CyclotomicNumber.one(conductor), CyclotomicNumber.zero(conductor)
@@ -219,23 +221,23 @@ def _from_generators(name: str, conductor: int, labels: list[str], generators: d
             if prod := times(mult.get((i, j), {}), {x: one}):
                 mult[(i, k)] = prod
 
-    rows: dict[int, dict[int, SparseVec]] = {}  # rows[i][j] = mult[(i, j)]
-    for (i, j), vec in mult.items():
-        rows.setdefault(i, {})[j] = vec
+    table = index_rows(mult.items())  # kept as the algebra's own index (`mult_index`)
     delta = {0: {(0, 0): one}}
     eps = {0: one}
     anti = {0: {0: one}}
     for k in order[1:]:
         j, x = step[k]
         _, dx, ex, sx = generators[x]
-        delta[k] = _legwise_product(rows, delta[j].items(), dx.items(), 2, conductor)
+        delta[k] = _legwise_product(table, delta[j].items(), dx.items(), 2, conductor)
         eps[k] = eps[j] * ex
         anti[k] = times(sx, anti[j])
-    return HopfAlgebraData._trusted(
+    H = HopfAlgebraData._trusted(
         name, N, conductor, labels, mult, (one,) + (zero,) * (N - 1),
         [delta[k] for k in range(N)], tuple(eps[k] for k in range(N)),
         [anti[k] for k in range(N)],
         [tuple(one if k == g else zero for k in range(N)) for g in grouplikes], grading)
+    H._cache["mult_index"] = table
+    return H
 
 
 def _power_label(symbol: str, e: int) -> str:

@@ -37,7 +37,7 @@ from .hopf import (
 )
 from .linalg import ExactMatrix, ExactPolynomial, dense, first_dependence
 from .poly import root_of_unity_order, squarefree_part
-from .scalars import _WIDTH_QUANTUM, _canonical, _distinct, _width_for, pack, unpack
+from .scalars import _WIDTH_QUANTUM, _canonical, _width_for, pack, unpack
 
 #: largest double dimension the regular route will build: D(taft:8), of
 #: dimension 64^2.  It still forms only the products the powers of u meet:
@@ -104,7 +104,7 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _t_sequence(H).columns(H, n)
+    return _t_sequence(H).columns(n)
 
 
 def _integers(values: dict) -> tuple[int, dict]:
@@ -117,6 +117,15 @@ def _integers(values: dict) -> tuple[int, dict]:
 def _height(vectors) -> int:
     """The largest absolute coordinate among integer coordinate vectors."""
     return max((max(map(abs, vec)) for vec in vectors), default=0)
+
+
+def _spread(vectors, heights: list[int]) -> int:
+    """max_j of the sum of heights[i] over the entries (j, i) of indexed vectors."""
+    sums: dict[int, int] = {}
+    for entries in vectors:
+        for j, i in entries:
+            sums[j] = sums.get(j, 0) + heights[i]
+    return max(sums.values(), default=0)
 
 
 def _combination(m: int, terms: list[tuple[tuple[int, ...], dict, int]]) -> dict:
@@ -136,75 +145,21 @@ def _combination(m: int, terms: list[tuple[tuple[int, ...], dict, int]]) -> dict
     return {i: unpack(z, width, m) for i, z in acc.items()}
 
 
-class _Tables:
-    """S^-2, Delta and the product of one algebra for `_TSequence`.
-
-    Each table is held over its own common denominator, as indices into
-    its few distinct values, which are packed once per width (`pack`):
-    sinv2[i] = [(j, s)] for S^-2(e_i) = sum_j value[s] e_j, legs[k] =
-    [(a, b, c)] for Delta(e_k) = sum value[c] e_a (x) e_b, and mult[a][q]
-    = ((j, u), ...) for e_a e_q = sum value[u] e_j, equal rows shared.
-    ``den`` is the product of the three denominators and ``mass`` the
-    factor R_S R_P of the exactness guard.
-    """
-
-    def __init__(self, H: HopfAlgebraData):
-        dim = H.dim
-        self.packed: dict[int, tuple] = {}
-        sden, index, self.sinv2_values, heights = _distinct(
-            v for col in H.sinv2_columns for v in col.values())
-        self.sinv2 = [[(j, index[v.num, v.den]) for j, v in col.items()]
-                      for col in H.sinv2_columns]
-        rows: dict[int, int] = {}
-        for entries in self.sinv2:
-            for j, i in entries:
-                rows[j] = rows.get(j, 0) + heights[i]
-        mden, index, self.mult_values, heights = _distinct(
-            v for vec in H.mult.values() for v in vec.values())
-        self.mult: list[dict] = [{} for _ in range(dim)]
-        sums: list[dict] = [{} for _ in range(dim)]
-        shared: dict = {}
-        for (a, q), vec in H.mult.items():
-            products = tuple((j, index[v.num, v.den]) for j, v in vec.items())
-            self.mult[a][q] = products = shared.setdefault(products, products)
-            row = sums[a]
-            for j, i in products:
-                row[j] = row.get(j, 0) + heights[i]
-        per_a = [max(row.values(), default=0) for row in sums]
-        cden, index, self.comult_values, heights = _distinct(
-            v for pairs in H.comult for v in pairs.values())
-        self.legs = [[(a, b, index[v.num, v.den]) for (a, b), v in pairs.items()]
-                     for pairs in H.comult]
-        per_k = [sum(heights[i] * per_a[a] for a, _, i in legs) for legs in self.legs]
-        self.den = sden * cden * mden
-        self.mass = max(1, *rows.values()) * max(1, *per_k)
-
-    def values(self, width: int) -> tuple:
-        """The distinct values of S^-2, Delta and the product, packed at width."""
-        packed = self.packed.get(width)
-        if packed is None:
-            packed = self.packed[width] = tuple(
-                [pack(c, width) for c in values]
-                for values in (self.sinv2_values, self.comult_values, self.mult_values))
-        return packed
-
-
 class _TSequence:
     """T_0, T_1, ... of one algebra, built on packed integers.
 
     ``terms[n] = (D_n, cols, height)``: T_n(e_k) = sum_i cols[k][i] / D_n e_i,
     with integer power-basis coordinates cols[k][i] (zero entries dropped,
     the content of all of them and D_n divided out) and ``height`` the
-    largest of their absolute values.  A step computes, with every value
-    packed at width B and the tables of `_Tables`,
+    largest of their absolute values.  A step computes, with every value of
+    H's indexed tables (`HopfAlgebraData.sinv2_index`, `comult_index`,
+    `mult_index`) packed at width B,
 
         I_b = S^-2(T_n(e_b)),   T_{n+1}(e_k) = sum_(a,b) sum_q (c_ab I_b[q]) e_a e_q
 
     over Delta(e_k) = sum c_ab e_a (x) e_b, each product one int multiply
     and a fold, then decodes every entry (`unpack`), drops the zeros and
-    divides out the content.  The tables are built when a step needs them;
-    the T-route drops them when it is done, since a caller may keep the
-    algebra.
+    divides out the content.
 
     Exactness guard.  The packed values stand for elements of
     Z[x]/(x^m - 1), which are not reduced mod Phi_m before the decoding.
@@ -233,47 +188,54 @@ class _TSequence:
             cols[k][i] = c
         self.terms = [(den, cols, _height(t0.values()))]
         self.decoded: dict[int, list[SparseVec]] = {}
-        self.tables: _Tables | None = None
+        # H's indexed tables, and the guard's factors from their heights
+        self.tables = H.sinv2_index, H.mult_index, H.comult_index
+        (scols, svalues), (rows, mvalues), (legs, _, cvalues) = self.tables
+        per_a = {a: _spread(row.values(), mvalues.heights) for a, row in rows.items()}
+        per_k = [sum(cvalues.heights[i] * per_a.get(a, 0) for (a, _), i in entries)
+                 for entries in legs.values()]
+        self.den = svalues.den * cvalues.den * mvalues.den
+        self.mass = max(1, _spread(scols.values(), svalues.heights)) * max(1, *per_k)
 
-    def term(self, H: HopfAlgebraData, n: int) -> tuple[int, list[dict], int]:
+    def term(self, n: int) -> tuple[int, list[dict], int]:
         while len(self.terms) <= n:
-            if self.tables is None:
-                self.tables = _Tables(H)
-            self._step(self.tables)
+            self._step()
         return self.terms[n]
 
-    def columns(self, H: HopfAlgebraData, n: int) -> list[SparseVec]:
+    def columns(self, n: int) -> list[SparseVec]:
         """T_n as exact sparse columns, decoded once."""
         if n not in self.decoded:
-            den, cols, _ = self.term(H, n)
+            den, cols, _ = self.term(n)
             self.decoded[n] = [{i: _canonical(self.m, tuple(c), den) for i, c in col.items()}
                                for col in cols]
         return self.decoded[n]
 
-    def _step(self, tables: _Tables) -> None:
+    def _step(self) -> None:
         den, cols, height = self.terms[-1]
-        m, mult = self.m, tables.mult
-        bound = m ** 3 * height * tables.mass
+        m = self.m
+        bound = m ** 3 * height * self.mass
         if bound >> (self.width - 1):
             self.width = _width_for(bound)
         width = self.width
-        svals, cvals, mvals = tables.values(width)
+        (sinv2, svalues), (mult, mvalues), (comult, _, cvalues) = self.tables
+        svals, cvals, mvals = svalues.at(width), cvalues.at(width), mvalues.at(width)
         shift = width * m
         modulus = (1 << shift) - 1
+        empty: dict = {}
         images = []
         for col in cols:
             image: dict[int, int] = {}
             for i, c in col.items():
                 x = pack(c, width)
-                for j, s in tables.sinv2[i]:
+                for j, s in sinv2[i]:
                     image[j] = image.get(j, 0) + x * svals[s]
             images.append({j: (z & modulus) + (z >> shift) for j, z in image.items()})
         new = []
-        for legs in tables.legs:
+        for legs in comult.values():
             acc: dict[int, int] = {}
-            for a, b, ci in legs:
+            for (a, b), ci in legs:
                 c = cvals[ci]
-                row = mult[a]
+                row = mult.get(a, empty)
                 for q, y in images[b].items():
                     products = row.get(q)
                     if products:
@@ -287,7 +249,7 @@ class _TSequence:
                 if any(c):
                     col[j] = c
             new.append(col)
-        den *= tables.den
+        den *= self.den
         g = gcd(den, *(x for col in new for c in col.values() for x in c))
         if g > 1:
             den //= g
@@ -310,7 +272,7 @@ def _projection(H: HopfAlgebraData) -> SparseVec:
 def _projected(H: HopfAlgebraData, n: int, w: SparseVec) -> SparseVec:
     """P(T_n) = sum_k w_k T_n(e_k) as a sparse vector, summed on the integer form."""
     seq = _t_sequence(H)
-    den, cols, height = seq.term(H, n)
+    den, cols, height = seq.term(n)
     wden, weights = _integers(w)
     out = {}
     for i, c in _combination(seq.m, [(x, cols[k], height)
@@ -328,7 +290,7 @@ def _annihilates(H: HopfAlgebraData, g: ExactPolynomial) -> bool:
     before its zero test.
     """
     seq = _t_sequence(H)
-    terms = [seq.term(H, i) for i in range(g.degree + 1)]
+    terms = [seq.term(i) for i in range(g.degree + 1)]
     _, coeffs = _integers(dict(enumerate(g.coeffs)))
     top = lcm(*(den for den, _, _ in terms))
     weights = [tuple(x * (top // den) for x in coeffs[i]) for i, (den, _, _) in enumerate(terms)]
@@ -358,7 +320,6 @@ def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:
         g = first_dependence(
             ({(k, i): v for k, col in enumerate(_t_columns(H, n)) for i, v in col.items()}
              for n in range(length)), cond)
-    _t_sequence(H).tables = None  # a caller may keep H; a later step rebuilds them
     return g
 
 

@@ -383,15 +383,31 @@ def _width_for(bound: int) -> int:
     return (bound.bit_length() + _WIDTH_QUANTUM) // _WIDTH_QUANTUM * _WIDTH_QUANTUM
 
 
-def _distinct(values) -> tuple[int, dict, list[tuple[int, ...]], list[int]]:
-    """The distinct scalars among values, over their common denominator D:
-    (D, {(num, den): index}, the coordinates of D v and their heights by index)."""
-    index: dict = {}
-    for v in values:
-        index.setdefault((v.num, v.den), len(index))
-    den = lcm(*(d for _, d in index))
-    coords = [num if d == den else tuple(x * (den // d) for x in num) for num, d in index]
-    return den, index, coords, [max(map(abs, c)) for c in coords]
+class _Packed:
+    """Distinct canonical scalars, given as (num, den) pairs, over their lcm
+    denominator ``den``: ``index[(num, den)] = i``, ``coords[i]`` the
+    power-basis coordinates of den times value i, ``heights[i]`` their
+    largest absolute value, ``height`` the largest (0 for none), and
+    ``at(width)`` the coords packed at width (`pack`), once per width."""
+
+    __slots__ = ("den", "index", "coords", "heights", "height", "_packed")
+
+    def __init__(self, keys):
+        index: dict = {}
+        for key in keys:
+            index.setdefault(key, len(index))
+        den = lcm(*(d for _, d in index))
+        self.den, self.index, self._packed = den, index, {}
+        self.coords = [num if d == den else tuple(x * (den // d) for x in num)
+                       for num, d in index]
+        self.heights = [max(map(abs, c)) for c in self.coords]
+        self.height = max(self.heights, default=0)
+
+    def at(self, width: int) -> list[int]:
+        packed = self._packed.get(width)
+        if packed is None:
+            packed = self._packed[width] = [pack(c, width) for c in self.coords]
+        return packed
 
 
 def pack(coords: Sequence[int], width: int) -> int:

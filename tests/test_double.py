@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
-from hopfqexp import cli, scalars
+from hopfqexp import cli, presets, scalars
 from hopfqexp import double as dmod
+from hopfqexp import hopf as hmod
 from hopfqexp.double import (
     QuasitriangularData,
     drinfeld_double,
@@ -18,10 +19,11 @@ from hopfqexp.double import (
     verify_quasitriangular,
     verify_s2_conjugation,
 )
-from hopfqexp.hopf import (HopfAlgebraData, TensorElement, dual, lift_algebra,
+from hopfqexp.hopf import (HopfAlgebraData, TensorElement, dual, index_rows, lift_algebra,
                            subalgebra_closure, tensor, validate, variant)
 from hopfqexp.linalg import dense, sparse
 from hopfqexp.presets import ZOO, get_preset
+from hopfqexp.qexp import quasi_exponent
 from hopfqexp.twist import twist_hopf
 
 SMALL = ["trivial", "group:builtin:Z2", "group:builtin:Z3", "sweedler",
@@ -158,6 +160,50 @@ def _table_digest(qt) -> str:
 @pytest.mark.parametrize("name", list(TABLE_DIGESTS))
 def test_double_tables_are_pinned(name, double_cache):
     assert _table_digest(double_cache(name)) == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(TABLE_DIGESTS))
+def test_double_tables_are_pinned_after_the_t_route(name):
+    # D read from the index that the T-route left on a fresh H
+    H = get_preset(name)
+    quasi_exponent(H)
+    assert _table_digest(drinfeld_double(H)) == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["taft:3", "group:builtin:S3"])
+@pytest.mark.parametrize("order", [("qexp", "double", "tensor"), ("tensor", "double", "qexp")])
+def test_one_index_per_algebra(name, order, monkeypatch):
+    # the T-route, the double build and a tensor product all read one index
+    # of H's products, built once (by the preset build for taft:3), and its
+    # values are packed once per width
+    tables, packings = [], []
+    at = scalars._Packed.at
+
+    def counting(table, values=None):
+        tables.append(table)
+        return index_rows(table, values)
+
+    def packing(values, width):
+        packings.append((values, width, width not in values._packed))
+        return at(values, width)
+
+    monkeypatch.setattr(hmod, "index_rows", counting)
+    monkeypatch.setattr(presets, "index_rows", counting)
+    monkeypatch.setattr(scalars._Packed, "at", packing)
+    H = get_preset(name)
+    x = TensorElement._trusted(H, 2, H.comult[1])
+    runs = {"qexp": lambda: quasi_exponent(H), "double": lambda: drinfeld_double(H),
+            "tensor": lambda: x * x}
+    index = None
+    for step in order:
+        start = len(packings)
+        runs[step]()
+        index = index or H.mult_index
+        assert H.mult_index is index
+        assert any(values is index[1] for values, _, _ in packings[start:]), step
+    assert sum(getattr(table, "mapping", None) == H.mult for table in tables) == 1
+    widths = [width for values, width, new in packings if values is index[1] and new]
+    assert len(widths) == len(set(widths))
 
 
 def _checks_with_and_without_certificate(qt):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hopfqexp.scalars import (
     ConductorMismatch,
     CyclotomicNumber,
+    _canonical,
+    _Packed,
     _zeta_powers,
     as_scalar,
     cyclotomic_int_coeffs,
@@ -196,3 +198,28 @@ def test_constants_are_shared():
         assert CyclotomicNumber.zero(m) is CyclotomicNumber.zero(m)
         assert CyclotomicNumber.one(m) is CyclotomicNumber.one(m)
         assert CyclotomicNumber.zero(m).is_zero() and CyclotomicNumber.one(m) == 1
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([1, 3, 4, 5, 12]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(cyclotomics(m), max_size=12))),
+    st.sampled_from([8, 32, 64]))
+def test_packed_value_set_holds_each_scalar_once(case, width):
+    # the one value-set of the packed kernels: distinct scalars over their
+    # common denominator, their height, and their packing once per width
+    m, values = case
+    packed = _Packed((v.num, v.den) for v in values)
+    assert len(packed.coords) == len({(v.num, v.den) for v in values})
+    for v in values:
+        assert _canonical(m, packed.coords[packed.index[v.num, v.den]], packed.den) == v
+    assert packed.height == max((abs(x) for c in packed.coords for x in c), default=0)
+    assert packed.heights == [max(map(abs, c)) for c in packed.coords]
+    at = packed.at(width)
+    assert at == [pack(c, width) for c in packed.coords]
+    assert packed.at(width) is at
+    # extended by more values, the first set keeps its indices
+    extra = [v + 1 for v in values] + values[::-1]
+    more = _Packed(list(packed.index) + [(v.num, v.den) for v in extra])
+    assert all(more.index[key] == i for key, i in packed.index.items())
+    for v in values + extra:
+        assert _canonical(m, more.coords[more.index[v.num, v.den]], more.den) == v

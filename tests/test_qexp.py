@@ -218,9 +218,9 @@ def test_exactness_guard_widens_a_narrow_width():
     # T_3 of uq_sl2(3) has height 18: the step to T_4 needs digits far past 2^3
     H = get_preset("uqsl2:3")
     seq = qmod._t_sequence(H)
-    _, _, height = seq.term(H, 3)
+    _, _, height = seq.term(3)
     narrow = 4
-    assert seq.m ** 3 * height * seq.tables.mass >= 1 << (narrow - 1)
+    assert seq.m ** 3 * height * seq.mass >= 1 << (narrow - 1)
     seq.width = narrow
     for n, ref in enumerate(_cyclotomic_t_columns(H, 9)):
         assert qmod._t_columns(H, n) == ref, f"T_{n}"
@@ -232,7 +232,7 @@ def test_narrow_width_without_the_guard_decodes_wrongly(monkeypatch):
     # the same step with the widening switched off: the guard is what keeps T_4 exact
     H = get_preset("uqsl2:3")
     seq = qmod._t_sequence(H)
-    seq.term(H, 3)
+    seq.term(3)
     seq.width = 4
     monkeypatch.setattr(qmod, "_width_for", lambda bound: 4)
     assert qmod._t_columns(H, 4) != _cyclotomic_t_columns(H, 4)[4]

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfqexp import hopf, scalars
-from hopfqexp.hopf import HopfAlgebraData, TensorElement, _legwise_product, placed_product
+from hopfqexp.hopf import (HopfAlgebraData, TensorElement, _legwise_product, index_rows,
+                           placed_product)
 from hopfqexp.io import algebra_to_dict
 from hopfqexp.linalg import dadd
-from hopfqexp.scalars import CyclotomicNumber, euler_phi
+from hopfqexp.scalars import CyclotomicNumber, _canonical, euler_phi
 from hopfqexp.twist import twist_hopf
 
 
@@ -44,12 +45,28 @@ def _scalar_legwise_product(table, a, b, arity: int) -> dict:
     return out
 
 
+def _rows(table):
+    """A product table {(p, q): vec} by its left index: rows[p][q] = vec."""
+    rows: dict = {}
+    for (p, q), vec in table.items():
+        rows.setdefault(p, {})[q] = vec
+    return rows
+
+
+def _decoded(table, m):
+    """An indexed table (`index_rows`) back to scalar rows[p][q] = vec."""
+    rows, values = table
+    return {p: {q: {k: _canonical(m, values.coords[i], values.den) for k, i in entries}
+                for q, entries in row.items()} for p, row in rows.items()}
+
+
 def _lookup(rows):
     return lambda pair: rows.get(pair[0], {}).get(pair[1])
 
 
 def _assert_same_product(rows, a, b, arity, m):
-    got = _legwise_product(rows, a.items(), b.items(), arity, m)
+    table = index_rows(((p, q), vec) for p, row in rows.items() for q, vec in row.items())
+    got = _legwise_product(table, a.items(), b.items(), arity, m)
     assert got == _scalar_legwise_product(_lookup(rows), a.items(), b.items(), arity)
     assert all(not c.is_zero() and c.conductor == m for c in got.values())
 
@@ -103,8 +120,12 @@ def test_packed_kernel_on_the_unit_columns_of_placed_product(preset_cache, data)
     A = _sweedler_with_broken_unit(preset_cache)
     R = TensorElement(A, 2, {(a, b): a + 2 * b + 1 for a in range(4) for b in range(4)})
     placed_product(R, (0, 1), R, (1, 2))
-    rows = A._cache["placed_rows"]
+    rows = _decoded(A._cache["placed_rows"], A.conductor)
     assert rows[-1] and all(-1 in rows[k] for k in range(A.dim))
+    one, unit = A.one_scalar, A.unit_element().data
+    assert rows == {**{p: {**row, -1: A.mul_dicts({p: one}, unit)}
+                       for p, row in _rows(A.mult_table).items()},
+                    -1: {k: A.mul_dicts(unit, {k: one}) for k in range(A.dim)}}
     arity = data.draw(st.integers(1, 3))
     keys = st.tuples(*[st.integers(-1, A.dim - 1)] * arity)
     value = _scalars(A.conductor)
