@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
 """Tabulate the quasi-exponent report for every preset in the zoo.
 
-Usage:
-    python scripts/qexp_zoo.py [--max-dim N]
+Usage, from anywhere:
+    python3 scripts/qexp_zoo.py [--max-dim N]
+
+It runs the checkout that holds this script.  With --max-dim, presets
+above N are skipped by their dimension, without being built.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from hopfqexp.presets import ZOO, get_preset
-from hopfqexp.qexp import quasi_exponent
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hopfqexp.presets import ZOO, _dimension, get_preset, parse_preset_name  # noqa: E402
+from hopfqexp.qexp import quasi_exponent  # noqa: E402
 
 
 def main() -> int:
@@ -21,9 +28,9 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for name in ZOO:
-        H = get_preset(name)
-        if args.max_dim is not None and H.dim > args.max_dim:
+        if args.max_dim is not None and _dimension(parse_preset_name(name)) > args.max_dim:
             continue
+        H = get_preset(name)
         rep = quasi_exponent(H)
         print(f"{name:<36} {H.dim:>4} {rep.qexp:>5} {rep.exponent!s:>9} "
               f"{rep.s2_order:>3} {rep.unipotency_index:>6}")

@@ -59,112 +59,96 @@ class DoubleProducts(Mapping):
     """The products of basis elements of D(H), keyed like ``mult``, each
     formed on its first read.
 
-    They are formed in units.  A unit is a row r = j N + i of D with a dual
-    index l: the N products (f_j (x) e_i)(f_l (x) e_q), q < N.  `get`,
-    ``[]`` and ``in`` form the unit of a pair on its first miss, so an
-    unformed pair is never read as zero.  Iteration, ``len``, ``items`` and
-    ``values`` form every unit left, each block (i, l) with all its j in
-    one call of `_form`, into the plain dict `table`, in the order of a
-    full build: i, l, then j, then q ascending.  From then on `get` is
-    that dict's own.  ``units_formed`` counts the units formed so far.
+    They are formed in units, by one kernel, `_unit`.  A unit is a row
+    r = j N + i of D with a dual index l: the N products
+    (f_j (x) e_i)(f_l (x) e_q), q < N.  `get` and ``[]`` form the unit of a
+    pair on its first miss, so an unformed pair is never read as zero; a
+    miss on a formed unit is a zero product.  Iteration and ``len`` walk
+    the units in the order i, l, j, form those still missing, and lay every
+    product out in the plain dict `table`, in the order of a full build:
+    i, l, then j, then q ascending.  From then on `get` is that dict's own.
     """
 
     def __init__(self, N: int, bases: list, duals: list, products: list, shift: int,
                  decode: _Decoder):
         self.N = N
         self._bases, self._duals, self._products = bases, duals, products
-        self._shift, self._decode = shift, decode
-        # single[j][s] is duals[s] cut to f_j: the dual rows of the units of j
-        self._single = [[[] for _ in range(N)] for _ in range(N)]
-        for s, row in enumerate(duals):
-            for j, fjfs in row:
-                self._single[j][s].append((j, fjfs))
-        self._pairs: dict = {}  # the products of the units formed so far
-        self._formed: dict[tuple[int, int], set[int]] = {}  # (i, l) -> those j
+        self._shift, self._modulus, self._decode = shift, (1 << shift) - 1, decode
+        self._pairs: dict = {}  # the nonzero products of the units formed
+        self._units: dict[tuple[int, int], list] = {}  # (r, l) -> its keys, q ascending
         self._table: dict | None = None
-        self.units_formed = 0
 
-    def _form(self, i: int, l: int, duals: list, out: dict) -> None:
-        """The nonzero products (f_j (x) e_i)(f_l (x) e_q), for every q and
-        the j that duals lists (duals[s] = [(j, f_j f_s)]), into out in the
-        order j, then q ascending; see `drinfeld_double`."""
-        N, shift, decode, products = self.N, self._shift, self._decode, self._products
-        modulus = (1 << shift) - 1
-        lefts: dict[int, dict[int, dict[int, int]]] = {}
+    @property
+    def units_formed(self) -> int:
+        return len(self._units)
+
+    def _unit(self, i: int, l: int, j: int) -> None:
+        """The nonzero products (f_j (x) e_i)(f_l (x) e_q), q ascending, into
+        `_pairs`; see `drinfeld_double`."""
+        dual, left = self._duals[j], {}
         for s, b, v in self._bases[i][l]:
-            for j, fjfs in duals[s]:
-                left = lefts.get(j)
-                if left is None:
-                    left = lefts[j] = {}
+            fjfs = dual[s]
+            if fjfs:
                 row = left.get(b)
                 if row is None:
                     row = left[b] = {}
                 for k1, c in fjfs:
                     row[k1] = row.get(k1, 0) + v * c
-        for j in sorted(lefts):
-            outs: dict[int, dict[int, int]] = {}
-            for b, row in lefts[j].items():
-                folded = [(k1 * N, (z & modulus) + (z >> shift)) for k1, z in row.items()]
-                for q, pvec in products[b]:
-                    acc = outs.get(q)
-                    if acc is None:
-                        acc = outs[q] = {}
-                    for r, x in folded:
-                        for k2, y in pvec:
-                            key = r + k2
-                            acc[key] = acc.get(key, 0) + x * y
-            for q in sorted(outs):
-                vec = {key: c for key, z in outs[q].items()
-                       if (c := decode[z % modulus]) is not None}
-                if vec:
-                    out[(j * N + i, l * N + q)] = vec
+        N, r, keys = self.N, j * self.N + i, []
+        self._units[(r, l)] = keys
+        if not left:  # no f_j f_s meets the cross term: every product is zero
+            return
+        shift, modulus, decode, products = self._shift, self._modulus, self._decode, self._products
+        outs: dict[int, dict[int, int]] = {}
+        for b, row in left.items():
+            folded = [(k1 * N, (z & modulus) + (z >> shift)) for k1, z in row.items()]
+            for q, pvec in products[b]:
+                acc = outs.get(q)
+                if acc is None:
+                    acc = outs[q] = {}
+                for k1N, x in folded:
+                    for k2, y in pvec:
+                        key = k1N + k2
+                        acc[key] = acc.get(key, 0) + x * y
+        lN, pairs = l * N, self._pairs
+        for q in sorted(outs):
+            vec = {key: c for key, z in outs[q].items() if (c := decode[z % modulus]) is not None}
+            if vec:
+                keys.append(key := (r, lN + q))
+                pairs[key] = vec
 
     def get(self, key, default=None):
         vec = self._pairs.get(key)
-        if vec is None and self._form_unit(key):
-            vec = self._pairs.get(key)
-        return default if vec is None else vec
-
-    def _form_unit(self, key) -> bool:
-        """Form the unit of the pair key; False if it is formed already or
-        key is no pair of D."""
+        if vec is not None:
+            return vec
         N = self.N
         try:
             r, c = key
-            if not (0 <= r < N * N and 0 <= c < N * N):
-                return False
+            unit = (r, c // N)
+            if unit in self._units or not (0 <= r < N * N and 0 <= c < N * N):
+                return default
         except (TypeError, ValueError):
-            return False
-        (j, i), l = divmod(r, N), c // N
-        js = self._formed.setdefault((i, l), set())
-        if j in js:
-            return False
-        js.add(j)
-        self._form(i, l, self._single[j], self._pairs)
-        self.units_formed += 1
-        return True
+            return default
+        self._unit(r % N, unit[1], r // N)
+        return self._pairs.get(key, default)
 
     def table(self) -> dict[tuple[int, int], dict[int, CyclotomicNumber]]:
-        """Every product, as a plain dict in the order of a full build."""
+        """Every product, as a plain dict in the order of a full build; the
+        vectors already read stay the same objects."""
         if self._table is None:
-            N, pairs, table = self.N, self._pairs, {}
+            N, units, formed = self.N, self._units, self._pairs
+            self._pairs = pairs = {}
             for i in range(N):
                 for l in range(N):
-                    js = self._formed.get((i, l))
-                    if not js:
-                        self._form(i, l, self._duals, table)
-                        self.units_formed += N
-                        continue
-                    # the units formed on demand, the rest formed now, sorted
-                    # by key: (r, c) ascending is j, then q ascending
-                    block = {key: pairs[key] for j in js for q in range(N)
-                             if (key := (j * N + i, l * N + q)) in pairs}
-                    self._form(i, l, [[(j, f) for j, f in row if j not in js]
-                                      for row in self._duals], block)
-                    self.units_formed += N - len(js)
-                    table.update(sorted(block.items()))
-            self._table, self._pairs, self._formed = table, {}, {}
-            self.get = table.get  # an instance attribute: reads skip the class
+                    for j in range(N):
+                        keys = units.get((j * N + i, l))
+                        if keys is None:
+                            self._unit(i, l, j)
+                        else:
+                            for key in keys:
+                                pairs[key] = formed[key]
+            self._table = pairs
+            self.get = pairs.get  # an instance attribute: reads skip the class
         return self._table
 
     def __getitem__(self, key):
@@ -173,20 +157,11 @@ class DoubleProducts(Mapping):
             raise KeyError(key)
         return vec
 
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
     def __iter__(self):
         return iter(self.table())
 
     def __len__(self) -> int:
         return len(self.table())
-
-    def items(self):
-        return self.table().items()
-
-    def values(self):
-        return self.table().values()
 
 
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
@@ -285,9 +260,11 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
 
     bases = [[[(s, b, cvals[c]) for (s, b), c in base] for base in row.values()]
              for row in crows.values()]
-    # duals[s] = [(j, f_j f_s)] and products[b] = [(q, e_b e_q)], nonzero and packed
-    duals = [[(j, [(k1, dvals[i]) for k1, i in entries])
-              for j, entries in dual_rows.get(s, {}).items()] for s in range(N)]
+    # duals[j][s] = f_j f_s and products[b] = [(q, e_b e_q)], nonzero and packed
+    duals = [[()] * N for _ in range(N)]
+    for s, row in dual_rows.items():
+        for j, entries in row.items():
+            duals[j][s] = [(k1, dvals[i]) for k1, i in entries]
     products = [[(q, [(k2, mvals[i]) for k2, i in entries])
                  for q, entries in mrows.get(b, {}).items()] for b in range(N)]
 

@@ -163,9 +163,11 @@ class HopfAlgebraData:
         conductor (no zero entry, no empty product), unit and counit as
         tuples and grouplikes as a list of tuples of such scalars.
         Nothing is checked or copied, and tables may be shared with the
-        algebra they came from; `mult` may be any read-only mapping
-        (`double.DoubleProducts`).  Data from outside comes in through the
-        checked constructor, and `validate` still checks the axioms."""
+        algebra they came from; `mult` may be a read-only mapping that
+        forms its products on first read (`double.DoubleProducts`), which
+        readers call `get` on, and scans read through `mult_table`.  Data
+        from outside comes in through the checked constructor, and
+        `validate` still checks the axioms."""
         self = cls.__new__(cls)
         self._store(*tables, **named)
         return self
@@ -253,7 +255,8 @@ class HopfAlgebraData:
     def mult_table(self) -> dict[tuple[int, int], SparseVec]:
         """``mult`` as a plain dict with every product formed, bound once by
         the readers that scan the whole table (a double forms its products
-        on first read, `double.DoubleProducts`)."""
+        unit by unit on first read, and the units left on the first scan,
+        `double.DoubleProducts`)."""
         mult = self.mult
         return mult if isinstance(mult, dict) else mult.table()
 

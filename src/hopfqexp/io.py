@@ -295,7 +295,8 @@ def twist_from_dict(doc: dict, algebra: HopfAlgebraData | None = None,
     n = algebra.dim
 
     def tensor_from_matrix(rows):
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if (not isinstance(rows, list) or len(rows) != n
+                or any(not isinstance(r, list) or len(r) != n for r in rows)):
             raise SchemaError("twist coefficient matrix has the wrong shape")
         data = {(i, j): scalar_from_json(rows[i][j], cond)
                 for i in range(n) for j in range(n)}

@@ -485,10 +485,23 @@ def test_malformed_group_file_exit_2(capsys, tmp_path, payload):
     assert err.startswith("error:")
 
 
+_SCALARS = st.sampled_from(["0", "1", "-1", "1/2", "1/0", 2, None])
 _REPLACEMENTS = st.one_of(
     st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
-    st.text(max_size=4), st.just("1/0"),
-    st.lists(st.sampled_from(["0", "1", "-1", "1/2", "1/0", 2, None]), max_size=3))
+    st.text(max_size=4), st.just("1/0"), st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.text("ab0", max_size=4), _SCALARS | st.lists(_SCALARS, max_size=3),
+                    max_size=4))
+
+
+def _replacements(node):
+    """_REPLACEMENTS, and for a list of n items also an object of n keys of
+    length n, which has every length that a shape check on the list, or on
+    a list of such lists, reads."""
+    if not isinstance(node, list) or not node:
+        return _REPLACEMENTS
+    n = len(node)
+    return _REPLACEMENTS | st.dictionaries(st.text("ab", min_size=n, max_size=n), _SCALARS,
+                                           min_size=n, max_size=n)
 
 
 def _mutate(data, doc):
@@ -506,7 +519,7 @@ def _mutate(data, doc):
     if isinstance(parent, dict) and data.draw(st.booleans()):
         del parent[key]
     else:
-        parent[key] = data.draw(_REPLACEMENTS)
+        parent[key] = data.draw(_replacements(node))
     return doc
 
 
@@ -518,7 +531,7 @@ def _run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_documents_never_crash(tmp_path_factory, suite_twists, data):
     algebra = algebra_to_dict(get_preset("sweedler"))

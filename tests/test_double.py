@@ -322,6 +322,39 @@ def test_in_and_getitem_agree_with_get(name, preset_cache):
         agree(key, k % 3)
 
 
+@pytest.mark.parametrize("name", ["sweedler", "group:builtin:S3", "taft:3", "uqb2:3"])
+def test_each_unit_is_formed_once(name, preset_cache, monkeypatch):
+    # units_formed counts the units held, so it cannot see a unit formed
+    # twice; count the kernel's calls instead
+    formed = []
+    kernel = dmod.DoubleProducts._unit
+
+    def spy(self, i, l, j):
+        formed.append((i, l, j))
+        return kernel(self, i, l, j)
+
+    monkeypatch.setattr(dmod.DoubleProducts, "_unit", spy)
+    H = preset_cache(name)
+    N, n = H.dim, H.dim ** 2
+    mult = drinfeld_double(H).algebra.mult
+    keys = list(product(range(n), repeat=2))
+    random.Random(name).shuffle(keys)
+    read = keys[:len(keys) // 3]
+    zeros = [key for key in read if mult.get(key) is None]
+    on_demand = len(formed)
+    assert 0 < on_demand < N ** 3 and zeros
+    # reads of zero products on formed units, in every way, form nothing
+    for key in zeros * 2:
+        assert mult.get(key) is None and key not in mult
+    assert len(formed) == on_demand
+    # iteration forms the rest, and every unit has been formed exactly once
+    assert len(list(mult)) == len(mult)
+    assert sorted(formed) == sorted(product(range(N), repeat=3))
+    for key in zeros:
+        assert mult.get(key) is None
+    assert len(formed) == N ** 3
+
+
 def test_text_double_forms_no_product(monkeypatch, capsys):
     built = []
 

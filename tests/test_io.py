@@ -167,6 +167,40 @@ def test_non_twist_rejected_by_strict_loader(suite_twists):
     assert T2.J is not None
 
 
+def _object_matrix_twist(where: str) -> dict:
+    """A Sweedler twist document (J = 1 (x) 1) with J, one row of J, or
+    J_inv replaced by a JSON object of n keys of length n, which indexing
+    by row or column reads as a missing key."""
+    square = {"aaaa": ["1"], "bbbb": ["1"], "cccc": ["1"], "dddd": ["1"]}
+    rows = [[["1"] if (i, j) == (0, 0) else ["0"] for j in range(4)] for i in range(4)]
+    doc = {"schema": SCHEMA, "kind": "twist", "algebra": "sweedler", "J": rows}
+    if where == "J":
+        doc["J"] = square
+    elif where == "row":
+        rows[1] = square
+    else:
+        doc["J_inv"] = square
+    return doc
+
+
+@pytest.mark.parametrize("where", ["J", "row", "J_inv"])
+@pytest.mark.parametrize("command", ["twist-check", "twist-apply"])
+def test_twist_matrix_given_as_an_object_exits_2(tmp_path, capsys, where, command):
+    # an object of n keys of length n passed the shape check, and the first
+    # rows[i][j] then raised a KeyError out of the CLI
+    from hopfqexp.cli import main
+
+    doc = _object_matrix_twist(where)
+    with pytest.raises(SchemaError, match="wrong shape"):
+        twist_from_dict(doc)
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--twist", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: twist coefficient matrix has the wrong shape\n"
+
+
 def test_r_matrix_embedding(preset_cache, tmp_path):
     from hopfqexp.double import drinfeld_double
 
