@@ -292,20 +292,6 @@ class HopfAlgebraData:
             self._cache["sinv2_index"] = cols[0], values
         return self._cache["sinv2_index"]
 
-    # -- comparisons --------------------------------------------------------
-
-    def same_structure(self, other: "HopfAlgebraData") -> bool:
-        """Identical structure constants (names/labels ignored)."""
-        return (
-            self.dim == other.dim
-            and self.conductor == other.conductor
-            and self.mult_table == other.mult_table
-            and self.unit == other.unit
-            and self.comult == other.comult
-            and self.counit == other.counit
-            and self.antipode == other.antipode
-        )
-
     def __repr__(self):
         return f"HopfAlgebraData({self.name!r}, dim={self.dim}, conductor={self.conductor})"
 

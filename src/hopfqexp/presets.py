@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from math import lcm, prod
 from pathlib import Path
@@ -18,16 +19,13 @@ from pathlib import Path
 from .hopf import (
     GrouplikeSet,
     HopfAlgebraData,
-    _legwise_product,
     dadd,
     dual,
-    index_rows,
     lift_algebra,
     tensor,
 )
-from .linalg import SparseVec
 from .poly import _is_prime
-from .scalars import CyclotomicNumber
+from .scalars import CyclotomicNumber, _Packed
 
 
 def _zeta(n: int) -> CyclotomicNumber:
@@ -180,63 +178,115 @@ def _from_generators(name: str, conductor: int, labels: list[str], generators: d
     reached from the unit by exact steps e_k = e_j x; then e_i e_k =
     (e_i e_j) x, and since Delta and epsilon are algebra maps and S is an
     anti-algebra map, Delta(e_k) = Delta(e_j) Delta(x), epsilon(e_k) =
-    epsilon(e_j) epsilon(x) and S(e_k) = S(x) S(e_j).  The tables are
-    formed first and stored once, unchecked (`HopfAlgebraData._trusted`):
-    rmul, Delta(x) and S(x) must hold nonzero scalars of the conductor.
-    The finished products are indexed once and kept as its `mult_index`.
+    epsilon(e_j) epsilon(x) and S(e_k) = S(x) S(e_j).
+
+    Every scalar is interned once by (num, den) as a value index, values[i];
+    a vector is a tuple ((k, i), ...), and each product values[a] values[b]
+    and each sum of two colliding terms is formed once, in a table keyed by
+    (a, b), as is (e_i e_j) x for each distinct row e_i e_j and generator
+    x.  Terms are summed in their first order and zeros dropped.  The
+    tables are stored unchecked (`HopfAlgebraData._trusted`): rmul,
+    Delta(x) and S(x) must hold nonzero scalars of the conductor.  The
+    products are kept as its `mult_index` too, their values numbered in
+    first order over ``mult``, as `index_rows` numbers them.
     """
     N = len(labels)
     one, zero = CyclotomicNumber.one(conductor), CyclotomicNumber.zero(conductor)
-    mult = {(i, 0): {i: one} for i in range(N)}
+    values: list[CyclotomicNumber] = []
+    interned: dict[tuple, int] = {}
+
+    def intern(c: CyclotomicNumber) -> int:
+        i = interned.setdefault((c.num, c.den), len(values))
+        if i == len(values):
+            values.append(c)
+        return i
+
+    ZERO, ONE = intern(zero), intern(one)
+
+    def formed(op, table: dict):  # (a, b) -> the index of op(values[a], values[b])
+        def form(a: int, b: int) -> int:
+            c = table.get((a, b))
+            if c is None:
+                c = table[a, b] = intern(op(values[a], values[b]))
+            return c
+        return form
+
+    mul, add = formed(operator.mul, {}), formed(operator.add, {})
+
+    def total(terms) -> tuple:  # the sum of the (key, value index) terms
+        out: dict = {}
+        for key, c in terms:
+            s = out.get(key)
+            out[key] = c if s is None else add(s, c)
+        return tuple(kc for kc in out.items() if kc[1] != ZERO)
+
+    def entries(vec) -> tuple:
+        return tuple((k, intern(c)) for k, c in vec.items())
+
+    mult = {(i, 0): ((i, ONE),) for i in range(N)}
     for x, (rmul, _, _, _) in generators.items():
         for k in range(N):
-            if vec := rmul(k):
-                mult[(k, x)] = vec
+            if row := entries(rmul(k)):
+                mult[(k, x)] = row
+    coalgebra = {x: (entries(dx), ex, entries(sx)) for x, (_, dx, ex, sx) in generators.items()}
 
     step = {}
     order = [0]  # breadth-first; the loop visits what it appends
     for j in order:
         for x in generators:
-            prod = mult.get((j, x), {})
-            if len(prod) == 1:
-                (k, c), = prod.items()
-                if c == one and k not in step and k != 0:
+            row = mult.get((j, x), ())
+            if len(row) == 1 and row[0][1] == ONE:
+                k = row[0][0]
+                if k not in step and k != 0:
                     step[k] = (j, x)
                     order.append(k)
     if len(order) < N:
         raise ValueError(f"{name}: some basis element is not reached from the unit "
                          "by exact generator steps")
 
-    def times(a: SparseVec, b: SparseVec) -> SparseVec:  # ab, from the products so far
-        out: SparseVec = {}
-        for p, u in a.items():
-            for q, v in b.items():
-                for k, c in mult.get((p, q), {}).items():
-                    dadd(out, k, u * v * c)
-        return out
-
+    right: dict[tuple, tuple] = {}  # (e_i e_j, x) -> (e_i e_j) x, formed once
     for i in range(N):
         for k in order[1:]:
             j, x = step[k]
-            if prod := times(mult.get((i, j), {}), {x: one}):
-                mult[(i, k)] = prod
+            row = mult.get((i, j), ())
+            if (product := right.get((row, x))) is None:
+                product = right[row, x] = total((m, mul(a, b)) for p, a in row
+                                                for m, b in mult.get((p, x), ()))
+            if product:
+                mult[(i, k)] = product
 
-    table = index_rows(mult.items())  # kept as the algebra's own index (`mult_index`)
-    delta = {0: {(0, 0): one}}
+    delta = {0: (((0, 0), ONE),)}
     eps = {0: one}
-    anti = {0: {0: one}}
+    anti = {0: ((0, ONE),)}
     for k in order[1:]:
         j, x = step[k]
-        _, dx, ex, sx = generators[x]
-        delta[k] = _legwise_product(table, delta[j].items(), dx.items(), 2, conductor)
+        dx, ex, sx = coalgebra[x]
+        delta[k] = total(((k0, k1), mul(mul(mul(u, v), a), b))
+                         for (s0, s1), u in delta[j] for (t0, t1), v in dx
+                         for k0, a in mult.get((s0, t0), ())
+                         for k1, b in mult.get((s1, t1), ()))
         eps[k] = eps[j] * ex
-        anti[k] = times(sx, anti[j])
+        anti[k] = total((m, mul(mul(u, v), c)) for p, u in sx for q, v in anti[j]
+                        for m, c in mult.get((p, q), ()))
+
+    # the products as scalars, and indexed over the values of mult alone
+    renumbered: dict[int, int] = {}
+    shared: dict[tuple, tuple] = {}
+    rows: dict[int, dict[int, tuple]] = {}
+    for (p, q), row in mult.items():
+        if (indexed := shared.get(row)) is None:
+            indexed = shared[row] = tuple(
+                (k, renumbered.setdefault(c, len(renumbered))) for k, c in row)
+        rows.setdefault(p, {})[q] = indexed
     H = HopfAlgebraData._trusted(
-        name, N, conductor, labels, mult, (one,) + (zero,) * (N - 1),
-        [delta[k] for k in range(N)], tuple(eps[k] for k in range(N)),
-        [anti[k] for k in range(N)],
+        name, N, conductor, labels,
+        {key: {k: values[c] for k, c in row} for key, row in mult.items()},
+        (one,) + (zero,) * (N - 1),
+        [{kk: values[c] for kk, c in delta[k]} for k in range(N)],
+        tuple(eps[k] for k in range(N)),
+        [{m: values[c] for m, c in anti[k]} for k in range(N)],
         [tuple(one if k == g else zero for k in range(N)) for g in grouplikes], grading)
-    H._cache["mult_index"] = table
+    H._cache["mult_index"] = rows, _Packed((values[c].num, values[c].den) for c in renumbered)
     return H
 
 
@@ -479,14 +529,11 @@ def parse_preset_name(name: str) -> PresetDescriptor:
             rest = rest[len("builtin:"):]
         return PresetDescriptor("dual_group_algebra", {"group": _builtin_group(rest)})
     if name.startswith("taft:"):
-        n = int(name[len("taft:"):])
-        return PresetDescriptor("taft", {"n": n})
+        return PresetDescriptor("taft", {"n": _number(name[len("taft:"):])})
     if name.startswith("uqb2:"):
-        p = int(name[len("uqb2:"):])
-        return PresetDescriptor("uq_borel_sl2", {"p": p})
+        return PresetDescriptor("uq_borel_sl2", {"p": _number(name[len("uqb2:"):])})
     if name.startswith("uqsl2:"):
-        p = int(name[len("uqsl2:"):])
-        return PresetDescriptor("uq_sl2", {"p": p})
+        return PresetDescriptor("uq_sl2", {"p": _number(name[len("uqsl2:"):])})
     if name.startswith("tensor:"):
         parts = name[len("tensor:"):].split(",")
         if len(parts) < 2:
@@ -494,6 +541,13 @@ def parse_preset_name(name: str) -> PresetDescriptor:
         return PresetDescriptor(
             "tensor", {"factors": [parse_preset_name(p) for p in parts]})
     raise ValueError(f"unknown preset name: {name}")
+
+
+def _number(text: str) -> int:
+    """A preset parameter, in ASCII digits (`int` also reads signs, spaces, `_`)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"preset parameter {text!r} is not a number")
+    return int(text)
 
 
 def _builtin_group(g: str) -> str:

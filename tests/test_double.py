@@ -5,8 +5,9 @@ from hashlib import sha256
 from itertools import product
 
 import pytest
+from helpers import same_structure
 
-from hopfqexp import cli, presets, scalars
+from hopfqexp import cli, scalars
 from hopfqexp import double as dmod
 from hopfqexp import hopf as hmod
 from hopfqexp.double import (
@@ -188,7 +189,6 @@ def test_one_index_per_algebra(name, order, monkeypatch):
         return at(values, width)
 
     monkeypatch.setattr(hmod, "index_rows", counting)
-    monkeypatch.setattr(presets, "index_rows", counting)
     monkeypatch.setattr(scalars._Packed, "at", packing)
     H = get_preset(name)
     x = TensorElement._trusted(H, 2, H.comult[1])
@@ -201,7 +201,9 @@ def test_one_index_per_algebra(name, order, monkeypatch):
         index = index or H.mult_index
         assert H.mult_index is index
         assert any(values is index[1] for values, _, _ in packings[start:]), step
-    assert sum(getattr(table, "mapping", None) == H.mult for table in tables) == 1
+    # the preset build leaves the index of taft:3 without running index_rows
+    assert sum(getattr(table, "mapping", None) == H.mult for table in tables) == (
+        name != "taft:3")
     widths = [width for values, width, new in packings if values is index[1] and new]
     assert len(widths) == len(set(widths))
 
@@ -409,7 +411,7 @@ def test_trusted_double_passes_the_checked_constructor(name, double_cache, prese
         name=D.name, dim=D.dim, conductor=D.conductor, basis_labels=D.basis_labels,
         mult=D.mult_table, unit=D.unit, comult=D.comult, counit=D.counit,
         antipode=D.antipode, grouplike_vectors=D.grouplike_vectors, grading=D.grading)
-    assert checked.same_structure(D)
+    assert same_structure(checked, D)
     assert checked.grouplike_vectors == D.grouplike_vectors
     assert checked.grading == D.grading
     # equal rationals of two conductors compare equal, so check the conductor

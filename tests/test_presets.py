@@ -3,8 +3,10 @@
 import hashlib
 
 import pytest
+from helpers import same_structure
 
-from hopfqexp.hopf import validate
+from hopfqexp import cli
+from hopfqexp.hopf import index_rows, validate
 from hopfqexp.io import algebra_chunks
 from hopfqexp.presets import (
     ZOO,
@@ -106,6 +108,15 @@ def test_parse_preset_name_grammar():
         parse_preset_name("group:builtin:Z7")
 
 
+@pytest.mark.parametrize("name", ["taft:1_0", "taft:+3", "uqb2: 5", "taft:\u0663"])
+def test_malformed_preset_parameter_exits_2(name, capsys):
+    # int() reads each of these parameters as a number
+    assert cli.main(["exponent", "--preset", name]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
 def test_quantum_presets_require_odd_prime():
     for p in (2, 4, 9, 15):
         with pytest.raises(ValueError, match="odd prime"):
@@ -120,11 +131,13 @@ def test_taft_requires_n_at_least_two():
 
 
 def test_sweedler_is_taft_2(preset_cache):
-    assert preset_cache("sweedler").same_structure(preset_cache("taft:2"))
+    assert same_structure(preset_cache("sweedler"), preset_cache("taft:2"))
 
 
 #: sha256 of the JSON document of each generated preset, as the hand-written
-#: builders produced it before the presets were derived from their generators
+#: builders produced it before the presets were derived from their generators;
+#: taft:12 (a composite even conductor) and uqb2:11 as the build in scalar
+#: arithmetic produced them, before it formed its products on value indices
 PINNED_DIGESTS = {
     "taft:2": "a485b20a60e179d3a6f942a63eacf560500642d26374bba7fdda32aaf70b1e2f",
     "taft:3": "8ebe8e342fdb143524b3bea9de8dc35b26fd95e367f5c2938c6ab458baf02779",
@@ -138,6 +151,8 @@ PINNED_DIGESTS = {
     "uqb2:7": "87d5b07ddbb27c22c557f5c3f2127c51c65d825d4be78d0e77429a445c9fc9d8",
     "uqsl2:3": "a384ed5dd3f0bc5a2112a9ae834e8276c3edc8c943f1b2d6fb858c1fbcfbe7e4",
     "uqsl2:5": "5ec0dc7a89dff473744470f37b7559c7b9168acf57665fc5e7b95d726379ff27",
+    "taft:12": "cf2a3ae50ace5a2bf72c7a3c8fddd30d89245d5cda1275289b43e9132d993bc1",
+    "uqb2:11": "98b81eb767b98e0f19547e10a71d7830c18564c7f75be04b604b83597d2dc3f1",
 }
 
 
@@ -149,6 +164,40 @@ def test_generated_preset_matches_pinned_digest(name):
     for chunk in algebra_chunks(get_preset(name)):
         digest.update(chunk.encode())
     assert digest.hexdigest() == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_build_leaves_the_canonical_index(name):
+    # the index the build keeps is index_rows over its products, up to the
+    # numbering of the values, with the den and height the T-route's widths read
+    H = get_preset(name)
+    built, canonical = H.mult_index, index_rows(H.mult.items())
+
+    def by_scalar(rows, values):
+        keys = list(values.index)
+        return {p: {q: tuple((k, keys[i]) for k, i in entries) for q, entries in row.items()}
+                for p, row in rows.items()}
+
+    assert by_scalar(*built) == by_scalar(*canonical)
+    assert built[1].index.keys() == canonical[1].index.keys()
+    assert (built[1].den, built[1].height) == (canonical[1].den, canonical[1].height)
+
+
+@pytest.mark.parametrize("name, bound", [("taft:8", 1024), ("uqb2:7", 600), ("uqsl2:5", 15625)])
+def test_build_forms_each_distinct_product_once(name, bound, monkeypatch):
+    # under N^2/4 for taft:8 and under N^2 for uqsl2:5; forming every term of
+    # the N^2 products in scalar arithmetic takes 4,901, 2,928 and 79,885
+    calls = 0
+    mul = CyclotomicNumber.__mul__
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting)
+    get_preset(name)
+    assert calls < bound
 
 
 def test_from_generators_rejects_unreached_basis():
