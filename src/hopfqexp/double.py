@@ -29,7 +29,7 @@ from .hopf import (
     placed_product,
 )
 from .linalg import ExactMatrix, dense
-from .scalars import CyclotomicNumber, _Decoder, _width_for
+from .scalars import CyclotomicNumber, _Decoder, _spread, _width_for, euler_phi
 
 
 @dataclass
@@ -74,6 +74,10 @@ class DoubleProducts(Mapping):
         self.N = N
         self._bases, self._duals, self._products = bases, duals, products
         self._shift, self._modulus, self._decode = shift, (1 << shift) - 1, decode
+        # the s of each cross term, and those with f_j f_s nonzero, as bit masks
+        self._cross_masks = [[sum(1 << s for s in {s for s, _, _ in base}) for base in row]
+                             for row in bases]
+        self._dual_masks = [sum(1 << s for s, fjfs in enumerate(dual) if fjfs) for dual in duals]
         self._pairs: dict = {}  # the nonzero products of the units formed
         self._units: dict[tuple[int, int], list] = {}  # (r, l) -> its keys, q ascending
         self._table: dict | None = None
@@ -85,6 +89,10 @@ class DoubleProducts(Mapping):
     def _unit(self, i: int, l: int, j: int) -> None:
         """The nonzero products (f_j (x) e_i)(f_l (x) e_q), q ascending, into
         `_pairs`; see `drinfeld_double`."""
+        N, r, keys = self.N, j * self.N + i, []
+        self._units[(r, l)] = keys
+        if not self._cross_masks[i][l] & self._dual_masks[j]:
+            return  # no f_j f_s meets the cross term: every product is zero
         dual, left = self._duals[j], {}
         for s, b, v in self._bases[i][l]:
             fjfs = dual[s]
@@ -94,10 +102,6 @@ class DoubleProducts(Mapping):
                     row = left[b] = {}
                 for k1, c in fjfs:
                     row[k1] = row.get(k1, 0) + v * c
-        N, r, keys = self.N, j * self.N + i, []
-        self._units[(r, l)] = keys
-        if not left:  # no f_j f_s meets the cross term: every product is zero
-            return
         shift, modulus, decode, products = self._shift, self._modulus, self._decode, self._products
         outs: dict[int, dict[int, int]] = {}
         for b, row in left.items():
@@ -165,101 +169,113 @@ class DoubleProducts(Mapping):
 
 
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
-    """D(H) with its R-matrix; the products and the coproduct are formed on
-    Kronecker-packed integers (`scalars.pack`), the products on first read
-    (`DoubleProducts`).
+    """D(H) with its R-matrix, on Kronecker-packed integers (`scalars.pack`):
+    the cross terms, the antipode, the coproduct and, on first read, the
+    products (`DoubleProducts`).
 
     The product (f_j (x) e_i)(f_l (x) e_q) is f_j cross[i][l] (1 (x) e_q),
-    with cross[i][l] = (1 (x) e_i)(f_l (x) 1) = sum v_(s,b) f_s (x) e_b.
-    The cross terms, the dual products f_j f_s = sum_k1 Delta-coefficients
-    f_k1 and the products e_b e_q of H are each held over their own common
-    denominator, as indices into their distinct values: those of H from
-    the index H keeps (`HopfAlgebraData.comult_index`, `mult_index`), the
-    cross terms in a new one (`hopf.index_rows`).  They are packed at
-    width B; then
+    with cross[i][l] = (1 (x) e_i)(f_l (x) 1) = sum v_(s,b) f_s (x) e_b.  By
+    the cross relation, over Delta(e_i) = sum d_(a,y) e_a (x) e_y and
+    Delta(e_y) = sum d_(b,c) e_b (x) e_c,
+
+        v_(s,b) = sum d_(a,y) d_(b,c) <f_l, (Sinv(e_c) e_s) e_a>,
+
+    each (Sinv(e_c) e_s) e_a formed once.  The values of H's products
+    (`HopfAlgebraData.mult_index`), of its coproducts, whose transpose gives
+    the dual products f_j f_s = sum_k1 Delta-coefficients f_k1
+    (`comult_index`), and of S and Sinv (one new `hopf.index_rows`) are each
+    held over their own common denominator and packed at width B.  The
+    cross terms stay packed, and each entry is decoded once (`_Decoder`),
+    to drop the zeros.  Then
 
         left[b][k1] = sum_s v_(s,b) (f_j f_s)[k1],
-        product[k1 N + k2] = sum_b left[b][k1] (e_b e_q)[k2]
+        product[k1 N + k2] = sum_b left[b][k1] (e_b e_q)[k2],
+        S_D(f_j (x) e_i) = (1 (x) S(e_i))((Sinv)^T f_j (x) 1)
+                         = sum_p sum_l S(e_i)_p Sinv(e_l)_j cross[p][l]
 
-    are int multiply-adds, over the nonzero products e_b e_q only, and each
-    entry is decoded once per distinct residue (`_Decoder`).  The packing,
-    the width B, the coproduct, the antipode and R are formed here; the
-    products wait in `DoubleProducts` until something reads them.
+    are int multiply-adds over the nonzero terms, and each entry is decoded
+    once per distinct residue.
 
     Exactness guard.  A packed value stands for an element of
-    Z[x]/(x^m - 1), m the conductor: the power-basis coordinates of the
-    value times its table's denominator, with digits at most h_cross,
-    h_dual or h_mult, the largest absolute coordinate in each table.  Each
-    digit of a product of elements with digits at most A and C is a sum of
-    m products of digits, so it is at most m A C, and a sum adds the
-    bounds.  left[b][k1] has at most N terms, so its digits are at most
-    N m h_cross h_dual; a product entry has at most N terms of left times
-    a product of H, so its digits are at most m^2 N^2 h_cross h_dual
-    h_mult.  `unpack` is exact while that bound is below 2^(B-1), and B
-    is the least multiple of 32 bits for which it is (`_width_for`).  The
-    folds z -> (z & M) + (z >> Bm) and the reduction mod M = 2^(Bm) - 1
-    keep the residue mod M, which is all `unpack` reads.  The coproduct
-    entries are single products of a value of H.mult and one of H.comult,
-    digits at most m h_dual h_mult, below the same bound (an empty table
-    counts with height 1).
-
-    The antipode is read off the cross terms as well: S_D(f_j (x) e_i) =
-    (1 (x) S(e_i))((Sinv)^T f_j (x) 1) = sum_p sum_l S(e_i)_p Sinv(e_l)_j
-    cross[p][l], in exact scalars, each value interned like the product's.
+    Z[x]/(x^m - 1), m the conductor; the digits of a table value are the
+    power-basis coordinates of the value times its table's denominator, so
+    they are zero past phi(m) - 1.  Each digit of a product of elements with
+    digits at most A and C is then at most m A C, or phi(m) A C when one
+    factor is a table value, and a sum adds the bounds.  With h_T the
+    largest absolute coordinate in table T, and the largest sums of heights
+    sigma over a column of Sinv, kappa over the k of (e_k e_a)[l], tau_1
+    over a Delta(e_i) and tau_2 over the c of a Delta(e_y)[b, c], the digits
+    of Sinv(e_c) e_s, of (Sinv(e_c) e_s) e_a and of a cross term are at most
+    phi sigma h_mult, phi^2 sigma h_mult kappa and h_cross = m phi^3 sigma
+    h_mult kappa tau_1 tau_2 (each d_(a,y) d_(b,c) is multiplied out
+    first).  left[b][k1] has at most N terms, and a product entry at most N
+    terms of left times a value of H.mult, so its digits are at most
+    phi^2 N^2 h_cross h_comult h_mult.  An entry of S_D has digits at most
+    m phi h_cross sigma_S rho, sigma_S the largest sum of heights over a
+    column of S and rho that over a row of Sinv; a coproduct entry, a
+    product of a value of H.mult and one of H.comult, at most
+    phi h_comult h_mult.  `unpack` is exact while the largest bound is
+    below 2^(B-1), and B is the least multiple of 32 bits for which it is
+    (`_width_for`).  The folds z -> (z & M) + (z >> Bm) and the reduction
+    mod M = 2^(Bm) - 1 keep the residue mod M, which is all `unpack` reads.
     """
     N = H.dim
     ND = N * N
     m = H.conductor
-    one = H.one_scalar
-    sinv_cols = H.antipode_inv
-
-    # Delta3(e_i): triples (a, b, c) -> coeff
-    delta3 = [TensorElement._trusted(H, 2, d).comult_leg(1).data for d in H.comult]
-
-    # cross[i][l]: (1 (x) h_i)(f_l (x) 1) as {(dual k1, primal k2): coeff}
-    # term for each triple (a,b,c): (e_a -> f_l <- Sinv(e_c)) (x) e_b,
-    # and (e_a -> f_l <- Sinv(e_c)) has f_s-coefficient
-    # <f_l, Sinv(e_c) e_s e_a>.
-    act_cache: dict[tuple[int, int], list] = {}
-
-    def acted(a: int, c: int):
-        """For the pair (a, c): acted[l] = sparse dual vector over s."""
-        key = (a, c)
-        if key not in act_cache:
-            rows = [dict() for _ in range(N)]
-            left = sinv_cols[c]
-            for s in range(N):
-                prod = H.mul_dicts(H.mul_dicts(left, {s: one}), {a: one})
-                for l, v in prod.items():
-                    rows[l][s] = v
-            act_cache[key] = rows
-        return act_cache[key]
-
-    cross = [[{} for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for (a, b, c), gamma in delta3[i].items():
-            rows = acted(a, c)
-            for l in range(N):
-                dest = cross[i][l]
-                for s, v in rows[l].items():
-                    dadd(dest, (s, b), gamma * v)
-
-    # the cross terms indexed over their distinct values, beside H's own index
-    crows, cvalues = index_rows(((i, l), base) for i, row in enumerate(cross)
-                                for l, base in enumerate(row))
+    phi = euler_phi(m)
     mrows, mvalues = H.mult_index
     legs, dual_rows, dvalues = H.comult_index
-    width = _width_for(m * m * ND * max(cvalues.height, 1) * max(dvalues.height, 1)
-                       * max(mvalues.height, 1))
-    cvals, dvals, mvals = cvalues.at(width), dvalues.at(width), mvalues.at(width)
+    # S(e_i) = srows[0][i] and Sinv(e_c) = srows[1][c], over one index
+    srows, svalues = index_rows(((k, i), col) for k, cols in enumerate((H.antipode, H.antipode_inv))
+                                for i, col in enumerate(cols))
+    sinv_rows: list[list] = [[] for _ in range(N)]  # sinv_rows[j] = [(l, Sinv(e_l)_j)]
+    for l, col in srows[1].items():
+        for j, x in col:
+            sinv_rows[j].append((l, x))
+    hs, hm, hd = svalues.heights, mvalues.heights, dvalues.heights
+    # sigma and rho, the column and row sums of heights of Sinv; see the docstring
+    sigma, rho = _spread(sinv_rows, hs), _spread(srows[1].values(), hs)
+    h_cross = (m * phi ** 3 * sigma * mvalues.height
+               * max(_spread((row[a] for row in mrows.values() if a in row), hm) for a in range(N))
+               * max(sum(hd[x] for _, x in entries) for entries in legs.values())
+               * max(_spread([[(b, x) for (b, _), x in entries]], hd) for entries in legs.values()))
+    sigma_s = max(sum(hs[x] for _, x in col) for col in srows[0].values())  # over S
+    width = _width_for(phi * h_cross * max(phi * ND * dvalues.height * mvalues.height,
+                                           m * sigma_s * rho))
+    svals, dvals, mvals = svalues.at(width), dvalues.at(width), mvalues.at(width)
     shift = width * m
     modulus = (1 << shift) - 1
-    # every stored coefficient is interned: one object per distinct value
-    canon: dict = {}
-    decode = _Decoder(width, m, cvalues.den * dvalues.den * mvalues.den, canon)
+    canon: dict = {}  # every stored coefficient is interned: one object per value
+    cross_den = svalues.den * mvalues.den ** 2 * dvalues.den ** 2
+    empty: dict = {}
 
-    bases = [[[(s, b, cvals[c]) for (s, b), c in base] for base in row.values()]
-             for row in crows.values()]
+    def times(vec, a: int) -> list:
+        """The packed vector vec e_a, each entry folded."""
+        out: dict[int, int] = {}
+        for k, z in vec:
+            for l, x in mrows.get(k, empty).get(a, ()):
+                out[l] = out.get(l, 0) + z * mvals[x]
+        return [(l, (z & modulus) + (z >> shift)) for l, z in out.items()]
+
+    # cross[i][l] = bases[i][l] = [(s, b, v_(s,b))], v packed and nonzero
+    flanked: dict[tuple[int, int], list] = {}  # (a, c) -> [Sinv(e_c) e_s e_a for each s]
+    nonzero, shared = _Decoder(width, m, cross_den, {}), {}  # shared: one int per residue
+    bases = []
+    for i in range(N):
+        cross: list[dict] = [{} for _ in range(N)]
+        for (a, y), x1 in legs[i]:
+            for (b, c), x2 in legs[y]:
+                rows = flanked.get((a, c))
+                if rows is None:
+                    sinv = [(t, svals[x]) for t, x in srows[1][c]]
+                    rows = flanked[a, c] = [times(times(sinv, s), a) for s in range(N)]
+                w = ((z := dvals[x1] * dvals[x2]) & modulus) + (z >> shift)
+                for s, row in enumerate(rows):
+                    for l, z in row:
+                        dest = cross[l]
+                        dest[s, b] = dest.get((s, b), 0) + w * z
+        bases.append([[(s, b, shared.setdefault(r, r)) for (s, b), v in dest.items()
+                       if nonzero[r := v % modulus] is not None] for dest in cross])
     # duals[j][s] = f_j f_s and products[b] = [(q, e_b e_q)], nonzero and packed
     duals = [[()] * N for _ in range(N)]
     for s, row in dual_rows.items():
@@ -268,6 +284,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     products = [[(q, [(k2, mvals[i]) for k2, i in entries])
                  for q, entries in mrows.get(b, {}).items()] for b in range(N)]
 
+    decode = _Decoder(width, m, cross_den * dvalues.den * mvalues.den, canon)
     mult = DoubleProducts(N, bases, duals, products, shift, decode)
 
     # coalgebra structure: tensor-product coalgebra of H*cop and H, whose
@@ -289,20 +306,19 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     counit = tuple(H.unit[j] * H.counit[i] for j in range(N) for i in range(N))
 
     # antipode from the cross terms (see the docstring)
-    sinv_rows: list[list] = [[] for _ in range(N)]  # sinv_rows[j] = [(l, Sinv(e_l)_j)]
-    for l, col in enumerate(sinv_cols):
-        for j, c in col.items():
-            sinv_rows[j].append((l, c))
+    antipode_decode = _Decoder(width, m, svalues.den ** 2 * cross_den, canon)
     antipode = []
     for j in range(N):
-        for col in H.antipode:
-            acc: dict[int, CyclotomicNumber] = {}
-            for p, x in col.items():
+        for i in range(N):
+            acc: dict[int, int] = {}
+            for p, x in srows[0][i]:
                 for l, y in sinv_rows[j]:
-                    xy = x * y
-                    for (s, b), v in cross[p][l].items():
-                        dadd(acc, s * N + b, xy * v)
-            antipode.append({k: canon.setdefault((c.num, c.den), c) for k, c in acc.items()})
+                    xy = ((z := svals[x] * svals[y]) & modulus) + (z >> shift)
+                    for s, b, v in bases[p][l]:
+                        key = s * N + b
+                        acc[key] = acc.get(key, 0) + xy * v
+            antipode.append({k: c for k, z in acc.items()
+                             if (c := antipode_decode[z % modulus]) is not None})
 
     D = HopfAlgebraData._trusted(
         name=f"D({H.name})", dim=ND, conductor=m,
@@ -311,14 +327,11 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
         mult=mult, unit=unit, comult=comult, counit=counit, antipode=antipode,
     )
 
-    r_data = {}
+    # R = sum_i (eps (x) e_i) (x) (f_i (x) 1): distinct keys, nonzero products
     eps_sparse = [(j, e) for j, e in enumerate(H.counit) if not e.is_zero()]
     unit_sparse = H.unit_element().data.items()
-    for i in range(N):
-        for j, e in eps_sparse:
-            for p, u in unit_sparse:
-                dadd(r_data, (j * N + i, i * N + p), e * u)
-    R = TensorElement._trusted(D, 2, r_data)
+    R = TensorElement._trusted(D, 2, {(j * N + i, i * N + p): e * u for i in range(N)
+                                      for j, e in eps_sparse for p, u in unit_sparse})
     return QuasitriangularData(algebra=D, R=R, source=H)
 
 

@@ -12,9 +12,10 @@ the coefficients of Delta(e_k), and ``antipode[j]`` is S(e_j).  An
 `AlgebraElement` holds one such dict, a `TensorElement` one keyed by
 index tuples, and `SpanSolver` eliminates on them directly; only the
 `ExactMatrix` views and `io` write dense lists.  Products of tensor
-elements run on Kronecker-packed integers (`_legwise_product`), from the
-one indexed form of the tables (`index_rows`) that each algebra keeps
-in its ``_cache``, where the T-route and the double build read it too.
+elements (`_legwise_product`) and the powers of an element
+(`_right_powers`) run on Kronecker-packed integers, the former from the
+one indexed form of the tables (`index_rows`) that each algebra keeps in
+its ``_cache``, where the T-route and the double build read it too.
 S^2, S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
 `validate` checks every Hopf axiom exactly (associativity and
 multiplicativity on a certified generating set); no algebra, checked or
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, product, repeat, starmap
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import ExactPolynomial, SpanSolver, SparseVec, dadd, first_dependence
-from .scalars import (CyclotomicNumber, _Decoder, _Packed, _width_for, as_scalar,
-                      lift_conductor)
+from .scalars import (_WIDTH_QUANTUM, CyclotomicNumber, _canonical, _Decoder, _height,
+                      _integers, _Packed, _width_for, as_scalar, euler_phi, lift_conductor,
+                      pack, unpack)
 
 
 class OrderSearchExhausted(RuntimeError):
@@ -950,11 +952,54 @@ def element_order(g: AlgebraElement) -> int:
         "Nichols-Zoeller's ord(g) | dim H: g is not a grouplike")
 
 
-def _powers(a: AlgebraElement | TensorElement) -> Iterator:
-    """1, a, ..., a^n lazily, n the dimension of the algebra of a: H, or H^(x arity)."""
-    H, tensor = a.parent, isinstance(a, TensorElement)
-    one = TensorElement.unit(H, a.arity) if tensor else H.unit_element()
-    return accumulate(repeat(a, H.dim ** a.arity if tensor else H.dim), mul, initial=one)
+def _right_powers(a: AlgebraElement) -> Iterator[SparseVec]:
+    """1, a, ..., a^n for n = dim H, lazily, by right multiplication by a on
+    Kronecker-packed integers (`scalars.pack`): x_(k+1) = sum_p x_k[p] (e_p a).
+
+    The column e_p a is formed once, when a power first reaches p
+    (`mul_dicts`: a double forms only the units it reads), as integer
+    coordinates over its own denominator d_p (`scalars._integers`), and kept
+    packed at the width B.  x_k is held as integer coordinates over one
+    denominator D_k, its content divided out.  With L the lcm of the d_p
+    over the support of x_k, a step adds the products of w_p = x_k[p] L / d_p
+    and the packed column p, and decodes each entry once (`unpack`):
+    x_(k+1) = that sum / (D_k L).
+
+    Exactness guard.  The packed values stand for elements of Z[x]/(x^m - 1)
+    with no digit past phi(m) - 1, so each digit of a product of two of them
+    is a sum of at most phi(m) products of digits, and each digit of an
+    entry of the sum is at most phi(m) sum_p height(w_p) height(column p).
+    `unpack` is exact while that is below 2^(B-1), so a step widens B, and
+    packs the columns again, whenever the bound reaches it.
+    """
+    H, m = a.parent, a.parent.conductor
+    phi, one = euler_phi(m), H.one_scalar
+    columns: dict = {}  # p -> (d_p, {j: coordinates of d_p (e_p a)[j]}, their height)
+    packed, width = {}, _WIDTH_QUANTUM  # packed[p] = [(j, column p packed at width)]
+    den, x = _integers(H.unit_element().data)
+    for _ in range(H.dim + 1):
+        yield {p: _canonical(m, tuple(c), den) for p, c in x.items()}
+        for p in x:
+            if p not in columns:
+                cden, col = _integers(H.mul_dicts({p: one}, a.data))
+                columns[p] = cden, col, _height(col.values())
+        lden = lcm(*(columns[p][0] for p in x))
+        weights = {p: [v * (lden // columns[p][0]) for v in c] for p, c in x.items()}
+        bound = phi * sum(_height([w]) * columns[p][2] for p, w in weights.items())
+        if bound >> (width - 1):
+            width, packed = _width_for(bound), {}
+        acc: dict = {}
+        for p, w in weights.items():
+            col = packed.get(p)
+            if col is None:
+                col = packed[p] = [(j, pack(c, width)) for j, c in columns[p][1].items()]
+            w = pack(w, width)
+            for j, y in col:
+                acc[j] = acc.get(j, 0) + w * y
+        x = {j: c for j, z in acc.items() if any(c := unpack(z, width, m))}
+        g = gcd(den * lden, *(v for c in x.values() for v in c))
+        den = den * lden // g
+        x = {j: [v // g for v in c] for j, c in x.items()}
 
 
 def element_minimal_polynomial(a: AlgebraElement | TensorElement) -> ExactPolynomial:
@@ -962,9 +1007,15 @@ def element_minimal_polynomial(a: AlgebraElement | TensorElement) -> ExactPolyno
 
     The first linear dependence among 1, a, a^2, ... is the minimal
     polynomial of a (equivalently of its left-regular matrix, which is
-    faithful in a unital algebra).
+    faithful in a unital algebra).  The powers of an algebra element are
+    `_right_powers`; those of a tensor element, 1, a, ..., a^n with n =
+    dim H^arity, are its products (`TensorElement.__mul__`).
     """
-    return first_dependence((p.data for p in _powers(a)), a.parent.conductor)
+    if isinstance(a, AlgebraElement):
+        return first_dependence(_right_powers(a), a.parent.conductor)
+    one = TensorElement.unit(a.parent, a.arity)
+    return first_dependence((p.data for p in accumulate(
+        repeat(a, a.parent.dim ** a.arity), mul, initial=one)), a.parent.conductor)
 
 
 def element_inverse(a: AlgebraElement | TensorElement) -> AlgebraElement | TensorElement | None:
@@ -978,7 +1029,8 @@ def element_inverse(a: AlgebraElement | TensorElement) -> AlgebraElement | Tenso
     c = element_minimal_polynomial(a).coeffs
     if c[0].is_zero():
         return None
-    one = inv = next(_powers(a))
+    one = inv = (a.parent.unit_element() if isinstance(a, AlgebraElement)
+                 else TensorElement.unit(a.parent, a.arity))
     for ci in reversed(c[1:-1]):
         inv = inv * a + one.scale(ci)
     inv = inv.scale(-c[0].inverse())

@@ -28,13 +28,13 @@ from .poly import _is_prime
 from .scalars import CyclotomicNumber, _Packed
 
 
-def _zeta(n: int) -> CyclotomicNumber:
-    """A primitive n-th root of unity at the smallest usable conductor."""
-    if n == 1:
-        return CyclotomicNumber.one(1)
-    if n == 2:
-        return CyclotomicNumber.rational(-1, 1)
-    return CyclotomicNumber.zeta(n)
+def _zeta(n: int, power: int = 1) -> CyclotomicNumber:
+    """zeta^power for a primitive n-th root of unity zeta, at the smallest
+    usable conductor; read off a table (`CyclotomicNumber.zeta`), never
+    multiplied out."""
+    if n <= 2:
+        return CyclotomicNumber.rational((-1) ** (power % n), 1)
+    return CyclotomicNumber.zeta(n, power)
 
 
 def _root_conductor(n: int) -> int:
@@ -311,7 +311,7 @@ def taft(n: int, name: str | None = None) -> HopfAlgebraData:
     def rmul_g(k):
         # g^a x^b g = q^-b g^(a+1) x^b
         a, b = divmod(k, n)
-        return {(a + 1) % n * n + b: q ** (-b % n)}
+        return {(a + 1) % n * n + b: _zeta(n, -b)}
 
     def rmul_x(k):
         return {k + 1: one} if (k + 1) % n else {}
@@ -350,7 +350,7 @@ def uq_borel_sl2(p: int) -> HopfAlgebraData:
 
     def rmul_e(k):
         # E^a K^c E = q^2c E^(a+1) K^c
-        return {k + p: q ** (2 * (k % p) % p)} if k + p < p * p else {}
+        return {k + p: _zeta(p, 2 * (k % p))} if k + p < p * p else {}
 
     def rmul_k(k):
         return {k - k % p + (k + 1) % p: one}
@@ -376,7 +376,7 @@ def uq_sl2(p: int) -> HopfAlgebraData:
     _check_quantum_p(p)
     q = _zeta(p)
     one = CyclotomicNumber.one(p)
-    lam = (q - q.inverse()).inverse()
+    lam = (q - _zeta(p, -1)).inverse()
     e, f, K, K_inv = p * p, p, 1, p - 1
 
     def mono(k):
@@ -387,7 +387,7 @@ def uq_sl2(p: int) -> HopfAlgebraData:
 
     def rmul_f(k):
         # e^a f^b K^c f = q^-2c e^a f^(b+1) K^c
-        return {k + p: q ** (-2 * (k % p) % p)} if mono(k)[1] + 1 < p else {}
+        return {k + p: _zeta(p, -2 * (k % p))} if mono(k)[1] + 1 < p else {}
 
     # f^b e in normal form, by f^b e = (f^(b-1) e) f - lam f^(b-1) K + lam f^(b-1) K^-1
     fe = [{e: one}]
@@ -407,13 +407,13 @@ def uq_sl2(p: int) -> HopfAlgebraData:
         for m, w in fe[b].items():
             a2, b2, c2 = mono(m)
             if a + a2 < p:
-                dadd(out, ((a + a2) * p + b2) * p + (c2 + c) % p, q ** (2 * c % p) * w)
+                dadd(out, ((a + a2) * p + b2) * p + (c2 + c) % p, _zeta(p, 2 * c) * w)
         return out
 
     generators = {
         e: (rmul_e, {(e, K): one, (0, e): one}, 0, {e + K_inv: -one}),
         # S(f) = -Kf = -q^-2 f K
-        f: (rmul_f, {(f, 0): one, (K_inv, f): one}, 0, {f + K: -(q ** (-2 % p))}),
+        f: (rmul_f, {(f, 0): one, (K_inv, f): one}, 0, {f + K: -_zeta(p, -2)}),
         K: (rmul_k, {(K, K): one}, 1, {K_inv: one}),
     }
     labels = [_power_label("e", a) + _power_label("f", b) + _power_label("K", c) or "1"
@@ -498,7 +498,6 @@ def parse_preset_name(name: str) -> PresetDescriptor:
     dualgroup:builtin:<NAME> | taft:<n> | uqb2:<p> | uqsl2:<p> |
     tensor:<a>,<b>.
     """
-    name = name.strip()
     if name == "trivial":
         return PresetDescriptor("trivial")
     if name == "sweedler":
@@ -523,11 +522,9 @@ def parse_preset_name(name: str) -> PresetDescriptor:
             "labels": labels,
             "name": spec.get("name", "C[G]"),
         })
-    if name.startswith("dualgroup:"):
-        rest = name[len("dualgroup:"):]
-        if rest.startswith("builtin:"):
-            rest = rest[len("builtin:"):]
-        return PresetDescriptor("dual_group_algebra", {"group": _builtin_group(rest)})
+    if name.startswith("dualgroup:builtin:"):
+        return PresetDescriptor("dual_group_algebra",
+                                {"group": _builtin_group(name[len("dualgroup:builtin:"):])})
     if name.startswith("taft:"):
         return PresetDescriptor("taft", {"n": _number(name[len("taft:"):])})
     if name.startswith("uqb2:"):

@@ -37,15 +37,17 @@ from .hopf import (
 )
 from .linalg import ExactMatrix, ExactPolynomial, dense, first_dependence
 from .poly import root_of_unity_order, squarefree_part
-from .scalars import _WIDTH_QUANTUM, _canonical, _width_for, pack, unpack
+from .scalars import (_WIDTH_QUANTUM, _canonical, _height, _integers, _spread, _width_for,
+                      pack, unpack)
 
 #: largest double dimension the regular route will build: D(taft:8), of
 #: dimension 64^2.  It still forms only the products the powers of u meet:
-#: `qexp --preset taft:8 --cross-check` takes 4.6-5.4 s and 264 MB on a
-#: 2-core x86-64 host (24 s and 1.8 GB when every product was formed up
-#: front).  Past it the route stops paying: on D(uqsl2:5), of dimension
-#: 15,625, the powers of u read 721,802 products (310 s and 1.3 GB in exact
-#: scalars).
+#: `qexp --preset taft:8 --cross-check` takes 2.4-2.8 s and 265 MB on a
+#: 2-core x86-64 host (4.1-4.8 s and 262 MB with its cross terms, antipode
+#: and powers of u in exact scalars, 24 s and 1.8 GB when every product was
+#: formed up front).  Past it the route stops paying: on D(uqsl2:5), of
+#: dimension 15,625, the powers of u read 721,802 products (310 s and
+#: 1.3 GB in exact scalars).
 REGULAR_ROUTE_ENVELOPE = 4096
 
 
@@ -105,27 +107,6 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return _t_sequence(H).columns(n)
-
-
-def _integers(values: dict) -> tuple[int, dict]:
-    """(D, {key: power-basis coordinates of D v}): scalars over their lcm denominator D."""
-    den = lcm(*(v.den for v in values.values()))
-    return den, {key: v.num if v.den == den else tuple(x * (den // v.den) for x in v.num)
-                 for key, v in values.items()}
-
-
-def _height(vectors) -> int:
-    """The largest absolute coordinate among integer coordinate vectors."""
-    return max((max(map(abs, vec)) for vec in vectors), default=0)
-
-
-def _spread(vectors, heights: list[int]) -> int:
-    """max_j of the sum of heights[i] over the entries (j, i) of indexed vectors."""
-    sums: dict[int, int] = {}
-    for entries in vectors:
-        for j, i in entries:
-            sums[j] = sums.get(j, 0) + heights[i]
-    return max(sums.values(), default=0)
 
 
 def _combination(m: int, terms: list[tuple[tuple[int, ...], dict, int]]) -> dict:
@@ -243,12 +224,7 @@ class _TSequence:
                         z = (z & modulus) + (z >> shift)
                         for j, i in products:
                             acc[j] = acc.get(j, 0) + z * mvals[i]
-            col = {}
-            for j, z in acc.items():
-                c = unpack(z, width, m)
-                if any(c):
-                    col[j] = c
-            new.append(col)
+            new.append({j: c for j, z in acc.items() if any(c := unpack(z, width, m))})
         den *= self.den
         g = gcd(den, *(x for col in new for c in col.values() for x in c))
         if g > 1:

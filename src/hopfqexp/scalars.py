@@ -410,6 +410,27 @@ class _Packed:
         return packed
 
 
+def _integers(values: dict) -> tuple[int, dict]:
+    """(D, {key: power-basis coordinates of D v}): scalars over their lcm denominator D."""
+    den = lcm(*(v.den for v in values.values()))
+    return den, {key: v.num if v.den == den else tuple(x * (den // v.den) for x in v.num)
+                 for key, v in values.items()}
+
+
+def _height(vectors) -> int:
+    """The largest absolute coordinate among integer coordinate vectors."""
+    return max((max(map(abs, vec)) for vec in vectors), default=0)
+
+
+def _spread(vectors, heights: list[int]) -> int:
+    """max_j of the sum of heights[i] over the entries (j, i) of indexed vectors."""
+    sums: dict = {}
+    for entries in vectors:
+        for j, i in entries:
+            sums[j] = sums.get(j, 0) + heights[i]
+    return max(sums.values(), default=0)
+
+
 def pack(coords: Sequence[int], width: int) -> int:
     """sum_e coords[e] 2^(width e), the packed form of an integer vector."""
     z = 0

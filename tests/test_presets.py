@@ -117,6 +117,15 @@ def test_malformed_preset_parameter_exits_2(name, capsys):
     assert out.err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", [" taft:3", "tensor:taft:3, sweedler", "dualgroup:S3"])
+def test_malformed_preset_name_exits_2(name, capsys):
+    # the grammar strips no whitespace and names dualgroup:builtin:<NAME> only
+    assert cli.main(["exponent", "--preset", name]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
 def test_quantum_presets_require_odd_prime():
     for p in (2, 4, 9, 15):
         with pytest.raises(ValueError, match="odd prime"):
@@ -198,6 +207,16 @@ def test_build_forms_each_distinct_product_once(name, bound, monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "__mul__", counting)
     get_preset(name)
     assert calls < bound
+
+
+@pytest.mark.parametrize("name", ["taft:8", "uqb2:7", "uqsl2:5"])
+def test_build_reads_roots_of_unity_off_the_table(name, monkeypatch):
+    # zeta^e comes from CyclotomicNumber.zeta, not from repeated squaring
+    def no_power(a, n):
+        raise AssertionError(f"CyclotomicNumber.__pow__({a!r}, {n})")
+
+    monkeypatch.setattr(CyclotomicNumber, "__pow__", no_power)
+    get_preset(name)
 
 
 def test_from_generators_rejects_unreached_basis():
