@@ -43,14 +43,10 @@ def test_powers_of_u_equal_repeated_products(name, double_cache):
     assert f == _span_minimal_polynomial(u)
 
 
-#: the zoo presets of dimension at most 27
-SMALL_ZOO = [name for name in ZOO if name not in ("taft:4", "taft:5")]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_powers_of_sparse_elements_equal_repeated_products(preset_cache, data):
-    H = preset_cache(data.draw(st.sampled_from(SMALL_ZOO)))
+    H = preset_cache(data.draw(st.sampled_from(ZOO)))
     m = H.conductor
     scalar = st.builds(lambda e, k: CyclotomicNumber.zeta(m, e) * k,
                        st.integers(0, m - 1), st.sampled_from([-3, -1, 1, 2]))
