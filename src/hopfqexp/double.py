@@ -13,7 +13,7 @@ S^2-by-conjugation identity; those checks are run on every preset.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -168,10 +168,60 @@ class DoubleProducts(Mapping):
         return len(self.table())
 
 
+class DoubleCoproduct(Sequence):
+    """The coproduct of D(H), indexed like ``comult``, each row formed on
+    its first read.
+
+    D(H) is the tensor-product coalgebra of H*cop and H, so row r = j N + i
+    is Delta(f_j (x) e_i) = {(b N + p, a N + q): mu[(a, b)]_j d_(p,q)}, over
+    the products e_a e_b with an f_j-coefficient mu[(a, b)]_j
+    (``dual_pairs[j]`` holds (b N, a N, the decoded products of that
+    coefficient and each value of H.comult)) and the terms d_(p,q) e_p (x)
+    e_q of Delta(e_i) (``legs[i]``, value indices into H.comult).  A row is
+    formed once, by `__getitem__`; iteration forms those still missing, in
+    order.  Nothing that reads only u, its powers or the products forms
+    one.  Two coproducts, or a coproduct and a list, are equal when their
+    rows are.
+    """
+
+    def __init__(self, N: int, dual_pairs: list, legs: dict):
+        self.N, self._dual_pairs, self._legs = N, dual_pairs, legs
+        self._rows: list[dict | None] = [None] * (N * N)
+
+    @property
+    def rows_formed(self) -> int:
+        return sum(row is not None for row in self._rows)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[k] for k in range(len(self._rows))[r]]
+        row = self._rows[r]
+        if row is None:
+            j, i = divmod(r % len(self._rows), self.N)
+            row = self._rows[r] = {(bN + p, aN + q): values[w]
+                                   for bN, aN, values in self._dual_pairs[j]
+                                   for (p, q), w in self._legs[i]}
+        return row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, DoubleCoproduct)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     """D(H) with its R-matrix, on Kronecker-packed integers (`scalars.pack`):
-    the cross terms, the antipode, the coproduct and, on first read, the
-    products (`DoubleProducts`).
+    the cross terms, the antipode and the coproduct's factors here, and on
+    first read the products (`DoubleProducts`) and the rows of the
+    coproduct (`DoubleCoproduct`).
 
     The product (f_j (x) e_i)(f_l (x) e_q) is f_j cross[i][l] (1 (x) e_q),
     with cross[i][l] = (1 (x) e_i)(f_l (x) 1) = sum v_(s,b) f_s (x) e_b.  By
@@ -288,7 +338,8 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     mult = DoubleProducts(N, bases, duals, products, shift, decode)
 
     # coalgebra structure: tensor-product coalgebra of H*cop and H, whose
-    # entries are the products of one value of H.mult and one of H.comult
+    # entries are the products of one value of H.mult and one of H.comult;
+    # its rows wait in DoubleCoproduct until something reads them
     pair_decode = _Decoder(width, m, mvalues.den * dvalues.den, canon)
     pair = [[pair_decode[x * y % modulus] for y in dvals] for x in mvals]
     # Delta_{H*cop}(f_j): (b, a) with coefficient mu[(a,b)][j], in the order of H.mult
@@ -296,11 +347,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     for a, b in H.mult_table:
         for j, i in mrows[a][b]:
             dual_pairs[j].append((b * N, a * N, pair[i]))
-    comult = []
-    for j in range(N):
-        for i in range(N):
-            comult.append({(bN + p, aN + q): row[w]
-                           for bN, aN, row in dual_pairs[j] for (p, q), w in legs[i]})
+    comult = DoubleCoproduct(N, dual_pairs, legs)
 
     unit = tuple(H.counit[j] * H.unit[i] for j in range(N) for i in range(N))
     counit = tuple(H.unit[j] * H.counit[i] for j in range(N) for i in range(N))

@@ -142,7 +142,7 @@ class HopfAlgebraData:
 
     def _store(self, name: str, dim: int, conductor: int, basis_labels: list[str],
                mult: Mapping[tuple[int, int], SparseVec], unit: tuple,
-               comult: list[SparsePairs], counit: tuple, antipode: list[SparseVec],
+               comult: Sequence[SparsePairs], counit: tuple, antipode: list[SparseVec],
                grouplike_vectors: list[tuple] | None = None,
                grading: list[int] | None = None) -> None:
         self.name, self.dim, self.conductor = name, dim, conductor
@@ -167,9 +167,10 @@ class HopfAlgebraData:
         Nothing is checked or copied, and tables may be shared with the
         algebra they came from; `mult` may be a read-only mapping that
         forms its products on first read (`double.DoubleProducts`), which
-        readers call `get` on, and scans read through `mult_table`.  Data
-        from outside comes in through the checked constructor, and
-        `validate` still checks the axioms."""
+        readers call `get` on, and scans read through `mult_table`, and
+        `comult` a read-only sequence that forms each row on first read
+        (`double.DoubleCoproduct`).  Data from outside comes in through the
+        checked constructor, and `validate` still checks the axioms."""
         self = cls.__new__(cls)
         self._store(*tables, **named)
         return self

@@ -41,11 +41,12 @@ from .scalars import (_WIDTH_QUANTUM, _canonical, _height, _integers, _spread, _
                       pack, unpack)
 
 #: largest double dimension the regular route will build: D(taft:8), of
-#: dimension 64^2.  It still forms only the products the powers of u meet:
-#: `qexp --preset taft:8 --cross-check` takes 2.4-2.8 s and 265 MB on a
-#: 2-core x86-64 host (4.1-4.8 s and 262 MB with its cross terms, antipode
-#: and powers of u in exact scalars, 24 s and 1.8 GB when every product was
-#: formed up front).  Past it the route stops paying: on D(uqsl2:5), of
+#: dimension 64^2.  It still forms only the products the powers of u meet,
+#: and no coproduct row: `qexp --preset taft:8 --cross-check` takes
+#: 2.1-2.4 s and 162 MB on a 2-core x86-64 host (5.3-5.5 s and 263 MB with
+#: its cross terms, antipode and powers of u in exact scalars and its
+#: coproduct formed up front, 24 s and 1.8 GB when every product was
+#: formed up front too).  Past it the route stops paying: on D(uqsl2:5), of
 #: dimension 15,625, the powers of u read 721,802 products (310 s and
 #: 1.3 GB in exact scalars).
 REGULAR_ROUTE_ENVELOPE = 4096

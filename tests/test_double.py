@@ -20,8 +20,9 @@ from hopfqexp.double import (
     verify_quasitriangular,
     verify_s2_conjugation,
 )
-from hopfqexp.hopf import (HopfAlgebraData, TensorElement, dual, index_rows, lift_algebra,
-                           subalgebra_closure, tensor, validate, variant)
+from hopfqexp.hopf import (HopfAlgebraData, TensorElement, dual, element_minimal_polynomial,
+                           index_rows, lift_algebra, subalgebra_closure, tensor, validate,
+                           variant)
 from hopfqexp.linalg import dense, sparse
 from hopfqexp.presets import ZOO, get_preset
 from hopfqexp.qexp import quasi_exponent
@@ -369,6 +370,34 @@ def test_text_double_forms_no_product(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("D(uq_sl2(3)): dim 729, conductor 3;")
     [qt] = built
     assert qt.algebra.mult.units_formed == 0
+
+
+@pytest.mark.parametrize("name", list(TABLE_DIGESTS))
+def test_coproduct_rows_read_on_demand_equal_the_full_build(name, preset_cache):
+    # rows read one at a time, in a seeded order, are the rows that
+    # iteration forms on a fresh build, each formed once and then kept
+    H = preset_cache(name)
+    comult = drinfeld_double(H).algebra.comult
+    n = H.dim ** 2
+    assert len(comult) == n and comult.rows_formed == 0
+    order = list(range(n))
+    random.Random(name).shuffle(order)
+    read = {r: comult[r] for r in order}
+    assert comult.rows_formed == n
+    assert all(comult[r] is read[r] for r in range(n))
+    full = drinfeld_double(H).algebra.comult
+    assert list(full) == [read[r] for r in range(n)]
+    assert comult == full and comult == list(full) and list(full) == comult
+    assert comult[-1] is read[n - 1]
+    assert comult[:2] == [read[r] for r in range(min(n, 2))]
+    with pytest.raises(IndexError):
+        comult[n]
+
+
+def test_u_and_its_minimal_polynomial_form_no_coproduct_row(preset_cache):
+    qt = drinfeld_double(preset_cache("uqb2:3"))
+    element_minimal_polynomial(drinfeld_element(qt))
+    assert qt.algebra.comult.rows_formed == 0
 
 
 def _closure_by_grouplikes(H):
