@@ -12,9 +12,10 @@ i runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 the change first in odd ones, so that a drift of the host's speed over the
 run falls on both sides alike.
 
-For every end-to-end metric of ``BENCHMARK.json`` (read from CHANGE) it
-prints each side's median and quartiles, the pairs the change won, the
-change of the median relative to the parent's and the metric's bound, and
+It prints each side's failed jobs, git SHA and ``src_lines``, and then,
+for every end-to-end metric of ``BENCHMARK.json`` (read from CHANGE),
+each side's median and quartiles, the pairs the change won, the change
+of the median relative to the parent's and the metric's bound, and
 whether a gain can be claimed: the change wins at least 9 of 10 pairs
 (the same share of any other count) and the medians differ by more than
 the parent's interquartile range.  A run that exits non-zero (a job with
@@ -156,6 +157,10 @@ def main(argv=None) -> int:
     for side, t in totals.items():
         print(f"{side}: {t['failed']}/{t['attempted']} jobs failed, "
               f"{t['nonzero_exits']} run(s) exited non-zero")
+    metas = {side: next((r["meta"] for r in rs if "meta" in r), None) for side, rs in runs.items()}
+    for side, meta in metas.items():
+        meta = meta or {}
+        print(f"{side}: git {meta.get('git_sha', '?')}, src_lines {meta.get('src_lines', '?')}")
     rows = compare(spec["end_to_end"], runs)
     print("\n".join(summarize(rows)))
     if args.json:
@@ -165,7 +170,7 @@ def main(argv=None) -> int:
             "first_in_pair": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
             "metrics": rows,
             "sides": {side: {
-                "meta": next((r["meta"] for r in rs if "meta" in r), None),
+                "meta": metas[side],
                 **totals[side],
                 "runs": [{"seed": seed, "returncode": r["returncode"],
                           "calib_s": r.get("calib_s"),

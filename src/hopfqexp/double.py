@@ -29,7 +29,7 @@ from .hopf import (
     placed_product,
 )
 from .linalg import ExactMatrix, dense
-from .scalars import CyclotomicNumber, _Decoder, _spread, _width_for, euler_phi
+from .scalars import CyclotomicNumber, _Decoder, _ring, _spread, _width_for, euler_phi
 
 
 @dataclass
@@ -69,11 +69,9 @@ class DoubleProducts(Mapping):
     i, l, then j, then q ascending.  From then on `get` is that dict's own.
     """
 
-    def __init__(self, N: int, bases: list, duals: list, products: list, shift: int,
-                 decode: _Decoder):
+    def __init__(self, N: int, bases: list, duals: list, products: list, decode: _Decoder):
         self.N = N
-        self._bases, self._duals, self._products = bases, duals, products
-        self._shift, self._modulus, self._decode = shift, (1 << shift) - 1, decode
+        self._bases, self._duals, self._products, self._decode = bases, duals, products, decode
         # the s of each cross term, and those with f_j f_s nonzero, as bit masks
         self._cross_masks = [[sum(1 << s for s in {s for s, _, _ in base}) for base in row]
                              for row in bases]
@@ -102,7 +100,8 @@ class DoubleProducts(Mapping):
                     row = left[b] = {}
                 for k1, c in fjfs:
                     row[k1] = row.get(k1, 0) + v * c
-        shift, modulus, decode, products = self._shift, self._modulus, self._decode, self._products
+        decode, products = self._decode, self._products
+        shift, modulus = decode.ring.shift, decode.ring.modulus
         outs: dict[int, dict[int, int]] = {}
         for b, row in left.items():
             folded = [(k1 * N, (z & modulus) + (z >> shift)) for k1, z in row.items()]
@@ -218,7 +217,7 @@ class DoubleCoproduct(Sequence):
 
 
 def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
-    """D(H) with its R-matrix, on Kronecker-packed integers (`scalars.pack`):
+    """D(H) with its R-matrix, on Kronecker-packed integers (`scalars._Ring`):
     the cross terms, the antipode and the coproduct's factors here, and on
     first read the products (`DoubleProducts`) and the rows of the
     coproduct (`DoubleCoproduct`).
@@ -264,10 +263,9 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     m phi h_cross sigma_S rho, sigma_S the largest sum of heights over a
     column of S and rho that over a row of Sinv; a coproduct entry, a
     product of a value of H.mult and one of H.comult, at most
-    phi h_comult h_mult.  `unpack` is exact while the largest bound is
-    below 2^(B-1), and B is the least multiple of 32 bits for which it is
-    (`_width_for`).  The folds z -> (z & M) + (z >> Bm) and the reduction
-    mod M = 2^(Bm) - 1 keep the residue mod M, which is all `unpack` reads.
+    phi h_comult h_mult.  `_Ring.unpack` is exact while the largest bound
+    is below 2^(B-1), and B is the least multiple of 32 bits for which it
+    is (`_width_for`).
     """
     N = H.dim
     ND = N * N
@@ -292,9 +290,9 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     sigma_s = max(sum(hs[x] for _, x in col) for col in srows[0].values())  # over S
     width = _width_for(phi * h_cross * max(phi * ND * dvalues.height * mvalues.height,
                                            m * sigma_s * rho))
+    ring = _ring(width, m)
     svals, dvals, mvals = svalues.at(width), dvalues.at(width), mvalues.at(width)
-    shift = width * m
-    modulus = (1 << shift) - 1
+    shift, modulus = ring.shift, ring.modulus
     canon: dict = {}  # every stored coefficient is interned: one object per value
     cross_den = svalues.den * mvalues.den ** 2 * dvalues.den ** 2
     empty: dict = {}
@@ -309,7 +307,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
 
     # cross[i][l] = bases[i][l] = [(s, b, v_(s,b))], v packed and nonzero
     flanked: dict[tuple[int, int], list] = {}  # (a, c) -> [Sinv(e_c) e_s e_a for each s]
-    nonzero, shared = _Decoder(width, m, cross_den, {}), {}  # shared: one int per residue
+    nonzero, shared = _Decoder(ring, cross_den, {}), {}  # shared: one int per residue
     bases = []
     for i in range(N):
         cross: list[dict] = [{} for _ in range(N)]
@@ -334,13 +332,13 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     products = [[(q, [(k2, mvals[i]) for k2, i in entries])
                  for q, entries in mrows.get(b, {}).items()] for b in range(N)]
 
-    decode = _Decoder(width, m, cross_den * dvalues.den * mvalues.den, canon)
-    mult = DoubleProducts(N, bases, duals, products, shift, decode)
+    decode = _Decoder(ring, cross_den * dvalues.den * mvalues.den, canon)
+    mult = DoubleProducts(N, bases, duals, products, decode)
 
     # coalgebra structure: tensor-product coalgebra of H*cop and H, whose
     # entries are the products of one value of H.mult and one of H.comult;
     # its rows wait in DoubleCoproduct until something reads them
-    pair_decode = _Decoder(width, m, mvalues.den * dvalues.den, canon)
+    pair_decode = _Decoder(ring, mvalues.den * dvalues.den, canon)
     pair = [[pair_decode[x * y % modulus] for y in dvals] for x in mvals]
     # Delta_{H*cop}(f_j): (b, a) with coefficient mu[(a,b)][j], in the order of H.mult
     dual_pairs: list[list] = [[] for _ in range(N)]
@@ -353,7 +351,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     counit = tuple(H.unit[j] * H.counit[i] for j in range(N) for i in range(N))
 
     # antipode from the cross terms (see the docstring)
-    antipode_decode = _Decoder(width, m, svalues.den ** 2 * cross_den, canon)
+    antipode_decode = _Decoder(ring, svalues.den ** 2 * cross_den, canon)
     antipode = []
     for j in range(N):
         for i in range(N):

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, product, repeat, starmap
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import ExactPolynomial, SpanSolver, SparseVec, dadd, first_dependence
 from .scalars import (_WIDTH_QUANTUM, CyclotomicNumber, _canonical, _Decoder, _height,
-                      _integers, _Packed, _width_for, as_scalar, euler_phi, lift_conductor,
-                      pack, unpack)
+                      _integers, _lowest_terms, _Packed, _ring, _width_for, as_scalar,
+                      euler_phi, lift_conductor, pack)
 
 
 class OrderSearchExhausted(RuntimeError):
@@ -541,8 +541,8 @@ def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a
     packed at width B (`scalars._Packed`).  A second pass adds, for each
     such pair (s, t) and each choice of k_l in rows[s_l][t_l] on every
     leg l, the int product of a_s, b_t and those values to the entry
-    (k_0, ..., k_(arity-1)), each multiply followed by the fold
-    z -> (z & M) + (z >> Bm).  Both passes stream the term pairs, and
+    (k_0, ..., k_(arity-1)), each multiply followed by the fold of the ring
+    at width B (`scalars._Ring`).  Both passes stream the term pairs, and
     each entry is decoded once per distinct residue (`_Decoder`).
 
     Exactness guard.  A packed value stands for an element of
@@ -554,10 +554,9 @@ def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a
     factors of one term give digits at most m^(arity+1) h_a h_b h_T^arity.
     Within one term pair, distinct choices of the k_l give distinct keys,
     so an entry gets at most one term from each of the P term pairs, and
-    its digits are at most P m^(arity+1) h_a h_b h_T^arity.  `unpack` is exact while that bound is below 2^(B-1), and
-    B is the least multiple of 32 bits for which it is (`_width_for`).
-    The folds and the reduction mod M = 2^(Bm) - 1 keep the residue mod
-    M, which is all `unpack` reads.
+    its digits are at most P m^(arity+1) h_a h_b h_T^arity.  `_Ring.unpack`
+    is exact while that bound is below 2^(B-1), and B is the least multiple
+    of 32 bits for which it is (`_width_for`).
     """
     rows, values = table
     empty: dict = {}
@@ -576,12 +575,12 @@ def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a
     apacked, bpacked = (_Packed((v.num, v.den) for _, v in terms) for terms in (a, b))
     width = _width_for(pairs * m ** (arity + 1) * apacked.height * bpacked.height
                        * values.height ** arity)
+    decode = _Decoder(_ring(width, m), apacked.den * bpacked.den * values.den ** arity, {})
     avals, aindex = apacked.at(width), apacked.index
     bvals, bindex = bpacked.at(width), bpacked.index
     tvals = values.at(width)
     ys = [(t, bvals[bindex[v.num, v.den]]) for t, v in b]
-    shift = width * m
-    modulus = (1 << shift) - 1
+    shift, modulus = decode.ring.shift, decode.ring.modulus
     acc: dict[tuple[int, ...], int] = {}
     for s, v in a:
         x = avals[aindex[v.num, v.den]]
@@ -597,7 +596,6 @@ def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a
             else:
                 for key, w in partial:
                     acc[key] = acc.get(key, 0) + w
-    decode = _Decoder(width, m, apacked.den * bpacked.den * values.den ** arity, {})
     return {key: c for key, z in acc.items() if (c := decode[z % modulus]) is not None}
 
 
@@ -955,7 +953,7 @@ def element_order(g: AlgebraElement) -> int:
 
 def _right_powers(a: AlgebraElement) -> Iterator[SparseVec]:
     """1, a, ..., a^n for n = dim H, lazily, by right multiplication by a on
-    Kronecker-packed integers (`scalars.pack`): x_(k+1) = sum_p x_k[p] (e_p a).
+    Kronecker-packed integers (`scalars._Ring`): x_(k+1) = sum_p x_k[p] (e_p a).
 
     The column e_p a is formed once, when a power first reaches p
     (`mul_dicts`: a double forms only the units it reads), as integer
@@ -963,20 +961,20 @@ def _right_powers(a: AlgebraElement) -> Iterator[SparseVec]:
     packed at the width B.  x_k is held as integer coordinates over one
     denominator D_k, its content divided out.  With L the lcm of the d_p
     over the support of x_k, a step adds the products of w_p = x_k[p] L / d_p
-    and the packed column p, and decodes each entry once (`unpack`):
+    and the packed column p, and decodes each entry once (`_Ring.combine`):
     x_(k+1) = that sum / (D_k L).
 
     Exactness guard.  The packed values stand for elements of Z[x]/(x^m - 1)
     with no digit past phi(m) - 1, so each digit of a product of two of them
     is a sum of at most phi(m) products of digits, and each digit of an
     entry of the sum is at most phi(m) sum_p height(w_p) height(column p).
-    `unpack` is exact while that is below 2^(B-1), so a step widens B, and
-    packs the columns again, whenever the bound reaches it.
+    `_Ring.unpack` is exact while that is below 2^(B-1), so a step widens B,
+    and packs the columns again, whenever the bound reaches it.
     """
     H, m = a.parent, a.parent.conductor
     phi, one = euler_phi(m), H.one_scalar
     columns: dict = {}  # p -> (d_p, {j: coordinates of d_p (e_p a)[j]}, their height)
-    packed, width = {}, _WIDTH_QUANTUM  # packed[p] = [(j, column p packed at width)]
+    packed, ring = {}, _ring(_WIDTH_QUANTUM, m)  # packed[p] = [(j, column p packed)]
     den, x = _integers(H.unit_element().data)
     for _ in range(H.dim + 1):
         yield {p: _canonical(m, tuple(c), den) for p, c in x.items()}
@@ -987,20 +985,13 @@ def _right_powers(a: AlgebraElement) -> Iterator[SparseVec]:
         lden = lcm(*(columns[p][0] for p in x))
         weights = {p: [v * (lden // columns[p][0]) for v in c] for p, c in x.items()}
         bound = phi * sum(_height([w]) * columns[p][2] for p, w in weights.items())
-        if bound >> (width - 1):
-            width, packed = _width_for(bound), {}
-        acc: dict = {}
-        for p, w in weights.items():
-            col = packed.get(p)
-            if col is None:
-                col = packed[p] = [(j, pack(c, width)) for j, c in columns[p][1].items()]
-            w = pack(w, width)
-            for j, y in col:
-                acc[j] = acc.get(j, 0) + w * y
-        x = {j: c for j, z in acc.items() if any(c := unpack(z, width, m))}
-        g = gcd(den * lden, *(v for c in x.values() for v in c))
-        den = den * lden // g
-        x = {j: [v // g for v in c] for j, c in x.items()}
+        if bound >> (ring.width - 1):
+            ring, packed = _ring(_width_for(bound), m), {}
+        for p in weights:
+            if p not in packed:
+                packed[p] = [(j, pack(c, ring.width)) for j, c in columns[p][1].items()]
+        den, [x] = _lowest_terms(den * lden, [ring.combine(
+            (pack(w, ring.width), packed[p]) for p, w in weights.items())])
 
 
 def element_minimal_polynomial(a: AlgebraElement | TensorElement) -> ExactPolynomial:

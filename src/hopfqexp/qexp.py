@@ -23,7 +23,7 @@ the first dependence among the unprojected T_n decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .double import QuasitriangularData, drinfeld_double, drinfeld_element
 from .hopf import (
@@ -37,8 +37,8 @@ from .hopf import (
 )
 from .linalg import ExactMatrix, ExactPolynomial, dense, first_dependence
 from .poly import root_of_unity_order, squarefree_part
-from .scalars import (_WIDTH_QUANTUM, _canonical, _height, _integers, _spread, _width_for,
-                      pack, unpack)
+from .scalars import (_WIDTH_QUANTUM, _canonical, _height, _integers, _lowest_terms, _ring,
+                      _spread, _width_for, pack)
 
 #: largest double dimension the regular route will build: D(taft:8), of
 #: dimension 64^2.  It still forms only the products the powers of u meet,
@@ -111,20 +111,15 @@ def _t_columns(H: HopfAlgebraData, n: int) -> list[SparseVec]:
 
 
 def _combination(m: int, terms: list[tuple[tuple[int, ...], dict, int]]) -> dict:
-    """sum_t w_t vec_t for integer coordinates w_t and vec_t = {i: coordinates},
-    each term given as (w_t, vec_t, height of vec_t); the result is decoded
-    mod Phi_m, so an entry may be all zeros.
+    """sum_t w_t vec_t mod Phi_m, zeros dropped (`_Ring.combine`), for integer
+    coordinates w_t and vec_t = {i: coordinates}, given as (w_t, vec_t, height of vec_t).
 
     Each digit of the sum is at most m sum_t |w_t| height_t (the exactness
     guard of `_TSequence`), and the width is chosen from that bound.
     """
     width = _width_for(m * sum(_height([w]) * h for w, _, h in terms))
-    acc: dict[int, int] = {}
-    for w, vec, _ in terms:
-        w = pack(w, width)
-        for i, c in vec.items():
-            acc[i] = acc.get(i, 0) + w * pack(c, width)
-    return {i: unpack(z, width, m) for i, z in acc.items()}
+    return _ring(width, m).combine(
+        (pack(w, width), [(i, pack(c, width)) for i, c in vec.items()]) for w, vec, _ in terms)
 
 
 class _TSequence:
@@ -140,8 +135,8 @@ class _TSequence:
         I_b = S^-2(T_n(e_b)),   T_{n+1}(e_k) = sum_(a,b) sum_q (c_ab I_b[q]) e_a e_q
 
     over Delta(e_k) = sum c_ab e_a (x) e_b, each product one int multiply
-    and a fold, then decodes every entry (`unpack`), drops the zeros and
-    divides out the content.
+    and a fold in the ring at width B (`scalars._Ring`), then decodes every
+    entry (`_Ring.unpack`), drops the zeros and divides out the content.
 
     Exactness guard.  The packed values stand for elements of
     Z[x]/(x^m - 1), which are not reduced mod Phi_m before the decoding.
@@ -154,8 +149,8 @@ class _TSequence:
     denominators, at most m^3 h R_S R_P = m^3 h ``mass``.  Here R_S is
     the largest sum over i of the heights of S^-2(e_i)[j], over j, and
     R_P the largest sum over (a, b) in Delta(e_k) of height(c_ab) times
-    max_j sum_q height((e_a e_q)[j]), over k.  `unpack` is exact while
-    the bound is below 2^(B-1), so a step widens B whenever the bound
+    max_j sum_q height((e_a e_q)[j]), over k.  `_Ring.unpack` is exact
+    while the bound is below 2^(B-1), so a step widens B whenever the bound
     reaches it.  Python ints never overflow, so this is the only engine:
     no floating point and no modular reduction.
     """
@@ -199,10 +194,10 @@ class _TSequence:
         if bound >> (self.width - 1):
             self.width = _width_for(bound)
         width = self.width
+        ring = _ring(width, m)
         (sinv2, svalues), (mult, mvalues), (comult, _, cvalues) = self.tables
         svals, cvals, mvals = svalues.at(width), cvalues.at(width), mvalues.at(width)
-        shift = width * m
-        modulus = (1 << shift) - 1
+        shift, modulus, unpack = ring.shift, ring.modulus, ring.unpack
         empty: dict = {}
         images = []
         for col in cols:
@@ -225,12 +220,8 @@ class _TSequence:
                         z = (z & modulus) + (z >> shift)
                         for j, i in products:
                             acc[j] = acc.get(j, 0) + z * mvals[i]
-            new.append({j: c for j, z in acc.items() if any(c := unpack(z, width, m))})
-        den *= self.den
-        g = gcd(den, *(x for col in new for c in col.values() for x in c))
-        if g > 1:
-            den //= g
-            new = [{j: [x // g for x in c] for j, c in col.items()} for col in new]
+            new.append({j: c for j, z in acc.items() if any(c := unpack(z))})
+        den, new = _lowest_terms(den * self.den, new)
         self.terms.append((den, new, _height(c for col in new for c in col.values())))
 
 
@@ -251,31 +242,24 @@ def _projected(H: HopfAlgebraData, n: int, w: SparseVec) -> SparseVec:
     seq = _t_sequence(H)
     den, cols, height = seq.term(n)
     wden, weights = _integers(w)
-    out = {}
-    for i, c in _combination(seq.m, [(x, cols[k], height)
-                                      for k, x in weights.items()]).items():
-        if any(c):
-            out[i] = _canonical(seq.m, tuple(c), wden * den)
-    return out
+    return {i: _canonical(seq.m, tuple(c), wden * den) for i, c in _combination(
+        seq.m, [(x, cols[k], height) for k, x in weights.items()]).items()}
 
 
 def _annihilates(H: HopfAlgebraData, g: ExactPolynomial) -> bool:
     """True iff sum_i g_i T_i = 0, checked on every column.
 
     With g_i = G_i / D_g and T_i = t_i / D_i over L = lcm D_i, the sum is
-    sum_i G_i (L / D_i) t_i / (D_g L); each entry is decoded mod Phi_m
-    before its zero test.
+    sum_i G_i (L / D_i) t_i / (D_g L); each entry is decoded mod Phi_m,
+    and the zeros there dropped, before the test.
     """
     seq = _t_sequence(H)
     terms = [seq.term(i) for i in range(g.degree + 1)]
     _, coeffs = _integers(dict(enumerate(g.coeffs)))
     top = lcm(*(den for den, _, _ in terms))
     weights = [tuple(x * (top // den) for x in coeffs[i]) for i, (den, _, _) in enumerate(terms)]
-    for k in range(H.dim):
-        column = [(w, cols[k], h) for w, (_, cols, h) in zip(weights, terms) if any(w)]
-        if any(any(c) for c in _combination(seq.m, column).values()):
-            return False
-    return True
+    return not any(_combination(seq.m, [(w, cols[k], h) for w, (_, cols, h) in zip(weights, terms)
+                                        if any(w)]) for k in range(H.dim))
 
 
 def u_min_poly_via_t(H: HopfAlgebraData) -> ExactPolynomial:

@@ -364,14 +364,7 @@ def _constant(conductor: int, value: int) -> CyclotomicNumber:
     return CyclotomicNumber.rational(value, conductor)
 
 
-# -- packed integers ---------------------------------------------------------
-#
-# Kronecker substitution x = 2^B into Z[x]/(x^m - 1): an integer vector
-# (c_0, ..., c_{m-1}) is packed into the one int sum c_e 2^(Be), taken mod
-# M = 2^(Bm) - 1.  Since 2^(Bm) = 1 mod M, x -> 2^B is a ring map from
-# Z[x]/(x^m - 1) to Z/M, and x -> zeta_m maps Z[x]/(x^m - 1) onto Z[zeta_m].
-# A product is one int multiply and the fold z -> (z & M) + (z >> Bm), which
-# keeps z mod M; a sum is one int addition.  Only `unpack` needs a bound.
+# -- packed integers: sum c_e 2^(Be) for (c_0, ..., c_{m-1}), in `_Ring` -------
 
 #: packed widths are multiples of this many bits, so that the tables packed
 #: at one width serve every later step that needs no more
@@ -439,62 +432,95 @@ def pack(coords: Sequence[int], width: int) -> int:
     return z
 
 
-@lru_cache(maxsize=None)
-def _unpacking(width: int, m: int):
-    # M, the offset sum_e 2^(width-1) 2^(width e), the digit shifts, and the
-    # nonzero coordinates of zeta_m^e for phi <= e < m
-    modulus = (1 << width * m) - 1
-    offset = (1 << width - 1) * (modulus // ((1 << width) - 1))
-    phi = euler_phi(m)
-    folds = tuple((e, tuple((i, v) for i, v in enumerate(_zeta_powers(m)[e]) if v))
-                  for e in range(phi, m))
-    return modulus, offset, range(0, width * m, width), folds, phi
+class _Ring:
+    """Z[x]/(x^m - 1) at x = 2^B, B = ``width``: the ring of the packed ints.
 
+    ``shift`` is B m and ``modulus`` M = 2^(Bm) - 1.  As 2^(Bm) = 1 mod M,
+    x -> 2^B maps Z[x]/(x^m - 1) to Z/M, and x -> zeta_m onto Z[zeta_m].  A
+    product is an int multiply and the fold z -> (z & M) + (z >> Bm), a sum
+    an int addition: the folds and any reduction mod M keep z mod M, all
+    that `unpack` reads, so only `unpack` needs a digit bound.  Each kernel
+    proves its own.
 
-def unpack(z: int, width: int, m: int) -> list[int]:
-    """The power-basis coordinates in Z[zeta_m] of the packed value z.
-
-    Exact if the element of Z[x]/(x^m - 1) that z stands for has every
-    digit below 2^(width-1) in absolute value.  Such digit vectors give
-    integers sum c_e 2^(width e) of absolute value below M/2, distinct ones
-    distinct, so the balanced residue of z mod M is that integer; adding
-    2^(width-1) to every digit makes them all lie in [1, 2^width), where
-    they are read off bit by bit.  Digits e >= phi(m) are then folded back
-    with zeta_m^e.
+    The fold is the one piece of the ring each kernel still spells, inline
+    with M and Bm read into locals: a method call per product would add its
+    overhead to every product (on a 2-core x86-64 host the fold took
+    187-336 ns per product at 96-1,408 bits, and z % M 291-5,110 ns).
     """
-    modulus, offset, shifts, folds, phi = _unpacking(width, m)
-    z %= modulus
-    if z > modulus >> 1:
-        z -= modulus
-    z += offset
-    mask, half = (1 << width) - 1, 1 << width - 1
-    digits = [((z >> s) & mask) - half for s in shifts]
-    out = digits[:phi]
-    for e, vec in folds:
-        d = digits[e]
-        if d:
-            for i, v in vec:
-                out[i] += d * v
-    return out
+
+    def __init__(self, width: int, m: int):
+        self.width, self.m, self.shift, self._phi = width, m, width * m, euler_phi(m)
+        self.modulus = (1 << self.shift) - 1
+        # the offset sum_e 2^(width-1) 2^(width e), and the nonzero
+        # coordinates of zeta_m^e for phi <= e < m
+        self._offset = (1 << width - 1) * (self.modulus // ((1 << width) - 1))
+        self._folds = tuple((e, tuple((i, v) for i, v in enumerate(_zeta_powers(m)[e]) if v))
+                            for e in range(self._phi, m))
+
+    def unpack(self, z: int) -> list[int]:
+        """The power-basis coordinates in Z[zeta_m] of the packed value z.
+
+        Exact if the element of Z[x]/(x^m - 1) that z stands for has every
+        digit below 2^(width-1) in absolute value.  Such digit vectors give
+        integers sum c_e 2^(width e) of absolute value below M/2, distinct
+        ones distinct, so the balanced residue of z mod M is that integer;
+        adding 2^(width-1) to every digit makes them all lie in
+        [1, 2^width), where they are read off bit by bit.  Digits
+        e >= phi(m) are then folded back with zeta_m^e.
+        """
+        modulus, width = self.modulus, self.width
+        z %= modulus
+        if z > modulus >> 1:
+            z -= modulus
+        z += self._offset
+        mask, half = (1 << width) - 1, 1 << width - 1
+        digits = [((z >> s) & mask) - half for s in range(0, self.shift, width)]
+        out = digits[:self._phi]
+        for e, vec in self._folds:
+            d = digits[e]
+            if d:
+                for i, v in vec:
+                    out[i] += d * v
+        return out
+
+    def combine(self, terms) -> dict:
+        """sum_t w_t vec_t over pairs (packed w_t, [(key, packed value)]) as
+        {key: coordinates}, each entry decoded once and the zeros dropped."""
+        acc: dict = {}
+        for w, vec in terms:
+            for key, y in vec:
+                acc[key] = acc.get(key, 0) + w * y
+        return {key: c for key, z in acc.items() if any(c := self.unpack(z))}
+
+
+#: the ring at (width, m), built on first use and shared
+_ring = lru_cache(maxsize=None)(_Ring)
+
+
+def _lowest_terms(den: int, cols: list[dict]) -> tuple[int, list[dict]]:
+    """Integer coordinate vectors [{key: coordinates}] over den, in lowest terms."""
+    g = gcd(den, *(x for col in cols for c in col.values() for x in c))
+    if g > 1:
+        den, cols = den // g, [{k: [x // g for x in c] for k, c in col.items()} for col in cols]
+    return den, cols
 
 
 class _Decoder(dict):
     """Packed sums back to interned scalars, keyed by residue.
 
-    A packed sum z stands for den times a value, at the given width and
-    conductor m.  ``decoder[z % (2^(width m) - 1)]`` is None for zero,
-    else the one object that ``canon`` holds for the value; each residue
-    is decoded once (`unpack`, then the canonical form over den).
+    A packed sum z of ``ring`` stands for den times a value, and
+    ``decoder[z % ring.modulus]`` is None for zero, else the one object that
+    ``canon`` holds for the value, each residue decoded once (`_Ring.unpack`).
     """
 
-    def __init__(self, width: int, m: int, den: int, canon: dict):
+    def __init__(self, ring: _Ring, den: int, canon: dict):
         super().__init__()
-        self.width, self.m, self.den, self.canon = width, m, den, canon
+        self.ring, self.den, self.canon = ring, den, canon
 
     def __missing__(self, z: int) -> CyclotomicNumber | None:
-        c = unpack(z, self.width, self.m)
+        c = self.ring.unpack(z)
         if any(c):
-            c = _canonical(self.m, tuple(c), self.den)
+            c = _canonical(self.ring.m, tuple(c), self.den)
             c = self.canon.setdefault((c.num, c.den), c)
         else:
             c = None

@@ -54,6 +54,7 @@ def test_json_holds_the_printed_comparison(tmp_path, monkeypatch, capsys):
         assert doc["sides"][side]["runs"][0]["calib_s"] == [0.1, 0.2]
     # the file and the printed table hold the same figures
     assert "+100.0%" in printed and f"{rows['jobs_per_s']['change']['median']:.5g}" in printed
+    assert "parent: git parent, src_lines 1\nchange: git change, src_lines 1\n" in printed
 
 
 def test_run_once_reads_meta_and_calibration(monkeypatch):

@@ -198,3 +198,42 @@ def test_boundary_check_names_what_it_forbids():
                "def read(doc):\n"
                "    return HopfAlgebraData(**doc)\n")
     assert boundary_violations("io.py", allowed) == []
+
+
+#: the free decoder that `scalars._Ring.unpack` replaced, and its cache
+RING_DECODERS = {"unpack", "_unpacking"}
+
+
+def ring_format_leaks(filename: str, source: str) -> list[str]:
+    """Outside scalars.py, a modulus built as (1 << ...) - 1, or an import of
+    a decoder of packed ints: the packed ring's format belongs to `_Ring`."""
+    if filename == "scalars.py":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        where = f"{filename}:{getattr(node, 'lineno', 0)}"
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.LShift)
+                and isinstance(node.left.left, ast.Constant) and node.left.left.value == 1
+                and isinstance(node.right, ast.Constant) and node.right.value == 1):
+            found.append(f"{where}: (1 << ...) - 1")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"{where}: imports {alias.name}" for alias in node.names
+                      if alias.name.rpartition(".")[2] in RING_DECODERS]
+    return found
+
+
+def test_the_packed_ring_format_stays_in_scalars():
+    found = [v for path in sorted(SRC.glob("*.py"))
+             for v in ring_format_leaks(path.name, path.read_text())]
+    assert found == []
+
+
+def test_ring_format_check_names_what_it_forbids():
+    source = ("from .scalars import _ring, unpack\n"
+              "modulus = (1 << width * m) - 1\n"
+              "masks = [sum(1 << s for s in row) for row in rows]\n"
+              "shift, modulus = _ring(width, m).shift, _ring(width, m).modulus\n")
+    assert ring_format_leaks("qexp.py", source) == [
+        "qexp.py:1: imports unpack", "qexp.py:2: (1 << ...) - 1"]
+    assert ring_format_leaks("scalars.py", source) == []

@@ -10,6 +10,7 @@ products take least common multiples.
 import pytest
 
 from hopfqexp import qexp as qmod
+from hopfqexp import scalars
 from hopfqexp.hopf import (
     HopfAlgebraData,
     OrderSearchExhausted,
@@ -236,6 +237,15 @@ def test_narrow_width_without_the_guard_decodes_wrongly(monkeypatch):
     seq.width = 4
     monkeypatch.setattr(qmod, "_width_for", lambda bound: 4)
     assert qmod._t_columns(H, 4) != _cyclotomic_t_columns(H, 4)[4]
+
+
+def test_combination_drops_entries_that_vanish_mod_phi_m():
+    # for m = 3, (1 + zeta) zeta + 1 = 1 + zeta + zeta^2 = 0, though its digit
+    # vector (1, 1, 1) is not zero in Z[x]/(x^3 - 1); entry 1 is 2
+    terms = [((1, 1), {0: (0, 1)}, 1), ((1, 0), {0: (1, 0), 1: (2, 0)}, 2)]
+    assert qmod._combination(3, terms) == {1: [2, 0]}
+    width = qmod._width_for(3 * (1 * 1 + 1 * 2))
+    assert scalars._ring(width, 3) is scalars._ring(width, 3)
 
 
 ROUTE_PRESETS = ["sweedler", "group:builtin:Z2", "group:builtin:Z3",
