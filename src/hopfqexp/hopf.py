@@ -18,8 +18,9 @@ one indexed form of the tables (`index_rows`) that each algebra keeps in
 its ``_cache``, where the T-route and the double build read it too.
 S^2, S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
 `validate` checks every Hopf axiom exactly (associativity and
-multiplicativity on a certified generating set); no algebra, checked or
-built, is taken for a Hopf algebra without it.
+multiplicativity on a certified generating set, a row of packed ints per
+call); no algebra, checked or built, is taken for a Hopf algebra without
+it.
 """
 
 from __future__ import annotations
@@ -683,6 +684,13 @@ def first_failure(check, everything: Iterable[tuple], certified: Iterable[tuple]
     return next(filter(None, starmap(check, everything)), None)
 
 
+def _nonzero_keys(decode: _Decoder, acc: dict) -> list:
+    """The keys of the packed sums in acc that stand for nonzero values,
+    each distinct residue decoded once."""
+    modulus = decode.ring.modulus
+    return [key for key, z in acc.items() if z and decode[z % modulus] is not None]
+
+
 def validate(H: HopfAlgebraData) -> list[str]:
     """All Hopf axioms, checked exactly.
 
@@ -721,23 +729,63 @@ def validate(H: HopfAlgebraData) -> list[str]:
 
     Without G, or when the restricted check fails, all N^3 triples
     (N^2 pairs) are checked, which names the first witness.
+
+    Both tests run a row per call on Kronecker-packed integers, from the
+    indexed tables `mult_index` (T, height h_T, denominator d_T) and
+    `comult_index` (C, h_C, d_C).  associativity_fails(i, j) forms
+    (e_i e_j)e_k - e_i(e_j e_k) for every k at once and names the least
+    k where it is nonzero, so the pairs (i, j) in order give the first
+    failing triple.  multiplicativity_fails(i) forms Delta(e_i)Delta(e_j)
+    - Delta(e_i e_j) for every j at once, the right-hand side scaled by
+    d_T d_C so that both sides are over d_T^2 d_C^2, and names the least
+    j where it or eps(e_i e_j) - eps(e_i)eps(e_j) (in exact scalars) is
+    nonzero, the counit first at equal j.  Each entry is zero-tested by
+    decoding each distinct residue once (`_Decoder`).
+
+    Exactness guard.  A packed value of T or C stands for an element of
+    Z[x]/(x^m - 1) with digits at most its height on the first phi(m)
+    places only, so each digit of its product with an element of digits
+    at most A is a sum of at most phi(m) products, at most phi(m) h A.
+    An entry of an associativity row is a sum of at most |e_i e_j| +
+    |e_j e_k| <= 2N products of two values of T: its digits are at most
+    2N phi(m) h_T^2.  In a multiplicativity row, entry (j, p, q) gets at
+    most one term from each pair of terms of Delta(e_i) and Delta(e_j),
+    at most L^2 with L the longest coproduct, each the product of two
+    values of C and two of T, digits at most phi(m)^3 h_C^2 h_T^2; and
+    at most N terms from Delta(e_i e_j), each d_T d_C times a value of T
+    times one of C, digits at most d_T d_C phi(m) h_T h_C.  Each test
+    packs at the least multiple of 32 bits B whose 2^(B-1) passes its
+    bound (`_width_for`), once per call of validate, where
+    `_Ring.unpack` is exact.
     """
     violations: list[str] = []
     N = H.dim
     one = H.unit_element().data
-    mult, empty = H.mult_table, {}
+    mult = H.mult_table
 
-    # associativity: (e_i e_j) e_k = sum_l c_l e_l e_k against e_i (e_j e_k)
-    def associativity_fails(i: int, j: int, k: int) -> str | None:
-        left: SparseVec = {}
-        for l, c in mult.get((i, j), empty).items():
-            for p, v in mult.get((l, k), empty).items():
-                dadd(left, p, c * v)
-        right: SparseVec = {}
-        for l, c in mult.get((j, k), empty).items():
-            for p, v in mult.get((i, l), empty).items():
-                dadd(right, p, c * v)
-        return None if left == right else f"associativity fails at basis ({i},{j},{k})"
+    rows, values = H.mult_index
+    m, phi, empty = H.conductor, euler_phi(H.conductor), {}
+    width = _width_for(2 * N * phi * values.height ** 2)
+    avals, adecode = values.at(width), _Decoder(_ring(width, m), 1, {})
+
+    # acc[k N + p]: e_p in (e_i e_j)e_k - e_i(e_j e_k), for every k at once
+    def associativity_fails(i: int, j: int) -> str | None:
+        acc: dict[int, int] = {}
+        get, row_i = acc.get, rows.get(i, empty)
+        for l, c in row_i.get(j, ()):
+            x = avals[c]
+            for k, entries in rows.get(l, empty).items():
+                for p, v in entries:
+                    key = k * N + p
+                    acc[key] = get(key, 0) + x * avals[v]
+        for k, entries in rows.get(j, empty).items():
+            for l, d in entries:
+                x = avals[d]
+                for p, v in row_i.get(l, ()):
+                    key = k * N + p
+                    acc[key] = get(key, 0) - x * avals[v]
+        bad = _nonzero_keys(adecode, acc)
+        return f"associativity fails at basis ({i},{j},{min(bad) // N})" if bad else None
 
     def unitality_fails(k: int) -> str | None:
         ek = {k: H.one_scalar}
@@ -748,8 +796,8 @@ def validate(H: HopfAlgebraData) -> list[str]:
     unitality = first_failure(unitality_fails, product(range(N)))
     gens = None if unitality else _generators(H)
     associativity = first_failure(
-        associativity_fails, product(range(N), repeat=3),
-        None if gens is None else product(gens, range(N), range(N)))
+        associativity_fails, product(range(N), repeat=2),
+        None if gens is None else product(gens, range(N)))
     violations.extend(v for v in (associativity, unitality) if v)
 
     # coassociativity and the counit axiom, on the coproducts of the basis
@@ -770,17 +818,48 @@ def validate(H: HopfAlgebraData) -> list[str]:
     if H.comul_dict(one) != TensorElement.unit(H, 2).data:
         violations.append("comultiplication of the unit is not 1 tensor 1")
 
-    def multiplicativity_fails(i: int, j: int) -> str | None:
-        prod = mult.get((i, j), empty)
-        if H.counit_dict(prod) != H.counit[i] * H.counit[j]:
-            return f"counit is not multiplicative at ({i},{j})"
-        if (deltas[i] * deltas[j]).data != H.comul_dict(prod):
-            return f"comultiplication is not multiplicative at ({i},{j})"
+    legs, duals, cvalues = H.comult_index
+    longest, scale = max(map(len, legs.values())), values.den * cvalues.den
+    width = _width_for(longest ** 2 * phi ** 3 * cvalues.height ** 2 * values.height ** 2
+                       + N * scale * phi * values.height * cvalues.height)
+    mvals, cvals = values.at(width), cvalues.at(width)
+    mdecode = _Decoder(_ring(width, m), 1, {})
+
+    # acc[(j N + p) N + q]: e_p (x) e_q in Delta(e_i)Delta(e_j) - Delta(e_i e_j),
+    # for every j at once, with the j of each (c, d) in Delta(e_j) in duals[d][c]
+    def multiplicativity_fails(i: int) -> str | None:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for (a, b), xi in legs[i]:
+            x, row_a = cvals[xi], rows.get(a, empty)
+            for d, qs in rows.get(b, empty).items():
+                for c, js in duals.get(d, empty).items():
+                    ps = row_a.get(c)
+                    if ps is None:
+                        continue
+                    for j, y in js:
+                        w = x * cvals[y]
+                        for p, s in ps:
+                            wp, base = w * mvals[s], (j * N + p) * N
+                            for q, u in qs:
+                                acc[base + q] = get(base + q, 0) + wp * mvals[u]
+        for j, entries in rows.get(i, empty).items():
+            for l, t in entries:
+                x = scale * mvals[t]
+                for (a, b), y in legs[l]:
+                    key = (j * N + a) * N + b
+                    acc[key] = get(key, 0) - x * cvals[y]
+        bad = {key // (N * N) for key in _nonzero_keys(mdecode, acc)}
+        for j in range(N):
+            if H.counit_dict(mult.get((i, j), empty)) != H.counit[i] * H.counit[j]:
+                return f"counit is not multiplicative at ({i},{j})"
+            if j in bad:
+                return f"comultiplication is not multiplicative at ({i},{j})"
         return None
 
     if failure := first_failure(
-            multiplicativity_fails, product(range(N), repeat=2),
-            None if gens is None or violations else product(gens, range(N))):
+            multiplicativity_fails, product(range(N)),
+            None if gens is None or violations else product(gens)):
         violations.append(failure)
 
     # antipode axiom and invertibility: the columns of S are independent

@@ -8,7 +8,7 @@ from helpers import same_structure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfqexp import hopf
+from hopfqexp import hopf, scalars
 from hopfqexp.double import regular_representation
 from hopfqexp.hopf import (
     AlgebraElement,
@@ -88,7 +88,9 @@ def test_multiplicativity_check_is_certified(double_cache, preset_cache):
     comult = [dict(d) for d in D.comult]
     pair, c = next(iter(comult[k].items()))
     comult[k][pair] = c + c
-    assert validate(_with_comult(D, comult))
+    corrupt = _with_comult(D, comult)
+    assert validate(corrupt)
+    assert _light_violations(corrupt) == _light_witnesses(corrupt)
     # C[Z2xZ2] with basis 1, a, b, ab and the coalgebra moved along the
     # bijection theta: b -> b + 2(1 - a), ab -> ab + 2(a - 1), which fixes
     # 1 and a and commutes with left multiplication by a.  Coassociativity,
@@ -160,17 +162,56 @@ def _associativity_failures(H):
             if (e[i] * e[j]) * e[k] != e[i] * (e[j] * e[k])]
 
 
+def _multiplicativity_failures(H):
+    """validate's message for every basis pair (i, j) at which eps or Delta
+    is not multiplicative, in order, the counit first, by scalar products."""
+    mult, out = H.mult_table, []
+    for i, j in product(range(H.dim), repeat=2):
+        prod = mult.get((i, j), {})
+        if H.counit_dict(prod) != H.counit[i] * H.counit[j]:
+            out.append(f"counit is not multiplicative at ({i},{j})")
+            continue
+        left = {}
+        for (a, b), x in H.comult[i].items():
+            for (c, d), y in H.comult[j].items():
+                for p, u in mult.get((a, c), {}).items():
+                    for q, v in mult.get((b, d), {}).items():
+                        dadd(left, (p, q), x * y * u * v)
+        if left != H.comul_dict(prod):
+            out.append(f"comultiplication is not multiplicative at ({i},{j})")
+    return out
+
+
+def _light_witnesses(H):
+    """The first witnesses of the brute-force scans, as validate words them."""
+    return ([f"associativity fails at basis ({i},{j},{k})"
+             for i, j, k in _associativity_failures(H)][:1] + _multiplicativity_failures(H)[:1])
+
+
+def _light_violations(H):
+    """validate's violations of associativity and of multiplicativity."""
+    return [v for v in validate(H) if v.startswith("associativity") or "multiplicative" in v]
+
+
+def _free_basis(D):
+    """The basis indices outside the certified G and off the support of the unit."""
+    gens = _generators(D)
+    return [i for i in range(D.dim) if i not in gens and D.unit[i].is_zero()]
+
+
+def _moved_product(D, k, j, c=1):
+    """D with e_k e_j moved by c e_j."""
+    mult = {pair: dict(vec) for pair, vec in D.mult.items()}
+    vec = mult.setdefault((k, j), {})
+    vec[j] = vec.get(j, D.zero_scalar) + D.scalar(c)
+    return _with_mult(D, mult)
+
+
 def test_associativity_check_is_certified(double_cache, monkeypatch):
     # D(Sweedler) with e_k e_j moved by e_j, for k and j outside G and off the
     # support of the unit (f_1 (x) 1 + f_g (x) 1), so unitality still holds
     D = double_cache("sweedler").algebra
-    gens = _generators(D)
-    unit_support = {k for k, u in enumerate(D.unit) if not u.is_zero()}
-    k, j = [i for i in range(D.dim) if i not in gens and i not in unit_support][:2]
-    mult = {pair: dict(vec) for pair, vec in D.mult.items()}
-    vec = mult.setdefault((k, j), {})
-    vec[j] = vec.get(j, D.zero_scalar) + D.one_scalar
-    corrupt = _with_mult(D, mult)
+    corrupt = _moved_product(D, *_free_basis(D)[:2])
     failures = _associativity_failures(corrupt)
     assert failures and not any("unitality" in v for v in validate(corrupt))
     # Light's test on the certified G reports the first witness of the full scan
@@ -181,6 +222,99 @@ def test_associativity_check_is_certified(double_cache, monkeypatch):
     passing = sorted(set(range(D.dim)) - {i for i, _, _ in failures})
     monkeypatch.setattr(hopf, "_generators", lambda H: passing)
     assert not any("associativity" in v for v in validate(corrupt))
+
+
+def test_associativity_row_names_its_first_failing_k_past_nonzero_ones(double_cache):
+    # e_13 e_13 of D(Sweedler) moved by e_13: in the first failing row
+    # (i, j), (e_i e_j)e_k is nonzero, and agrees with e_i(e_j e_k), for some
+    # k before the first failing one, where e_1 and e_3 carry the defect
+    D = double_cache("sweedler").algebra
+    free = _free_basis(D)
+    corrupt = _moved_product(D, free[4], free[4])
+    (i, j, k), *_ = _associativity_failures(corrupt)
+    e = [corrupt.basis_element(t) for t in range(corrupt.dim)]
+    assert any(not ((e[i] * e[j]) * e[t]).is_zero() for t in range(k))
+    assert _light_violations(corrupt) == _light_witnesses(corrupt)
+    assert _light_violations(corrupt)[0] == f"associativity fails at basis ({i},{j},{k})"
+
+
+def test_counit_is_named_before_delta_at_the_same_pair(preset_cache):
+    # C[Z2] with Delta(g) = 2 g (x) g: Delta first fails to be multiplicative
+    # at (g, g), and with eps(g) = 2 too the counit fails there as well
+    H = preset_cache("group:builtin:Z2")
+    two = H.scalar(2)
+    comult = [H.comult[0], {(1, 1): two}]
+    assert _light_violations(_with_comult(H, comult)) == [
+        "comultiplication is not multiplicative at (1,1)"]
+    both = HopfAlgebraData(
+        name=H.name, dim=H.dim, conductor=H.conductor, basis_labels=H.basis_labels,
+        mult=H.mult, unit=list(H.unit), comult=comult, counit=[H.counit[0], two],
+        antipode=H.antipode)
+    assert _light_violations(both) == _light_witnesses(both) == [
+        "counit is not multiplicative at (1,1)"]
+
+
+def test_light_tests_scan_every_row_when_the_unit_fails(preset_cache, monkeypatch):
+    # Sweedler with unit 2 + x and e_gx e_x moved by e_x: no generating set is
+    # certified, and both tests name the first witnesses of the full scans
+    H = preset_cache("sweedler")
+    moved = _moved_product(H, 3, 1)
+    corrupt = HopfAlgebraData(
+        name=H.name, dim=H.dim, conductor=H.conductor, basis_labels=H.basis_labels,
+        mult=moved.mult, unit=[2, 1, 0, 0], comult=H.comult, counit=list(H.counit),
+        antipode=H.antipode)
+    monkeypatch.setattr(hopf, "_generators", lambda H: pytest.fail("G without a unit"))
+    assert "unitality fails at basis 0" in validate(corrupt)
+    assert _light_violations(corrupt) == _light_witnesses(corrupt) == [
+        "associativity fails at basis (1,2,1)", "comultiplication is not multiplicative at (3,1)"]
+
+
+# -- the exactness guard of Light's tests -----------------------------------------
+
+def test_light_tests_guard_sets_the_packed_width(monkeypatch, preset_cache, double_cache):
+    # with 1-bit steps both row tests pack at the least width their bounds
+    # allow, far below 32 bits, and every double of dimension at most 81 in
+    # the zoo stays valid there
+    doubles = [double_cache(name).algebra for name in ZOO if preset_cache(name).dim <= 9]
+    chosen = []
+
+    def width_for(bound):
+        chosen.append((bound, scalars._width_for(bound)))
+        return chosen[-1][1]
+
+    monkeypatch.setattr(scalars, "_WIDTH_QUANTUM", 1)
+    monkeypatch.setattr(hopf, "_width_for", width_for)
+    for D in doubles:
+        assert validate(D) == [], D.name
+    assert len(chosen) == 2 * len(doubles)
+    assert all(width == bound.bit_length() + 1 for bound, width in chosen)
+    assert max(width for _, width in chosen) < 32
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_narrow_width_without_the_guard_misses_a_failure(which, monkeypatch, double_cache):
+    # D(Sweedler), of conductor 1, with a structure constant moved by 3: at
+    # 2 bits the ring is Z/3, where the defect reads as zero, so forcing that
+    # width on associativity (which = 0) or on multiplicativity (which = 1)
+    # lets the failure through
+    D = double_cache("sweedler").algebra
+    k, j = _free_basis(D)[:2]
+    if which == 0:
+        corrupt, name = _moved_product(D, k, j, 3), "associativity fails"
+    else:
+        comult = [dict(d) for d in D.comult]
+        comult[k][(k, k)] = comult[k].get((k, k), D.zero_scalar) + D.scalar(3)
+        corrupt, name = _with_comult(D, comult), "comultiplication is not multiplicative"
+    assert any(v.startswith(name) for v in validate(corrupt))
+    chosen, width_for = [], hopf._width_for
+
+    def narrow(bound):
+        chosen.append(bound)
+        return 2 if len(chosen) == which + 1 else width_for(bound)
+
+    monkeypatch.setattr(hopf, "_width_for", narrow)
+    assert not any(v.startswith(name) for v in validate(corrupt))
+    assert len(chosen) == 2
 
 
 def test_first_failure_falls_back_to_the_full_scan():
