@@ -29,7 +29,7 @@ from .hopf import (
     placed_product,
 )
 from .linalg import ExactMatrix, dense
-from .scalars import CyclotomicNumber, _Decoder, _ring, _spread, _width_for, euler_phi
+from .scalars import CyclotomicNumber, _Decoder, _ring_for, _spread, euler_phi
 
 
 @dataclass
@@ -115,8 +115,7 @@ class DoubleProducts(Mapping):
                         acc[key] = acc.get(key, 0) + x * y
         lN, pairs = l * N, self._pairs
         for q in sorted(outs):
-            vec = {key: c for key, z in outs[q].items() if (c := decode[z % modulus]) is not None}
-            if vec:
+            if vec := decode.nonzero(outs[q]):
                 keys.append(key := (r, lN + q))
                 pairs[key] = vec
 
@@ -264,8 +263,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
     column of S and rho that over a row of Sinv; a coproduct entry, a
     product of a value of H.mult and one of H.comult, at most
     phi h_comult h_mult.  `_Ring.unpack` is exact while the largest bound
-    is below 2^(B-1), and B is the least multiple of 32 bits for which it
-    is (`_width_for`).
+    is below 2^(B-1), and the ring is the one `_ring_for` gives for it.
     """
     N = H.dim
     ND = N * N
@@ -288,10 +286,9 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                * max(sum(hd[x] for _, x in entries) for entries in legs.values())
                * max(_spread([[(b, x) for (b, _), x in entries]], hd) for entries in legs.values()))
     sigma_s = max(sum(hs[x] for _, x in col) for col in srows[0].values())  # over S
-    width = _width_for(phi * h_cross * max(phi * ND * dvalues.height * mvalues.height,
-                                           m * sigma_s * rho))
-    ring = _ring(width, m)
-    svals, dvals, mvals = svalues.at(width), dvalues.at(width), mvalues.at(width)
+    ring = _ring_for(m, phi * h_cross * max(phi * ND * dvalues.height * mvalues.height,
+                                            m * sigma_s * rho))
+    svals, dvals, mvals = (t.at(ring.width) for t in (svalues, dvalues, mvalues))
     shift, modulus = ring.shift, ring.modulus
     canon: dict = {}  # every stored coefficient is interned: one object per value
     cross_den = svalues.den * mvalues.den ** 2 * dvalues.den ** 2
@@ -307,7 +304,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
 
     # cross[i][l] = bases[i][l] = [(s, b, v_(s,b))], v packed and nonzero
     flanked: dict[tuple[int, int], list] = {}  # (a, c) -> [Sinv(e_c) e_s e_a for each s]
-    nonzero, shared = _Decoder(ring, cross_den, {}), {}  # shared: one int per residue
+    nonzero, shared = _Decoder(ring, cross_den), {}  # shared: one int per residue
     bases = []
     for i in range(N):
         cross: list[dict] = [{} for _ in range(N)]
@@ -362,8 +359,7 @@ def drinfeld_double(H: HopfAlgebraData) -> QuasitriangularData:
                     for s, b, v in bases[p][l]:
                         key = s * N + b
                         acc[key] = acc.get(key, 0) + xy * v
-            antipode.append({k: c for k, z in acc.items()
-                             if (c := antipode_decode[z % modulus]) is not None})
+            antipode.append(antipode_decode.nonzero(acc))
 
     D = HopfAlgebraData._trusted(
         name=f"D({H.name})", dim=ND, conductor=m,

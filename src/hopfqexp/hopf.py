@@ -32,9 +32,9 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import ExactPolynomial, SpanSolver, SparseVec, dadd, first_dependence
-from .scalars import (_WIDTH_QUANTUM, CyclotomicNumber, _canonical, _Decoder, _height,
-                      _integers, _lowest_terms, _Packed, _ring, _width_for, as_scalar,
-                      euler_phi, lift_conductor, pack)
+from .scalars import (CyclotomicNumber, _canonical, _Decoder, _height, _integers,
+                      _lowest_terms, _Packed, _ring_for, as_scalar, euler_phi, lift_conductor,
+                      pack)
 
 
 class OrderSearchExhausted(RuntimeError):
@@ -536,15 +536,14 @@ def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a
     the indexed table (rows, values) (`index_rows`), for scalars of
     conductor m, on Kronecker-packed integers (`pack`).
 
-    A first pass counts the P term pairs whose every leg has a product (a
-    pair absent from rows multiplies to zero).  The values of a, of b and
-    of the table are each held over their own common denominator and
-    packed at width B (`scalars._Packed`).  A second pass adds, for each
-    such pair (s, t) and each choice of k_l in rows[s_l][t_l] on every
-    leg l, the int product of a_s, b_t and those values to the entry
-    (k_0, ..., k_(arity-1)), each multiply followed by the fold of the ring
-    at width B (`scalars._Ring`).  Both passes stream the term pairs, and
-    each entry is decoded once per distinct residue (`_Decoder`).
+    The values of a, of b and of the table are each held over their own
+    common denominator and packed at width B (`scalars._Packed`).  One pass
+    over the term pairs (s, t) adds, for each pair whose every leg has a
+    product (a pair absent from rows multiplies to zero) and each choice
+    of k_l in rows[s_l][t_l] on every leg l, the int product of a_s, b_t
+    and those values to the entry (k_0, ..., k_(arity-1)), each multiply
+    followed by the fold of the ring at width B (`scalars._Ring`), and
+    each entry is decoded once per distinct residue (`_Decoder.nonzero`).
 
     Exactness guard.  A packed value stands for an element of
     Z[x]/(x^m - 1): the power-basis coordinates of the value times its
@@ -554,34 +553,24 @@ def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a
     of m products of digits, so it is at most m A C; the arity + 2
     factors of one term give digits at most m^(arity+1) h_a h_b h_T^arity.
     Within one term pair, distinct choices of the k_l give distinct keys,
-    so an entry gets at most one term from each of the P term pairs, and
-    its digits are at most P m^(arity+1) h_a h_b h_T^arity.  `_Ring.unpack`
-    is exact while that bound is below 2^(B-1), and B is the least multiple
-    of 32 bits for which it is (`_width_for`).
+    so an entry gets at most one term from each of the |a| |b| term pairs,
+    and its digits are at most |a| |b| m^(arity+1) h_a h_b h_T^arity.
+    `_Ring.unpack` is exact while that bound is below 2^(B-1), and the ring
+    is the one `_ring_for` gives for it.
     """
     rows, values = table
     empty: dict = {}
     legs = range(arity)
-    pairs = 0
-    for s, _ in a:
-        heads = [rows.get(p, empty) for p in s]
-        for t, _ in b:
-            for leg in legs:
-                if t[leg] not in heads[leg]:
-                    break
-            else:
-                pairs += 1
-    if not pairs:
-        return {}
     apacked, bpacked = (_Packed((v.num, v.den) for _, v in terms) for terms in (a, b))
-    width = _width_for(pairs * m ** (arity + 1) * apacked.height * bpacked.height
-                       * values.height ** arity)
-    decode = _Decoder(_ring(width, m), apacked.den * bpacked.den * values.den ** arity, {})
+    ring = _ring_for(m, len(a) * len(b) * m ** (arity + 1) * apacked.height * bpacked.height
+                     * values.height ** arity)
+    decode = _Decoder(ring, apacked.den * bpacked.den * values.den ** arity)
+    width = ring.width
     avals, aindex = apacked.at(width), apacked.index
     bvals, bindex = bpacked.at(width), bpacked.index
     tvals = values.at(width)
     ys = [(t, bvals[bindex[v.num, v.den]]) for t, v in b]
-    shift, modulus = decode.ring.shift, decode.ring.modulus
+    shift, modulus = ring.shift, ring.modulus
     acc: dict[tuple[int, ...], int] = {}
     for s, v in a:
         x = avals[aindex[v.num, v.den]]
@@ -597,7 +586,7 @@ def _legwise_product(table: tuple[Mapping[int, Mapping[int, tuple]], _Packed], a
             else:
                 for key, w in partial:
                     acc[key] = acc.get(key, 0) + w
-    return {key: c for key, z in acc.items() if (c := decode[z % modulus]) is not None}
+    return decode.nonzero(acc)
 
 
 def placed_product(x: TensorElement, x_legs: Sequence[int],
@@ -684,13 +673,6 @@ def first_failure(check, everything: Iterable[tuple], certified: Iterable[tuple]
     return next(filter(None, starmap(check, everything)), None)
 
 
-def _nonzero_keys(decode: _Decoder, acc: dict) -> list:
-    """The keys of the packed sums in acc that stand for nonzero values,
-    each distinct residue decoded once."""
-    modulus = decode.ring.modulus
-    return [key for key, z in acc.items() if z and decode[z % modulus] is not None]
-
-
 def validate(H: HopfAlgebraData) -> list[str]:
     """All Hopf axioms, checked exactly.
 
@@ -740,7 +722,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
     d_T d_C so that both sides are over d_T^2 d_C^2, and names the least
     j where it or eps(e_i e_j) - eps(e_i)eps(e_j) (in exact scalars) is
     nonzero, the counit first at equal j.  Each entry is zero-tested by
-    decoding each distinct residue once (`_Decoder`).
+    decoding each distinct residue once (`_Decoder.nonzero`).
 
     Exactness guard.  A packed value of T or C stands for an element of
     Z[x]/(x^m - 1) with digits at most its height on the first phi(m)
@@ -754,9 +736,8 @@ def validate(H: HopfAlgebraData) -> list[str]:
     values of C and two of T, digits at most phi(m)^3 h_C^2 h_T^2; and
     at most N terms from Delta(e_i e_j), each d_T d_C times a value of T
     times one of C, digits at most d_T d_C phi(m) h_T h_C.  Each test
-    packs at the least multiple of 32 bits B whose 2^(B-1) passes its
-    bound (`_width_for`), once per call of validate, where
-    `_Ring.unpack` is exact.
+    packs in the ring `_ring_for` gives for its bound, once per call of
+    validate, where `_Ring.unpack` is exact.
     """
     violations: list[str] = []
     N = H.dim
@@ -765,8 +746,8 @@ def validate(H: HopfAlgebraData) -> list[str]:
 
     rows, values = H.mult_index
     m, phi, empty = H.conductor, euler_phi(H.conductor), {}
-    width = _width_for(2 * N * phi * values.height ** 2)
-    avals, adecode = values.at(width), _Decoder(_ring(width, m), 1, {})
+    adecode = _Decoder(_ring_for(m, 2 * N * phi * values.height ** 2), 1)
+    avals = values.at(adecode.ring.width)
 
     # acc[k N + p]: e_p in (e_i e_j)e_k - e_i(e_j e_k), for every k at once
     def associativity_fails(i: int, j: int) -> str | None:
@@ -784,7 +765,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
                 for p, v in row_i.get(l, ()):
                     key = k * N + p
                     acc[key] = get(key, 0) - x * avals[v]
-        bad = _nonzero_keys(adecode, acc)
+        bad = adecode.nonzero(acc)
         return f"associativity fails at basis ({i},{j},{min(bad) // N})" if bad else None
 
     def unitality_fails(k: int) -> str | None:
@@ -820,10 +801,10 @@ def validate(H: HopfAlgebraData) -> list[str]:
 
     legs, duals, cvalues = H.comult_index
     longest, scale = max(map(len, legs.values())), values.den * cvalues.den
-    width = _width_for(longest ** 2 * phi ** 3 * cvalues.height ** 2 * values.height ** 2
-                       + N * scale * phi * values.height * cvalues.height)
-    mvals, cvals = values.at(width), cvalues.at(width)
-    mdecode = _Decoder(_ring(width, m), 1, {})
+    bound = (longest ** 2 * phi ** 3 * cvalues.height ** 2 * values.height ** 2
+             + N * scale * phi * values.height * cvalues.height)
+    mdecode = _Decoder(_ring_for(m, bound), 1)
+    mvals, cvals = values.at(mdecode.ring.width), cvalues.at(mdecode.ring.width)
 
     # acc[(j N + p) N + q]: e_p (x) e_q in Delta(e_i)Delta(e_j) - Delta(e_i e_j),
     # for every j at once, with the j of each (c, d) in Delta(e_j) in duals[d][c]
@@ -849,7 +830,7 @@ def validate(H: HopfAlgebraData) -> list[str]:
                 for (a, b), y in legs[l]:
                     key = (j * N + a) * N + b
                     acc[key] = get(key, 0) - x * cvals[y]
-        bad = {key // (N * N) for key in _nonzero_keys(mdecode, acc)}
+        bad = {key // (N * N) for key in mdecode.nonzero(acc)}
         for j in range(N):
             if H.counit_dict(mult.get((i, j), empty)) != H.counit[i] * H.counit[j]:
                 return f"counit is not multiplicative at ({i},{j})"
@@ -1047,13 +1028,14 @@ def _right_powers(a: AlgebraElement) -> Iterator[SparseVec]:
     with no digit past phi(m) - 1, so each digit of a product of two of them
     is a sum of at most phi(m) products of digits, and each digit of an
     entry of the sum is at most phi(m) sum_p height(w_p) height(column p).
-    `_Ring.unpack` is exact while that is below 2^(B-1), so a step widens B,
-    and packs the columns again, whenever the bound reaches it.
+    `_Ring.unpack` is exact while that is below 2^(B-1), so a step keeps the
+    ring of the last step until the bound reaches it, and then widens
+    (`_ring_for`) and packs the columns again.
     """
     H, m = a.parent, a.parent.conductor
     phi, one = euler_phi(m), H.one_scalar
     columns: dict = {}  # p -> (d_p, {j: coordinates of d_p (e_p a)[j]}, their height)
-    packed, ring = {}, _ring(_WIDTH_QUANTUM, m)  # packed[p] = [(j, column p packed)]
+    packed, ring = {}, _ring_for(m, 0)  # packed[p] = [(j, column p packed)]
     den, x = _integers(H.unit_element().data)
     for _ in range(H.dim + 1):
         yield {p: _canonical(m, tuple(c), den) for p, c in x.items()}
@@ -1064,8 +1046,8 @@ def _right_powers(a: AlgebraElement) -> Iterator[SparseVec]:
         lden = lcm(*(columns[p][0] for p in x))
         weights = {p: [v * (lden // columns[p][0]) for v in c] for p, c in x.items()}
         bound = phi * sum(_height([w]) * columns[p][2] for p, w in weights.items())
-        if bound >> (ring.width - 1):
-            ring, packed = _ring(_width_for(bound), m), {}
+        if (wider := _ring_for(m, bound, ring)) is not ring:
+            ring, packed = wider, {}
         for p in weights:
             if p not in packed:
                 packed[p] = [(j, pack(c, ring.width)) for j, c in columns[p][1].items()]

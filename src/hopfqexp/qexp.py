@@ -37,8 +37,7 @@ from .hopf import (
 )
 from .linalg import ExactMatrix, ExactPolynomial, dense, first_dependence
 from .poly import root_of_unity_order, squarefree_part
-from .scalars import (_WIDTH_QUANTUM, _canonical, _height, _integers, _lowest_terms, _ring,
-                      _spread, _width_for, pack)
+from .scalars import _canonical, _height, _integers, _lowest_terms, _ring_for, _spread, pack
 
 #: largest double dimension the regular route will build: D(taft:8), of
 #: dimension 64^2.  It still forms only the products the powers of u meet,
@@ -115,10 +114,11 @@ def _combination(m: int, terms: list[tuple[tuple[int, ...], dict, int]]) -> dict
     coordinates w_t and vec_t = {i: coordinates}, given as (w_t, vec_t, height of vec_t).
 
     Each digit of the sum is at most m sum_t |w_t| height_t (the exactness
-    guard of `_TSequence`), and the width is chosen from that bound.
+    guard of `_TSequence`), and the ring is chosen from that bound (`_ring_for`).
     """
-    width = _width_for(m * sum(_height([w]) * h for w, _, h in terms))
-    return _ring(width, m).combine(
+    ring = _ring_for(m, m * sum(_height([w]) * h for w, _, h in terms))
+    width = ring.width
+    return ring.combine(
         (pack(w, width), [(i, pack(c, width)) for i, c in vec.items()]) for w, vec, _ in terms)
 
 
@@ -150,13 +150,14 @@ class _TSequence:
     the largest sum over i of the heights of S^-2(e_i)[j], over j, and
     R_P the largest sum over (a, b) in Delta(e_k) of height(c_ab) times
     max_j sum_q height((e_a e_q)[j]), over k.  `_Ring.unpack` is exact
-    while the bound is below 2^(B-1), so a step widens B whenever the bound
-    reaches it.  Python ints never overflow, so this is the only engine:
+    while the bound is below 2^(B-1), so a step keeps ``ring``, the ring of
+    the last step, until the bound reaches it, and then widens
+    (`_ring_for`).  Python ints never overflow, so this is the only engine:
     no floating point and no modular reduction.
     """
 
     def __init__(self, H: HopfAlgebraData):
-        self.m, self.width = H.conductor, _WIDTH_QUANTUM
+        self.m, self.ring = H.conductor, _ring_for(H.conductor, 0)
         one = H.unit_element().data
         den, t0 = _integers({(k, i): v * e for k, e in enumerate(H.counit) if e
                              for i, v in one.items()})
@@ -190,11 +191,8 @@ class _TSequence:
     def _step(self) -> None:
         den, cols, height = self.terms[-1]
         m = self.m
-        bound = m ** 3 * height * self.mass
-        if bound >> (self.width - 1):
-            self.width = _width_for(bound)
-        width = self.width
-        ring = _ring(width, m)
+        ring = self.ring = _ring_for(m, m ** 3 * height * self.mass, self.ring)
+        width = ring.width
         (sinv2, svalues), (mult, mvalues), (comult, _, cvalues) = self.tables
         svals, cvals, mvals = svalues.at(width), cvalues.at(width), mvalues.at(width)
         shift, modulus, unpack = ring.shift, ring.modulus, ring.unpack

@@ -372,7 +372,7 @@ _WIDTH_QUANTUM = 32
 
 
 def _width_for(bound: int) -> int:
-    """The least multiple of 32 bits B with bound < 2^(B-1)."""
+    """The least multiple of `_WIDTH_QUANTUM` bits B with bound < 2^(B-1)."""
     return (bound.bit_length() + _WIDTH_QUANTUM) // _WIDTH_QUANTUM * _WIDTH_QUANTUM
 
 
@@ -440,7 +440,7 @@ class _Ring:
     product is an int multiply and the fold z -> (z & M) + (z >> Bm), a sum
     an int addition: the folds and any reduction mod M keep z mod M, all
     that `unpack` reads, so only `unpack` needs a digit bound.  Each kernel
-    proves its own.
+    proves its own and gets its ring for it from `_ring_for`.
 
     The fold is the one piece of the ring each kernel still spells, inline
     with M and Bm read into locals: a method call per product would add its
@@ -497,6 +497,17 @@ class _Ring:
 _ring = lru_cache(maxsize=None)(_Ring)
 
 
+def _ring_for(m: int, bound: int, ring: _Ring | None = None) -> _Ring:
+    """The ring of conductor m whose `unpack` is exact for digits at most
+    bound: ``ring`` itself if it is, else the one at `_width_for`, so a
+    sequence that passes its last ring only ever widens.  Every kernel
+    gets its ring here, and `_width_for` is the one place that picks a
+    width."""
+    if ring is not None and not bound >> (ring.width - 1):
+        return ring
+    return _ring(_width_for(bound), m)
+
+
 def _lowest_terms(den: int, cols: list[dict]) -> tuple[int, list[dict]]:
     """Integer coordinate vectors [{key: coordinates}] over den, in lowest terms."""
     g = gcd(den, *(x for col in cols for c in col.values() for x in c))
@@ -510,12 +521,18 @@ class _Decoder(dict):
 
     A packed sum z of ``ring`` stands for den times a value, and
     ``decoder[z % ring.modulus]`` is None for zero, else the one object that
-    ``canon`` holds for the value, each residue decoded once (`_Ring.unpack`).
+    ``canon`` (a fresh dict if not given) holds for the value, each residue
+    decoded once (`_Ring.unpack`).
     """
 
-    def __init__(self, ring: _Ring, den: int, canon: dict):
+    def __init__(self, ring: _Ring, den: int, canon: dict | None = None):
         super().__init__()
-        self.ring, self.den, self.canon = ring, den, canon
+        self.ring, self.den, self.canon = ring, den, {} if canon is None else canon
+
+    def nonzero(self, acc: dict) -> dict:
+        """{key: value} for the packed sums in acc that stand for nonzero values."""
+        modulus = self.ring.modulus
+        return {key: c for key, z in acc.items() if z and (c := self[z % modulus]) is not None}
 
     def __missing__(self, z: int) -> CyclotomicNumber | None:
         c = self.ring.unpack(z)

@@ -246,14 +246,14 @@ def test_corrupted_r_keeps_its_witness_on_generators(name, double_cache):
 def test_exactness_guard_sets_the_packed_width(name, monkeypatch, preset_cache):
     # with 1-bit steps the guard picks the least width its bound allows, far
     # past 2^3, and the tables stay exact there
-    chosen = []
+    chosen, least = [], scalars._width_for
 
     def width_for(bound):
-        chosen.append((bound, scalars._width_for(bound)))
+        chosen.append((bound, least(bound)))
         return chosen[-1][1]
 
     monkeypatch.setattr(scalars, "_WIDTH_QUANTUM", 1)
-    monkeypatch.setattr(dmod, "_width_for", width_for)
+    monkeypatch.setattr(scalars, "_width_for", width_for)
     qt = drinfeld_double(preset_cache(name))
     [(bound, width)] = chosen
     narrow = 4
@@ -265,7 +265,7 @@ def test_exactness_guard_sets_the_packed_width(name, monkeypatch, preset_cache):
 def test_narrow_packed_width_without_the_guard_decodes_wrongly(monkeypatch, preset_cache):
     # the same build with the guard switched off: the products of D(taft:3)
     # reach digit 2, past what 2 bits hold, so the width is what keeps it exact
-    monkeypatch.setattr(dmod, "_width_for", lambda bound: 2)
+    monkeypatch.setattr(scalars, "_width_for", lambda bound: 2)
     assert _table_digest(drinfeld_double(preset_cache("taft:3"))) != TABLE_DIGESTS["taft:3"]
 
 

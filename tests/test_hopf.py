@@ -276,14 +276,14 @@ def test_light_tests_guard_sets_the_packed_width(monkeypatch, preset_cache, doub
     # allow, far below 32 bits, and every double of dimension at most 81 in
     # the zoo stays valid there
     doubles = [double_cache(name).algebra for name in ZOO if preset_cache(name).dim <= 9]
-    chosen = []
+    chosen, least = [], scalars._width_for
 
     def width_for(bound):
-        chosen.append((bound, scalars._width_for(bound)))
+        chosen.append((bound, least(bound)))
         return chosen[-1][1]
 
     monkeypatch.setattr(scalars, "_WIDTH_QUANTUM", 1)
-    monkeypatch.setattr(hopf, "_width_for", width_for)
+    monkeypatch.setattr(scalars, "_width_for", width_for)
     for D in doubles:
         assert validate(D) == [], D.name
     assert len(chosen) == 2 * len(doubles)
@@ -306,13 +306,13 @@ def test_narrow_width_without_the_guard_misses_a_failure(which, monkeypatch, dou
         comult[k][(k, k)] = comult[k].get((k, k), D.zero_scalar) + D.scalar(3)
         corrupt, name = _with_comult(D, comult), "comultiplication is not multiplicative"
     assert any(v.startswith(name) for v in validate(corrupt))
-    chosen, width_for = [], hopf._width_for
+    chosen, width_for = [], scalars._width_for
 
     def narrow(bound):
         chosen.append(bound)
         return 2 if len(chosen) == which + 1 else width_for(bound)
 
-    monkeypatch.setattr(hopf, "_width_for", narrow)
+    monkeypatch.setattr(scalars, "_width_for", narrow)
     assert not any(v.startswith(name) for v in validate(corrupt))
     assert len(chosen) == 2
 

@@ -203,10 +203,14 @@ def test_boundary_check_names_what_it_forbids():
 #: the free decoder that `scalars._Ring.unpack` replaced, and its cache
 RING_DECODERS = {"unpack", "_unpacking"}
 
+#: the names that choose a packed width; kernels get their rings from `_ring_for`
+WIDTH_RULES = {"_width_for", "_WIDTH_QUANTUM", "_ring"}
+
 
 def ring_format_leaks(filename: str, source: str) -> list[str]:
-    """Outside scalars.py, a modulus built as (1 << ...) - 1, or an import of
-    a decoder of packed ints: the packed ring's format belongs to `_Ring`."""
+    """Outside scalars.py, a modulus built as (1 << ...) - 1, an import of a
+    decoder of packed ints, or an import or attribute use of a width rule:
+    the packed ring's format and its widths belong to scalars.py."""
     if filename == "scalars.py":
         return []
     found = []
@@ -219,8 +223,10 @@ def ring_format_leaks(filename: str, source: str) -> list[str]:
             found.append(f"{where}: (1 << ...) - 1")
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [f"{where}: imports {alias.name}" for alias in node.names
-                      if alias.name.rpartition(".")[2] in RING_DECODERS]
-    return found
+                      if alias.name.rpartition(".")[2] in RING_DECODERS | WIDTH_RULES]
+        elif isinstance(node, ast.Attribute) and node.attr in WIDTH_RULES:
+            found.append(f"{where}: uses .{node.attr}")
+    return sorted(found, key=lambda v: int(v.split(":")[1]))
 
 
 def test_the_packed_ring_format_stays_in_scalars():
@@ -230,10 +236,14 @@ def test_the_packed_ring_format_stays_in_scalars():
 
 
 def test_ring_format_check_names_what_it_forbids():
-    source = ("from .scalars import _ring, unpack\n"
+    source = ("from .scalars import _ring, _ring_for, unpack\n"
               "modulus = (1 << width * m) - 1\n"
               "masks = [sum(1 << s for s in row) for row in rows]\n"
-              "shift, modulus = _ring(width, m).shift, _ring(width, m).modulus\n")
+              "from .scalars import _WIDTH_QUANTUM, _width_for\n"
+              "width = scalars._width_for(bound) + scalars._WIDTH_QUANTUM\n"
+              "shift, modulus = ring.shift, _ring_for(m, bound).modulus\n")
     assert ring_format_leaks("qexp.py", source) == [
-        "qexp.py:1: imports unpack", "qexp.py:2: (1 << ...) - 1"]
+        "qexp.py:1: imports _ring", "qexp.py:1: imports unpack", "qexp.py:2: (1 << ...) - 1",
+        "qexp.py:4: imports _WIDTH_QUANTUM", "qexp.py:4: imports _width_for",
+        "qexp.py:5: uses ._WIDTH_QUANTUM", "qexp.py:5: uses ._width_for"]
     assert ring_format_leaks("scalars.py", source) == []

@@ -9,6 +9,7 @@ from test_double import TABLE_DIGESTS
 from test_qexp import MU_U
 
 from hopfqexp import hopf as hmod
+from hopfqexp import scalars
 from hopfqexp.double import DoubleProducts, drinfeld_double, drinfeld_element
 from hopfqexp.hopf import AlgebraElement, element_minimal_polynomial
 from hopfqexp.linalg import ExactPolynomial, SpanSolver
@@ -84,27 +85,28 @@ def test_minimal_polynomial_of_u_forms_only_the_units_it_reads(monkeypatch):
 
 
 def test_exactness_guard_widens_a_narrow_width(monkeypatch, double_cache):
-    # the powers of 2u on D(taft:3) reach 256, far past 2^3: from a 4-bit
-    # start the guard widens to its least multiple of 32 bits, and stays exact
+    # the powers of 2u on D(taft:3) reach 256, far past 2^3: with 4-bit
+    # steps the sequence starts at 4 bits, the guard widens to its least
+    # multiple of 4 bits, and stays exact
     widths = []
-    width_for = hmod._width_for
+    width_for = scalars._width_for
 
     def recording(bound):
         widths.append((bound, width_for(bound)))
         return widths[-1][1]
 
-    monkeypatch.setattr(hmod, "_WIDTH_QUANTUM", 4)
-    monkeypatch.setattr(hmod, "_width_for", recording)
+    monkeypatch.setattr(scalars, "_WIDTH_QUANTUM", 4)
+    monkeypatch.setattr(scalars, "_width_for", recording)
     a = drinfeld_element(double_cache("taft:3")).scale(2)
     count = MU_U["taft:3"].degree + 1
     assert list(islice(hmod._right_powers(a), count)) == _scalar_powers(a, count)
-    assert widths and widths[0][0] >= 1 << 3 and widths[0][1] % 32 == 0
+    (_, start), (bound, width) = widths[:2]
+    assert start == 4 and bound >= 1 << 3 and width > start and width % 4 == 0
 
 
 def test_narrow_width_without_the_guard_decodes_wrongly(monkeypatch, double_cache):
     # the same sequence with the widening switched off: the guard keeps it exact
-    monkeypatch.setattr(hmod, "_WIDTH_QUANTUM", 4)
-    monkeypatch.setattr(hmod, "_width_for", lambda bound: 4)
+    monkeypatch.setattr(scalars, "_width_for", lambda bound: 4)
     a = drinfeld_element(double_cache("taft:3")).scale(2)
     count = MU_U["taft:3"].degree + 1
     assert list(islice(hmod._right_powers(a), count)) != _scalar_powers(a, count)

@@ -222,10 +222,10 @@ def test_exactness_guard_widens_a_narrow_width():
     _, _, height = seq.term(3)
     narrow = 4
     assert seq.m ** 3 * height * seq.mass >= 1 << (narrow - 1)
-    seq.width = narrow
+    seq.ring = scalars._ring(narrow, seq.m)
     for n, ref in enumerate(_cyclotomic_t_columns(H, 9)):
         assert qmod._t_columns(H, n) == ref, f"T_{n}"
-    assert seq.width > narrow and seq.width % qmod._WIDTH_QUANTUM == 0
+    assert seq.ring.width > narrow and seq.ring.width % scalars._WIDTH_QUANTUM == 0
     assert u_min_poly_via_t(H) == MU_U["uqsl2:3"]
 
 
@@ -234,8 +234,8 @@ def test_narrow_width_without_the_guard_decodes_wrongly(monkeypatch):
     H = get_preset("uqsl2:3")
     seq = qmod._t_sequence(H)
     seq.term(3)
-    seq.width = 4
-    monkeypatch.setattr(qmod, "_width_for", lambda bound: 4)
+    seq.ring = scalars._ring(4, seq.m)
+    monkeypatch.setattr(scalars, "_width_for", lambda bound: 4)
     assert qmod._t_columns(H, 4) != _cyclotomic_t_columns(H, 4)[4]
 
 
@@ -244,8 +244,9 @@ def test_combination_drops_entries_that_vanish_mod_phi_m():
     # vector (1, 1, 1) is not zero in Z[x]/(x^3 - 1); entry 1 is 2
     terms = [((1, 1), {0: (0, 1)}, 1), ((1, 0), {0: (1, 0), 1: (2, 0)}, 2)]
     assert qmod._combination(3, terms) == {1: [2, 0]}
-    width = qmod._width_for(3 * (1 * 1 + 1 * 2))
-    assert scalars._ring(width, 3) is scalars._ring(width, 3)
+    ring = scalars._ring_for(3, 3 * (1 * 1 + 1 * 2))
+    assert scalars._ring_for(3, 3 * (1 * 1 + 1 * 2)) is ring
+    assert scalars._ring_for(3, 1, ring) is ring
 
 
 ROUTE_PRESETS = ["sweedler", "group:builtin:Z2", "group:builtin:Z3",

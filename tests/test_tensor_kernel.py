@@ -11,7 +11,7 @@ from helpers import same_structure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfqexp import hopf, scalars
+from hopfqexp import scalars
 from hopfqexp.hopf import (HopfAlgebraData, TensorElement, _legwise_product, index_rows,
                            placed_product)
 from hopfqexp.io import algebra_to_dict
@@ -162,14 +162,14 @@ def test_exactness_guard_sets_the_packed_width(monkeypatch, suite_twists):
     # uqsl2:3 runs at the least width its bound allows, far below 32 bits
     # for the smallest bounds, and the twisted structure stays exact there
     T = suite_twists["cyclic twist on uqsl2:3"]
-    chosen = []
+    chosen, least = [], scalars._width_for
 
     def width_for(bound):
-        chosen.append((bound, scalars._width_for(bound)))
+        chosen.append((bound, least(bound)))
         return chosen[-1][1]
 
     monkeypatch.setattr(scalars, "_WIDTH_QUANTUM", 1)
-    monkeypatch.setattr(hopf, "_width_for", width_for)
+    monkeypatch.setattr(scalars, "_width_for", width_for)
     assert _twisted_digest(T) == TWISTED_DIGESTS["uqsl2:3"]
     assert chosen and all(width == bound.bit_length() + 1 for bound, width in chosen)
     bound, width = min(chosen)
@@ -180,7 +180,7 @@ def test_narrow_packed_width_without_the_guard_decodes_wrongly(monkeypatch, suit
     # the same products with the guard switched off: their digits pass what
     # 2 bits hold, so the width is what keeps them exact
     T = suite_twists["cyclic twist on uqsl2:3"]
-    monkeypatch.setattr(hopf, "_width_for", lambda bound: 2)
+    monkeypatch.setattr(scalars, "_width_for", lambda bound: 2)
     assert _twisted_digest(T) != TWISTED_DIGESTS["uqsl2:3"]
 
 
