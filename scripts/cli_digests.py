@@ -22,7 +22,10 @@ suite, each written by ``io.twist_to_dict`` once with and once without
 its ``J_inv`` (`write_twists`); and ``validate --in`` in text and json on
 two corrupted double documents (`write_corrupted_doubles`), whose
 violations name the first witnesses of associativity and of the
-multiplicativity of Delta.  The files go to a temporary directory,
+multiplicativity of Delta; and ``validate --in`` in text and json on two
+algebras whose coproduct is conjugated by an invertible J that is not a
+2-cocycle (`write_conjugated`), where Delta stays multiplicative and
+coassociativity or the counit axiom fails.  The files go to a temporary directory,
 written ``$TMP`` in argv, so two checkouts print identical lines exactly
 when every command gives the same bytes and exit code; compare them with
 ``diff``.
@@ -42,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hopfqexp.cli import main as cli_main  # noqa: E402
 from hopfqexp.double import drinfeld_double  # noqa: E402
+from hopfqexp.hopf import HopfAlgebraData, TensorElement, element_inverse  # noqa: E402
 from hopfqexp.io import algebra_to_dict, dumps, twist_to_dict  # noqa: E402
 from hopfqexp.presets import ZOO, get_preset  # noqa: E402
 from hopfqexp.suite import _Context  # noqa: E402
@@ -53,6 +57,10 @@ TWIST_COUNT = 7
 #: (preset, table, entry) of each corrupted double document: the entry of
 #: D(preset)'s "comult" or "mult" list whose first nonzero scalar is doubled
 CORRUPTED_DOUBLES = [("taft:2", "comult", 5), ("group:builtin:S3", "mult", -1)]
+#: (preset, pairs) of each conjugated document: the preset with Delta
+#: replaced by J^-1 Delta J, for J the sum of e_i (x) e_j over the pairs;
+#: 1 (x) 1 + x (x) x on taft:3 and 1 (x) 1 + x (x) g on Sweedler
+CONJUGATED = [("taft:3", [(0, 0), (1, 1)]), ("sweedler", [(0, 0), (1, 2)])]
 
 
 def twist_files() -> list[str]:
@@ -92,6 +100,29 @@ def write_corrupted_doubles(tmp: str) -> None:
         Path(path.replace("$TMP", tmp)).write_text(dumps(doc))
 
 
+def conjugated_files() -> list[str]:
+    """The documents of `write_conjugated`, with ``$TMP`` for the directory."""
+    return [f"$TMP/conjugated-{name.replace(':', '_')}.json" for name, _ in CONJUGATED]
+
+
+def conjugated(name: str, pairs: list[tuple[int, int]]) -> HopfAlgebraData:
+    """The preset with Delta replaced by J^-1 Delta J, J the sum of e_i (x) e_j
+    over pairs; the product, the counit and the antipode are kept."""
+    H = get_preset(name)
+    J = TensorElement(H, 2, {pair: 1 for pair in pairs})
+    J_inv = element_inverse(J)
+    comult = [(J_inv * H.basis_element(k).comul() * J).data for k in range(H.dim)]
+    return HopfAlgebraData(
+        name=H.name, dim=H.dim, conductor=H.conductor, basis_labels=H.basis_labels,
+        mult=H.mult, unit=H.unit, comult=comult, counit=H.counit, antipode=H.antipode)
+
+
+def write_conjugated(tmp: str) -> None:
+    """Write each algebra of CONJUGATED to tmp."""
+    for (name, pairs), path in zip(CONJUGATED, conjugated_files()):
+        Path(path.replace("$TMP", tmp)).write_text(dumps(algebra_to_dict(conjugated(name, pairs))))
+
+
 def commands() -> list[list[str]]:
     """The fixed command list; ``$TMP`` stands for the temporary directory."""
     out = [["suite"], ["suite", "--max-dim", "8"], ["suite", "--format", "json"]]
@@ -110,7 +141,7 @@ def commands() -> list[list[str]]:
         for command in ("twist-check", "twist-apply"):
             for fmt in ("text", "json"):
                 out.append([command, "--twist", path, "--format", fmt])
-    for path in corrupted_files():
+    for path in corrupted_files() + conjugated_files():
         for fmt in ("text", "json"):
             out.append(["validate", "--in", path, "--format", fmt])
     return out
@@ -134,6 +165,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_twists(tmp)
         write_corrupted_doubles(tmp)
+        write_conjugated(tmp)
         for command in commands():
             print(digest_line(command, tmp), flush=True)
     return 0

@@ -17,10 +17,10 @@ elements (`_legwise_product`) and the powers of an element
 one indexed form of the tables (`index_rows`) that each algebra keeps in
 its ``_cache``, where the T-route and the double build read it too.
 S^2, S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
-`validate` checks every Hopf axiom exactly (associativity and
-multiplicativity on a certified generating set, a row of packed ints per
-call); no algebra, checked or built, is taken for a Hopf algebra without
-it.
+`validate` checks every Hopf axiom exactly, each by one check scanned
+with `first_failure`: all but the antipode axiom on a certified
+generating set, Light's two tests a row of packed ints per call.  No
+algebra, checked or built, is taken for a Hopf algebra without it.
 """
 
 from __future__ import annotations
@@ -677,20 +677,13 @@ def validate(H: HopfAlgebraData) -> list[str]:
     """All Hopf axioms, checked exactly.
 
     Returns named violations; an empty list means the data is a Hopf
-    algebra.  Each axiom reports at most one witness, the first in
-    basis order.  Once unitality holds, a generating set G is certified
-    (`_generators`) and reused by the checks below; when every axiom
-    holds it is left in ``H._cache["certified_generators"]`` for the
-    checks of `double` that hold on subalgebras.
-
-    Coassociativity, the counit axiom and the antipode axiom are checked
-    for each basis element e_k as identities of elements, formed from
-    Delta(e_k) by the `TensorElement` leg operations:
-
-        (Delta (x) Id)Delta(e_k) = (Id (x) Delta)Delta(e_k)   (`comult_leg`)
-        (eps (x) Id)Delta(e_k) = e_k = (Id (x) eps)Delta(e_k)   (`counit_leg`)
-        m(S (x) Id)Delta(e_k) = eps(e_k) 1 = m(Id (x) S)Delta(e_k)
-                                        (`apply_leg`, `multiply_legs`)
+    algebra.  Each axiom is one check scanned by `first_failure`, which
+    names the first witness in basis order.  Once unitality holds, a
+    generating set G is certified (`_generators`), and a scan whose
+    theorem below has its hypotheses met checks G alone (G times the
+    basis for associativity), rescanning in full on a failure.  When
+    every axiom holds, G is left in ``H._cache["certified_generators"]``
+    for `double`'s subalgebra checks.
 
     Associativity is checked for x in G and all basis y, z (Light's
     test; Clifford and Preston, The Algebraic Theory of Semigroups I,
@@ -709,12 +702,29 @@ def validate(H: HopfAlgebraData) -> list[str]:
     gives Delta((ga)y) = Delta(g)Delta(ay) = Delta(g)Delta(a)Delta(y) =
     Delta(ga)Delta(y) (likewise for eps), so ga is in M and M = H.
 
-    Without G, or when the restricted check fails, all N^3 triples
-    (N^2 pairs) are checked, which names the first witness.
+    Coassociativity, the counit axiom and the antipode axiom are
+    identities of elements, formed from Delta(e_k) by the `TensorElement`
+    leg operations:
 
-    Both tests run a row per call on Kronecker-packed integers, from the
-    indexed tables `mult_index` (T, height h_T, denominator d_T) and
-    `comult_index` (C, h_C, d_C).  associativity_fails(i, j) forms
+        (Delta (x) Id)Delta(e_k) = (Id (x) Delta)Delta(e_k)   (`comult_leg`)
+        (eps (x) Id)Delta(e_k) = e_k = (Id (x) eps)Delta(e_k)   (`counit_leg`)
+        m(S (x) Id)Delta(e_k) = eps(e_k) 1 = m(Id (x) S)Delta(e_k)
+                                        (`apply_leg`, `multiply_legs`)
+
+    The first two are checked for e_k in G, once eps(1) = 1,
+    Delta(1) = 1 (x) 1 and multiplicativity hold.  Then each side is a
+    unital algebra map: Delta and eps are, and so are Delta (x) Id,
+    Id (x) Delta, eps (x) Id and Id (x) eps, the product of H (x) H
+    being legwise.  The set where two unital algebra maps f, f' agree
+    is a subspace containing 1, and for g in G and w in it,
+    f(gw) = f(g)f(w) = f'(g)f'(w) = f'(gw).  So it holds every word that
+    `_generators` builds, and these span H; no associativity is needed.
+    The antipode axiom is checked for every e_k, since its closure under
+    products would need S to be anti-multiplicative.
+
+    Light's two tests run a row per call on Kronecker-packed integers,
+    from the indexed tables `mult_index` (T, height h_T, denominator d_T)
+    and `comult_index` (C, h_C, d_C).  associativity_fails(i, j) forms
     (e_i e_j)e_k - e_i(e_j e_k) for every k at once and names the least
     k where it is nonzero, so the pairs (i, j) in order give the first
     failing triple.  multiplicativity_fails(i) forms Delta(e_i)Delta(e_j)
@@ -739,10 +749,8 @@ def validate(H: HopfAlgebraData) -> list[str]:
     packs in the ring `_ring_for` gives for its bound, once per call of
     validate, where `_Ring.unpack` is exact.
     """
-    violations: list[str] = []
-    N = H.dim
-    one = H.unit_element().data
-    mult = H.mult_table
+    N, one, mult = H.dim, H.unit_element().data, H.mult_table
+    basis = list(product(range(N)))
 
     rows, values = H.mult_index
     m, phi, empty = H.conductor, euler_phi(H.conductor), {}
@@ -774,31 +782,16 @@ def validate(H: HopfAlgebraData) -> list[str]:
             return f"unitality fails at basis {k}"
         return None
 
-    unitality = first_failure(unitality_fails, product(range(N)))
+    unitality = first_failure(unitality_fails, basis)
     gens = None if unitality else _generators(H)
     associativity = first_failure(
         associativity_fails, product(range(N), repeat=2),
         None if gens is None else product(gens, range(N)))
-    violations.extend(v for v in (associativity, unitality) if v)
 
-    # coassociativity and the counit axiom, on the coproducts of the basis
-    deltas = [TensorElement._trusted(H, 2, d) for d in H.comult]
-    for k, delta in enumerate(deltas):
-        if delta.comult_leg(0) != delta.comult_leg(1):
-            violations.append(f"coassociativity fails at basis {k}")
-            break
-    for k, delta in enumerate(deltas):
-        ek = H.basis_element(k)
-        if delta.counit_leg(0) != ek or delta.counit_leg(1) != ek:
-            violations.append(f"counit axiom fails at basis {k}")
-            break
-
-    # bialgebra: counit and comultiplication are algebra maps
-    if H.counit_dict(one) != H.one_scalar:
-        violations.append("counit of the unit is not 1")
-    if H.comul_dict(one) != TensorElement.unit(H, 2).data:
-        violations.append("comultiplication of the unit is not 1 tensor 1")
-
+    # bialgebra: counit and comultiplication are unital algebra maps
+    counit_unit = H.counit_dict(one) != H.one_scalar and "counit of the unit is not 1"
+    comult_unit = (H.comul_dict(one) != TensorElement.unit(H, 2).data
+                   and "comultiplication of the unit is not 1 tensor 1")
     legs, duals, cvalues = H.comult_index
     longest, scale = max(map(len, legs.values())), values.den * cvalues.den
     bound = (longest ** 2 * phi ** 3 * cvalues.height ** 2 * values.height ** 2
@@ -838,22 +831,39 @@ def validate(H: HopfAlgebraData) -> list[str]:
                 return f"comultiplication is not multiplicative at ({i},{j})"
         return None
 
-    if failure := first_failure(
-            multiplicativity_fails, product(range(N)),
-            None if gens is None or violations else product(gens)):
-        violations.append(failure)
+    unital_maps = not (gens is None or counit_unit or comult_unit)
+    multiplicativity = first_failure(multiplicativity_fails, basis,
+                                     product(gens) if unital_maps and not associativity else None)
+    on_gens = list(product(gens)) if unital_maps and not multiplicativity else None
 
-    # antipode axiom and invertibility: the columns of S are independent
-    space = SpanSolver(H.conductor)
-    if any(space.insert(col) is not None for col in H.antipode):
-        violations.append("antipode is not invertible")
-    for k, delta in enumerate(deltas):
+    def coassociativity_fails(k: int) -> str | None:
+        d = TensorElement._trusted(H, 2, H.comult[k])
+        if d.comult_leg(0) != d.comult_leg(1):
+            return f"coassociativity fails at basis {k}"
+        return None
+
+    def counit_fails(k: int) -> str | None:
+        d, ek = TensorElement._trusted(H, 2, H.comult[k]), H.basis_element(k)
+        if d.counit_leg(0) != ek or d.counit_leg(1) != ek:
+            return f"counit axiom fails at basis {k}"
+        return None
+
+    def antipode_fails(k: int) -> str | None:
+        d = TensorElement._trusted(H, 2, H.comult[k])
         expected = H.unit_element().scale(H.counit[k])
-        if (delta.apply_leg(0, H.antipode).multiply_legs(0) != expected
-                or delta.apply_leg(1, H.antipode).multiply_legs(0) != expected):
-            violations.append(f"antipode axiom fails at basis {k}")
-            break
+        if (d.apply_leg(0, H.antipode).multiply_legs(0) != expected
+                or d.apply_leg(1, H.antipode).multiply_legs(0) != expected):
+            return f"antipode axiom fails at basis {k}"
+        return None
 
+    # S is invertible when its columns are independent
+    space = SpanSolver(H.conductor)
+    singular = any(space.insert(col) is not None for col in H.antipode)
+    violations = [v for v in (
+        associativity, unitality, first_failure(coassociativity_fails, basis, on_gens),
+        first_failure(counit_fails, basis, on_gens), counit_unit, comult_unit,
+        multiplicativity, singular and "antipode is not invertible",
+        first_failure(antipode_fails, basis)) if v]
     if not violations:
         H._cache["certified_generators"] = gens
     return violations

@@ -254,7 +254,7 @@ def root_of_unity_order(f: ExactPolynomial, bound: int | None = None) -> int | N
     Z[zeta_m], and mod p, where x^L - 1 is separable, its order is still n.
     The scan stops at that order.
     """
-    if f.is_zero() or f.degree < 0:
+    if f.is_zero():
         raise ValueError("polynomial must be nonzero")
     if f.coeffs[0].is_zero():
         raise ValueError("polynomial must have nonzero constant term")

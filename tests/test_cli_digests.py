@@ -76,3 +76,19 @@ def test_corrupted_doubles_name_their_witnesses(tmp_path, capsys):
     assert "  comultiplication is not multiplicative at (1,9)\n" in outputs[0]
     assert "  associativity fails at basis (8,35,35)\n" in outputs[1]
     assert "  comultiplication is not multiplicative at (5,5)\n" in outputs[1]
+
+
+def test_conjugated_documents_name_their_witnesses(tmp_path, capsys):
+    digests = _load_script()
+    digests.write_conjugated(str(tmp_path))
+    outputs = []
+    for path in digests.conjugated_files():
+        argv = ["validate", "--in", path, "--format", "text"]
+        assert argv in digests.commands()
+        assert main([a.replace("$TMP", str(tmp_path)) for a in argv]) == 2
+        outputs.append(capsys.readouterr().out)
+    # taft:3 with J = 1 (x) 1 + x (x) x, Sweedler with J = 1 (x) 1 + x (x) g
+    assert outputs[0] == ("Taft(3): INVALID\n  coassociativity fails at basis 1\n"
+                          "  antipode axiom fails at basis 3\n")
+    assert outputs[1] == ("Sweedler: INVALID\n  coassociativity fails at basis 1\n"
+                          "  counit axiom fails at basis 2\n  antipode axiom fails at basis 2\n")

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 from helpers import same_structure
+from test_cli_digests import _load_script
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from hopfqexp.hopf import (
     validate,
     variant,
 )
+from hopfqexp.io import read_algebra, write_algebra
 from hopfqexp.linalg import ExactMatrix, SpanSolver, dense, sparse
 from hopfqexp.presets import ZOO, get_preset, preset_grouplikes, sweedler
 from hopfqexp.scalars import CyclotomicNumber, euler_phi
@@ -327,6 +329,89 @@ def test_first_failure_falls_back_to_the_full_scan():
     assert first_failure(check, everything, [(5,)]) == "fails at 2"
     # a certified set that passes ends the check
     assert first_failure(check, everything, [(0,), (1,)]) is None
+
+
+# -- coassociativity, the counit axiom and the antipode axiom ----------------------
+
+def _coalgebra_witnesses(H):
+    """The first witnesses of coassociativity, the counit axiom and the
+    antipode axiom, as validate words them, by dict loops over every k."""
+    def coassociative(k):
+        left, right = {}, {}
+        for (a, b), x in H.comult[k].items():
+            for (c, d), y in H.comult[a].items():
+                dadd(left, (c, d, b), x * y)
+            for (c, d), y in H.comult[b].items():
+                dadd(right, (a, c, d), x * y)
+        return left == right
+
+    def counital(k):
+        left, right = {}, {}
+        for (a, b), x in H.comult[k].items():
+            dadd(left, b, H.counit[a] * x)
+            dadd(right, a, x * H.counit[b])
+        return left == right == {k: H.one_scalar}
+
+    def antipodal(k):
+        left, right, unit = {}, {}, {}
+        for (a, b), x in H.comult[k].items():
+            for i, c in H.mul_dicts(H.antipode[a], {b: x}).items():
+                dadd(left, i, c)
+            for i, c in H.mul_dicts({a: x}, H.antipode[b]).items():
+                dadd(right, i, c)
+        for i, c in enumerate(H.unit):
+            dadd(unit, i, H.counit[k] * c)
+        return left == right == unit
+
+    out = []
+    for axiom, holds in [("coassociativity", coassociative), ("counit axiom", counital),
+                         ("antipode axiom", antipodal)]:
+        out += [f"{axiom} fails at basis {k}" for k in range(H.dim) if not holds(k)][:1]
+    return out
+
+
+def _coalgebra_violations(H):
+    """validate's violations of coassociativity, the counit and the antipode axioms."""
+    return [v for v in validate(H)
+            if v.startswith(("coassociativity", "counit axiom", "antipode axiom"))]
+
+
+def test_conjugated_coproducts_name_the_first_witnesses(tmp_path):
+    # J^-1 Delta J for an invertible J that is not a 2-cocycle keeps Delta
+    # multiplicative, so the scans on the certified G fail and rescan in full
+    digests = _load_script()
+    conjugated = [digests.conjugated(*args) for args in digests.CONJUGATED]
+    for H in conjugated:
+        assert _generators(H) is not None
+        assert validate(H) == _coalgebra_violations(H), H.name
+    assert _coalgebra_violations(conjugated[0])[0] == "coassociativity fails at basis 1"
+    assert _coalgebra_violations(conjugated[1])[:2] == [
+        "coassociativity fails at basis 1", "counit axiom fails at basis 2"]
+    # and the two corrupted double documents, read back as the CLI reads them
+    digests.write_corrupted_doubles(str(tmp_path))
+    corrupted = [read_algebra(path.replace("$TMP", str(tmp_path)), check=False)
+                 for path in digests.corrupted_files()]
+    assert _coalgebra_violations(corrupted[0])
+    for H in conjugated + corrupted:
+        assert _coalgebra_violations(H) == _coalgebra_witnesses(H), H.name
+
+
+@pytest.mark.parametrize("name", ["taft:3", "uqb2:3"])
+def test_valid_double_forms_delta_cubed_only_on_its_generators(name, tmp_path, monkeypatch,
+                                                              double_cache):
+    write_algebra(double_cache(name).algebra, tmp_path / "D.json")
+    D = read_algebra(tmp_path / "D.json", check=False)
+    formed, comult_leg = [], TensorElement.comult_leg
+
+    def spy(self, leg):
+        formed.append(next(k for k, d in enumerate(D.comult) if d is self.data))
+        return comult_leg(self, leg)
+
+    monkeypatch.setattr(TensorElement, "comult_leg", spy)
+    assert validate(D) == []
+    gens = D._cache["certified_generators"]
+    assert len(gens) < D.dim
+    assert formed == [g for g in gens for _ in range(2)]
 
 
 def _embedded(t, arity, positions):
