@@ -25,10 +25,10 @@ violations name the first witnesses of associativity and of the
 multiplicativity of Delta; and ``validate --in`` in text and json on two
 algebras whose coproduct is conjugated by an invertible J that is not a
 2-cocycle (`write_conjugated`), where Delta stays multiplicative and
-coassociativity or the counit axiom fails.  The files go to a temporary directory,
-written ``$TMP`` in argv, so two checkouts print identical lines exactly
-when every command gives the same bytes and exit code; compare them with
-``diff``.
+coassociativity or the counit axiom fails.  The files go to a
+temporary directory, written ``$TMP`` in argv, so two checkouts print
+identical lines exactly when every command gives the same bytes and exit
+code; compare them with ``diff``.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ def conjugated(name: str, pairs: list[tuple[int, int]]) -> HopfAlgebraData:
 def write_conjugated(tmp: str) -> None:
     """Write each algebra of CONJUGATED to tmp."""
     for (name, pairs), path in zip(CONJUGATED, conjugated_files()):
-        Path(path.replace("$TMP", tmp)).write_text(dumps(algebra_to_dict(conjugated(name, pairs))))
+        doc = algebra_to_dict(conjugated(name, pairs))
+        Path(path.replace("$TMP", tmp)).write_text(dumps(doc))
 
 
 def commands() -> list[list[str]]:

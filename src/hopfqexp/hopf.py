@@ -18,9 +18,9 @@ one indexed form of the tables (`index_rows`) that each algebra keeps in
 its ``_cache``, where the T-route and the double build read it too.
 S^2, S^-2 and S^-1 all come from the one Radford scan of `s2_order`.
 `validate` checks every Hopf axiom exactly, each by one check scanned
-with `first_failure`: all but the antipode axiom on a certified
-generating set, Light's two tests a row of packed ints per call.  No
-algebra, checked or built, is taken for a Hopf algebra without it.
+with `first_failure`, on a certified generating set where a theorem
+allows (Light's two tests a row of packed ints per call).  No algebra,
+checked or built, is taken for a Hopf algebra without it.
 """
 
 from __future__ import annotations
